@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InputError
-from .finite_system import FiniteZdSystem
+from .finite_system import FiniteZdSystem, _parse_header_int
 
 Matrix = tuple[tuple[int, ...], ...]
 TorusPoint = tuple[Fraction, ...]
@@ -520,9 +520,9 @@ def parse_affine(text: str, path: str | None = None) -> AffineZdSystem:
         key = key.strip()
         value = value.strip()
         if key == "r":
-            r = int(value)
+            r = _parse_header_int(key, value, lineno, path)
         elif key == "d":
-            d = int(value)
+            d = _parse_header_int(key, value, lineno, path)
         elif key.startswith("A") and key[1:].isdigit():
             mats[int(key[1:])] = _parse_matrix(value, lineno, path)
         elif key.startswith("alpha") and key[5:].isdigit():

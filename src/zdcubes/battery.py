@@ -16,16 +16,17 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
+import numpy as np
+
 from .affine import (AffineZdSystem, discretize, formula_equivalence_test,
                      matcond_check, validate_affine)
-from .cube_engine import (CubeSet, digit_permute_point, duplicate, enumerate_K,
-                          enumerate_Q, face_group_generators, face_group_orbit,
-                          glue, insert, project, reflect_point, section_of,
-                          ucpp_check)
+from .cube_engine import (RowIndex, enumerate_K, enumerate_Q,
+                          face_group_generators, face_group_orbit, row_keys,
+                          section_of, ucpp_check)
 from .errors import InputError
 from .finite_system import (FiniteZdSystem, check_factor_map, is_minimal,
                             validate)
-from .hypercube import FaceSelector
+from .hypercube import Vertex, digit_permute
 from .proximal import (check_equivalence, compute_R, compute_R_j,
                        compute_R_j_reordered, maximal_ucpp_factor,
                        pushforward_check, sections)
@@ -51,12 +52,47 @@ def _full_dirs(sys: FiniteZdSystem) -> tuple[int, ...]:
     return tuple(range(1, sys.d + 1))
 
 
-def _face(p: tuple[int, ...], j: int, b: int, d: int) -> tuple[int, ...]:
-    return tuple(p[m] for m in range(1 << d) if (m >> (j - 1)) & 1 == b)
-
-
 # ---------------------------------------------------------------------------
 # surgery closures, exhaustive
+#
+# Each surgery reads every coordinate of its result from one coordinate of
+# one input, so over an array of cube tuples it is a column-index gather.
+# Pairs are formed by sorted face-key joins and expanded PAIR_CHUNK at a
+# time, in the order a nested loop over Q.points would visit them, so the
+# first witness and every count match that loop.
+
+PAIR_CHUNK = 1 << 20
+
+
+def _face_cols(d: int, j: int, b: int) -> list[int]:
+    return [m for m in range(1 << d) if (m >> (j - 1)) & 1 == b]
+
+
+def _pair_chunks(counts: np.ndarray):
+    """Owner i holds counts[i] consecutive pairs; yields (owner, rank) index
+    arrays for the pairs in order, PAIR_CHUNK at a time."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    starts = ends - counts
+    for t0 in range(0, total, PAIR_CHUNK):
+        t = np.arange(t0, min(t0 + PAIR_CHUNK, total))
+        owner = np.searchsorted(ends, t, side="right")
+        yield owner, t - starts[owner]
+
+
+def _pair_gather(rows: np.ndarray, a: np.ndarray, b: np.ndarray,
+                 take_b: list[bool], cols: list[int]) -> np.ndarray:
+    """Result coordinate m reads rows[b, cols[m]] if take_b[m], else
+    rows[a, cols[m]]."""
+    out = np.empty((len(a), len(cols)), dtype=rows.dtype)
+    for m, (from_b, c) in enumerate(zip(take_b, cols)):
+        out[:, m] = rows[b if from_b else a, c]
+    return out
+
+
+def _first_missing(index: RowIndex, rows: np.ndarray) -> int | None:
+    _, found = index.find(rows)
+    return None if found.all() else int(np.argmin(found))
 
 
 def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
@@ -64,40 +100,74 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
     projection, digit permutation and reflection.  Every eligible input pair
     or tuple is tried; no sampling."""
     d = sys.d
+    n = sys.n_points
     dirs = _full_dirs(sys)
+    width = 1 << d
     Q = enumerate_Q(sys, dirs, threads=threads)
-    members = set(Q.points)
+    rows = Q.to_array()
+    index = RowIndex(rows, n)
     items = []
 
-    # glue: a's upper j-face against b's lower j-face
+    # glue: a's upper j-face against b's lower j-face, a then b in Q order
     checked = 0
     witness = None
     for j in dirs:
-        lower: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for p in Q.points:
-            lower.setdefault(_face(p, j, 0, d), []).append(p)
-        for a in Q.points:
-            for b in lower.get(_face(a, j, 1, d), ()):
-                checked += 1
-                if witness is None and glue(a, b, j) not in members:
-                    witness = [j, list(a), list(b)]
+        bit = 1 << (j - 1)
+        lower = row_keys(rows[:, _face_cols(d, j, 0)], n)
+        upper = row_keys(rows[:, _face_cols(d, j, 1)], n)
+        order = np.argsort(lower, kind="stable")
+        lower = lower[order]
+        first = np.searchsorted(lower, upper, side="left")
+        counts = np.searchsorted(lower, upper, side="right") - first
+        checked += int(counts.sum())
+        if witness is not None:
+            continue
+        take_b = [bool(m & bit) for m in range(width)]
+        for a, rank in _pair_chunks(counts):
+            b = order[first[a] + rank]
+            miss = _first_missing(index, _pair_gather(rows, a, b, take_b,
+                                                      list(range(width))))
+            if miss is not None:
+                witness = [j, list(Q.points[a[miss]]), list(Q.points[b[miss]])]
+                break
     items.append(_pass_fail("glue_closure", witness is None, witness,
                             pairs=checked))
 
-    # insert: pairs coinciding in the j-upper face, both sides
+    # insert: pairs coinciding in the j-upper face, both sides; buckets in
+    # order of first appearance, members in Q order
     checked = 0
     witness = None
     for j in dirs:
-        buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for p in Q.points:
-            buckets.setdefault(_face(p, j, 1, d), []).append(p)
-        for group in buckets.values():
-            for a in group:
-                for b in group:
-                    for side in ("upper", "lower"):
-                        checked += 1
-                        if witness is None and insert(a, b, j, side) not in members:
-                            witness = [j, side, list(a), list(b)]
+        bit = 1 << (j - 1)
+        upper = row_keys(rows[:, _face_cols(d, j, 1)], n)
+        _, first, inverse, sizes = np.unique(
+            upper, return_index=True, return_inverse=True, return_counts=True)
+        by_first = np.argsort(first)
+        rank = np.empty(len(first), dtype=np.intp)
+        rank[by_first] = np.arange(len(first))
+        members = np.argsort(rank[inverse], kind="stable")
+        sizes = sizes[by_first]
+        starts = np.cumsum(sizes) - sizes
+        checked += 2 * int((sizes * sizes).sum())
+        if witness is not None:
+            continue
+        sides = []
+        for side in ("upper", "lower"):
+            keep = bit if side == "upper" else 0
+            take_b = [(m & bit) == keep for m in range(width)]
+            sides.append((side, take_b,
+                          [m if t else m ^ bit for m, t in enumerate(take_b)]))
+        for g, r in _pair_chunks(sizes * sizes):
+            a = members[starts[g] + r // sizes[g]]
+            b = members[starts[g] + r % sizes[g]]
+            found = [index.find(_pair_gather(rows, a, b, take_b, cols))[1]
+                     for _, take_b, cols in sides]
+            bad = ~(found[0] & found[1])
+            if bad.any():
+                i = int(np.argmax(bad))
+                side = sides[0][0] if not found[0][i] else sides[1][0]
+                witness = [j, side, list(Q.points[a[i]]), list(Q.points[b[i]])]
+                break
     items.append(_pass_fail("insert_closure", witness is None, witness,
                             pairs=checked))
 
@@ -106,10 +176,16 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
     witness = None
     for k in range(1, d):
         for sub in combinations(dirs, k):
-            for a in enumerate_Q(sys, sub, threads=threads):
-                checked += 1
-                if witness is None and duplicate(a, sub, dirs) not in members:
-                    witness = [list(sub), list(a)]
+            Qs = enumerate_Q(sys, sub, threads=threads)
+            checked += len(Qs)
+            if witness is not None:
+                continue
+            slots = [dirs.index(j) for j in sub]
+            cols = [sum(((m >> s) & 1) << ell for ell, s in enumerate(slots))
+                    for m in range(width)]
+            miss = _first_missing(index, Qs.to_array()[:, cols])
+            if miss is not None:
+                witness = [list(sub), list(Qs.points[miss])]
     items.append(_pass_fail("duplicate_closure", witness is None, witness,
                             points=checked))
 
@@ -117,18 +193,20 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
     checked = 0
     witness = None
     if d >= 2:
-        rest_sets = {
-            j: set(enumerate_Q(sys, tuple(i for i in dirs if i != j),
-                               threads=threads).points)
+        rest_index = {
+            j: RowIndex(enumerate_Q(sys, tuple(i for i in dirs if i != j),
+                                    threads=threads).to_array(), n)
             for j in dirs
         }
         for j in dirs:
             for b in (0, 1):
-                sel = FaceSelector(dim=d, pinned=((j, b),))
-                for p in Q.points:
-                    checked += 1
-                    if witness is None and project(p, sel) not in rest_sets[j]:
-                        witness = [j, b, list(p)]
+                checked += len(Q)
+                if witness is not None:
+                    continue
+                miss = _first_missing(rest_index[j],
+                                      rows[:, _face_cols(d, j, b)])
+                if miss is not None:
+                    witness = [j, b, list(Q.points[miss])]
     items.append(_pass_fail("project_closure", witness is None, witness,
                             points=checked))
 
@@ -137,9 +215,9 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
     witness = None
     for sigma in permutations(range(1, d + 1)):
         src = enumerate_Q(sys, sigma, threads=threads)
-        image = {digit_permute_point(sigma, p) for p in src.points}
         checked += 1
-        if witness is None and image != members:
+        cols = [digit_permute(sigma, Vertex(m, d)).mask for m in range(width)]
+        if witness is None and not index.same_set(src.to_array()[:, cols]):
             witness = list(sigma)
     items.append(_pass_fail("digit_permute_bijection", witness is None, witness,
                             permutations=checked))
@@ -147,8 +225,8 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
     # reflection: flipping any digit permutes the set
     witness = None
     for j in dirs:
-        image = {reflect_point(j, p) for p in Q.points}
-        if witness is None and image != members:
+        flipped = [m ^ (1 << (j - 1)) for m in range(width)]
+        if witness is None and not index.same_set(rows[:, flipped]):
             witness = j
     items.append(_pass_fail("reflect_invariance", witness is None, witness,
                             directions=d))
@@ -196,13 +274,13 @@ def cube_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
     items.append(_pass_fail("single_direction_symmetry", witness is None, witness))
 
     gens = face_group_generators(sys, dirs)
+    rows = Q.to_array()
+    index = RowIndex(rows, sys.n_points)
     witness = None
     for g in gens:
-        for p in Q.points:
-            if g.apply(sys, dirs, p) not in Q:
-                witness = [list(g.face), list(g.diag), list(p)]
-                break
-        if witness:
+        miss = _first_missing(index, g.apply_rows(sys, dirs, rows))
+        if miss is not None:
+            witness = [list(g.face), list(g.diag), list(Q.points[miss])]
             break
     items.append(_pass_fail("face_group_invariance", witness is None, witness,
                             generators=len(gens)))

@@ -12,11 +12,16 @@ position p corresponds to vertex mask p.
 Enumeration runs through the kernel backend in base-point chunks; the chunk
 split, a final sort and dedup make the result independent of thread count
 and backend.
+
+Whole-set checks work on CubeSet.to_array(): RowIndex looks rows up by
+sorted row keys, and a face-group element acts as one permutation per
+coordinate, so its image of an array is a column gather.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .finite_system import FiniteZdSystem, perm_order, perm_pow
+from .finite_system import FiniteZdSystem, perm_order
 from .hypercube import MAX_DIM, FaceSelector, Vertex, digit_permute
 
 CubePoint = tuple[int, ...]
@@ -138,24 +143,82 @@ class CubeSet:
         return cls(dirs=dirs, points=tuple(points), based=based)
 
 
-def _pow_tables(sys: FiniteZdSystem, dirs: tuple[int, ...]) -> tuple[list, list[int]]:
-    tables = []
-    limits = []
+# ---------------------------------------------------------------------------
+# row keys and membership
+
+
+def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One key per row of an int array with entries in 0..n-1, ordered as the
+    rows are lexicographically: int64 mixed-radix keys (first column most
+    significant) while n^width < 2^63, otherwise a structured view of the
+    rows that compares column by column."""
+    rows = np.asarray(rows)
+    width = rows.shape[1]
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"row entries must lie in 0..{n - 1}")
+    if n ** width < 1 << 63:
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for c in range(width):
+            keys *= n
+            keys += rows[:, c]
+        return keys
+    view = np.dtype([(f"c{c}", np.int32) for c in range(width)])
+    return np.ascontiguousarray(rows, dtype=np.int32).view(view).ravel()
+
+
+class RowIndex:
+    """Membership in a sorted, duplicate-free set of rows with entries in
+    0..n-1 (such as CubeSet.to_array()), by binary search over row keys."""
+
+    def __init__(self, rows: np.ndarray, n: int):
+        self.n = n
+        self.keys = row_keys(rows, n)
+
+    def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position, found) per query row; position is meaningful only
+        where found is set."""
+        q = row_keys(rows, self.n)
+        pos = np.searchsorted(self.keys, q)
+        found = np.zeros(len(q), dtype=bool)
+        inside = pos < len(self.keys)
+        found[inside] = self.keys[pos[inside]] == q[inside]
+        return pos, found
+
+    def same_set(self, rows: np.ndarray) -> bool:
+        """Whether the query rows, as a set, equal the indexed set."""
+        pos, found = self.find(rows)
+        if not found.all():
+            return False
+        hit = np.zeros(len(self.keys), dtype=bool)
+        hit[pos] = True
+        return bool(hit.all())
+
+
+def _dir_orders(sys: FiniteZdSystem, dirs: tuple[int, ...]) -> list[int]:
     for j in dirs:
         if not 1 <= j <= sys.d:
             raise InputError(f"direction {j} out of range 1..{sys.d}")
-        p = sys.perms[j - 1]
-        L = perm_order(p)
-        tables.append(
-            np.array([perm_pow(p, e) for e in range(L)], dtype=np.int32)
-        )
-        limits.append(L)
-    return tables, limits
+    return [perm_order(sys.perms[j - 1]) for j in dirs]
+
+
+def _pow_table(p, L: int) -> np.ndarray:
+    """int32[L, n] whose row e is p^e, built by one-step composition."""
+    step = np.asarray(p, dtype=np.int32)
+    table = np.empty((L, len(step)), dtype=np.int32)
+    table[0] = np.arange(len(step), dtype=np.int32)
+    for e in range(1, L):
+        table[e] = step[table[e - 1]]
+    return table
+
+
+def _pow_tables(sys: FiniteZdSystem, dirs: tuple[int, ...]) -> tuple[list, list[int]]:
+    limits = _dir_orders(sys, dirs)
+    return [_pow_table(sys.perms[j - 1], L) for j, L in zip(dirs, limits)], limits
 
 
 def _enumerate_rows(sys: FiniteZdSystem, dirs: tuple[int, ...],
                     bases: np.ndarray, threads: int) -> np.ndarray:
-    tables, limits = _pow_tables(sys, dirs)
+    limits = _dir_orders(sys, dirs)
     total = len(bases)
     for L in limits:
         total *= L
@@ -163,8 +226,10 @@ def _enumerate_rows(sys: FiniteZdSystem, dirs: tuple[int, ...],
         raise InputError(
             f"enumeration would produce {total} rows (limit {MAX_ENUM_ROWS}); "
             "restrict the directions or the system size")
+    tables = [_pow_table(sys.perms[j - 1], L) for j, L in zip(dirs, limits)]
     stack, offsets = kernels.pack_tables(tables)
     combos = kernels.exponent_combos(limits)
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or len(bases) < 2:
         return kernels.enumerate_blocks(stack, offsets, combos, bases)
     chunks = [c for c in np.array_split(bases, threads) if len(c)]
@@ -360,37 +425,66 @@ def reflect_point(j: int, a: CubePoint) -> CubePoint:
 # the face group
 
 
+def _perm_power(perm: np.ndarray, e: int) -> np.ndarray:
+    """perm^e as an index array; negative exponents go through the inverse."""
+    if e < 0:
+        perm, e = np.argsort(perm).astype(perm.dtype), -e
+    out = np.arange(len(perm), dtype=perm.dtype)
+    while e:
+        if e & 1:
+            out = perm[out]
+        perm = perm[perm]
+        e >>= 1
+    return out
+
+
 @dataclass(frozen=True)
 class FaceGroupElement:
     """A face-group element for a k-cube over a d-system: exponent face[i]
     of T_{dirs[i]} on the coordinates with eps_i = 1, then the diagonal word
-    diag applied to every coordinate."""
+    diag applied to every coordinate.
+
+    The element acts coordinate by coordinate, so it is one permutation of
+    the points per cube coordinate (column_maps); the image of a whole array
+    of cube tuples is a column gather."""
 
     face: tuple[int, ...]
     diag: tuple[int, ...]
 
-    def apply(self, sys: FiniteZdSystem, dirs: tuple[int, ...], p: CubePoint,
-              based: bool = False) -> CubePoint:
+    def column_maps(self, sys: FiniteZdSystem, dirs: tuple[int, ...],
+                    based: bool = False) -> np.ndarray:
+        """int32[width, n] whose row c is the permutation applied to
+        coordinate c (vertex c, or c + 1 when based)."""
         k = len(dirs)
         if len(self.face) != k or len(self.diag) != sys.d:
             raise InputError("exponent vectors do not match dimensions")
+        perms = [np.asarray(p, dtype=np.int32) for p in sys.perms]
+        faces = [_perm_power(perms[j - 1], e) for j, e in zip(dirs, self.face)]
+        diag = np.arange(sys.n_points, dtype=np.int32)
+        for p, e in zip(perms, self.diag):
+            diag = _perm_power(p, e)[diag]
         offset = 1 if based else 0
-        out = list(p)
-        for i, j in enumerate(dirs):
-            e = self.face[i] % perm_order(sys.perms[j - 1])
-            if e == 0:
-                continue
-            table = perm_pow(sys.perms[j - 1], e)
-            for pos in range(len(out)):
-                if (pos + offset) >> i & 1:
-                    out[pos] = table[out[pos]]
-        for j, e in enumerate(self.diag, start=1):
-            e %= perm_order(sys.perms[j - 1])
-            if e == 0:
-                continue
-            table = perm_pow(sys.perms[j - 1], e)
-            out = [table[v] for v in out]
-        return tuple(out)
+        maps = np.empty(((1 << k) - offset, sys.n_points), dtype=np.int32)
+        for c in range(len(maps)):
+            m = np.arange(sys.n_points, dtype=np.int32)
+            for i in range(k):
+                if (c + offset) >> i & 1:
+                    m = faces[i][m]
+            maps[c] = diag[m]
+        return maps
+
+    def apply_rows(self, sys: FiniteZdSystem, dirs: tuple[int, ...],
+                   rows: np.ndarray, based: bool = False) -> np.ndarray:
+        """The image of every row of an int array of cube tuples."""
+        maps = self.column_maps(sys, dirs, based)
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != len(maps):
+            raise InputError(f"cube tuples must have width {len(maps)}")
+        return maps[np.arange(len(maps)), rows]
+
+    def apply(self, sys: FiniteZdSystem, dirs: tuple[int, ...], p: CubePoint,
+              based: bool = False) -> CubePoint:
+        return tuple(self.apply_rows(sys, dirs, [p], based)[0].tolist())
 
 
 def face_group_generators(sys: FiniteZdSystem, dirs: tuple[int, ...]
@@ -422,19 +516,23 @@ def face_group_orbit(cubes: CubeSet, start: CubePoint) -> CubeSet:
     if start not in cubes:
         raise InputError("start point is not in the cube set")
     sys = cubes.base
-    gens = face_group_generators(sys, cubes.dirs)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = g.apply(sys, cubes.dirs, p, based=cubes.based)
-                if q not in seen and q in cubes:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return CubeSet(dirs=cubes.dirs, points=tuple(sorted(seen)),
+    rows = cubes.to_array()
+    index = RowIndex(rows, sys.n_points)
+    maps = [g.column_maps(sys, cubes.dirs, cubes.based)
+            for g in face_group_generators(sys, cubes.dirs)]
+    cols = np.arange(cubes.width)
+    frontier, _ = index.find(np.array([start]))
+    seen = np.zeros(len(rows), dtype=bool)
+    seen[frontier] = True
+    while len(frontier):
+        hits = []
+        for m in maps:
+            pos, found = index.find(m[cols, rows[frontier]])
+            hits.append(pos[found])
+        frontier = np.unique(np.concatenate(hits))
+        frontier = frontier[~seen[frontier]]
+        seen[frontier] = True
+    return CubeSet(dirs=cubes.dirs, points=tuple(map(tuple, rows[seen].tolist())),
                    based=cubes.based, base=sys)
 
 

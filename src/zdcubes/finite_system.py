@@ -501,6 +501,14 @@ def _parse_int_list(text: str, lineno: int, path: str | None) -> list[int]:
         raise InputError(f"non-integer entry in {text!r}", path=path, line=lineno)
 
 
+def _parse_header_int(key: str, value: str, lineno: int, path: str | None) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(f"'{key}' must be an integer, got {value!r}",
+                         path=path, line=lineno)
+
+
 def parse_finite_system(text: str, path: str | None = None,
                         strict: bool = True) -> FiniteZdSystem:
     """Parse the finite-system text format.
@@ -524,9 +532,9 @@ def parse_finite_system(text: str, path: str | None = None,
         key = key.strip()
         value = value.strip()
         if key == "points":
-            n_points = int(value)
+            n_points = _parse_header_int(key, value, lineno, path)
         elif key == "d":
-            d = int(value)
+            d = _parse_header_int(key, value, lineno, path)
         elif key.startswith("T") and key[1:].isdigit():
             i = int(key[1:])
             if i in rows:

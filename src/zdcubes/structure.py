@@ -18,8 +18,10 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .cube_engine import (CubeSet, FaceGroupElement, enumerate_K, enumerate_Q,
-                          section_of, ucpp_check, UcppResult)
+import numpy as np
+
+from .cube_engine import (CubeSet, FaceGroupElement, RowIndex, enumerate_K,
+                          enumerate_Q, section_of, ucpp_check, UcppResult)
 from .errors import HypothesisError, InputError
 from .finite_system import (FactorMap, FiniteZdSystem, PairRelation,
                             is_minimal, quotient)
@@ -148,19 +150,18 @@ def face_system(K: CubeSet) -> FiniteZdSystem:
     if K.base is None:
         raise InputError("cube set carries no base system")
     sys = K.base
-    index = {p: i for i, p in enumerate(K.points)}
+    rows = K.to_array()
+    index = RowIndex(rows, sys.n_points)
     perms = []
     for i, j in enumerate(K.dirs):
         g = FaceGroupElement(tuple(1 if t == i else 0 for t in range(K.k)),
                              (0,) * sys.d)
-        row = []
-        for p in K.points:
-            q = g.apply(sys, K.dirs, p, based=True)
-            if q not in index:
-                raise AssertionError(
-                    f"face action leaves the cube set at {p} (direction {j}); bug")
-            row.append(index[q])
-        perms.append(tuple(row))
+        pos, found = index.find(g.apply_rows(sys, K.dirs, rows, based=True))
+        if not found.all():
+            p = K.points[int(np.argmin(found))]
+            raise AssertionError(
+                f"face action leaves the cube set at {p} (direction {j}); bug")
+        perms.append(tuple(pos.tolist()))
     return FiniteZdSystem(len(K.points), K.k, tuple(perms),
                           name=(sys.name + ":faces") if sys.name else "faces")
 

@@ -1,0 +1,155 @@
+"""The array batteries against the scalar reference loops: identical items,
+first witnesses and counts, on intact and on corrupted cube sets."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import scalar_batteries as ref
+from conftest import ALL_FSYS
+from zdcubes import battery
+from zdcubes.cube_engine import (CubeSet, RowIndex, enumerate_K, enumerate_Q,
+                                 face_group_orbit, row_keys)
+from zdcubes.finite_system import FiniteZdSystem
+from zdcubes.structure import face_system
+
+
+def _z2_power(d: int) -> FiniteZdSystem:
+    """(Z/2)^d with T_j flipping coordinate j; 2^d points."""
+    perms = tuple(tuple(x ^ (1 << j) for x in range(1 << d)) for j in range(d))
+    return FiniteZdSystem(1 << d, d, perms, name=f"z2^{d}")
+
+
+def _corrupt(monkeypatch, where: str) -> None:
+    """Make every enumerate_Q the batteries call lose one row (the first,
+    middle or last) or every other row ("half"), so that the closure checks
+    fail and report their first witness."""
+    real = enumerate_Q
+
+    def corrupted(sys, dirs, **kw):
+        Q = real(sys, dirs, **kw)
+        if len(Q) < 2:
+            return Q
+        if where == "half":
+            return CubeSet(dirs=Q.dirs, points=Q.points[::2], base=Q.base)
+        drop = {"first": 0, "middle": len(Q) // 2, "last": len(Q) - 1}[where]
+        return CubeSet(dirs=Q.dirs, points=Q.points[:drop] + Q.points[drop + 1:],
+                       base=Q.base)
+
+    for module in (battery, ref):
+        monkeypatch.setattr(module, "enumerate_Q", corrupted)
+
+
+def _face_items(sys):
+    items = battery.cube_battery(sys)
+    return {i["check"]: i for i in items}
+
+
+@pytest.mark.parametrize("name", ALL_FSYS)
+def test_surgery_battery_matches_scalar_loops(systems, name):
+    assert battery.surgery_battery(systems[name]) == ref.surgery_battery(systems[name])
+
+
+@pytest.mark.parametrize("name", ALL_FSYS)
+def test_face_group_matches_scalar_loops(systems, name):
+    sys_ = systems[name]
+    dirs = tuple(range(1, sys_.d + 1))
+    Q = enumerate_Q(sys_, dirs)
+    got = _face_items(sys_)
+    assert got["face_group_invariance"] == ref.face_group_invariance(sys_, Q)
+    for start in (Q.points[0], Q.points[len(Q) // 2], Q.points[-1]):
+        assert face_group_orbit(Q, start).points == ref.face_group_orbit(Q, start).points
+    assert got["orbit_covers_when_minimal"]["detail"]["orbit"] == \
+        len(ref.face_group_orbit(Q, Q.points[0]))
+    if sys_.d >= 2:
+        K = enumerate_K(sys_, dirs, 0)
+        assert face_system(K).perms == ref.face_system_perms(K)
+        orb = face_group_orbit(K, K.points[-1])
+        assert orb.points == ref.face_group_orbit(K, K.points[-1]).points
+
+
+@pytest.mark.parametrize("name,where", [(n, "middle") for n in ALL_FSYS]
+                         + [(n, "half") for n in ALL_FSYS]
+                         + [("rot6", "first"), ("z4xz3", "last"),
+                            ("rot8_d3", "first")])
+def test_batteries_match_scalar_loops_on_corrupted_Q(systems, monkeypatch,
+                                                     name, where):
+    sys_ = systems[name]
+    _corrupt(monkeypatch, where)
+    got = battery.surgery_battery(sys_)
+    assert got == ref.surgery_battery(sys_)
+    if len(battery.enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))) > 1:
+        assert any(item["status"] == "fail" for item in got)
+    Q = battery.enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))
+    face = _face_items(sys_)
+    want = ref.face_group_invariance(sys_, Q)
+    assert face["face_group_invariance"] == want
+    assert face["orbit_covers_when_minimal"]["detail"]["orbit"] == \
+        len(ref.face_group_orbit(Q, Q.points[0]))
+
+
+def test_surgery_battery_on_wide_rows_matches_scalar_loops():
+    # (Z/2)^4: cube tuples of width 16 over 16 points overflow int64 keys
+    sys_ = _z2_power(4)
+    assert battery.surgery_battery(sys_) == ref.surgery_battery(sys_)
+    Q = enumerate_Q(sys_, (1, 2, 3, 4))
+    assert _face_items(sys_)["face_group_invariance"] == \
+        ref.face_group_invariance(sys_, Q)
+
+
+def test_insert_witness_when_both_sides_fail(monkeypatch):
+    # Q = {(0, 1), (2, 1)}: the first insert pair (a, a) leaves Q on both sides
+    sys_ = FiniteZdSystem(3, 1, ((1, 2, 0),))
+
+    def fake(sys, dirs, **kw):
+        return CubeSet(dirs=tuple(dirs), points=((0, 1), (2, 1)), base=sys)
+
+    for module in (battery, ref):
+        monkeypatch.setattr(module, "enumerate_Q", fake)
+    got = battery.surgery_battery(sys_)
+    assert got == ref.surgery_battery(sys_)
+    assert got[1]["witness"] == [1, "upper", [0, 1], [0, 1]]
+
+
+def test_pair_chunks_do_not_change_witnesses(systems, monkeypatch):
+    monkeypatch.setattr(battery, "PAIR_CHUNK", 7)
+    for name in ("rot6", "z4xz3", "nonmin_z4z2"):
+        assert battery.surgery_battery(systems[name]) == \
+            ref.surgery_battery(systems[name])
+    _corrupt(monkeypatch, "middle")
+    assert battery.surgery_battery(systems["z4xz3"]) == \
+        ref.surgery_battery(systems["z4xz3"])
+
+
+# ---------------------------------------------------------------------------
+# the membership helper
+
+
+def test_row_index_void_branch_matches_python_set():
+    rng = np.random.default_rng(5)
+    rows = np.unique(rng.integers(0, 16, size=(300, 16)), axis=0)
+    keys = row_keys(rows, 16)
+    assert keys.dtype.names is not None  # 16^16 does not fit an int64 key
+    index = RowIndex(rows, 16)
+    members = set(map(tuple, rows.tolist()))
+    queries = np.concatenate([rows[::3], rng.integers(0, 16, size=(200, 16))])
+    pos, found = index.find(queries)
+    assert found.tolist() == [tuple(q) in members for q in queries.tolist()]
+    assert (rows[pos[found]] == queries[found]).all()
+    assert index.same_set(rows[::-1])
+    assert index.same_set(np.concatenate([rows, rows[:5]]))
+    assert not index.same_set(rows[1:])
+    assert not index.same_set(np.concatenate([rows, queries[-1:]]))
+
+
+def test_row_keys_follow_row_order():
+    rows = np.array(list(itertools.product(range(3), repeat=4)))
+    assert (np.diff(row_keys(rows, 3)) > 0).all()  # int64 branch
+    wide = np.array(list(itertools.product(range(2), repeat=4)))
+    wide = np.repeat(wide, 16, axis=1) * 15  # width 64 over 16 symbols
+    keys = row_keys(wide, 16)
+    assert keys.dtype.names is not None
+    assert (np.argsort(keys, kind="stable") == np.arange(len(wide))).all()
+    with pytest.raises(ValueError):
+        row_keys(np.array([[0, 3]]), 3)

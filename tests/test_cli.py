@@ -97,6 +97,21 @@ def test_validate_malformed_exits_3(tmp_path):
     assert rep["status"] == "input-error"
 
 
+@pytest.mark.parametrize("text,line", [
+    ("finite-system\npoints = abc\nd = 1\nT1 = [0]\n", 2),
+    ("finite-system\npoints = 1\nd = zz\nT1 = [0]\n", 3),
+    ("affine-system\nr = x\nd = 1\nA1 = [[1]]\nalpha1 = [0]\n", 2),
+    ("affine-system\nr = 1\nd = x\nA1 = [[1]]\nalpha1 = [0]\n", 3),
+])
+def test_verify_malformed_header_number_exits_3(tmp_path, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code, rep, _ = _invoke(["verify", str(bad)])
+    assert code == 3
+    assert rep["status"] == "input-error"
+    assert rep["error"].startswith(f"{bad}:{line}: ")
+
+
 # ---------------------------------------------------------------------------
 # analysis subcommands
 
