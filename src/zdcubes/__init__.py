@@ -6,8 +6,8 @@ directional proximality relations and their quotients, checks the joining
 decomposition of based cube sets, computes return-time sets with their
 d-joining algebra, and tests the matrix conditions and closed orbit formula
 of unipotent affine systems on rational tori.  Everything is computed
-exactly; the hot enumeration kernels have a compiled backend with a pure
-Python fallback chosen at import time.
+exactly; cube sets are sorted int32 arrays and the hot kernels are numpy
+array operations.
 """
 
 from .affine import (AffineZdSystem, affine_to_text, closed_form, discretize,

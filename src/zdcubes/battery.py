@@ -9,7 +9,7 @@ Every check produces one JSON-ready item
 "skipped" marks hypothesis-gated checks on inputs that do not meet the
 hypotheses; a battery with skips and no failures is still clean.  All
 counts and witnesses are deterministic, so serialized batteries are
-byte-identical across thread counts and backends.
+byte-identical across thread counts.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _full_dirs(sys: FiniteZdSystem) -> tuple[int, ...]:
 # Each surgery reads every coordinate of its result from one coordinate of
 # one input, so over an array of cube tuples it is a column-index gather.
 # Pairs are formed by sorted face-key joins and expanded PAIR_CHUNK at a
-# time, in the order a nested loop over Q.points would visit them, so the
+# time, in the order a nested loop over the rows of Q would visit them, so the
 # first witness and every count match that loop.
 
 PAIR_CHUNK = 1 << 20
@@ -128,7 +128,7 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
             miss = _first_missing(index, _pair_gather(rows, a, b, take_b,
                                                       list(range(width))))
             if miss is not None:
-                witness = [j, list(Q.points[a[miss]]), list(Q.points[b[miss]])]
+                witness = [j, rows[a[miss]].tolist(), rows[b[miss]].tolist()]
                 break
     items.append(_pass_fail("glue_closure", witness is None, witness,
                             pairs=checked))
@@ -166,7 +166,7 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
             if bad.any():
                 i = int(np.argmax(bad))
                 side = sides[0][0] if not found[0][i] else sides[1][0]
-                witness = [j, side, list(Q.points[a[i]]), list(Q.points[b[i]])]
+                witness = [j, side, rows[a[i]].tolist(), rows[b[i]].tolist()]
                 break
     items.append(_pass_fail("insert_closure", witness is None, witness,
                             pairs=checked))
@@ -185,7 +185,7 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
                     for m in range(width)]
             miss = _first_missing(index, Qs.to_array()[:, cols])
             if miss is not None:
-                witness = [list(sub), list(Qs.points[miss])]
+                witness = [list(sub), Qs.to_array()[miss].tolist()]
     items.append(_pass_fail("duplicate_closure", witness is None, witness,
                             points=checked))
 
@@ -206,7 +206,7 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
                 miss = _first_missing(rest_index[j],
                                       rows[:, _face_cols(d, j, b)])
                 if miss is not None:
-                    witness = [j, b, list(Q.points[miss])]
+                    witness = [j, b, rows[miss].tolist()]
     items.append(_pass_fail("project_closure", witness is None, witness,
                             points=checked))
 
@@ -254,38 +254,33 @@ def cube_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
     else:
         items.append(_item("ucpp", "skipped", None, reason="needs d >= 2"))
 
-    witness = None
-    for x in range(sys.n_points):
-        if (x,) * Q.width not in Q:
-            witness = x
-            break
+    rows = Q.to_array()
+    index = RowIndex(rows, sys.n_points)
+    diagonal = np.repeat(np.arange(sys.n_points), Q.width).reshape(-1, Q.width)
+    witness = _first_missing(index, diagonal)
     items.append(_pass_fail("diagonal_membership", witness is None, witness,
                             points=sys.n_points))
 
     witness = None
     for j in dirs:
-        Qj = enumerate_Q(sys, (j,), threads=threads)
-        for (x, y) in Qj.points:
-            if (y, x) not in Qj:
-                witness = [j, x, y]
-                break
-        if witness:
+        pairs = enumerate_Q(sys, (j,), threads=threads).to_array()
+        miss = _first_missing(RowIndex(pairs, sys.n_points), pairs[:, ::-1])
+        if miss is not None:
+            witness = [j] + pairs[miss].tolist()
             break
     items.append(_pass_fail("single_direction_symmetry", witness is None, witness))
 
     gens = face_group_generators(sys, dirs)
-    rows = Q.to_array()
-    index = RowIndex(rows, sys.n_points)
     witness = None
     for g in gens:
         miss = _first_missing(index, g.apply_rows(sys, dirs, rows))
         if miss is not None:
-            witness = [list(g.face), list(g.diag), list(Q.points[miss])]
+            witness = [list(g.face), list(g.diag), rows[miss].tolist()]
             break
     items.append(_pass_fail("face_group_invariance", witness is None, witness,
                             generators=len(gens)))
 
-    orbit = face_group_orbit(Q, Q.points[0])
+    orbit = face_group_orbit(Q, rows[0])
     if minimal:
         items.append(_pass_fail("orbit_covers_when_minimal",
                                 len(orbit) == len(Q), None,
@@ -297,7 +292,8 @@ def cube_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
 
     K = enumerate_K(sys, dirs, 0, threads=threads)
     sec = section_of(Q, 0)
-    items.append(_pass_fail("section_consistency", K.points == sec.points, None,
+    items.append(_pass_fail("section_consistency",
+                            np.array_equal(K.to_array(), sec.to_array()), None,
                             K_size=len(K), K_sha256=K.text_sha256()))
     return items
 
@@ -314,7 +310,10 @@ def five_way_battery(sys: FiniteZdSystem, *, threads: int = 1
     Q = enumerate_Q(sys, dirs, threads=threads)
     rels = [compute_R_j(sys, j, Q=Q, threads=threads).pairs for j in dirs]
     sec = sections(Q)
-    width = Q.width
+    rows = Q.to_array()
+    # (x, y) with (x, y, .., y) in Q
+    constant = (rows[:, 1:] == rows[:, 1:2]).all(axis=1)
+    tails = set(map(tuple, rows[constant, :2].tolist()))
     checked = 0
     for x in range(sys.n_points):
         sx = sec.get(x, frozenset())
@@ -322,7 +321,7 @@ def five_way_battery(sys: FiniteZdSystem, *, threads: int = 1
             sy = sec.get(y, frozenset())
             conds = (
                 all((x, y) in r for r in rels),
-                ((x,) + (y,) * (width - 1)) in Q,
+                (x, y) in tails,
                 bool(sx & sy),
                 sx == sy,
                 any((x, y) in r for r in rels),

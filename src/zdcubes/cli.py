@@ -2,7 +2,7 @@
 
 Reports are JSON on stdout (sorted keys, no timings unless --timings), so
 identical inputs and flags give byte-identical output regardless of thread
-count or backend.  Exit codes: 0 pass, 1 property failure (a witness is in
+count.  Exit codes: 0 pass, 1 property failure (a witness is in
 the report), 2 hypotheses unmet, 3 input error.
 """
 
@@ -417,6 +417,17 @@ def _common(f):
     return f
 
 
+def _int_list(text: str | None, option: str) -> tuple[int, ...] | None:
+    """A comma-separated option value as integers; called inside _run so a
+    malformed list is an input error."""
+    if not text:
+        return None
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise InputError(f"{option} takes comma-separated integers, got {text!r}")
+
+
 def _run(fn, human: bool, timings: bool) -> None:
     t0 = time.perf_counter()
     try:
@@ -483,10 +494,10 @@ def rpp_cmd(path, human, threads, timings):
 @_common
 def quotient_cmd(path, relation, gens, human, threads, timings):
     """Quotient by the intersection relation or by a subgroup relation."""
-    parsed = tuple(int(t) for t in gens.split(",")) if gens else None
     _run(lambda: cmd_analyze(path, "quotient",
                              {"threads": threads, "relation": relation,
-                              "gens": parsed}), human, timings)
+                              "gens": _int_list(gens, "--gens")}),
+         human, timings)
 
 
 @main.command("structure")
@@ -547,10 +558,10 @@ def discretize_cmd(path, q, out, mode, human, threads, timings):
 @_common
 def return_times_cmd(path, point, target, human, threads, timings):
     """Return-time set of a point into a neighborhood, as a periodic set."""
-    ids = tuple(int(t) for t in target.split(",")) if target else None
     _run(lambda: cmd_analyze(path, "return-times",
                              {"threads": threads, "point": point,
-                              "target": ids}), human, timings)
+                              "target": _int_list(target, "--target")}),
+         human, timings)
 
 
 @main.command("joining")

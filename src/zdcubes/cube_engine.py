@@ -9,13 +9,12 @@ vertex order (hypercube.py).  K^{x0} is the restriction to base point x0
 with the eps = 0 coordinate dropped, so its tuples have width 2^k - 1 and
 position p corresponds to vertex mask p.
 
-Enumeration runs through the kernel backend in base-point chunks; the chunk
-split, a final sort and dedup make the result independent of thread count
-and backend.
-
-Whole-set checks work on CubeSet.to_array(): RowIndex looks rows up by
-sorted row keys, and a face-group element acts as one permutation per
-coordinate, so its image of an array is a column gather.
+A CubeSet holds its tuples as one sorted, duplicate-free int32 array.
+Enumeration runs the numpy kernel in base-point chunks; sorting and dedup by
+row keys make the result independent of thread count.  Whole-set checks
+work on that array: RowIndex looks rows up by sorted row keys, and a
+face-group element acts as one permutation per coordinate, so its image of
+an array is a column gather.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .hypercube import MAX_DIM, FaceSelector, Vertex, digit_permute
 CubePoint = tuple[int, ...]
 
 MAX_ENUM_ROWS = 5_000_000
+INT32 = np.iinfo(np.int32)
 
 
 def _cube_dim(width: int) -> tuple[int, bool]:
@@ -47,33 +48,69 @@ def _cube_dim(width: int) -> tuple[int, bool]:
     raise InputError(f"width {width} is not 2^k or 2^k-1 for any supported k")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class CubeSet:
     """An immutable, sorted collection of equal-width cube tuples.
 
+    The tuples are stored once, as rows: a read-only, sorted, duplicate-free,
+    C-contiguous int32 array of shape (len, width).  The constructor takes
+    them as points, an array or any sequence of tuples, in any order and
+    with repeats; the points attribute gives them back as a tuple of tuples,
+    built on first use.
+
     based=True marks a base-point restriction (width 2^k - 1, vertex 0
     dropped).  base keeps the originating system when known; raw sets parsed
-    from text have base=None.
+    from text have base=None and may hold any int32 coordinates.
     """
 
     dirs: tuple[int, ...]
-    points: tuple[CubePoint, ...]
+    rows: np.ndarray = field(repr=False)
     based: bool = False
     base: FiniteZdSystem | None = None
 
-    def __post_init__(self) -> None:
+    def __init__(self, dirs, points, based: bool = False,
+                 base: FiniteZdSystem | None = None) -> None:
+        object.__setattr__(self, "dirs", tuple(dirs))
+        object.__setattr__(self, "based", based)
+        object.__setattr__(self, "base", base)
+        self.__post_init__(points)
+
+    def __post_init__(self, points) -> None:
         k = len(self.dirs)
         if not 1 <= k <= MAX_DIM:
             raise InputError(f"need 1..{MAX_DIM} directions, got {k}")
         if len(set(self.dirs)) != k:
             raise InputError(f"directions must be distinct, got {self.dirs}")
-        width = (1 << k) - 1 if self.based else 1 << k
-        pts = tuple(sorted(set(tuple(p) for p in self.points)))
-        for p in pts:
-            if len(p) != width:
-                raise InputError(f"cube tuple width {len(p)}, expected {width}")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_member_set", frozenset(pts))
+        width = self.width
+        try:
+            rows = np.asarray(points)
+        except ValueError:
+            raise InputError(f"cube tuples must all have width {width}")
+        if rows.ndim == 1 and rows.size == 0:
+            rows = np.empty((0, width), dtype=np.int32)
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise InputError(f"cube tuples must all have width {width}")
+        if not np.issubdtype(rows.dtype, np.integer):
+            raise InputError("cube tuples must hold integers")
+        lo, hi = (int(rows.min()), int(rows.max())) if len(rows) else (0, 0)
+        if lo < INT32.min or hi > INT32.max:
+            raise InputError("cube coordinates must fit in int32")
+        lo = min(lo, 0)
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_n", hi - lo + 1)
+        keys = row_keys(self._shifted(rows), self._n)
+        order = np.argsort(keys)
+        keys = keys[order]
+        keep = np.ones(len(keys), dtype=bool)
+        keep[1:] = keys[1:] != keys[:-1]
+        rows = rows[order[keep]].astype(np.int32, copy=False)
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    def _shifted(self, rows: np.ndarray) -> np.ndarray:
+        """rows (or some of their columns) moved into 0.._n-1, the range
+        row_keys takes; only raw sets can hold negative coordinates."""
+        return rows.astype(np.int64) - self._lo if self._lo else rows
 
     @property
     def k(self) -> int:
@@ -83,21 +120,35 @@ class CubeSet:
     def width(self) -> int:
         return (1 << self.k) - 1 if self.based else 1 << self.k
 
+    @cached_property
+    def points(self) -> tuple[CubePoint, ...]:
+        return tuple(map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def _index(self) -> RowIndex:
+        return RowIndex(self._shifted(self.rows), self._n)
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.points)
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in self._member_set
+        q = np.asarray(p).reshape(1, -1)
+        if q.shape[1] != self.width or not len(self):
+            return False
+        if q.min() < self._lo or q.max() >= self._lo + self._n:
+            return False
+        return bool(self._index.find(self._shifted(q))[1][0])
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.points, dtype=np.int32).reshape(len(self.points), self.width)
+        """The stored rows (read-only)."""
+        return self.rows
 
     def to_text(self) -> str:
         lines = [f"cube-set d={self.k} dirs={','.join(str(j) for j in self.dirs)}"]
-        lines.extend(",".join(str(v) for v in p) for p in self.points)
+        lines.extend(",".join(map(str, r)) for r in self.rows.tolist())
         return "\n".join(lines) + "\n"
 
     def text_sha256(self) -> str:
@@ -138,9 +189,12 @@ class CubeSet:
                         path=path, line=lineno)
             elif len(p) != width:
                 raise InputError(f"row width {len(p)} != {width}", path=path, line=lineno)
+            if not INT32.min <= min(p) <= max(p) <= INT32.max:
+                raise InputError(f"coordinate outside the int32 range in {line!r}",
+                                 path=path, line=lineno)
             points.append(p)
         based = width == (1 << k) - 1 if width is not None else False
-        return cls(dirs=dirs, points=tuple(points), based=based)
+        return cls(dirs=dirs, points=points, based=based)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +216,14 @@ def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
             keys *= n
             keys += rows[:, c]
         return keys
-    view = np.dtype([(f"c{c}", np.int32) for c in range(width)])
-    return np.ascontiguousarray(rows, dtype=np.int32).view(view).ravel()
+    dtype = np.int32 if n <= 1 << 31 else np.int64
+    view = np.dtype([(f"c{c}", dtype) for c in range(width)])
+    return np.ascontiguousarray(rows, dtype=dtype).view(view).ravel()
 
 
 class RowIndex:
     """Membership in a sorted, duplicate-free set of rows with entries in
-    0..n-1 (such as CubeSet.to_array()), by binary search over row keys."""
+    0..n-1 (such as CubeSet.rows), by binary search over row keys."""
 
     def __init__(self, rows: np.ndarray, n: int):
         self.n = n
@@ -211,11 +266,6 @@ def _pow_table(p, L: int) -> np.ndarray:
     return table
 
 
-def _pow_tables(sys: FiniteZdSystem, dirs: tuple[int, ...]) -> tuple[list, list[int]]:
-    limits = _dir_orders(sys, dirs)
-    return [_pow_table(sys.perms[j - 1], L) for j, L in zip(dirs, limits)], limits
-
-
 def _enumerate_rows(sys: FiniteZdSystem, dirs: tuple[int, ...],
                     bases: np.ndarray, threads: int) -> np.ndarray:
     limits = _dir_orders(sys, dirs)
@@ -227,15 +277,14 @@ def _enumerate_rows(sys: FiniteZdSystem, dirs: tuple[int, ...],
             f"enumeration would produce {total} rows (limit {MAX_ENUM_ROWS}); "
             "restrict the directions or the system size")
     tables = [_pow_table(sys.perms[j - 1], L) for j, L in zip(dirs, limits)]
-    stack, offsets = kernels.pack_tables(tables)
     combos = kernels.exponent_combos(limits)
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or len(bases) < 2:
-        return kernels.enumerate_blocks(stack, offsets, combos, bases)
+        return kernels.enumerate_blocks(tables, combos, bases)
     chunks = [c for c in np.array_split(bases, threads) if len(c)]
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         blocks = list(pool.map(
-            lambda c: kernels.enumerate_blocks(stack, offsets, combos, c), chunks))
+            lambda c: kernels.enumerate_blocks(tables, combos, c), chunks))
     return np.vstack(blocks)
 
 
@@ -252,8 +301,7 @@ def enumerate_Q(sys: FiniteZdSystem, dirs: tuple[int, ...] | list[int],
     dirs = tuple(dirs)
     _check_dirs(dirs)
     rows = _enumerate_rows(sys, dirs, np.arange(sys.n_points, dtype=np.int32), threads)
-    uniq = np.unique(rows, axis=0)
-    return CubeSet(dirs=dirs, points=tuple(map(tuple, uniq.tolist())), base=sys)
+    return CubeSet(dirs=dirs, points=rows, base=sys)
 
 
 def enumerate_K(sys: FiniteZdSystem, dirs: tuple[int, ...] | list[int], x0: int,
@@ -264,9 +312,7 @@ def enumerate_K(sys: FiniteZdSystem, dirs: tuple[int, ...] | list[int], x0: int,
     if not 0 <= x0 < sys.n_points:
         raise InputError(f"base point {x0} out of range")
     rows = _enumerate_rows(sys, dirs, np.array([x0], dtype=np.int32), threads)
-    uniq = np.unique(rows[:, 1:], axis=0)
-    return CubeSet(dirs=dirs, points=tuple(map(tuple, uniq.tolist())),
-                   based=True, base=sys)
+    return CubeSet(dirs=dirs, points=rows[:, 1:], based=True, base=sys)
 
 
 @dataclass(frozen=True)
@@ -280,18 +326,25 @@ class UcppResult:
 
 
 def ucpp_check(cubes: CubeSet) -> UcppResult:
+    """The witness is the first clash in the order vertex by vertex, then
+    tuple by tuple: for the first vertex v where two tuples agree off v, p
+    is the first tuple whose rest already occurred and the pair is (first
+    tuple with that rest, p)."""
     width = cubes.width
     if width < 2:
         raise InputError("unique-completion needs tuples of width >= 2")
+    rows = cubes.rows
     for v in range(width):
-        seen: dict[tuple, CubePoint] = {}
-        for p in cubes.points:
-            key = p[:v] + p[v + 1:]
-            other = seen.get(key)
-            if other is None:
-                seen[key] = p
-            elif other[v] != p[v]:
-                return UcppResult(ok=False, pair=(other, p), vertex=v)
+        keys = row_keys(cubes._shifted(np.delete(rows, v, axis=1)), cubes._n)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeat = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        if len(repeat):
+            # the stable sort keeps each key's tuples in row order
+            t = repeat[np.argmin(order[repeat])]
+            first = np.searchsorted(keys, keys[t])
+            pair = (tuple(rows[order[first]].tolist()), tuple(rows[order[t]].tolist()))
+            return UcppResult(ok=False, pair=pair, vertex=v)
     return UcppResult(ok=True)
 
 
@@ -512,7 +565,6 @@ def face_group_orbit(cubes: CubeSet, start: CubePoint) -> CubeSet:
     exhausts the set is a separate check."""
     if cubes.base is None:
         raise InputError("cube set carries no base system")
-    start = tuple(start)
     if start not in cubes:
         raise InputError("start point is not in the cube set")
     sys = cubes.base
@@ -521,7 +573,7 @@ def face_group_orbit(cubes: CubeSet, start: CubePoint) -> CubeSet:
     maps = [g.column_maps(sys, cubes.dirs, cubes.based)
             for g in face_group_generators(sys, cubes.dirs)]
     cols = np.arange(cubes.width)
-    frontier, _ = index.find(np.array([start]))
+    frontier, _ = index.find(np.asarray(start).reshape(1, -1))
     seen = np.zeros(len(rows), dtype=bool)
     seen[frontier] = True
     while len(frontier):
@@ -532,8 +584,7 @@ def face_group_orbit(cubes: CubeSet, start: CubePoint) -> CubeSet:
         frontier = np.unique(np.concatenate(hits))
         frontier = frontier[~seen[frontier]]
         seen[frontier] = True
-    return CubeSet(dirs=cubes.dirs, points=tuple(map(tuple, rows[seen].tolist())),
-                   based=cubes.based, base=sys)
+    return CubeSet(dirs=cubes.dirs, points=rows[seen], based=cubes.based, base=sys)
 
 
 def section_of(cubes: CubeSet, x0: int) -> CubeSet:
@@ -541,5 +592,6 @@ def section_of(cubes: CubeSet, x0: int) -> CubeSet:
     that coordinate dropped (for comparison against enumerate_K)."""
     if cubes.based:
         raise InputError("section_of needs a full cube set")
-    pts = tuple(p[1:] for p in cubes.points if p[0] == x0)
-    return CubeSet(dirs=cubes.dirs, points=pts, based=True, base=cubes.base)
+    rows = cubes.rows
+    return CubeSet(dirs=cubes.dirs, points=rows[rows[:, 0] == x0, 1:], based=True,
+                   base=cubes.base)

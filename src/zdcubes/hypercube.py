@@ -13,7 +13,7 @@ this single convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 MAX_DIM = 10
 
@@ -155,7 +155,3 @@ def face_vertices(sel: FaceSelector) -> list[Vertex]:
     out = [v for v in all_vertices(sel.dim) if sel.matches(v)]
     assert len(out) == 1 << len(sel.free)
     return out
-
-
-def iter_masks(d: int) -> Iterator[int]:
-    return iter(range(1 << d))

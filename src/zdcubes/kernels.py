@@ -1,41 +1,18 @@
-"""Kernel dispatch: compiled extension when available, pure Python otherwise.
+"""The two hot kernels, as whole-array numpy operations.
 
-The two implementations are drop-in equivalents operating on identical
-pre-packed arrays, so enumeration output is bitwise independent of the
-backend.  BACKEND names the one selected at import time; benchmarks and the
-parity tests import both modules explicitly.
+enumerate_blocks expands base points into cube tuples through per-direction
+power tables; template_scan reads coordinate pairs off the cube tuples that
+match a template.  Both are deterministic, so enumeration output does not
+depend on how the caller splits the base points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels_py
-
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _kernels_c
-
-    _impl = _kernels_c
-    BACKEND = "c"
-except ImportError:  # pragma: no cover
-    _impl = _kernels_py
-    BACKEND = "python"
-
 
 def backend_name() -> str:
-    return BACKEND
-
-
-def pack_tables(pow_tables: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-direction power tables [(L_i, n) int32 arrays] into one
-    contiguous array plus start offsets."""
-    offsets = np.zeros(len(pow_tables), dtype=np.int32)
-    total = 0
-    for i, tbl in enumerate(pow_tables):
-        offsets[i] = total
-        total += tbl.shape[0]
-    stack = np.ascontiguousarray(np.vstack(pow_tables), dtype=np.int32)
-    return stack, offsets
+    return "numpy"
 
 
 def exponent_combos(limits: list[int]) -> np.ndarray:
@@ -47,19 +24,30 @@ def exponent_combos(limits: list[int]) -> np.ndarray:
     )
 
 
-def enumerate_blocks(pow_stack, offsets, combos, bases) -> np.ndarray:
-    return _impl.enumerate_blocks(
-        np.ascontiguousarray(pow_stack, dtype=np.int32),
-        np.ascontiguousarray(offsets, dtype=np.int32),
-        np.ascontiguousarray(combos, dtype=np.int32),
-        np.ascontiguousarray(bases, dtype=np.int32),
-    )
+def enumerate_blocks(tables: list[np.ndarray], combos: np.ndarray,
+                     bases: np.ndarray) -> np.ndarray:
+    """int32[B*R, 2^k] whose row b*R + r is the cube tuple of base point
+    bases[b] with exponents combos[r], in canonical vertex order (direction 1
+    varies fastest).  tables[i] is the int32[L_i, n] power table of direction
+    i: row e is T^e.  Column block [size, 2*size) is direction i's power
+    applied to columns [0, size)."""
+    n_combos, k = combos.shape
+    out = np.empty((len(bases) * n_combos, 1 << k), dtype=np.int32)
+    out[:, 0] = np.repeat(bases, n_combos)
+    size = 1
+    for i in range(k):
+        combo = np.tile(combos[:, i], len(bases))
+        out[:, size:2 * size] = tables[i][combo[:, None], out[:, :size]]
+        size <<= 1
+    return out
 
 
-def template_scan(points, eq_pairs, x_pos: int, y_pos: int) -> np.ndarray:
-    return _impl.template_scan(
-        np.ascontiguousarray(points, dtype=np.int32),
-        np.ascontiguousarray(eq_pairs, dtype=np.int32).reshape(-1, 2),
-        x_pos,
-        y_pos,
-    )
+def template_scan(points: np.ndarray, eq_pairs, x_pos: int,
+                  y_pos: int) -> np.ndarray:
+    """int32[m, 2] of (row[x_pos], row[y_pos]) for the rows of points where
+    every coordinate pair (a, b) of eq_pairs has row[a] == row[b], in row
+    order, with repeats."""
+    hit = np.ones(len(points), dtype=bool)
+    for a, b in np.asarray(eq_pairs).reshape(-1, 2).tolist():
+        hit &= points[:, a] == points[:, b]
+    return points[np.ix_(hit, [x_pos, y_pos])]

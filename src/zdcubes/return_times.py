@@ -20,8 +20,18 @@ from .finite_system import FiniteZdSystem, perm_order, perm_pow
 JOIN_CAP = 1_000_000
 
 
-def _divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, by trial division."""
+    out = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        out.append(m)
     return out
 
 
@@ -93,22 +103,28 @@ class PeriodicSet:
 
     def canonical(self) -> "PeriodicSet":
         """Reduce each modulus to the minimal period of the set in that
-        coordinate; the result represents the same subset of Z^k."""
+        coordinate; the result represents the same subset of Z^k.
+
+        The periods in a coordinate form a subgroup g*Z with g dividing the
+        modulus m, so dividing m by a prime q while m/q is still a period
+        ends at g."""
         moduli = list(self.moduli)
         residues = self.residues
         for i in range(self.k):
-            for p in _divisors(moduli[i]):
-                if p == moduli[i]:
-                    break
-                shifted = frozenset(
-                    r[:i] + ((r[i] + p) % moduli[i],) + r[i + 1:] for r in residues
-                )
-                if shifted == residues:
+            m = moduli[i]
+            for q in _prime_factors(m):
+                while m % q == 0:
+                    p = m // q
+                    shifted = frozenset(
+                        r[:i] + ((r[i] + p) % m,) + r[i + 1:] for r in residues
+                    )
+                    if shifted != residues:
+                        break
                     residues = frozenset(
                         r[:i] + (r[i] % p,) + r[i + 1:] for r in residues
                     )
-                    moduli[i] = p
-                    break
+                    m = p
+            moduli[i] = m
         if not residues:
             return PeriodicSet(self.k, (1,) * self.k, frozenset())
         return PeriodicSet(self.k, tuple(moduli), residues)

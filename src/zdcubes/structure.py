@@ -15,6 +15,7 @@ completion, Y embeds into the product of the Y_j.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -158,11 +159,11 @@ def face_system(K: CubeSet) -> FiniteZdSystem:
                              (0,) * sys.d)
         pos, found = index.find(g.apply_rows(sys, K.dirs, rows, based=True))
         if not found.all():
-            p = K.points[int(np.argmin(found))]
+            p = tuple(rows[int(np.argmin(found))].tolist())
             raise AssertionError(
                 f"face action leaves the cube set at {p} (direction {j}); bug")
         perms.append(tuple(pos.tolist()))
-    return FiniteZdSystem(len(K.points), K.k, tuple(perms),
+    return FiniteZdSystem(len(K), K.k, tuple(perms),
                           name=(sys.name + ":faces") if sys.name else "faces")
 
 
@@ -240,7 +241,7 @@ def decompose(sys: FiniteZdSystem, x0: int, *, threads: int = 1
     dirs = tuple(range(1, sys.d + 1))
     Q = enumerate_Q(sys, dirs, threads=threads)
     K = enumerate_K(sys, dirs, x0, threads=threads)
-    if section_of(Q, x0).points != K.points:
+    if not np.array_equal(section_of(Q, x0).to_array(), K.to_array()):
         raise AssertionError("base-point restriction disagrees with the section; bug")
     u = ucpp_check(Q)
     minimal = is_minimal(sys).ok
@@ -426,6 +427,7 @@ def relative_independence_check(dec: JoiningDecomposition, *, threads: int = 1
         return None
 
     pts = list(K.points)
+    threads = min(threads, os.cpu_count() or 1)
     if threads > 1 and len(pts) > 1:
         chunk = max(1, (len(pts) + threads - 1) // threads)
         parts = [pts[i:i + chunk] for i in range(0, len(pts), chunk)]

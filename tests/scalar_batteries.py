@@ -1,9 +1,10 @@
-"""Scalar reference loops for the array batteries.
+"""Scalar reference loops for the array code.
 
-These are the per-point Python loops the surgery and face-group checks
-were first written as: one cube tuple (or pair) at a time, membership in a
-Python set.  The batteries in zdcubes must give exactly the same items,
-witnesses and counts; tests/test_array_batteries.py compares them.
+These are the per-point Python loops the surgery, face-group, membership
+and unique-completion checks and the template scan were first written as:
+one cube tuple (or pair) at a time, membership in a Python set.  The array
+code in zdcubes must give exactly the same items, witnesses and counts;
+tests/test_array_batteries.py compares them.
 """
 
 from __future__ import annotations
@@ -133,10 +134,11 @@ def apply(g, sys, dirs, p, based=False):
 def face_group_invariance(sys, Q):
     dirs = tuple(range(1, sys.d + 1))
     gens = face_group_generators(sys, dirs)
+    members = set(Q.points)
     witness = None
     for g in gens:
         for p in Q.points:
-            if apply(g, sys, dirs, p) not in Q:
+            if apply(g, sys, dirs, p) not in members:
                 witness = [list(g.face), list(g.diag), list(p)]
                 break
         if witness:
@@ -148,6 +150,7 @@ def face_group_invariance(sys, Q):
 def face_group_orbit(cubes, start):
     sys = cubes.base
     gens = face_group_generators(sys, cubes.dirs)
+    members = set(cubes.points)
     seen = {tuple(start)}
     frontier = [tuple(start)]
     while frontier:
@@ -155,7 +158,7 @@ def face_group_orbit(cubes, start):
         for p in frontier:
             for g in gens:
                 q = apply(g, sys, cubes.dirs, p, based=cubes.based)
-                if q not in seen and q in cubes:
+                if q not in seen and q in members:
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
@@ -173,3 +176,50 @@ def face_system_perms(K):
         perms.append(tuple(index[apply(g, K.base, K.dirs, p, based=True)]
                            for p in K.points))
     return tuple(perms)
+
+
+def diagonal_membership(sys, Q):
+    members = set(Q.points)
+    witness = None
+    for x in range(sys.n_points):
+        if (x,) * Q.width not in members:
+            witness = x
+            break
+    return _pass_fail("diagonal_membership", witness is None, witness,
+                      points=sys.n_points)
+
+
+def single_direction_symmetry(sys):
+    witness = None
+    for j in range(1, sys.d + 1):
+        Qj = enumerate_Q(sys, (j,))
+        members = set(Qj.points)
+        for (x, y) in Qj.points:
+            if (y, x) not in members:
+                witness = [j, x, y]
+                break
+        if witness:
+            break
+    return _pass_fail("single_direction_symmetry", witness is None, witness)
+
+
+def ucpp_check(cubes):
+    """(ok, pair, vertex) of cube_engine.ucpp_check, by a dict per vertex."""
+    width = cubes.width
+    for v in range(width):
+        seen = {}
+        for p in cubes.points:
+            key = p[:v] + p[v + 1:]
+            other = seen.get(key)
+            if other is None:
+                seen[key] = p
+            elif other[v] != p[v]:
+                return False, (other, p), v
+    return True, None, None
+
+
+def template_scan(points, eq_pairs, x_pos, y_pos):
+    """kernels.template_scan as a list of (x, y) pairs, one row at a time."""
+    pairs = [tuple(p) for p in eq_pairs]
+    return [(row[x_pos], row[y_pos]) for row in points.tolist()
+            if all(row[a] == row[b] for a, b in pairs)]

@@ -1,5 +1,6 @@
-"""The array batteries against the scalar reference loops: identical items,
-first witnesses and counts, on intact and on corrupted cube sets."""
+"""The array batteries, unique-completion check and template scan against
+the scalar reference loops: identical items, first witnesses and counts, on
+intact and on corrupted cube sets."""
 
 import itertools
 
@@ -8,10 +9,11 @@ import pytest
 
 import scalar_batteries as ref
 from conftest import ALL_FSYS
-from zdcubes import battery
+from zdcubes import battery, kernels
 from zdcubes.cube_engine import (CubeSet, RowIndex, enumerate_K, enumerate_Q,
-                                 face_group_orbit, row_keys)
+                                 face_group_orbit, row_keys, ucpp_check)
 from zdcubes.finite_system import FiniteZdSystem
+from zdcubes.proximal import template_positions
 from zdcubes.structure import face_system
 
 
@@ -58,6 +60,8 @@ def test_face_group_matches_scalar_loops(systems, name):
     Q = enumerate_Q(sys_, dirs)
     got = _face_items(sys_)
     assert got["face_group_invariance"] == ref.face_group_invariance(sys_, Q)
+    assert got["diagonal_membership"] == ref.diagonal_membership(sys_, Q)
+    assert got["single_direction_symmetry"] == ref.single_direction_symmetry(sys_)
     for start in (Q.points[0], Q.points[len(Q) // 2], Q.points[-1]):
         assert face_group_orbit(Q, start).points == ref.face_group_orbit(Q, start).points
     assert got["orbit_covers_when_minimal"]["detail"]["orbit"] == \
@@ -85,6 +89,8 @@ def test_batteries_match_scalar_loops_on_corrupted_Q(systems, monkeypatch,
     face = _face_items(sys_)
     want = ref.face_group_invariance(sys_, Q)
     assert face["face_group_invariance"] == want
+    assert face["diagonal_membership"] == ref.diagonal_membership(sys_, Q)
+    assert face["single_direction_symmetry"] == ref.single_direction_symmetry(sys_)
     assert face["orbit_covers_when_minimal"]["detail"]["orbit"] == \
         len(ref.face_group_orbit(Q, Q.points[0]))
 
@@ -96,6 +102,9 @@ def test_surgery_battery_on_wide_rows_matches_scalar_loops():
     Q = enumerate_Q(sys_, (1, 2, 3, 4))
     assert _face_items(sys_)["face_group_invariance"] == \
         ref.face_group_invariance(sys_, Q)
+    results = [_ucpp(v) for v in _variants(Q)]
+    assert results == [ref.ucpp_check(v) for v in _variants(Q)]
+    assert not all(ok for ok, _, _ in results)
 
 
 def test_insert_witness_when_both_sides_fail(monkeypatch):
@@ -120,6 +129,69 @@ def test_pair_chunks_do_not_change_witnesses(systems, monkeypatch):
     _corrupt(monkeypatch, "middle")
     assert battery.surgery_battery(systems["z4xz3"]) == \
         ref.surgery_battery(systems["z4xz3"])
+
+
+# ---------------------------------------------------------------------------
+# unique completion and the template scan
+
+
+def _ucpp(cubes):
+    res = ucpp_check(cubes)
+    return res.ok, res.pair, res.vertex
+
+
+def _variants(cubes):
+    """The set itself, with its middle row or every other row dropped, and
+    with a copy of every third row changed in one coordinate (a clash)."""
+    rows = cubes.rows
+    out = [cubes,
+           CubeSet(cubes.dirs, np.delete(rows, len(rows) // 2, axis=0),
+                   cubes.based, cubes.base),
+           CubeSet(cubes.dirs, rows[::2], cubes.based, cubes.base)]
+    for col in (0, cubes.width // 2, cubes.width - 1):
+        changed = rows[::3].copy()
+        changed[:, col] = (changed[:, col] + 1) % (rows.max() + 1)
+        out.append(CubeSet(cubes.dirs, np.concatenate([rows, changed]),
+                           cubes.based, cubes.base))
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_FSYS)
+def test_ucpp_matches_scalar_loop(systems, name):
+    sys_ = systems[name]
+    dirs = tuple(range(1, sys_.d + 1))
+    sets = [enumerate_Q(sys_, dirs)]
+    if sys_.d >= 2:
+        sets.append(enumerate_K(sys_, dirs, 0))
+    for cubes in sets:
+        for variant in _variants(cubes):
+            assert _ucpp(variant) == ref.ucpp_check(variant)
+
+
+def test_raw_cube_set_with_negative_coordinates():
+    rng = np.random.default_rng(3)
+    lines = [",".join(map(str, r)) for r in rng.integers(-4, 3, size=(60, 4))]
+    cs = CubeSet.from_text("cube-set d=2 dirs=1,2\n" + "\n".join(lines) + "\n")
+    want = sorted({tuple(int(t) for t in line.split(",")) for line in lines})
+    assert cs.points == tuple(want)
+    assert cs.rows.dtype == np.int32 and not cs.rows.flags.writeable
+    assert CubeSet.from_text(cs.to_text()).points == cs.points
+    assert want[0] in cs and (9, 9, 9, 9) not in cs and (-5, 0, 0, 0) not in cs
+    for variant in _variants(cs):
+        assert _ucpp(variant) == ref.ucpp_check(variant)
+
+
+@pytest.mark.parametrize("name", ALL_FSYS)
+def test_template_scan_matches_scalar_loop(systems, name):
+    sys_ = systems[name]
+    Q = enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))
+    for j in range(1, sys_.d + 1):
+        pairs, x_pos, y_pos = template_positions(sys_.d, j)
+        for rows in (Q.rows, Q.rows[::2]):
+            got = kernels.template_scan(rows, pairs, x_pos, y_pos)
+            assert got.dtype == np.int32
+            assert list(map(tuple, got.tolist())) == \
+                ref.template_scan(rows, pairs, x_pos, y_pos)
 
 
 # ---------------------------------------------------------------------------

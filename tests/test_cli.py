@@ -163,6 +163,17 @@ def test_ucpp_failure_carries_witness(tmp_path):
     assert rep["witness"]["pair"] == [[0, 0, 0, 0], [0, 0, 0, 1]]
 
 
+@pytest.mark.parametrize("row", ["0,0,0,2147483648", "-2147483649,0,0,0"])
+def test_cube_file_coordinate_outside_int32_exits_3(tmp_path, row):
+    f = tmp_path / "big.cubes"
+    f.write_text(f"cube-set d=2 dirs=1,2\n0,0,0,0\n{row}\n")
+    for command in ("ucpp", "verify", "validate"):
+        code, rep, _ = _invoke([command, str(f)])
+        assert code == 3
+        assert rep["status"] == "input-error"
+        assert rep["error"].startswith(f"{f}:3: ")
+
+
 def test_rpp_pass(fixture_dir):
     code, rep, _ = _invoke(["rpp", _path(fixture_dir, "rot6.fsys")])
     assert code == 0
@@ -197,6 +208,14 @@ def test_quotient_qh_needs_gens(fixture_dir):
                             "--relation", "qh"])
     assert code == 3
     assert rep["status"] == "input-error"
+
+
+def test_quotient_malformed_gens_exits_3(fixture_dir):
+    code, rep, _ = _invoke(["quotient", _path(fixture_dir, "rot6.fsys"),
+                            "--relation", "qh", "--gens", "a"])
+    assert code == 3
+    assert rep["status"] == "input-error"
+    assert "--gens" in rep["error"]
 
 
 def test_structure_report(fixture_dir, oracle):
@@ -266,6 +285,14 @@ def test_return_times_with_target(fixture_dir):
                             "--point", "0", "--target", "0,1"])
     assert code == 0
     assert [1, 0] in rep["residues"]
+
+
+def test_return_times_malformed_target_exits_3(fixture_dir):
+    code, rep, _ = _invoke(["return-times", _path(fixture_dir, "rot6.fsys"),
+                            "--target", "x"])
+    assert code == 3
+    assert rep["status"] == "input-error"
+    assert "--target" in rep["error"]
 
 
 def test_joining_command(tmp_path):

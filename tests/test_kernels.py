@@ -1,26 +1,9 @@
 import numpy as np
-import pytest
 
-from zdcubes import _kernels_py
 from zdcubes import kernels
-from zdcubes.cube_engine import _pow_tables, enumerate_K, enumerate_Q
-from zdcubes.kernels import backend_name, exponent_combos, pack_tables
-
-try:
-    from zdcubes import _kernels_c
-except ImportError:  # pragma: no cover
-    _kernels_c = None
-
-needs_c = pytest.mark.skipif(_kernels_c is None,
-                             reason="compiled extension not built")
-
-
-def _packed_inputs(sys_, dirs):
-    tables, limits = _pow_tables(sys_, dirs)
-    stack, offsets = pack_tables(tables)
-    combos = exponent_combos(limits)
-    bases = np.arange(sys_.n_points, dtype=np.int32)
-    return stack, offsets, combos, bases
+from zdcubes.cube_engine import _pow_table, enumerate_K, enumerate_Q
+from zdcubes.finite_system import apply_word, perm_order
+from zdcubes.kernels import backend_name, exponent_combos
 
 
 def test_exponent_combos_order():
@@ -30,40 +13,8 @@ def test_exponent_combos_order():
                                [1, 0], [1, 1], [1, 2]]
 
 
-def test_pack_tables_offsets():
-    t1 = np.zeros((2, 5), dtype=np.int32)
-    t2 = np.ones((3, 5), dtype=np.int32)
-    stack, offsets = pack_tables([t1, t2])
-    assert stack.shape == (5, 5)
-    assert offsets.tolist() == [0, 2]
-    assert (stack[2:] == 1).all()
-
-
-@needs_c
-def test_enumerate_blocks_backend_parity(systems):
-    for name in ("rot6", "rot8_d3", "z4xz3"):
-        sys_ = systems[name]
-        dirs = tuple(range(1, sys_.d + 1))
-        args = _packed_inputs(sys_, dirs)
-        a = _kernels_py.enumerate_blocks(*args)
-        b = _kernels_c.enumerate_blocks(*args)
-        assert np.array_equal(a, b)
-
-
-@needs_c
-def test_template_scan_backend_parity(systems):
-    sys_ = systems["rot6"]
-    dirs = (1, 2)
-    args = _packed_inputs(sys_, dirs)
-    points = kernels.enumerate_blocks(*args)
-    eq_pairs = np.array([[1, 3]], dtype=np.int32)
-    a = _kernels_py.template_scan(points, eq_pairs, 0, 2)
-    b = _kernels_c.template_scan(points, eq_pairs, 0, 2)
-    assert np.array_equal(a, b)
-
-
 def test_backend_name_is_known():
-    assert backend_name() in ("c", "python")
+    assert backend_name() == "numpy"
 
 
 def test_enumeration_is_thread_independent(systems):
@@ -79,20 +30,21 @@ def test_enumeration_is_thread_independent(systems):
 
 
 def test_enumerate_blocks_rows_match_word_action(systems):
-    sys_ = systems["rot6"]
-    dirs = (1, 2)
-    stack, offsets, combos, bases = _packed_inputs(sys_, dirs)
-    rows = kernels.enumerate_blocks(stack, offsets, combos, bases)
-    assert rows.shape == (len(combos) * len(bases), 4)
-    # row layout: for each base point, a block of one row per combo
-    from zdcubes.finite_system import apply_word
-
-    for ci in (0, 1, len(combos) - 1):
-        n1, n2 = combos[ci]
-        for x in (0, 3):
-            row = rows[x * len(combos) + ci]
-            expect = [x,
-                      apply_word(sys_, (n1, 0), x),
-                      apply_word(sys_, (0, n2), x),
-                      apply_word(sys_, (n1, n2), x)]
-            assert row.tolist() == expect
+    # row layout: for each base point, a block of one row per combo; column
+    # m applies exponent combo[i] of direction i for every bit i set in m
+    for name in ("rot6", "rot8_d3", "nonmin_z4z2"):
+        sys_ = systems[name]
+        limits = [perm_order(p) for p in sys_.perms]
+        tables = [_pow_table(p, L) for p, L in zip(sys_.perms, limits)]
+        combos = exponent_combos(limits)
+        bases = np.arange(sys_.n_points, dtype=np.int32)
+        rows = kernels.enumerate_blocks(tables, combos, bases)
+        assert rows.dtype == np.int32
+        assert rows.shape == (len(combos) * len(bases), 1 << sys_.d), name
+        for ci in (0, 1, len(combos) // 2, len(combos) - 1):
+            for x in (0, sys_.n_points - 1):
+                row = rows[x * len(combos) + ci]
+                expect = [apply_word(sys_, tuple(int(combos[ci, i]) if m >> i & 1
+                                                 else 0 for i in range(sys_.d)), x)
+                          for m in range(1 << sys_.d)]
+                assert row.tolist() == expect, (name, ci, x)

@@ -47,6 +47,48 @@ def test_pset_canonical_reduces_moduli():
     assert ps.equals(c)
 
 
+def _canonical_by_divisor_scan(ps):
+    """Reference: the first divisor of each modulus that is a period."""
+    moduli = list(ps.moduli)
+    residues = ps.residues
+    for i in range(ps.k):
+        for p in [q for q in range(1, moduli[i] + 1) if moduli[i] % q == 0]:
+            if p == moduli[i]:
+                break
+            shifted = frozenset(
+                r[:i] + ((r[i] + p) % moduli[i],) + r[i + 1:] for r in residues)
+            if shifted == residues:
+                residues = frozenset(r[:i] + (r[i] % p,) + r[i + 1:] for r in residues)
+                moduli[i] = p
+                break
+    if not residues:
+        return PeriodicSet(ps.k, (1,) * ps.k, frozenset())
+    return PeriodicSet(ps.k, tuple(moduli), residues)
+
+
+def test_pset_canonical_matches_divisor_scan():
+    rng = random.Random(11)
+    for _ in range(300):
+        k = rng.randint(1, 2)
+        periods = tuple(rng.choice((1, 2, 3, 4, 6, 8, 9, 12)) for _ in range(k))
+        moduli = tuple(p * rng.choice((1, 2, 3, 5, 6)) for p in periods)
+        box = list(product(*[range(p) for p in periods]))
+        ps = _pset(periods, rng.sample(box, rng.randint(0, len(box))))
+        ps = ps.lift_to(moduli)
+        if rng.random() < 0.3:  # break the period with one extra residue
+            extra = tuple(rng.randrange(m) for m in moduli)
+            ps = _pset(moduli, set(ps.residues) | {extra})
+        got, want = ps.canonical(), _canonical_by_divisor_scan(ps)
+        assert (got.moduli, got.residues) == (want.moduli, want.residues)
+
+
+def test_pset_canonical_on_a_large_modulus():
+    ps = _pset((3_000_000,), {(7,), (1_000_007,), (2_000_007,)})
+    c = ps.canonical()
+    assert c.moduli == (1_000_000,)
+    assert c.residues == {(7,)}
+
+
 def test_pset_lift_and_equality():
     a = _pset((2,), {(0,)})
     b = _pset((4,), {(0,), (2,)})

@@ -146,3 +146,21 @@ def test_relative_independence_gates_on_hypotheses(systems):
     assert not dec.hypotheses_met
     res = relative_independence_check(dec)
     assert res.status == "hypotheses-unmet"
+
+
+def test_relative_independence_threads_clamped_to_cpu_count(systems, monkeypatch):
+    from zdcubes import structure
+
+    workers = []
+
+    class Recording(structure.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(structure, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(structure.os, "cpu_count", lambda: 2)
+    dec = decompose(systems["rot6"], 0)
+    want = relative_independence_check(dec)
+    assert relative_independence_check(dec, threads=5) == want
+    assert workers == [2]
