@@ -10,8 +10,16 @@ with d directions,
 
 whenever the matrix product of the (A_i - I) vanishes and, for every j, the
 product over i != j of (A_i - I) sends alpha_j into Z^r.  The two condition
-families are checked exactly; the identity test runs over an exhaustive
-denominator-q lattice with vectorized integer arithmetic.
+families are checked exactly in Fraction arithmetic.
+
+The identity test and the discretizer work on the denominator-q lattice in
+integer numerators mod q: the point k/q is the row k, and T_i acts as
+k -> A_i k + q*alpha_i (mod q).  Both sides of the identity are affine maps
+k -> M k + t, so they agree on every lattice point iff their matrices and
+translations agree mod q; no lattice point is evaluated.  Powers of each T_i
+come from one table built by one-step composition.  Arithmetic is int64
+while r*q^2 < 2^63, which bounds every entry before its reduction, and
+Python integers past that.
 """
 
 from __future__ import annotations
@@ -19,10 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
+from .cube_engine import RowIndex, row_keys
 from .errors import InputError
 from .finite_system import FiniteZdSystem, _parse_header_int
 
@@ -260,18 +268,6 @@ def iterate_word(sys: AffineZdSystem, n_vec, x: TorusPoint) -> TorusPoint:
     return mod1(y)
 
 
-def word_affine(sys: AffineZdSystem, n_vec) -> tuple[Matrix, tuple]:
-    """The composite T_1^{n_1} .. T_d^{n_d} as one affine map."""
-    r = sys.r
-    m = _identity(r)
-    t = (Fraction(0),) * r
-    for i in range(sys.d, 0, -1):
-        mi, ti = affine_pow(sys.mats[i - 1], sys.alphas[i - 1], n_vec[i - 1])
-        m = mat_mul(mi, m)
-        t = tuple(a + b for a, b in zip(mat_vec(mi, t), ti))
-    return m, t
-
-
 def closed_form(sys: AffineZdSystem, n_vec, x: TorusPoint) -> TorusPoint:
     """The alternating-sum expression over proper subsets of the directions."""
     if len(n_vec) != sys.d:
@@ -292,28 +288,117 @@ def closed_form(sys: AffineZdSystem, n_vec, x: TorusPoint) -> TorusPoint:
     return mod1(tuple(acc))
 
 
-def closed_form_affine(sys: AffineZdSystem, n_vec) -> tuple[Matrix, tuple]:
-    """The alternating sum as a single affine map (the sum of affine maps is
-    affine; signs carry through matrices and translations)."""
-    r = sys.r
-    m = tuple((0,) * r for _ in range(r))
-    t = (Fraction(0),) * r
-    sign_d = (-1) ** sys.d
-    for bits in range(1 << sys.d):
-        size = bin(bits).count("1")
-        if size == sys.d:
-            continue
-        mi = _identity(r)
-        ti = (Fraction(0),) * r
-        for i in range(sys.d, 0, -1):
-            if (bits >> (i - 1)) & 1:
-                ms, ts = affine_pow(sys.mats[i - 1], sys.alphas[i - 1], n_vec[i - 1])
-                mi = mat_mul(ms, mi)
-                ti = tuple(a + b for a, b in zip(mat_vec(ms, ti), ts))
-        coeff = sign_d * ((-1) ** (size + 1))
-        m = mat_add(m, mat_scale(coeff, mi))
-        t = tuple(a + coeff * b for a, b in zip(t, ti))
+# ---------------------------------------------------------------------------
+# affine maps on the numerators of the 1/q lattice
+#
+# A lattice point is k/q with k in (Z/q)^r, and T_i acts on numerators as
+# k -> A_i k + q*alpha_i (mod q).  A map is a pair (M, t) of arrays with
+# entries in 0..q-1; points are rows of numerators, whose lexicographic
+# order is the order of the torus vectors.
+
+N_CHUNK = 4096  # exponent vectors per batch of the formula test
+_DIGIT = 32  # bits per digit when numerators pass int64 (q > 2^63)
+
+
+def _ring(r: int, q: int):
+    """dtype of numerator arithmetic mod q.  A product entry before its
+    reduction is below r*q^2 (r products under q^2, plus a translation
+    under q), so int64 is exact while r*q^2 < 2^63; past that the arrays
+    hold Python integers."""
+    return np.int64 if r * q * q < 1 << 63 else object
+
+
+def _power_table(sys: AffineZdSystem, q: int, lo: int,
+                 hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per direction, T_i^n for lo <= n <= hi (lo <= 0 <= hi) as arrays
+    M[n - lo] (r x r) and t[n - lo], built by one-step composition.  The
+    inverse step, and with it unipotent_inverse (which raises on a
+    non-unipotent matrix), is built only when lo < 0."""
+    r, dtype = sys.r, _ring(sys.r, q)
+    tables = []
+    for a, alpha in zip(sys.mats, sys.alphas):
+        shift = tuple(int(v * q) for v in alpha)
+        mats = np.empty((hi - lo + 1, r, r), dtype=dtype)
+        trans = np.empty((hi - lo + 1, r), dtype=dtype)
+        mats[-lo], trans[-lo] = np.eye(r, dtype=dtype), 0
+        for sign, stop in ((1, hi), (-1, lo)):
+            if stop == 0:
+                continue
+            m, t = a, shift
+            if sign < 0:
+                m = unipotent_inverse(a)
+                t = tuple(-x for x in mat_vec(m, shift))
+            m = np.array([[x % q for x in row] for row in m], dtype=dtype)
+            t = np.array([x % q for x in t], dtype=dtype)
+            for n in range(sign, stop + sign, sign):
+                prev = n - sign - lo
+                mats[n - lo] = m @ mats[prev] % q
+                trans[n - lo] = (m @ trans[prev] + t) % q
+        tables.append((mats, trans))
+    return tables
+
+
+def _compose(steps: list[tuple[np.ndarray, np.ndarray]], bits: int,
+             q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The maps T_i^{n_i} for the directions i in the bit mask, composed
+    with T_1 outermost, for each exponent vector of a batch; steps[i] holds
+    the batch's T_{i+1}^{n_{i+1}}."""
+    count, r = steps[0][1].shape
+    dtype = steps[0][1].dtype
+    m = np.broadcast_to(np.eye(r, dtype=dtype), (count, r, r))
+    t = np.zeros((count, r), dtype=dtype)
+    for i in reversed(range(len(steps))):
+        if bits >> i & 1:
+            mi, ti = steps[i]
+            m = mi @ m % q
+            t = ((mi @ t[..., None])[..., 0] + ti) % q
     return m, t
+
+
+def _apply(m: np.ndarray, t: np.ndarray, rows: np.ndarray, q: int) -> np.ndarray:
+    return (rows @ m.T + t) % q
+
+
+def _keyable(rows: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+    """Numerator rows as int64 rows with entries below the returned radix,
+    in the same lexicographic order, for row_keys and RowIndex: the
+    numerators themselves while q <= 2^63, otherwise each split into
+    base-2^32 digits, most significant first."""
+    if q <= 1 << 63:
+        return rows.astype(np.int64, copy=False), q
+    digits = -(-(q - 1).bit_length() // _DIGIT)
+    mask = (1 << _DIGIT) - 1
+    cols = [(rows[:, c] >> (_DIGIT * e)) & mask
+            for c in range(rows.shape[1]) for e in reversed(range(digits))]
+    return np.stack(cols, axis=1).astype(np.int64), 1 << _DIGIT
+
+
+def _sorted_rows(rows: np.ndarray, q: int) -> np.ndarray:
+    """The distinct rows, in lexicographic order."""
+    _, first = np.unique(row_keys(*_keyable(rows, q)), return_index=True)
+    return rows[first]
+
+
+def _orbit(maps: list[tuple[np.ndarray, np.ndarray]], start: np.ndarray,
+           q: int, cap: int) -> np.ndarray:
+    """Breadth-first search from the start row, one frontier array per
+    level.  The maps include the inverse of each one, so the images of a
+    level lie in the level before it, in it or in the next: only those two
+    levels are searched for them."""
+    levels = [start]
+    previous, frontier = start[:0], start
+    total = len(start)
+    while len(frontier):
+        images = _sorted_rows(
+            np.concatenate([_apply(m, t, frontier, q) for m, t in maps]), q)
+        near = _sorted_rows(np.concatenate([previous, frontier]), q)
+        _, found = RowIndex(*_keyable(near, q)).find(_keyable(images, q)[0])
+        previous, frontier = frontier, images[~found]
+        levels.append(frontier)
+        total += len(frontier)
+        if total > cap:
+            raise InputError(f"orbit exceeds the size cap {cap}")
+    return _sorted_rows(np.concatenate(levels), q)
 
 
 @dataclass(frozen=True)
@@ -341,12 +426,22 @@ def formula_equivalence_test(sys: AffineZdSystem, *, n_range: int = 3,
     """Compare direct iteration with the closed form on the full (1/q)Z^r
     lattice for every exponent vector in [-n_range, n_range]^d.
 
-    Both sides are affine maps, so they are evaluated on all lattice points
-    at once with integer matrix arithmetic modulo q (numerators of the 1/q
-    lattice); this is exact."""
+    Both sides are affine maps k -> M k + t on the lattice numerators mod q,
+    built from one power table per direction.  With D = (M_L - M_R) mod q
+    and t = (t_L - t_R) mod q, every lattice point agrees iff D = 0 and
+    t = 0.  The first disagreeing point in the lattice's row order
+    (coordinate 0 most significant) is 0 when t != 0, and otherwise e_j
+    for the last column j of D that is not 0.  The cap on q^r keeps
+    r*q^2 < 2^63, so the arithmetic is exact in int64 (a larger cap that
+    lets q past that runs on Python integers).  A witness is re-checked in
+    Fraction arithmetic."""
+    if n_range < 0:
+        raise InputError(f"range must be at least 0, got {n_range}")
     base_q = sys.lattice_denominator()
     if q is None:
         q = base_q
+    elif q < 1:
+        raise InputError(f"q must be a positive integer, got {q}")
     elif q % base_q:
         raise InputError(
             f"q = {q} is not a multiple of the translation denominator {base_q}")
@@ -354,22 +449,31 @@ def formula_equivalence_test(sys: AffineZdSystem, *, n_range: int = 3,
         raise InputError(
             f"lattice has {q ** sys.r} points, over the cap {cap}")
     conds = matcond_check(sys)
-    grids = np.meshgrid(*[np.arange(q, dtype=np.int64)] * sys.r, indexing="ij")
-    lattice = np.stack([g.ravel() for g in grids], axis=0)  # (r, q^r)
-    n_values = list(product(range(-n_range, n_range + 1), repeat=sys.d))
+    tables = _power_table(sys, q, -n_range, n_range)
+    width = 2 * n_range + 1
+    n_count = width ** sys.d
+    full = (1 << sys.d) - 1
+    sign_d = (-1) ** sys.d
     witness = None
-    for n_vec in n_values:
-        ml, tl = word_affine(sys, n_vec)
-        mr, tr = closed_form_affine(sys, n_vec)
-        tl_num = np.array([int(v * q) % q for v in tl], dtype=np.int64)
-        tr_num = np.array([int(v * q) % q for v in tr], dtype=np.int64)
-        left = (np.array(ml, dtype=np.int64) @ lattice + tl_num[:, None]) % q
-        right = (np.array(mr, dtype=np.int64) @ lattice + tr_num[:, None]) % q
-        diff = (left != right).any(axis=0)
-        if diff.any():
-            idx = int(np.argmax(diff))
-            x = tuple(Fraction(int(v), q) for v in lattice[:, idx])
-            witness = (tuple(n_vec), x)
+    for start in range(0, n_count, N_CHUNK):
+        idx = np.unravel_index(np.arange(start, min(start + N_CHUNK, n_count)),
+                               (width,) * sys.d)
+        steps = [(mats[e], trans[e]) for (mats, trans), e in zip(tables, idx)]
+        ml, tl = _compose(steps, full, q)
+        mr, tr = np.zeros_like(ml), np.zeros_like(tl)
+        for bits in range(full):  # the proper subsets
+            m, t = _compose(steps, bits, q)
+            coeff = sign_d * (-1) ** (bin(bits).count("1") + 1)
+            mr, tr = (mr + coeff * m) % q, (tr + coeff * t) % q
+        dm, dt = (ml - mr) % q != 0, (tl - tr) % q != 0
+        bad = dm.any(axis=(1, 2)) | dt.any(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            x = [0] * sys.r
+            if not dt[k].any():
+                x[int(np.flatnonzero(dm[k].any(axis=0))[-1])] = 1
+            witness = (tuple(int(e[k]) - n_range for e in idx),
+                       tuple(Fraction(v, q) for v in x))
             break
     x_count = q ** sys.r
     if conds.all_ok:
@@ -381,11 +485,11 @@ def formula_equivalence_test(sys: AffineZdSystem, *, n_range: int = 3,
         lhs = iterate_word(sys, witness[0], witness[1])
         rhs = closed_form(sys, witness[0], witness[1])
         if lhs == rhs:
-            # the scalar recomputation must confirm the vectorized mismatch
+            # the scalar recomputation must confirm the lattice mismatch
             raise AssertionError("vectorized and exact evaluations disagree; bug")
     return FormulaTestResult(
         status=status, conds=conds, q=q, n_range=n_range,
-        n_count=len(n_values), x_count=x_count,
+        n_count=n_count, x_count=x_count,
         witness_n=witness[0] if witness else None,
         witness_x=witness[1] if witness else None,
         lhs=lhs, rhs=rhs,
@@ -402,9 +506,12 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
     """Restrict to the (1/q)Z^r lattice, which every T_i preserves when q is
     a multiple of the translation denominator.
 
-    mode="orbit" keeps the orbit of the base point (default 0); mode="full"
-    takes the entire lattice.  Point ids follow the lexicographic order of
-    the lattice vectors; labels record the vectors."""
+    mode="orbit" keeps the orbit of the base point (default 0), found by a
+    breadth-first search over forward and backward steps; mode="full"
+    takes the entire lattice.  Points are rows of numerators mod q; point
+    ids follow their lexicographic order, which is the order of the lattice
+    vectors, and labels record the vectors.  The arithmetic is int64 while
+    r*q^2 < 2^63 and Python integers past that, so it is exact for every q."""
     base_q = sys.lattice_denominator()
     if q < 1 or q % base_q:
         raise InputError(
@@ -421,45 +528,30 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
     if mode not in ("orbit", "full"):
         raise InputError(f"mode must be 'orbit' or 'full', got {mode!r}")
 
-    def step(v: TorusPoint, i: int) -> TorusPoint:
-        return transform(sys, i, 1, v)
-
-    def step_back(v: TorusPoint, i: int) -> TorusPoint:
-        return transform(sys, i, -1, v)
-
+    dtype = _ring(sys.r, q)
     if mode == "full":
         if q ** sys.r > cap:
             raise InputError(f"full lattice has {q ** sys.r} points, over {cap}")
-        points = sorted(
-            tuple(Fraction(n, q) for n in vec)
-            for vec in product(range(q), repeat=sys.r)
-        )
+        tables = _power_table(sys, q, 0, 1)
+        points = np.indices((q,) * sys.r).reshape(sys.r, -1).T.astype(dtype)
     else:
-        seen = {base}
-        frontier = [base]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(1, sys.d + 1):
-                    for img in (step(v, i), step_back(v, i)):
-                        if img not in seen:
-                            seen.add(img)
-                            nxt.append(img)
-            frontier = nxt
-            if len(seen) > cap:
-                raise InputError(f"orbit exceeds the size cap {cap}")
-        points = sorted(seen)
-    index = {p: i for i, p in enumerate(points)}
+        tables = _power_table(sys, q, -1, 1)
+        start = np.array([[int(v * q) for v in base]], dtype=dtype)
+        # entries 0 and 2 of each table are T_i^-1 and T_i
+        points = _orbit([(mats[e], trans[e]) for mats, trans in tables
+                         for e in (0, 2)], start, q, cap)
+    index = RowIndex(*_keyable(points, q))
     perms = []
-    for i in range(1, sys.d + 1):
-        row = []
-        for p in points:
-            img = step(p, i)
-            if img not in index:
-                raise AssertionError("lattice is not invariant; bug")
-            row.append(index[img])
-        perms.append(tuple(row))
-    labels = tuple(",".join(str(v) for v in p) for p in points)
+    for mats, trans in tables:  # the last entry of a table is T_i itself
+        pos, found = index.find(
+            _keyable(_apply(mats[-1], trans[-1], points, q), q)[0])
+        if not found.all():
+            raise AssertionError("lattice is not invariant; bug")
+        perms.append(tuple(pos.tolist()))
+    values = np.unique(points)
+    names = [str(Fraction(int(k), q)) for k in values]
+    labels = tuple(",".join(names[j] for j in row)
+                   for row in np.searchsorted(values, points).tolist())
     return FiniteZdSystem(len(points), sys.d, tuple(perms),
                           name=f"{sys.name}@1/{q}" if sys.name else f"lattice 1/{q}",
                           labels=labels)

@@ -51,12 +51,12 @@ class PeriodicSet:
         for m in self.moduli:
             if m < 1:
                 raise InputError(f"modulus {m} must be positive")
+        for r in self.residues:
+            if len(r) != self.k:
+                raise InputError("residue arity does not match k")
         reduced = frozenset(
             tuple(r[i] % self.moduli[i] for i in range(self.k)) for r in self.residues
         )
-        for r in reduced:
-            if len(r) != self.k:
-                raise InputError("residue arity does not match k")
         object.__setattr__(self, "residues", reduced)
 
     @classmethod

@@ -4,12 +4,14 @@ These are the per-point Python loops the surgery, face-group, membership
 and unique-completion checks and the template scan were first written as:
 one cube tuple (or pair) at a time, membership in a Python set.  The array
 code in zdcubes must give exactly the same items, witnesses and counts;
-tests/test_array_batteries.py compares them.
+tests/test_array_batteries.py compares them.  The periodic-set sum-image
+check, which now sums the residues, first looped over the whole moduli box;
+tests/test_return_times.py compares the two.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from zdcubes.battery import _pass_fail
 from zdcubes.cube_engine import (CubeSet, FaceGroupElement,
@@ -18,6 +20,7 @@ from zdcubes.cube_engine import (CubeSet, FaceGroupElement,
                                  reflect_point)
 from zdcubes.finite_system import perm_order, perm_pow
 from zdcubes.hypercube import FaceSelector
+from zdcubes.return_times import phi_image
 
 
 def _face(p, j, b, d):
@@ -223,3 +226,14 @@ def template_scan(points, eq_pairs, x_pos, y_pos):
     pairs = [tuple(p) for p in eq_pairs]
     return [(row[x_pos], row[y_pos]) for row in points.tolist()
             if all(row[a] == row[b] for a, b in pairs)]
+
+
+def sum_image_consistency(ps):
+    """The coordinate sums of every member of the moduli box, against
+    phi_image."""
+    img = phi_image(ps)
+    box = [range(m) for m in ps.moduli]
+    sums = {(sum(n) % img.moduli[0],) for n in product(*box) if n in ps}
+    brute = {(s[0] % img.moduli[0],) for s in img.residues}
+    return _pass_fail("sum_image_consistency", sums == brute, None,
+                      image_modulus=img.moduli[0])

@@ -3,11 +3,11 @@ from itertools import product
 
 import pytest
 
+from scalar_affine import closed_form_affine, word_affine
 from zdcubes.affine import (
     AffineZdSystem,
     affine_to_text,
     closed_form,
-    closed_form_affine,
     discretize,
     formula_equivalence_test,
     iterate_word,
@@ -17,7 +17,6 @@ from zdcubes.affine import (
     parse_affine,
     unipotent_inverse,
     validate_affine,
-    word_affine,
 )
 from zdcubes.errors import InputError
 from zdcubes.finite_system import validate

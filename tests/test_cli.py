@@ -260,6 +260,16 @@ def test_formula_test_pass_and_witness(fixture_dir):
     assert rep["witness"]["iterated"] != rep["witness"]["closed_form"]
 
 
+@pytest.mark.parametrize("args, option", [
+    (["--q", "0"], "q"), (["--q", "-5"], "q"), (["--range", "-1"], "range")])
+def test_formula_test_invalid_arguments_exit_3(fixture_dir, args, option):
+    code, rep, _ = _invoke(["formula-test",
+                            _path(fixture_dir, "example83.affine"), *args])
+    assert code == 3
+    assert rep["status"] == "input-error"
+    assert rep["error"].startswith(option + " ")
+
+
 def test_discretize_writes_valid_system(fixture_dir, tmp_path):
     out = tmp_path / "disc.fsys"
     code, rep, _ = _invoke(["discretize",
@@ -356,6 +366,15 @@ def test_verify_affine_and_pset(fixture_dir):
         code, rep, _ = _invoke(["verify", _path(fixture_dir, name)])
         assert code == 0, name
         assert rep["counts"]["fail"] == 0, name
+
+
+def test_verify_pset_with_a_large_modulus(tmp_path):
+    path = tmp_path / "large.pset"
+    path.write_text("periodic-set k=1 moduli=3000000\n7\n1000007\n2000007\n")
+    code, rep, _ = _invoke(["verify", str(path)])
+    assert code == 0
+    item = next(c for c in rep["checks"] if c["check"] == "sum_image_consistency")
+    assert (item["status"], item["detail"]["image_modulus"]) == ("pass", 1_000_000)
 
 
 def test_verify_thread_count_never_changes_bytes(fixture_dir):

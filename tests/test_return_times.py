@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+import scalar_batteries as ref
+from zdcubes import battery
 from zdcubes.errors import InputError
 from zdcubes.finite_system import apply_word, parse_finite_system
 from zdcubes.return_times import (
@@ -30,6 +32,12 @@ def test_pset_reduction_and_membership():
     assert (5, 13) in ps
     assert (-3, -5) in ps
     assert (2, 1) not in ps
+
+
+def test_pset_rejects_residues_of_the_wrong_arity():
+    for residue in ((1, 2, 3), (1,)):
+        with pytest.raises(InputError, match="arity"):
+            _pset((4, 4), {residue})
 
 
 def test_pset_empty_full():
@@ -87,6 +95,19 @@ def test_pset_canonical_on_a_large_modulus():
     c = ps.canonical()
     assert c.moduli == (1_000_000,)
     assert c.residues == {(7,)}
+
+
+def test_sum_image_consistency_matches_box_loop():
+    rng = random.Random(5)
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        moduli = tuple(rng.randint(1, 8) for _ in range(k))
+        residues = {tuple(rng.randint(-20, 20) for _ in range(k))
+                    for _ in range(rng.randint(0, 12))}
+        ps = _pset(moduli, residues)
+        item = battery.pset_battery(ps)[-1]
+        assert item == ref.sum_image_consistency(ps)
+        assert item["status"] == "pass"
 
 
 def test_pset_lift_and_equality():
