@@ -25,17 +25,16 @@ from .finite_system import (FactorMap, FiniteZdSystem, PairRelation,
 from .hypercube import (FaceSelector, Vertex, all_vertices, digit_permute,
                         embed_face, face_vertices, reflect)
 from .kernels import backend_name
-from .proximal import (build_z, characterize, check_equivalence, compute_R,
-                       compute_R_j, maximal_ucpp_factor, proximal_report,
-                       pushforward_check)
+from .proximal import (build_z, check_equivalence, compute_R, compute_R_j,
+                       maximal_ucpp_factor, proximal_report, pushforward_check)
 from .return_times import (PeriodicSet, contains_zero_vector, d_joining,
                            drop_generator, insert_identity_generator,
                            intersects, joining_containment_check, phi_image,
                            product_system_realization, return_set)
 from .structure import (SubgroupSpec, compute_QH, decompose,
                         factor_isomorphism_check, iterated_quotient_check,
-                        maximal_Z0H_factor, maximal_trivial_H_factor,
-                        relative_independence_check, z0h_universality_check)
+                        maximal_trivial_H_factor, relative_independence_check,
+                        z0h_universality_check)
 
 __version__ = "1.0.0"
 
@@ -44,7 +43,7 @@ __all__ = [
     "FiniteZdSystem", "HypothesisError", "InputError", "PairRelation",
     "PeriodicSet", "SubgroupSpec", "Vertex",
     "affine_to_text", "all_vertices", "apply_word", "backend_name",
-    "build_z", "characterize", "check_equivalence", "check_factor_map",
+    "build_z", "check_equivalence", "check_factor_map",
     "closed_form", "compute_QH", "compute_R", "compute_R_j",
     "contains_zero_vector", "d_joining", "decompose", "digit_permute",
     "digit_permute_point", "discretize", "drop_generator", "duplicate",
@@ -53,7 +52,7 @@ __all__ = [
     "formula_equivalence_test", "glue", "insert", "insert_identity_generator",
     "intersects", "is_minimal", "iterate_word", "iterated_quotient_check",
     "joining_containment_check", "load_affine", "load_finite_system",
-    "matcond_check", "maximal_Z0H_factor", "maximal_trivial_H_factor",
+    "matcond_check", "maximal_trivial_H_factor",
     "maximal_ucpp_factor", "parse_affine", "parse_finite_system", "phi_image",
     "product_system_realization", "project", "proximal_report",
     "pushforward_check", "quotient", "reflect", "reflect_point", "return_set",

@@ -9,7 +9,7 @@ Every check produces one JSON-ready item
 "skipped" marks hypothesis-gated checks on inputs that do not meet the
 hypotheses; a battery with skips and no failures is still clean.  All
 counts and witnesses are deterministic, so serialized batteries are
-byte-identical across thread counts.
+byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _first_missing(index: RowIndex, rows: np.ndarray) -> int | None:
     return None if found.all() else int(np.argmin(found))
 
 
-def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
+def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     """Closure of the full cube set under gluing, insertion, duplication,
     projection, digit permutation and reflection.  Every eligible input pair
     or tuple is tried; no sampling."""
@@ -103,7 +103,7 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
     n = sys.n_points
     dirs = _full_dirs(sys)
     width = 1 << d
-    Q = enumerate_Q(sys, dirs, threads=threads)
+    Q = enumerate_Q(sys, dirs)
     rows = Q.to_array()
     index = RowIndex(rows, n)
     items = []
@@ -176,7 +176,7 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
     witness = None
     for k in range(1, d):
         for sub in combinations(dirs, k):
-            Qs = enumerate_Q(sys, sub, threads=threads)
+            Qs = enumerate_Q(sys, sub)
             checked += len(Qs)
             if witness is not None:
                 continue
@@ -194,8 +194,8 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
     witness = None
     if d >= 2:
         rest_index = {
-            j: RowIndex(enumerate_Q(sys, tuple(i for i in dirs if i != j),
-                                    threads=threads).to_array(), n)
+            j: RowIndex(enumerate_Q(sys, tuple(i for i in dirs if i != j))
+                        .to_array(), n)
             for j in dirs
         }
         for j in dirs:
@@ -214,7 +214,7 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
     checked = 0
     witness = None
     for sigma in permutations(range(1, d + 1)):
-        src = enumerate_Q(sys, sigma, threads=threads)
+        src = enumerate_Q(sys, sigma)
         checked += 1
         cols = [digit_permute(sigma, Vertex(m, d)).mask for m in range(width)]
         if witness is None and not index.same_set(src.to_array()[:, cols]):
@@ -237,10 +237,10 @@ def surgery_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
 # cube set structure
 
 
-def cube_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
+def cube_battery(sys: FiniteZdSystem) -> list[dict]:
     d = sys.d
     dirs = _full_dirs(sys)
-    Q = enumerate_Q(sys, dirs, threads=threads)
+    Q = enumerate_Q(sys, dirs)
     minimal = is_minimal(sys).ok
     items = [_item("census", "pass", None,
                    Q_size=len(Q), n_points=sys.n_points, d=d,
@@ -263,7 +263,7 @@ def cube_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
 
     witness = None
     for j in dirs:
-        pairs = enumerate_Q(sys, (j,), threads=threads).to_array()
+        pairs = enumerate_Q(sys, (j,)).to_array()
         miss = _first_missing(RowIndex(pairs, sys.n_points), pairs[:, ::-1])
         if miss is not None:
             witness = [j] + pairs[miss].tolist()
@@ -290,7 +290,7 @@ def cube_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
                            orbit=len(orbit), cubes=len(Q),
                            reason="system is not minimal"))
 
-    K = enumerate_K(sys, dirs, 0, threads=threads)
+    K = enumerate_K(sys, dirs, 0)
     sec = section_of(Q, 0)
     items.append(_pass_fail("section_consistency",
                             np.array_equal(K.to_array(), sec.to_array()), None,
@@ -302,13 +302,12 @@ def cube_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
 # proximality relations
 
 
-def five_way_battery(sys: FiniteZdSystem, *, threads: int = 1
-                     ) -> tuple[bool, int, list | None]:
+def five_way_battery(sys: FiniteZdSystem) -> tuple[bool, int, list | None]:
     """All five membership formulations on every pair at once; returns
     (agree everywhere, pairs checked, first disagreement with its flags)."""
     dirs = _full_dirs(sys)
-    Q = enumerate_Q(sys, dirs, threads=threads)
-    rels = [compute_R_j(sys, j, Q=Q, threads=threads).pairs for j in dirs]
+    Q = enumerate_Q(sys, dirs)
+    rels = [compute_R_j(sys, j).pairs for j in dirs]
     sec = sections(Q)
     rows = Q.to_array()
     # (x, y) with (x, y, .., y) in Q
@@ -332,22 +331,22 @@ def five_way_battery(sys: FiniteZdSystem, *, threads: int = 1
     return True, checked, None
 
 
-def proximal_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
+def proximal_battery(sys: FiniteZdSystem) -> list[dict]:
     dirs = _full_dirs(sys)
     minimal = is_minimal(sys).ok
     items = []
 
     witness = None
     for j in dirs:
-        a = compute_R_j(sys, j, threads=threads)
-        b = compute_R_j_reordered(sys, j, threads=threads)
+        a = compute_R_j(sys, j)
+        b = compute_R_j_reordered(sys, j)
         if a.pairs != b.pairs:
             witness = j
             break
     items.append(_pass_fail("relation_order_independence", witness is None,
                             witness))
 
-    R = compute_R(sys, threads=threads)
+    R = compute_R(sys)
     eq = check_equivalence(R)
     if minimal:
         items.append(_pass_fail(
@@ -364,18 +363,17 @@ def proximal_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
                            pairs=len(R), diagonal=R.is_diagonal()))
 
     if minimal:
-        agree, checked, witness = five_way_battery(sys, threads=threads)
+        agree, checked, witness = five_way_battery(sys)
         items.append(_pass_fail("five_way_agreement", agree, witness,
                                 pairs=checked))
-        q_sys, pi = maximal_ucpp_factor(sys, threads=threads)
+        q_sys, pi = maximal_ucpp_factor(sys)
         rep = check_factor_map(pi)
-        uq = ucpp_check(enumerate_Q(q_sys, dirs, threads=threads)) \
-            if q_sys.d >= 2 else None
-        Rq = compute_R(q_sys, threads=threads)
+        uq = ucpp_check(enumerate_Q(q_sys, dirs)) if q_sys.d >= 2 else None
+        Rq = compute_R(q_sys)
         items.append(_pass_fail(
             "ucpp_quotient", rep.ok and (uq is None or uq.ok) and Rq.is_diagonal(),
             None, quotient_points=q_sys.n_points))
-        push = pushforward_check(pi, threads=threads)
+        push = pushforward_check(pi)
         items.append(_pass_fail(
             "relation_pushforward", push.equal,
             None if push.equal else {"missing": push.missing,
@@ -395,8 +393,7 @@ def proximal_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
 # structure: trivial-action quotients and the joining decomposition
 
 
-def structure_battery(sys: FiniteZdSystem, x0: int = 0, *,
-                      threads: int = 1) -> list[dict]:
+def structure_battery(sys: FiniteZdSystem, x0: int = 0) -> list[dict]:
     d = sys.d
     minimal = is_minimal(sys).ok
     items = []
@@ -420,7 +417,7 @@ def structure_battery(sys: FiniteZdSystem, x0: int = 0, *,
         items.append(_pass_fail("iterated_quotient", res.ok, None,
                                 classes=len(res.one_step_classes)))
 
-    dec = decompose(sys, x0, threads=threads)
+    dec = decompose(sys, x0)
     if dec.hypotheses_met:
         items.append(_pass_fail(
             "decompose_injective", bool(dec.injective),
@@ -430,12 +427,12 @@ def structure_battery(sys: FiniteZdSystem, x0: int = 0, *,
             side_sizes=[len(p.values) for p in dec.side_projections]))
         witness = None
         for j in _full_dirs(sys):
-            r = factor_isomorphism_check(sys, x0, j, threads=threads)
+            r = factor_isomorphism_check(sys, x0, j)
             if not r.ok:
                 witness = [j, r.witness]
                 break
         items.append(_pass_fail("factor_isomorphism", witness is None, witness))
-        ri = relative_independence_check(dec, threads=threads)
+        ri = relative_independence_check(dec)
         items.append(_pass_fail(
             "relative_independence", ri.status == "pass",
             None if ri.status == "pass" else ri.witness and list(ri.witness),
@@ -453,7 +450,7 @@ def structure_battery(sys: FiniteZdSystem, x0: int = 0, *,
 # return times
 
 
-def return_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
+def return_battery(sys: FiniteZdSystem) -> list[dict]:
     items = []
     witness = None
     for x in (0, sys.n_points - 1):
@@ -470,7 +467,7 @@ def return_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
                            reason="needs d >= 2"))
         return items
 
-    jc = joining_containment_check(sys, 0, threads=threads)
+    jc = joining_containment_check(sys, 0)
     if jc.status == "hypotheses-unmet":
         items.append(_item("joining_containment", "skipped", None,
                            reason=jc.reason))
@@ -483,21 +480,27 @@ def return_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
         joining_density=list(jc.joining.density()),
         target_density=list(jc.target.density())))
 
-    dec = decompose(sys, 0, threads=threads)
+    dec = decompose(sys, 0)
     factors = []
     for j in range(1, sys.d + 1):
         proj = dec.side_projections[j - 1]
         diag = (0,) * len(proj.positions)
         yj = proj.values.index(diag)
         factors.append((proj.system, yj, {yj}))
-    pr = product_system_realization(factors, threads=threads)
+    try:
+        pr = product_system_realization(factors)
+    except InputError as exc:
+        # the input is valid; only the derived product system is too big
+        items.append(_item("product_realization", "skipped", None,
+                           reason=f"budget: {exc}"))
+        return items
     items.append(_pass_fail(
         "product_realization", pr.equal and pr.ucpp_ok, None,
         orbit=pr.system.n_points))
     return items
 
 
-def system_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
+def system_battery(sys: FiniteZdSystem) -> list[dict]:
     """Everything that applies to one finite system."""
     v = validate(sys)
     items = [_pass_fail(
@@ -506,11 +509,11 @@ def system_battery(sys: FiniteZdSystem, *, threads: int = 1) -> list[dict]:
         orders=list(sys.orders))]
     if not v.ok:
         return items
-    items += cube_battery(sys, threads=threads)
-    items += surgery_battery(sys, threads=threads)
-    items += proximal_battery(sys, threads=threads)
-    items += structure_battery(sys, threads=threads)
-    items += return_battery(sys, threads=threads)
+    items += cube_battery(sys)
+    items += surgery_battery(sys)
+    items += proximal_battery(sys)
+    items += structure_battery(sys)
+    items += return_battery(sys)
     return items
 
 

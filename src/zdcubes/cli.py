@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Reports are JSON on stdout (sorted keys, no timings unless --timings), so
-identical inputs and flags give byte-identical output regardless of thread
-count.  Exit codes: 0 pass, 1 property failure (a witness is in
-the report), 2 hypotheses unmet, 3 input error.
+identical inputs and flags give byte-identical output.  Exit codes: 0 pass,
+1 property failure (a witness is in the report), 2 hypotheses unmet, 3 input
+error.
 """
 
 from __future__ import annotations
@@ -156,17 +156,16 @@ def cmd_validate(path: str) -> tuple[dict, int]:
 
 def cmd_analyze(path: str, subcommand: str, flags: dict) -> tuple[dict, int]:
     """Dispatch one analysis subcommand; returns (report, exit code)."""
-    threads = flags.get("threads", 1)
     if subcommand == "cubes":
         sys_ = _load_system(path)
         dirs = tuple(range(1, sys_.d + 1))
-        Q = enumerate_Q(sys_, dirs, threads=threads)
+        Q = enumerate_Q(sys_, dirs)
         report = {"command": "cubes", "input": path,
                   "dirs": list(dirs), "Q_size": len(Q),
                   "Q_sha256": Q.text_sha256(), "status": "pass"}
         base = flags.get("basepoint")
         if base is not None:
-            K = enumerate_K(sys_, dirs, base, threads=threads)
+            K = enumerate_K(sys_, dirs, base)
             report["basepoint"] = base
             report["K_size"] = len(K)
             report["K_sha256"] = K.text_sha256()
@@ -183,8 +182,7 @@ def cmd_analyze(path: str, subcommand: str, flags: dict) -> tuple[dict, int]:
             cubes = CubeSet.from_text(text, path=path)
         else:
             sys_ = _load_system(path)
-            cubes = enumerate_Q(sys_, tuple(range(1, sys_.d + 1)),
-                                threads=threads)
+            cubes = enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))
         verdict = ucpp_check(cubes)
         report = {"command": "ucpp", "input": path, "ucpp": verdict.ok,
                   "Q_size": len(cubes),
@@ -196,9 +194,8 @@ def cmd_analyze(path: str, subcommand: str, flags: dict) -> tuple[dict, int]:
 
     if subcommand == "rpp":
         sys_ = _load_system(path)
-        rels = [compute_R_j(sys_, j, threads=threads)
-                for j in range(1, sys_.d + 1)]
-        R = compute_R(sys_, threads=threads)
+        rels = [compute_R_j(sys_, j) for j in range(1, sys_.d + 1)]
+        R = compute_R(sys_)
         eq = check_equivalence(R)
         report = {"command": "rpp", "input": path,
                   "relation_sizes": [len(r) for r in rels],
@@ -210,7 +207,7 @@ def cmd_analyze(path: str, subcommand: str, flags: dict) -> tuple[dict, int]:
             report["status"] = "hypotheses-unmet"
             report["reason"] = "system is not minimal"
             return report, 2
-        agree, checked, witness = battery.five_way_battery(sys_, threads=threads)
+        agree, checked, witness = battery.five_way_battery(sys_)
         report["five_way_agreement"] = agree
         report["pairs_checked"] = checked
         report["witness"] = witness
@@ -222,7 +219,7 @@ def cmd_analyze(path: str, subcommand: str, flags: dict) -> tuple[dict, int]:
         relation = flags.get("relation", "rpp")
         if relation == "rpp":
             try:
-                q_sys, pi = maximal_ucpp_factor(sys_, threads=threads)
+                q_sys, pi = maximal_ucpp_factor(sys_)
             except HypothesisError as exc:
                 return {"command": "quotient", "input": path,
                         "relation": relation, "status": "hypotheses-unmet",
@@ -248,7 +245,7 @@ def cmd_analyze(path: str, subcommand: str, flags: dict) -> tuple[dict, int]:
     if subcommand == "structure":
         sys_ = _load_system(path)
         base = flags.get("basepoint") or 0
-        dec = decompose(sys_, base, threads=threads)
+        dec = decompose(sys_, base)
         report = {"command": "structure", "input": path, "basepoint": base,
                   "K_size": len(dec.K), "ucpp": dec.ucpp.ok,
                   "minimal": dec.minimal,
@@ -261,9 +258,9 @@ def cmd_analyze(path: str, subcommand: str, flags: dict) -> tuple[dict, int]:
             report["reason"] = ("cube completion is not unique"
                                if not dec.ucpp.ok else "system is not minimal")
             return report, 2
-        iso = [factor_isomorphism_check(sys_, base, j, threads=threads)
+        iso = [factor_isomorphism_check(sys_, base, j)
                for j in range(1, sys_.d + 1)]
-        ri = relative_independence_check(dec, threads=threads)
+        ri = relative_independence_check(dec)
         ok = bool(dec.injective) and all(r.ok for r in iso) \
             and ri.status == "pass"
         report["injective"] = dec.injective
@@ -366,6 +363,8 @@ def cmd_joining(paths: tuple[str, ...]) -> tuple[dict, int]:
 
 
 def cmd_verify(path: str, threads: int = 1) -> tuple[dict, int]:
+    """Every battery applicable to the file.  The second parameter is kept
+    for callers that pass it; it has no effect."""
     text = _read(path)
     kind = detect_kind(text, path)
     items: list[dict] = []
@@ -373,7 +372,7 @@ def cmd_verify(path: str, threads: int = 1) -> tuple[dict, int]:
         sys_ = parse_finite_system(text, path=path, strict=False)
         rt = parse_finite_system(to_text(sys_), strict=False)
         items.append(battery._pass_fail("roundtrip", rt.perms == sys_.perms))
-        items += battery.system_battery(sys_, threads=threads)
+        items += battery.system_battery(sys_)
     elif kind == "affine-system":
         asys = parse_affine(text, path=path)
         rt = parse_affine(affine_to_text(asys))
@@ -410,8 +409,8 @@ def cmd_verify(path: str, threads: int = 1) -> tuple[dict, int]:
 
 def _common(f):
     f = click.option("--human", is_flag=True, help="tabular text instead of JSON")(f)
-    f = click.option("--threads", type=int, default=1, show_default=True,
-                     help="worker threads for enumeration")(f)
+    f = click.option("--threads", type=int, default=1, expose_value=False,
+                     help="accepted for compatibility; has no effect")(f)
     f = click.option("--timings", is_flag=True,
                      help="append wall-clock timing to the report")(f)
     return f
@@ -451,7 +450,7 @@ def main() -> None:
 @main.command("validate")
 @click.argument("path", type=click.Path())
 @_common
-def validate_cmd(path, human, threads, timings):
+def validate_cmd(path, human, timings):
     """Parse a file and check its invariants."""
     _run(lambda: cmd_validate(path), human, timings)
 
@@ -462,27 +461,27 @@ def validate_cmd(path, human, threads, timings):
               help="also enumerate the based set at this point")
 @click.option("--dump", is_flag=True, help="embed full listings in the report")
 @_common
-def cubes_cmd(path, basepoint, dump, human, threads, timings):
+def cubes_cmd(path, basepoint, dump, human, timings):
     """Cube-set census over the full direction list."""
     _run(lambda: cmd_analyze(path, "cubes",
-                             {"threads": threads, "basepoint": basepoint,
-                              "dump": dump}), human, timings)
+                             {"basepoint": basepoint, "dump": dump}),
+         human, timings)
 
 
 @main.command("ucpp")
 @click.argument("path", type=click.Path())
 @_common
-def ucpp_cmd(path, human, threads, timings):
+def ucpp_cmd(path, human, timings):
     """Unique-completion verdict for a system or a raw cube-set file."""
-    _run(lambda: cmd_analyze(path, "ucpp", {"threads": threads}), human, timings)
+    _run(lambda: cmd_analyze(path, "ucpp", {}), human, timings)
 
 
 @main.command("rpp")
 @click.argument("path", type=click.Path())
 @_common
-def rpp_cmd(path, human, threads, timings):
+def rpp_cmd(path, human, timings):
     """Directional relations, their intersection, and the five-way battery."""
-    _run(lambda: cmd_analyze(path, "rpp", {"threads": threads}), human, timings)
+    _run(lambda: cmd_analyze(path, "rpp", {}), human, timings)
 
 
 @main.command("quotient")
@@ -492,10 +491,10 @@ def rpp_cmd(path, human, threads, timings):
 @click.option("--gens", default=None,
               help="comma-separated generator directions for --relation qh")
 @_common
-def quotient_cmd(path, relation, gens, human, threads, timings):
+def quotient_cmd(path, relation, gens, human, timings):
     """Quotient by the intersection relation or by a subgroup relation."""
     _run(lambda: cmd_analyze(path, "quotient",
-                             {"threads": threads, "relation": relation,
+                             {"relation": relation,
                               "gens": _int_list(gens, "--gens")}),
          human, timings)
 
@@ -504,20 +503,18 @@ def quotient_cmd(path, relation, gens, human, threads, timings):
 @click.argument("path", type=click.Path())
 @click.option("--basepoint", type=int, default=0, show_default=True)
 @_common
-def structure_cmd(path, basepoint, human, threads, timings):
+def structure_cmd(path, basepoint, human, timings):
     """Joining decomposition of the based cube set with its checks."""
-    _run(lambda: cmd_analyze(path, "structure",
-                             {"threads": threads, "basepoint": basepoint}),
+    _run(lambda: cmd_analyze(path, "structure", {"basepoint": basepoint}),
          human, timings)
 
 
 @main.command("affine-check")
 @click.argument("path", type=click.Path())
 @_common
-def affine_check_cmd(path, human, threads, timings):
+def affine_check_cmd(path, human, timings):
     """Validation and matrix conditions of an affine system."""
-    _run(lambda: cmd_analyze(path, "affine-check", {"threads": threads}),
-         human, timings)
+    _run(lambda: cmd_analyze(path, "affine-check", {}), human, timings)
 
 
 @main.command("formula-test")
@@ -527,10 +524,9 @@ def affine_check_cmd(path, human, threads, timings):
 @click.option("--q", type=int, default=None,
               help="lattice denominator (default: from the translations)")
 @_common
-def formula_test_cmd(path, n_range, q, human, threads, timings):
+def formula_test_cmd(path, n_range, q, human, timings):
     """Closed form against direct iteration on the full rational lattice."""
-    _run(lambda: cmd_analyze(path, "formula-test",
-                             {"threads": threads, "range": n_range, "q": q}),
+    _run(lambda: cmd_analyze(path, "formula-test", {"range": n_range, "q": q}),
          human, timings)
 
 
@@ -543,11 +539,11 @@ def formula_test_cmd(path, n_range, q, human, threads, timings):
 @click.option("--mode", type=click.Choice(["orbit", "full"]), default="orbit",
               show_default=True)
 @_common
-def discretize_cmd(path, q, out, mode, human, threads, timings):
+def discretize_cmd(path, q, out, mode, human, timings):
     """Restrict an affine system to a finite rational lattice."""
     _run(lambda: cmd_analyze(path, "discretize",
-                             {"threads": threads, "q": q, "out": out,
-                              "mode": mode}), human, timings)
+                             {"q": q, "out": out, "mode": mode}),
+         human, timings)
 
 
 @main.command("return-times")
@@ -556,10 +552,10 @@ def discretize_cmd(path, q, out, mode, human, threads, timings):
 @click.option("--target", default=None,
               help="comma-separated point ids (default: the point itself)")
 @_common
-def return_times_cmd(path, point, target, human, threads, timings):
+def return_times_cmd(path, point, target, human, timings):
     """Return-time set of a point into a neighborhood, as a periodic set."""
     _run(lambda: cmd_analyze(path, "return-times",
-                             {"threads": threads, "point": point,
+                             {"point": point,
                               "target": _int_list(target, "--target")}),
          human, timings)
 
@@ -567,7 +563,7 @@ def return_times_cmd(path, point, target, human, threads, timings):
 @main.command("joining")
 @click.argument("paths", type=click.Path(), nargs=-1, required=True)
 @_common
-def joining_cmd(paths, human, threads, timings):
+def joining_cmd(paths, human, timings):
     """d-joining of d periodic sets of dimension d-1."""
     _run(lambda: cmd_joining(paths), human, timings)
 
@@ -575,9 +571,9 @@ def joining_cmd(paths, human, threads, timings):
 @main.command("verify")
 @click.argument("path", type=click.Path())
 @_common
-def verify_cmd(path, human, threads, timings):
+def verify_cmd(path, human, timings):
     """Every battery applicable to the input file."""
-    _run(lambda: cmd_verify(path, threads=threads), human, timings)
+    _run(lambda: cmd_verify(path), human, timings)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ with the eps = 0 coordinate dropped, so its tuples have width 2^k - 1 and
 position p corresponds to vertex mask p.
 
 A CubeSet holds its tuples as one sorted, duplicate-free int32 array.
-Enumeration runs the numpy kernel in base-point chunks; sorting and dedup by
-row keys make the result independent of thread count.  Whole-set checks
+Enumeration runs the numpy kernel over every base point, then sorts and
+dedups by row keys.  The sets over increasing directions are kept on the
+system (FiniteZdSystem.memo), so each is enumerated once.  Whole-set checks
 work on that array: RowIndex looks rows up by sorted row keys, and a
 face-group element acts as one permutation per coordinate, so its image of
 an array is a column gather.
@@ -20,8 +21,6 @@ an array is a column gather.
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .finite_system import FiniteZdSystem, perm_order
+from .finite_system import FiniteZdSystem
 from .hypercube import MAX_DIM, FaceSelector, Vertex, digit_permute
 
 CubePoint = tuple[int, ...]
@@ -253,7 +252,7 @@ def _dir_orders(sys: FiniteZdSystem, dirs: tuple[int, ...]) -> list[int]:
     for j in dirs:
         if not 1 <= j <= sys.d:
             raise InputError(f"direction {j} out of range 1..{sys.d}")
-    return [perm_order(sys.perms[j - 1]) for j in dirs]
+    return [sys.orders[j - 1] for j in dirs]
 
 
 def _pow_table(p, L: int) -> np.ndarray:
@@ -267,7 +266,7 @@ def _pow_table(p, L: int) -> np.ndarray:
 
 
 def _enumerate_rows(sys: FiniteZdSystem, dirs: tuple[int, ...],
-                    bases: np.ndarray, threads: int) -> np.ndarray:
+                    bases: np.ndarray) -> np.ndarray:
     limits = _dir_orders(sys, dirs)
     total = len(bases)
     for L in limits:
@@ -277,15 +276,7 @@ def _enumerate_rows(sys: FiniteZdSystem, dirs: tuple[int, ...],
             f"enumeration would produce {total} rows (limit {MAX_ENUM_ROWS}); "
             "restrict the directions or the system size")
     tables = [_pow_table(sys.perms[j - 1], L) for j, L in zip(dirs, limits)]
-    combos = kernels.exponent_combos(limits)
-    threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1 or len(bases) < 2:
-        return kernels.enumerate_blocks(tables, combos, bases)
-    chunks = [c for c in np.array_split(bases, threads) if len(c)]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        blocks = list(pool.map(
-            lambda c: kernels.enumerate_blocks(tables, combos, c), chunks))
-    return np.vstack(blocks)
+    return kernels.enumerate_blocks(tables, kernels.exponent_combos(limits), bases)
 
 
 def _check_dirs(dirs: tuple[int, ...]) -> None:
@@ -295,24 +286,40 @@ def _check_dirs(dirs: tuple[int, ...]) -> None:
         raise InputError(f"directions must be distinct, got {dirs}")
 
 
-def enumerate_Q(sys: FiniteZdSystem, dirs: tuple[int, ...] | list[int],
-                *, threads: int = 1) -> CubeSet:
+def _stored(sys: FiniteZdSystem, key: tuple, dirs: tuple[int, ...], build):
+    """build() through the system's memo when dirs increase; a set over any
+    other order is built afresh, as only the cross-checks of direction
+    order ask for one."""
+    if list(dirs) == sorted(dirs):
+        return sys.memo(key, build)
+    return build()
+
+
+def enumerate_Q(sys: FiniteZdSystem, dirs: tuple[int, ...] | list[int]) -> CubeSet:
     """The full directional cube set over every base point."""
     dirs = tuple(dirs)
     _check_dirs(dirs)
-    rows = _enumerate_rows(sys, dirs, np.arange(sys.n_points, dtype=np.int32), threads)
-    return CubeSet(dirs=dirs, points=rows, base=sys)
+
+    def build() -> CubeSet:
+        rows = _enumerate_rows(sys, dirs, np.arange(sys.n_points, dtype=np.int32))
+        return CubeSet(dirs=dirs, points=rows, base=sys)
+
+    return _stored(sys, ("Q", dirs), dirs, build)
 
 
-def enumerate_K(sys: FiniteZdSystem, dirs: tuple[int, ...] | list[int], x0: int,
-                *, threads: int = 1) -> CubeSet:
+def enumerate_K(sys: FiniteZdSystem, dirs: tuple[int, ...] | list[int],
+                x0: int) -> CubeSet:
     """The base-point cube set K^{x0}: vertex 0 pinned to x0 and dropped."""
     dirs = tuple(dirs)
     _check_dirs(dirs)
     if not 0 <= x0 < sys.n_points:
         raise InputError(f"base point {x0} out of range")
-    rows = _enumerate_rows(sys, dirs, np.array([x0], dtype=np.int32), threads)
-    return CubeSet(dirs=dirs, points=rows[:, 1:], based=True, base=sys)
+
+    def build() -> CubeSet:
+        rows = _enumerate_rows(sys, dirs, np.array([x0], dtype=np.int32))
+        return CubeSet(dirs=dirs, points=rows[:, 1:], based=True, base=sys)
+
+    return _stored(sys, ("K", dirs, x0), dirs, build)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable, Sequence
 
 from .errors import InputError
 
@@ -86,6 +87,10 @@ class FiniteZdSystem:
 
     labels optionally names the points (used by affine discretization to
     remember which torus point each id stands for).
+
+    Objects derived from the system (cube sets, relations, minimality, the
+    joining decomposition) are computed once and kept on the instance by
+    memo(); the store takes no part in equality, hashing or repr.
     """
 
     n_points: int
@@ -93,6 +98,8 @@ class FiniteZdSystem:
     perms: tuple[Perm, ...]
     name: str = ""
     labels: tuple[str, ...] | None = None
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self) -> None:
         if self.n_points < 1:
@@ -111,13 +118,23 @@ class FiniteZdSystem:
         if self.labels is not None and len(self.labels) != self.n_points:
             raise InputError("labels length does not match point count")
 
-    @property
+    @cached_property
     def orders(self) -> tuple[int, ...]:
         return tuple(perm_order(p) for p in self.perms)
 
-    @property
+    @cached_property
     def inverses(self) -> tuple[Perm, ...]:
         return tuple(_invert(p) for p in self.perms)
+
+    def memo(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """The derived object stored under key, built by build() on first
+        use.  Stored objects are shared by every caller, so they must not be
+        mutated."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     def generator(self, i: int) -> Perm:
         if not 1 <= i <= self.d:
@@ -213,6 +230,10 @@ def orbit_of(sys: FiniteZdSystem, x: int) -> frozenset[int]:
 def is_minimal(sys: FiniteZdSystem) -> MinimalityResult:
     """Minimal == a single orbit (the acting group is finitely generated
     abelian, so orbit closures are orbits here)."""
+    return sys.memo(("minimal",), lambda: _orbit_census(sys))
+
+
+def _orbit_census(sys: FiniteZdSystem) -> MinimalityResult:
     seen: set[int] = set()
     sizes = []
     witness = None

@@ -64,46 +64,35 @@ def _full_dirs(sys: FiniteZdSystem) -> tuple[int, ...]:
     return tuple(range(1, sys.d + 1))
 
 
-def _require_full_Q(sys: FiniteZdSystem, Q: CubeSet | None, threads: int) -> CubeSet:
-    if Q is None:
-        return enumerate_Q(sys, _full_dirs(sys), threads=threads)
-    if Q.based or Q.dirs != _full_dirs(sys):
-        raise InputError("need the full cube set over directions 1..d")
-    return Q
-
-
-def compute_R_j(sys: FiniteZdSystem, j: int, *, Q: CubeSet | None = None,
-                threads: int = 1) -> PairRelation:
-    """All pairs witnessed by a direction-j template inside the full cube set."""
-    Q = _require_full_Q(sys, Q, threads)
-    pairs, x_pos, y_pos = template_positions(sys.d, j)
-    eq = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2)
-    hits = kernels.template_scan(Q.to_array(), eq, x_pos, y_pos)
-    found = frozenset(map(tuple, hits.tolist()))
-    return PairRelation(sys.n_points, found, sys)
-
-
-def compute_R(sys: FiniteZdSystem, *, Q: CubeSet | None = None,
-              threads: int = 1) -> PairRelation:
-    """Intersection of the per-direction relations."""
-    Q = _require_full_Q(sys, Q, threads)
-    pairs: frozenset[tuple[int, int]] | None = None
-    for j in range(1, sys.d + 1):
-        rel = compute_R_j(sys, j, Q=Q, threads=threads)
-        pairs = rel.pairs if pairs is None else pairs & rel.pairs
-    return PairRelation(sys.n_points, pairs, sys)
-
-
-def compute_R_j_reordered(sys: FiniteZdSystem, j: int, *, threads: int = 1
-                          ) -> PairRelation:
-    """Same relation extracted from the cube set listing direction j first;
-    a cross-check that the template does not depend on direction order."""
-    dirs = (j,) + tuple(i for i in range(1, sys.d + 1) if i != j)
-    Q = enumerate_Q(sys, dirs, threads=threads)
-    pairs, x_pos, y_pos = template_positions(sys.d, 1)
+def _scan(sys: FiniteZdSystem, dirs: tuple[int, ...], slot: int) -> PairRelation:
+    """The pairs witnessed by the template for the direction in position
+    slot of dirs, inside the cube set over dirs."""
+    Q = enumerate_Q(sys, dirs)
+    pairs, x_pos, y_pos = template_positions(sys.d, slot)
     eq = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2)
     hits = kernels.template_scan(Q.to_array(), eq, x_pos, y_pos)
     return PairRelation(sys.n_points, frozenset(map(tuple, hits.tolist())), sys)
+
+
+def compute_R_j(sys: FiniteZdSystem, j: int) -> PairRelation:
+    """All pairs witnessed by a direction-j template inside the full cube set."""
+    return sys.memo(("R_j", j), lambda: _scan(sys, _full_dirs(sys), j))
+
+
+def compute_R(sys: FiniteZdSystem) -> PairRelation:
+    """Intersection of the per-direction relations."""
+    def build() -> PairRelation:
+        rels = [compute_R_j(sys, j).pairs for j in _full_dirs(sys)]
+        return PairRelation(sys.n_points, frozenset.intersection(*rels), sys)
+
+    return sys.memo(("R",), build)
+
+
+def compute_R_j_reordered(sys: FiniteZdSystem, j: int) -> PairRelation:
+    """Same relation extracted from the cube set listing direction j first;
+    a cross-check that the template does not depend on direction order."""
+    dirs = (j,) + tuple(i for i in _full_dirs(sys) if i != j)
+    return _scan(sys, dirs, 1)
 
 
 def sections(Q: CubeSet) -> dict[int, frozenset[tuple[int, ...]]]:
@@ -117,49 +106,10 @@ def sections(Q: CubeSet) -> dict[int, frozenset[tuple[int, ...]]]:
     return {x: frozenset(v) for x, v in acc.items()}
 
 
-@dataclass(frozen=True)
-class FiveWayResult:
-    """Five formulations of membership for one pair, which agree on minimal
-    systems: (1) in every direction relation, (2) the constant-y completion
-    is a cube, (3) the pair shares a completion, (4) the pair has identical
-    completion sets, (5) in some direction relation."""
-
-    x: int
-    y: int
-    conds: tuple[bool, bool, bool, bool, bool]
-    minimal: bool
-
-    @property
-    def hypotheses_met(self) -> bool:
-        return self.minimal
-
-    @property
-    def all_agree(self) -> bool:
-        return len(set(self.conds)) == 1
-
-
-def characterize(sys: FiniteZdSystem, x: int, y: int, *, Q: CubeSet | None = None,
-                 threads: int = 1) -> FiveWayResult:
-    Q = _require_full_Q(sys, Q, threads)
-    for v in (x, y):
-        if not 0 <= v < sys.n_points:
-            raise InputError(f"point id {v} out of range")
-    rels = [compute_R_j(sys, j, Q=Q, threads=threads) for j in range(1, sys.d + 1)]
-    cond1 = all((x, y) in r for r in rels)
-    cond2 = ((x,) + (y,) * (Q.width - 1)) in Q
-    sec = sections(Q)
-    sx, sy = sec.get(x, frozenset()), sec.get(y, frozenset())
-    cond3 = bool(sx & sy)
-    cond4 = sx == sy
-    cond5 = any((x, y) in r for r in rels)
-    return FiveWayResult(x=x, y=y, conds=(cond1, cond2, cond3, cond4, cond5),
-                         minimal=is_minimal(sys).ok)
-
-
-def constant_tail_symmetry(sys: FiniteZdSystem, *, Q: CubeSet | None = None,
-                           threads: int = 1) -> tuple[bool, tuple[int, int] | None]:
+def constant_tail_symmetry(sys: FiniteZdSystem
+                           ) -> tuple[bool, tuple[int, int] | None]:
     """(x, y..y) is a cube tuple exactly when (y, x..x) is."""
-    Q = _require_full_Q(sys, Q, threads)
+    Q = enumerate_Q(sys, _full_dirs(sys))
     w = Q.width
     for x in range(sys.n_points):
         for y in range(sys.n_points):
@@ -203,11 +153,9 @@ class ProximalReport:
     minimal: bool
 
 
-def proximal_report(sys: FiniteZdSystem, *, threads: int = 1) -> ProximalReport:
-    Q = enumerate_Q(sys, _full_dirs(sys), threads=threads)
-    rels = [compute_R_j(sys, j, Q=Q, threads=threads) for j in range(1, sys.d + 1)]
-    R = PairRelation(sys.n_points,
-                     frozenset.intersection(*(r.pairs for r in rels)), sys)
+def proximal_report(sys: FiniteZdSystem) -> ProximalReport:
+    rels = [compute_R_j(sys, j) for j in _full_dirs(sys)]
+    R = compute_R(sys)
     return ProximalReport(
         relation_sizes=tuple(len(r) for r in rels),
         intersection_size=len(R),
@@ -228,11 +176,11 @@ class PushforwardReport:
     target_size: int
 
 
-def pushforward_check(pi: FactorMap, *, threads: int = 1) -> PushforwardReport:
+def pushforward_check(pi: FactorMap) -> PushforwardReport:
     """Does the source relation push forward exactly onto the target relation?
     The forward inclusion holds for any factor map; equality needs minimality."""
-    R_src = compute_R(pi.source, threads=threads)
-    R_tgt = compute_R(pi.target, threads=threads)
+    R_src = compute_R(pi.source)
+    R_tgt = compute_R(pi.target)
     image = frozenset((pi(x), pi(y)) for x, y in R_src.pairs)
     escaped = None
     for p in sorted(image - R_tgt.pairs):
@@ -253,23 +201,21 @@ def pushforward_check(pi: FactorMap, *, threads: int = 1) -> PushforwardReport:
     )
 
 
-def maximal_ucpp_factor(sys: FiniteZdSystem, *, threads: int = 1
-                        ) -> tuple[FiniteZdSystem, FactorMap]:
+def maximal_ucpp_factor(sys: FiniteZdSystem) -> tuple[FiniteZdSystem, FactorMap]:
     """Quotient by the intersection relation and verify the result has unique
     cube completion with a trivial intersection relation of its own."""
-    R = compute_R(sys, threads=threads)
+    R = compute_R(sys)
     eq = check_equivalence(R)
     if not eq.ok:
         raise HypothesisError(
             "the intersection relation is not an invariant equivalence here, "
             "so the quotient is undefined (expected only on non-minimal input)")
     q_sys, pi = quotient(sys, R)
-    Qq = enumerate_Q(q_sys, _full_dirs(q_sys), threads=threads)
-    res = ucpp_check(Qq)
+    res = ucpp_check(enumerate_Q(q_sys, _full_dirs(q_sys)))
     if not res.ok:
         raise AssertionError(
             f"quotient failed unique completion at {res.pair}; this is a bug")
-    Rq = compute_R(q_sys, Q=Qq, threads=threads)
+    Rq = compute_R(q_sys)
     if not Rq.is_diagonal():
         raise AssertionError(
             "quotient has a non-trivial intersection relation; this is a bug")

@@ -288,8 +288,8 @@ class JoiningContainment:
 
 
 def joining_containment_check(sys: FiniteZdSystem, x: int,
-                              U: frozenset[int] | set[int] | None = None,
-                              *, threads: int = 1) -> JoiningContainment:
+                              U: frozenset[int] | set[int] | None = None
+                              ) -> JoiningContainment:
     """Return-time sets of the diagonal point in each side projection join
     into a subset of N(x, U).
 
@@ -312,12 +312,11 @@ def joining_containment_check(sys: FiniteZdSystem, x: int,
     if x not in U:
         return JoiningContainment("hypotheses-unmet", "x is not in U",
                                   None, None, None, None)
-    if not ucpp_check(enumerate_Q(sys, tuple(range(1, sys.d + 1)),
-                                  threads=threads)).ok:
+    if not ucpp_check(enumerate_Q(sys, tuple(range(1, sys.d + 1)))).ok:
         return JoiningContainment("hypotheses-unmet",
                                   "cube completion is not unique",
                                   None, None, None, None)
-    dec = decompose(sys, x, threads=threads)
+    dec = decompose(sys, x)
     d = sys.d
     side_sets = []
     for j in range(1, d + 1):
@@ -381,7 +380,7 @@ def insert_identity_generator(sys: FiniteZdSystem, j: int) -> FiniteZdSystem:
 
 def product_system_realization(
     factors: list[tuple[FiniteZdSystem, int, frozenset[int] | set[int]]],
-    *, threads: int = 1, cap: int = JOIN_CAP,
+    *, cap: int = JOIN_CAP,
 ) -> ProductRealization:
     """Realize a d-joining as an honest return set.
 
@@ -446,7 +445,7 @@ def product_system_realization(
         [return_set(drop_generator(f, i), y, frozenset(Uf), cap=cap)
          for i, (f, y, Uf) in enumerate(factors, start=1)],
         cap=cap)
-    u = ucpp_check(enumerate_Q(prod_sys, tuple(range(1, d + 1)), threads=threads))
+    u = ucpp_check(enumerate_Q(prod_sys, tuple(range(1, d + 1))))
     return ProductRealization(
         system=prod_sys, point=index[start], nbhd=nbhd, return_set=N,
         joining=joined, equal=N.equals(joined), ucpp_ok=u.ok,

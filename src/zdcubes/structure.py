@@ -15,8 +15,6 @@ completion, Y embeds into the product of the Y_j.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +92,6 @@ def maximal_trivial_H_factor(sys: FiniteZdSystem, H: SubgroupSpec
             if pi(h[x]) != pi(x):
                 raise AssertionError("H does not act trivially on the quotient; bug")
     return q_sys, pi
-
-
-maximal_Z0H_factor = maximal_trivial_H_factor
 
 
 @dataclass(frozen=True)
@@ -232,15 +227,18 @@ def _corner_positions(d: int, i: int, j: int) -> tuple[int, ...]:
                  if not (m >> (i - 1)) & 1 and not (m >> (j - 1)) & 1)
 
 
-def decompose(sys: FiniteZdSystem, x0: int, *, threads: int = 1
-              ) -> JoiningDecomposition:
+def decompose(sys: FiniteZdSystem, x0: int) -> JoiningDecomposition:
     """Build Y = K^{x0} with the face action, its side and corner coordinate
     projections, and test injectivity of the product of side projections."""
     if sys.d < 2:
         raise InputError("decomposition needs d >= 2")
+    return sys.memo(("decompose", x0), lambda: _decompose(sys, x0))
+
+
+def _decompose(sys: FiniteZdSystem, x0: int) -> JoiningDecomposition:
     dirs = tuple(range(1, sys.d + 1))
-    Q = enumerate_Q(sys, dirs, threads=threads)
-    K = enumerate_K(sys, dirs, x0, threads=threads)
+    Q = enumerate_Q(sys, dirs)
+    K = enumerate_K(sys, dirs, x0)
     if not np.array_equal(section_of(Q, x0).to_array(), K.to_array()):
         raise AssertionError("base-point restriction disagrees with the section; bug")
     u = ucpp_check(Q)
@@ -273,18 +271,6 @@ def decompose(sys: FiniteZdSystem, x0: int, *, threads: int = 1
     )
 
 
-def raw_decomposition(K: CubeSet) -> JoiningDecomposition:
-    """A light-weight decomposition of a raw based cube set: only the data
-    the candidate check needs, with unknown minimality."""
-    if not K.based:
-        raise InputError("need a based cube set")
-    return JoiningDecomposition(
-        sys=K.base, x0=None, K=K, ucpp=ucpp_check(K), minimal=None,
-        Y=None, side_projections=(), corner_projections={},
-        injective=None, injectivity_witness=None,
-    )
-
-
 @dataclass(frozen=True)
 class FactorIsoResult:
     ok: bool
@@ -298,8 +284,8 @@ class FactorIsoResult:
     witness: str | None
 
 
-def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int, *,
-                             threads: int = 1) -> FactorIsoResult:
+def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
+                             ) -> FactorIsoResult:
     """The face system of K quotiented by the direction-j face orbit must be
     carried isomorphically onto K of the remaining directions by forgetting
     the eps_j = 1 coordinates."""
@@ -309,16 +295,16 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int, *,
         raise InputError("need d >= 2")
     dirs = tuple(range(1, sys.d + 1))
     rest = tuple(i for i in dirs if i != j)
-    K = enumerate_K(sys, dirs, x0, threads=threads)
+    K = enumerate_K(sys, dirs, x0)
     Y = face_system(K)
     q_sys, kappa = maximal_trivial_H_factor(Y, SubgroupSpec(dirs=(j,)))
     if len(rest) == 1:
-        K_rest = enumerate_Q(sys, rest, threads=threads)
+        K_rest = enumerate_Q(sys, rest)
         low = tuple(p[1] for p in K_rest.points if p[0] == x0)
         rest_values = tuple((v,) for v in sorted(set(low)))
         Y_rest = None
     else:
-        K_rest = enumerate_K(sys, rest, x0, threads=threads)
+        K_rest = enumerate_K(sys, rest, x0)
         rest_values = K_rest.points
         Y_rest = face_system(K_rest)
     rest_index = {v: i for i, v in enumerate(rest_values)}
@@ -380,7 +366,7 @@ class RelativeIndependenceResult:
     witness: tuple | None
 
 
-def relative_independence_check(dec: JoiningDecomposition, *, threads: int = 1
+def relative_independence_check(dec: JoiningDecomposition
                                 ) -> RelativeIndependenceResult:
     """Over each point of K, combine every compatible choice of side values
     and require a unique completion back in K.
@@ -426,19 +412,9 @@ def relative_independence_check(dec: JoiningDecomposition, *, threads: int = 1
                 return (pt, combo, f"{len(comp)} completions")
         return None
 
-    pts = list(K.points)
-    threads = min(threads, os.cpu_count() or 1)
-    if threads > 1 and len(pts) > 1:
-        chunk = max(1, (len(pts) + threads - 1) // threads)
-        parts = [pts[i:i + chunk] for i in range(0, len(pts), chunk)]
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            results = list(pool.map(lambda part: [check_point(p) for p in part],
-                                    parts))
-        flat = [r for part in results for r in part]
-    else:
-        flat = [check_point(p) for p in pts]
-    for r in flat:
+    for pt in K.points:
+        r = check_point(pt)
         if r is not None:
-            return RelativeIndependenceResult(status="fail", checked=len(pts),
+            return RelativeIndependenceResult(status="fail", checked=len(K),
                                               witness=r)
-    return RelativeIndependenceResult(status="pass", checked=len(pts), witness=None)
+    return RelativeIndependenceResult(status="pass", checked=len(K), witness=None)

@@ -77,8 +77,8 @@ def test_criterion_2(systems, oracle):
     Q = enumerate_Q(sys_, (1, 2))
     K = enumerate_K(sys_, (1, 2), 0)
     u = ucpp_check(Q)
-    r1 = compute_R_j(sys_, 1, Q=Q)
-    r2 = compute_R_j(sys_, 2, Q=Q)
+    r1 = compute_R_j(sys_, 1)
+    r2 = compute_R_j(sys_, 2)
     elapsed = time.perf_counter() - t0
     want = oracle["fixtures"]["rot6"]
     assert len(Q) == 108 == want["Q_size"]
@@ -121,7 +121,7 @@ def test_criterion_4(minimal_systems):
         q_sys, pi = quotient(sys_, R)
         Qq = enumerate_Q(q_sys, _full_dirs(q_sys))
         assert ucpp_check(Qq).ok, name
-        Rq = compute_R(q_sys, Q=Qq)
+        Rq = compute_R(q_sys)
         assert Rq.is_diagonal(), name
 
 

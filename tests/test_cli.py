@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from zdcubes.cli import detect_kind, main
+from zdcubes.cli import cmd_verify, detect_kind, main
 from zdcubes.errors import InputError
 
 runner = CliRunner()
@@ -375,6 +375,47 @@ def test_verify_pset_with_a_large_modulus(tmp_path):
     assert code == 0
     item = next(c for c in rep["checks"] if c["check"] == "sum_image_consistency")
     assert (item["status"], item["detail"]["image_modulus"]) == ("pass", 1_000_000)
+
+
+@pytest.mark.parametrize("name", ["rot12", "rot8_d3", "nonmin_z4z2"])
+def test_verify_enumerates_each_cube_set_once(fixture_dir, monkeypatch, name):
+    from zdcubes import cube_engine
+
+    real = cube_engine._enumerate_rows
+    calls = {}
+    alive = []  # keeps every system alive so no id is reused within the run
+
+    def counting(sys, dirs, bases):
+        alive.append(sys)
+        if list(dirs) == sorted(dirs):
+            key = (id(sys), dirs, tuple(bases.tolist()))
+            calls[key] = calls.get(key, 0) + 1
+        return real(sys, dirs, bases)
+
+    monkeypatch.setattr(cube_engine, "_enumerate_rows", counting)
+    _, code = cmd_verify(_path(fixture_dir, f"{name}.fsys"))
+    assert code == 0
+    assert calls and max(calls.values()) == 1, \
+        {k[1:]: v for k, v in calls.items() if v > 1}
+
+
+def test_verify_skips_an_over_budget_product_realization(fixture_dir,
+                                                         monkeypatch):
+    from zdcubes import cube_engine
+
+    # rot6 enumerates at most 108 rows itself; its derived product system
+    # needs 324
+    path = _path(fixture_dir, "rot6.fsys")
+    want, _ = cmd_verify(path)
+    monkeypatch.setattr(cube_engine, "MAX_ENUM_ROWS", 200)
+    got, code = cmd_verify(path)
+    assert code == 0
+    item = got["checks"][-1]
+    assert item["check"] == "product_realization"
+    assert item["status"] == "skipped"
+    assert item["detail"]["reason"].startswith(
+        "budget: enumeration would produce 324 rows")
+    assert got["checks"][:-1] == want["checks"][:-1]
 
 
 def test_verify_thread_count_never_changes_bytes(fixture_dir):

@@ -71,24 +71,6 @@ def test_enumeration_size_guard():
         enumerate_Q(many, (1, 2))
 
 
-def test_enumeration_threads_clamped_to_cpu_count(systems, monkeypatch):
-    from zdcubes import cube_engine
-
-    workers = []
-
-    class Recording(cube_engine.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            workers.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(cube_engine, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(cube_engine.os, "cpu_count", lambda: 2)
-    sys_ = systems["rot6"]
-    want = enumerate_Q(sys_, (1, 2))
-    assert enumerate_Q(sys_, (1, 2), threads=5).points == want.points
-    assert workers == [2]
-
-
 def test_cube_set_text_round_trip(systems):
     Q = enumerate_Q(systems["rot6"], (1, 2))
     again = CubeSet.from_text(Q.to_text())

@@ -183,6 +183,46 @@ def test_factor_map_detects_non_equivariance(systems):
     assert rep.witness is not None
 
 
+def test_is_minimal_inverts_each_generator_once(monkeypatch):
+    from zdcubes import finite_system
+
+    real = finite_system._invert
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(finite_system, "_invert", counting)
+    n = 500
+    sys_ = FiniteZdSystem(n, 2, (tuple((x + 1) % n for x in range(n)),
+                                 tuple((x + 7) % n for x in range(n))))
+    assert is_minimal(sys_).ok
+    assert len(calls) <= sys_.d
+
+
+def test_derived_objects_leave_identity_unchanged(fixture_dir):
+    from zdcubes.cube_engine import enumerate_Q
+    from zdcubes.proximal import compute_R
+    from zdcubes.structure import decompose
+
+    path = str(fixture_dir / "rot6.fsys")
+    text = (fixture_dir / "rot6.fsys").read_text()
+    sys_ = parse_finite_system(text, path=path)
+    Q = enumerate_Q(sys_, (1, 2))
+    R = compute_R(sys_)
+    dec = decompose(sys_, 0)
+    # the second request returns the stored object
+    assert enumerate_Q(sys_, (1, 2)) is Q
+    assert compute_R(sys_) is R
+    assert decompose(sys_, 0) is dec
+    fresh = parse_finite_system(text, path=path)
+    assert sys_ == fresh
+    assert hash(sys_) == hash(fresh)
+    assert repr(sys_) == repr(fresh)
+    assert to_text(sys_) == to_text(fresh)
+
+
 def test_bad_system_constructor():
     with pytest.raises(InputError):
         FiniteZdSystem(2, 1, ((0, 0),))

@@ -1,7 +1,7 @@
 import numpy as np
 
 from zdcubes import kernels
-from zdcubes.cube_engine import _pow_table, enumerate_K, enumerate_Q
+from zdcubes.cube_engine import _pow_table
 from zdcubes.finite_system import apply_word, perm_order
 from zdcubes.kernels import backend_name, exponent_combos
 
@@ -15,18 +15,6 @@ def test_exponent_combos_order():
 
 def test_backend_name_is_known():
     assert backend_name() == "numpy"
-
-
-def test_enumeration_is_thread_independent(systems):
-    for name in ("rot6", "rot8_d3"):
-        sys_ = systems[name]
-        dirs = tuple(range(1, sys_.d + 1))
-        q1 = enumerate_Q(sys_, dirs, threads=1)
-        q8 = enumerate_Q(sys_, dirs, threads=8)
-        assert q1.points == q8.points
-        k1 = enumerate_K(sys_, dirs, 0, threads=1)
-        k8 = enumerate_K(sys_, dirs, 0, threads=8)
-        assert k1.points == k8.points
 
 
 def test_enumerate_blocks_rows_match_word_action(systems):

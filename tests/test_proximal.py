@@ -3,7 +3,6 @@ import pytest
 from zdcubes.cube_engine import enumerate_Q
 from zdcubes.proximal import (
     build_z,
-    characterize,
     check_equivalence,
     compute_R,
     compute_R_j,
@@ -53,9 +52,8 @@ def test_build_z_rejects_bad_completion_length():
 def test_relation_diagonal_flags_match_oracle(systems, oracle):
     for name, sys_ in systems.items():
         want = oracle["fixtures"][name]["R_Tj_is_diagonal"]
-        Q = enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))
         for j in range(1, sys_.d + 1):
-            rel = compute_R_j(sys_, j, Q=Q)
+            rel = compute_R_j(sys_, j)
             assert rel.is_diagonal() == want[j - 1], (name, j)
 
 
@@ -70,9 +68,8 @@ def test_relation_reorder_cross_check(systems):
 
 def test_relations_always_reflexive_and_symmetric(systems):
     for sys_ in systems.values():
-        Q = enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))
         for j in range(1, sys_.d + 1):
-            rel = compute_R_j(sys_, j, Q=Q)
+            rel = compute_R_j(sys_, j)
             assert rel.is_reflexive()[0]
             assert rel.is_symmetric()[0]
 
@@ -81,23 +78,6 @@ def test_intersection_relation_is_invariant_equivalence(minimal_systems):
     for name, sys_ in minimal_systems.items():
         rep = check_equivalence(compute_R(sys_))
         assert rep.ok, name
-
-
-def test_characterize_five_way_spot(systems):
-    sys_ = systems["rot6"]
-    Q = enumerate_Q(sys_, (1, 2))
-    for x in range(6):
-        for y in range(6):
-            res = characterize(sys_, x, y, Q=Q)
-            assert res.hypotheses_met
-            assert res.all_agree, (x, y)
-            # R is trivial here, so all five answers collapse to x == y
-            assert res.conds[0] == (x == y)
-
-
-def test_characterize_flags_nonminimal(systems):
-    res = characterize(systems["nonmin_z4z2"], 0, 1)
-    assert not res.hypotheses_met
 
 
 def test_constant_tail_symmetry(systems):

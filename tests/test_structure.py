@@ -10,9 +10,7 @@ from zdcubes.structure import (
     face_system,
     factor_isomorphism_check,
     iterated_quotient_check,
-    maximal_Z0H_factor,
     maximal_trivial_H_factor,
-    raw_decomposition,
     relative_independence_check,
     z0h_universality_check,
 )
@@ -54,10 +52,6 @@ def test_QH_quotient_classes_match_oracle(systems, oracle):
     assert q_sys.perms[1] == tuple(range(q_sys.n_points))
 
 
-def test_maximal_Z0H_factor_is_an_alias():
-    assert maximal_Z0H_factor is maximal_trivial_H_factor
-
-
 def test_z0h_universality(systems):
     sys_ = systems["rot6"]
     H = SubgroupSpec(dirs=(2,))
@@ -95,17 +89,6 @@ def test_decompose_side_systems_have_identity_at_dropped_direction(systems):
         assert Y.d == systems["rot6"].d
         ident = tuple(range(Y.n_points))
         assert Y.perms[j - 1] == ident
-
-
-def test_raw_decomposition_matches_decompose(systems):
-    sys_ = systems["rot6"]
-    K = enumerate_K(sys_, (1, 2), 0)
-    raw = raw_decomposition(K)
-    dec = decompose(sys_, 0)
-    assert raw.K.points == dec.K.points
-    assert raw.ucpp.ok == dec.ucpp.ok
-    assert raw.minimal is None  # minimality is unknowable from the raw set
-    assert not raw.hypotheses_met
 
 
 def test_face_system_round(systems):
@@ -146,21 +129,3 @@ def test_relative_independence_gates_on_hypotheses(systems):
     assert not dec.hypotheses_met
     res = relative_independence_check(dec)
     assert res.status == "hypotheses-unmet"
-
-
-def test_relative_independence_threads_clamped_to_cpu_count(systems, monkeypatch):
-    from zdcubes import structure
-
-    workers = []
-
-    class Recording(structure.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            workers.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(structure, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(structure.os, "cpu_count", lambda: 2)
-    dec = decompose(systems["rot6"], 0)
-    want = relative_independence_check(dec)
-    assert relative_independence_check(dec, threads=5) == want
-    assert workers == [2]
