@@ -237,10 +237,10 @@ def affine_pow(a: Matrix, alpha: TorusPoint, n: int) -> tuple[Matrix, tuple]:
     """T^n as an affine map (matrix, translation), exact for any sign of n."""
     r = len(a)
     if n >= 0:
-        t = (Fraction(0),) * r
-        power = _identity(r)
-        # t_n = (I + A + .. + A^{n-1}) alpha; n stays small here
-        for _ in range(n):
+        # t_n = (I + A + .. + A^{n-1}) alpha, from T^1 = (A, alpha); n stays
+        # small here
+        power, t = (a, tuple(alpha)) if n else (_identity(r), (Fraction(0),) * r)
+        for _ in range(n - 1):
             t = tuple(x + y for x, y in zip(mat_vec(power, alpha), t))
             power = mat_mul(power, a)
         return power, t

@@ -16,6 +16,10 @@ The text format::
 Blank lines and '#' comments are allowed anywhere.  The parser rejects
 non-bijective rows and non-commuting generator pairs with line-numbered
 diagnostics.
+
+Equivalence relations (orbits, the closure of a pair relation, the classes
+of a quotient) are int label arrays from partition(): each point carries the
+least member of its class.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from .errors import InputError
 
@@ -209,22 +215,13 @@ class MinimalityResult:
     orbit_sizes: tuple[int, ...]
 
 
+def _orbits(sys: FiniteZdSystem) -> np.ndarray:
+    return sys.memo(("orbits",), lambda: orbit_labels(sys.n_points, sys.perms))
+
+
 def orbit_of(sys: FiniteZdSystem, x: int) -> frozenset[int]:
-    seen = {x}
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        for p in sys.perms:
-            z = p[y]
-            if z not in seen:
-                seen.add(z)
-                stack.append(z)
-        for p in sys.inverses:
-            z = p[y]
-            if z not in seen:
-                seen.add(z)
-                stack.append(z)
-    return frozenset(seen)
+    lab = _orbits(sys)
+    return frozenset(np.flatnonzero(lab == lab[x]).tolist())
 
 
 def is_minimal(sys: FiniteZdSystem) -> MinimalityResult:
@@ -234,44 +231,68 @@ def is_minimal(sys: FiniteZdSystem) -> MinimalityResult:
 
 
 def _orbit_census(sys: FiniteZdSystem) -> MinimalityResult:
-    seen: set[int] = set()
-    sizes = []
-    witness = None
-    for x in range(sys.n_points):
-        if x in seen:
-            continue
-        orb = orbit_of(sys, x)
-        sizes.append(len(orb))
-        seen |= orb
-        if witness is None and len(orb) != sys.n_points:
-            witness = x
-    return MinimalityResult(ok=len(sizes) == 1, witness=witness, orbit_sizes=tuple(sizes))
+    counts = np.bincount(_orbits(sys))
+    sizes = tuple(counts[counts > 0].tolist())  # by least member
+    ok = len(sizes) == 1
+    # point 0's orbit is proper whenever there is more than one orbit
+    return MinimalityResult(ok=ok, witness=None if ok else 0, orbit_sizes=sizes)
+
+
+# ---------------------------------------------------------------------------
+# partitions as label arrays
+
+
+def partition(n: int, u, v) -> np.ndarray:
+    """Labels of the equivalence relation on 0..n-1 generated by the edges
+    (u[k], v[k]): each point's label is the least member of its class.
+
+    Each round hooks, for every edge whose ends still carry different
+    labels, the larger of the two roots under the smaller, then jumps
+    pointers (lab = lab[lab]) until every label is a root.  Hooking roots
+    rather than points keeps the rounds few: about a dozen on a randomly
+    relabelled cycle of a million points."""
+    lab = np.arange(n, dtype=np.int64)
+    u = np.asarray(u, dtype=np.int64).ravel()
+    v = np.asarray(v, dtype=np.int64).ravel()
+    while True:
+        a, b = lab[u], lab[v]
+        live = a != b
+        if not live.any():
+            return lab
+        # an edge whose ends share a label keeps sharing it
+        u, v, a, b = u[live], v[live], a[live], b[live]
+        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+
+
+def orbit_labels(n: int, perms: Sequence[Perm]) -> np.ndarray:
+    """Labels of the orbits of the group generated by perms, from the edges
+    (x, g x) of each generator; the group is never listed."""
+    images = np.asarray(perms, dtype=np.int64).reshape(len(perms), n)
+    return partition(n, np.tile(np.arange(n), len(perms)), images)
+
+
+def label_classes(labels) -> tuple[tuple[int, ...], ...]:
+    """The fibres of a label array (any class ids), each ascending, ordered
+    by least member."""
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    groups = [g.tolist() for g in np.split(order, cuts)]
+    groups.sort(key=lambda g: g[0])
+    return tuple(map(tuple, groups))
+
+
+def _first(mask: np.ndarray) -> int | None:
+    return int(mask.argmax()) if mask.any() else None
 
 
 # ---------------------------------------------------------------------------
 # pair relations
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # attach the larger root under the smaller so class reps are minimal ids
-            if rx < ry:
-                self.parent[ry] = rx
-            else:
-                self.parent[rx] = ry
 
 
 @dataclass(frozen=True)
@@ -279,7 +300,9 @@ class PairRelation:
     """A set of ordered pairs on {0..n-1}.
 
     base optionally references the system the relation lives on, which lets
-    check_equivalence test invariance without extra arguments.
+    check_equivalence test invariance without extra arguments.  The
+    equivalence closure is read from labels(), the partition of the pairs
+    taken as undirected edges.
     """
 
     n_points: int
@@ -337,27 +360,25 @@ class PairRelation:
                     return False, ((x, y), i)
         return True, None
 
+    @classmethod
+    def from_labels(cls, labels: np.ndarray,
+                    base: FiniteZdSystem | None = None) -> "PairRelation":
+        """The equivalence relation whose classes are those of labels."""
+        return cls(len(labels), frozenset(
+            (x, y) for c in label_classes(labels) for x in c for y in c), base)
+
+    def labels(self) -> np.ndarray:
+        """Least-member labels of the classes of the equivalence closure."""
+        flat = np.fromiter((v for pair in self.pairs for v in pair),
+                           dtype=np.int64, count=2 * len(self.pairs))
+        return partition(self.n_points, flat[0::2], flat[1::2])
+
     def equivalence_closure(self) -> "PairRelation":
-        uf = _UnionFind(self.n_points)
-        for x, y in self.pairs:
-            uf.union(x, y)
-        reps: dict[int, list[int]] = {}
-        for x in range(self.n_points):
-            reps.setdefault(uf.find(x), []).append(x)
-        pairs = frozenset(
-            (x, y) for members in reps.values() for x in members for y in members
-        )
-        return PairRelation(self.n_points, pairs, self.base)
+        return PairRelation.from_labels(self.labels(), self.base)
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Partition classes of the equivalence closure, sorted by least member."""
-        uf = _UnionFind(self.n_points)
-        for x, y in self.pairs:
-            uf.union(x, y)
-        groups: dict[int, list[int]] = {}
-        for x in range(self.n_points):
-            groups.setdefault(uf.find(x), []).append(x)
-        return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+        return label_classes(self.labels())
 
     def to_text(self) -> str:
         lines = [f"pair-relation n={self.n_points}"]
@@ -375,19 +396,23 @@ class PairRelation:
             n = int(header.split("n=", 1)[1].strip())
         except (IndexError, ValueError):
             raise InputError("malformed pair-relation header", path=path, line=header_line)
+        if n < 1:
+            raise InputError(f"need at least one point, got n = {n}", path=path,
+                             line=header_line)
         pairs = set()
         for lineno, line in body[1:]:
             parts = line.split(",")
             if len(parts) != 2:
                 raise InputError(f"expected 'x,y', got {line!r}", path=path, line=lineno)
             try:
-                pairs.add((int(parts[0]), int(parts[1])))
+                x, y = int(parts[0]), int(parts[1])
             except ValueError:
                 raise InputError(f"non-integer pair {line!r}", path=path, line=lineno)
-        try:
-            return cls(n, frozenset(pairs))
-        except InputError as exc:
-            raise InputError(str(exc), path=path)
+            if not (0 <= x < n and 0 <= y < n):
+                raise InputError(f"pair ({x},{y}) out of range for n = {n}",
+                                 path=path, line=lineno)
+            pairs.add((x, y))
+        return cls(n, frozenset(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +452,17 @@ class FactorMapReport:
 
 
 def check_factor_map(pi: FactorMap) -> FactorMapReport:
-    missed = None
-    hit = set(pi.mapping)
-    for y in range(pi.target.n_points):
-        if y not in hit:
-            missed = y
-            break
-    witness = None
+    m = np.asarray(pi.mapping, dtype=np.int64)
+    hit = np.zeros(pi.target.n_points, dtype=bool)
+    hit[m] = True
+    missed = _first(~hit)
     if pi.source.d != pi.target.d:
         raise InputError("source and target have different d")
-    for i in range(pi.source.d):
-        p, q = pi.source.perms[i], pi.target.perms[i]
-        for x in range(pi.source.n_points):
-            if pi.mapping[p[x]] != q[pi.mapping[x]]:
-                witness = (x, i + 1)
-                break
-        if witness:
+    witness = None
+    for i, (p, q) in enumerate(zip(pi.source.perms, pi.target.perms), start=1):
+        x = _first(m[np.asarray(p)] != np.asarray(q)[m])
+        if x is not None:
+            witness = (x, i)
             break
     return FactorMapReport(
         ok=missed is None and witness is None,
@@ -473,25 +493,27 @@ def quotient(sys: FiniteZdSystem, rel: PairRelation) -> tuple[FiniteZdSystem, Fa
     """
     if rel.n_points != sys.n_points:
         raise InputError("relation size does not match system size")
-    closed = PairRelation(rel.n_points, rel.pairs, sys).equivalence_closure()
-    classes = closed.classes()
-    class_of = [0] * sys.n_points
-    for c, members in enumerate(classes):
-        for x in members:
-            class_of[x] = c
-    for i, p in enumerate(sys.perms, start=1):
-        for members in classes:
-            target = class_of[p[members[0]]]
-            for x in members[1:]:
-                if class_of[p[x]] != target:
-                    raise InvarianceError((members[0], x), i)
-    new_perms = tuple(
-        tuple(class_of[sys.perms[i][members[0]]] for members in classes)
-        for i in range(sys.d)
-    )
-    q_sys = FiniteZdSystem(len(classes), sys.d, new_perms,
+    return _label_quotient(sys, rel.labels())
+
+
+def _label_quotient(sys: FiniteZdSystem, labels: np.ndarray
+                    ) -> tuple[FiniteZdSystem, FactorMap]:
+    """Quotient by the partition with least-member labels.  Classes are
+    numbered by least member; the first InvarianceError pair is (least
+    member, x) for the first generator, class and member x, in that order,
+    whose image leaves the image class of the least member."""
+    reps, class_of = np.unique(labels, return_inverse=True)
+    perms = [np.asarray(p) for p in sys.perms]
+    for i, p in enumerate(perms, start=1):
+        image = class_of[p]
+        bad = np.flatnonzero(image != image[reps][class_of])
+        if len(bad):
+            x = int(bad[np.lexsort((bad, class_of[bad]))[0]])
+            raise InvarianceError((int(reps[class_of[x]]), x), i)
+    new_perms = tuple(tuple(class_of[p[reps]].tolist()) for p in perms)
+    q_sys = FiniteZdSystem(len(reps), sys.d, new_perms,
                            name=f"{sys.name}/~" if sys.name else "")
-    pi = FactorMap(sys, q_sys, tuple(class_of))
+    pi = FactorMap(sys, q_sys, tuple(class_of.tolist()))
     return q_sys, pi
 
 

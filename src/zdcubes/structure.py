@@ -1,9 +1,11 @@
 """Subgroup orbit relations, their quotients, and the joining decomposition
 of a base-point cube set.
 
-For a subgroup H of the acting group, Q_H collects the pairs (x, hx).  On a
-finite phase space this is always an equivalence relation and its quotient
-is the maximal factor on which H acts trivially.
+For a subgroup H of the acting group, Q_H is the orbit relation of H: x and
+hx are related for every h in H.  Its classes are the H-orbits, read as a
+label array from the edges (x, g x) of H's generators, so H is never
+listed; the quotient by them is the maximal factor on which H acts
+trivially.
 
 decompose() studies Y = K^{x0} under the face action: direction j of the
 face system moves the coordinates whose vertex has eps_j = 1 by T_j.  The
@@ -23,7 +25,8 @@ from .cube_engine import (CubeSet, FaceGroupElement, RowIndex, enumerate_K,
                           enumerate_Q, section_of, ucpp_check, UcppResult)
 from .errors import HypothesisError, InputError
 from .finite_system import (FactorMap, FiniteZdSystem, PairRelation,
-                            is_minimal, quotient)
+                            _label_quotient, is_minimal, label_classes,
+                            orbit_labels)
 
 
 @dataclass(frozen=True)
@@ -49,48 +52,22 @@ class SubgroupSpec:
             gens.append(sys.word_perm(w))
         return gens
 
-    def element_perms(self, sys: FiniteZdSystem) -> list[tuple[int, ...]]:
-        """All permutations in the generated subgroup, BFS from the identity."""
-        ident = tuple(range(sys.n_points))
-        gens = self.generator_perms(sys)
-        inv = []
-        for g in gens:
-            v = [0] * len(g)
-            for x, y in enumerate(g):
-                v[y] = x
-            inv.append(tuple(v))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in list(gens) + inv:
-                    q = tuple(g[v] for v in p)
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return sorted(seen)
-
 
 def compute_QH(sys: FiniteZdSystem, H: SubgroupSpec) -> PairRelation:
     """The orbit relation {(x, hx) : h in H}."""
-    pairs = set()
-    for h in H.element_perms(sys):
-        for x in range(sys.n_points):
-            pairs.add((x, h[x]))
-    return PairRelation(sys.n_points, frozenset(pairs), sys)
+    labels = orbit_labels(sys.n_points, H.generator_perms(sys))
+    return PairRelation.from_labels(labels, sys)
 
 
 def maximal_trivial_H_factor(sys: FiniteZdSystem, H: SubgroupSpec
                              ) -> tuple[FiniteZdSystem, FactorMap]:
     """Quotient by Q_H: the maximal factor on which H acts trivially."""
-    rel = compute_QH(sys, H)
-    q_sys, pi = quotient(sys, rel)
-    for h in H.generator_perms(sys):
-        for x in range(sys.n_points):
-            if pi(h[x]) != pi(x):
-                raise AssertionError("H does not act trivially on the quotient; bug")
+    gens = H.generator_perms(sys)
+    q_sys, pi = _label_quotient(sys, orbit_labels(sys.n_points, gens))
+    mapping = np.asarray(pi.mapping)
+    for h in gens:
+        if (mapping[np.asarray(h)] != mapping).any():
+            raise AssertionError("H does not act trivially on the quotient; bug")
     return q_sys, pi
 
 
@@ -110,28 +87,27 @@ def iterated_quotient_check(sys: FiniteZdSystem, H1: SubgroupSpec, H2: SubgroupS
     one_sys, one_pi = maximal_trivial_H_factor(sys, joint)
     mid_sys, mid_pi = maximal_trivial_H_factor(sys, H1)
     end_sys, end_pi = maximal_trivial_H_factor(mid_sys, H2)
-    one_classes: dict[int, list[int]] = {}
-    two_classes: dict[int, list[int]] = {}
-    for x in range(sys.n_points):
-        one_classes.setdefault(one_pi(x), []).append(x)
-        two_classes.setdefault(end_pi(mid_pi(x)), []).append(x)
-    a = tuple(sorted(tuple(sorted(g)) for g in one_classes.values()))
-    b = tuple(sorted(tuple(sorted(g)) for g in two_classes.values()))
+    a = label_classes(one_pi.mapping)
+    b = label_classes(np.asarray(end_pi.mapping)[np.asarray(mid_pi.mapping)])
     return IteratedQuotientResult(ok=a == b, one_step_classes=a, two_step_classes=b)
 
 
 def z0h_universality_check(pi: FactorMap, H: SubgroupSpec
                            ) -> tuple[str, tuple[int, int] | None]:
     """If H acts trivially on the target, the factor map must collapse Q_H:
-    returns ("pass"/"fail"/"hypotheses-unmet", witness)."""
+    returns ("pass"/"fail"/"hypotheses-unmet", witness).  The witness is the
+    least pair (x, y) of Q_H with pi(x) != pi(y)."""
     for h in H.generator_perms(pi.target):
         if h != tuple(range(pi.target.n_points)):
             return "hypotheses-unmet", None
-    rel = compute_QH(pi.source, H)
-    for x, y in sorted(rel.pairs):
-        if pi(x) != pi(y):
-            return "fail", (x, y)
-    return "pass", None
+    labels = orbit_labels(pi.source.n_points, H.generator_perms(pi.source))
+    mapping = np.asarray(pi.mapping)
+    # the members pi separates from the least member of their orbit
+    split = np.flatnonzero(mapping != mapping[labels])
+    if not len(split):
+        return "pass", None
+    x = labels[split].min()  # the least point of any orbit pi does not collapse
+    return "fail", (int(x), int(split[labels[split] == x][0]))
 
 
 # ---------------------------------------------------------------------------

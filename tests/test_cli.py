@@ -98,6 +98,19 @@ def test_validate_malformed_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("text,line", [
+    ("pair-relation n=-3\n", 1),
+    ("# three points\npair-relation n=3\n0,1\n\n5,1\n", 5),
+])
+def test_validate_malformed_pair_relation_exits_3(tmp_path, text, line):
+    bad = tmp_path / "bad.rel"
+    bad.write_text(text)
+    code, rep, _ = _invoke(["validate", str(bad)])
+    assert code == 3
+    assert rep["status"] == "input-error"
+    assert rep["error"].startswith(f"{bad}:{line}: ")
+
+
+@pytest.mark.parametrize("text,line", [
     ("finite-system\npoints = abc\nd = 1\nT1 = [0]\n", 2),
     ("finite-system\npoints = 1\nd = zz\nT1 = [0]\n", 3),
     ("affine-system\nr = x\nd = 1\nA1 = [[1]]\nalpha1 = [0]\n", 2),

@@ -1,0 +1,195 @@
+"""Label-array relations against the scalar reference and the brute force.
+
+Random commuting systems are disjoint unions of products of cyclic groups,
+each generator a translation, under a random relabelling of the points.  On
+each, the subgroup orbits, relation closures, quotients, factor-map checks,
+first witnesses and minimality must equal those of the union-find and BFS
+loops in tests/scalar_relations.py, and the closure of R must equal the
+closure of the relation the stdlib brute force in
+tests/oracles/gen_oracles.py extracts from its own cube set.
+"""
+
+import importlib.util
+import itertools
+import math
+import pathlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_relations as ref
+from zdcubes.finite_system import (FactorMap, FiniteZdSystem,
+                                   InvarianceError, PairRelation,
+                                   check_factor_map, is_minimal, orbit_of,
+                                   label_classes, partition, quotient)
+from zdcubes.proximal import compute_R, compute_R_j
+from zdcubes.structure import (SubgroupSpec, compute_QH,
+                               iterated_quotient_check,
+                               maximal_trivial_H_factor,
+                               z0h_universality_check)
+
+_spec = importlib.util.spec_from_file_location(
+    "gen_oracles",
+    pathlib.Path(__file__).resolve().parent / "oracles" / "gen_oracles.py")
+brute = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(brute)
+
+SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+# brute_Q visits n * prod(orders) * 2^d coordinates; larger systems skip it
+BRUTE_BUDGET = 20_000
+
+
+@st.composite
+def commuting_systems(draw):
+    """A disjoint union of 1..3 products of one or two cyclic groups, each
+    generator a translation, under a random relabelling."""
+    d = draw(st.integers(1, 3))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        moduli = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
+        steps = [tuple(draw(st.integers(0, m - 1)) for m in moduli)
+                 for _ in range(d)]
+        parts.append((moduli, steps))
+    perms = [[] for _ in range(d)]
+    offset = 0
+    for moduli, steps in parts:
+        elems = list(itertools.product(*(range(m) for m in moduli)))
+        index = {e: k for k, e in enumerate(elems)}
+        for i, step in enumerate(steps):
+            perms[i].extend(
+                offset + index[tuple((a + s) % m
+                                     for a, s, m in zip(e, step, moduli))]
+                for e in elems)
+        offset += len(elems)
+    sigma = draw(st.permutations(range(offset)))
+    relabelled = []
+    for p in perms:
+        q = [0] * offset
+        for x, y in enumerate(p):
+            q[sigma[x]] = sigma[y]
+        relabelled.append(tuple(q))
+    return FiniteZdSystem(offset, d, tuple(relabelled), name="random")
+
+
+@st.composite
+def subgroups(draw, d):
+    dirs = tuple(draw(st.lists(st.integers(1, d), max_size=2, unique=True)))
+    words = tuple(tuple(draw(st.lists(st.integers(-3, 3), min_size=d,
+                                      max_size=d)))
+                  for _ in range(draw(st.integers(0, 1))))
+    return SubgroupSpec(dirs=dirs, words=words)
+
+
+def _same_quotient(got, want):
+    (q_got, pi_got), (q_want, pi_want) = got, want
+    assert q_got == q_want
+    assert pi_got.mapping == pi_want.mapping
+
+
+@SETTINGS
+@given(st.data())
+def test_subgroup_orbits_and_quotients_match_reference(data):
+    sys_ = data.draw(commuting_systems())
+    H1 = data.draw(subgroups(sys_.d))
+    H2 = data.draw(subgroups(sys_.d))
+    for H in (H1, H2):
+        qh = compute_QH(sys_, H)
+        assert qh.pairs == ref.compute_QH(sys_, H).pairs
+        assert qh.classes() == ref.classes(sys_.n_points, qh.pairs)
+        got = maximal_trivial_H_factor(sys_, H)
+        _same_quotient(got, ref.maximal_trivial_H_factor(sys_, H))
+        assert check_factor_map(got[1]) == ref.check_factor_map(got[1])
+        assert z0h_universality_check(got[1], H) == ("pass", None)
+    assert iterated_quotient_check(sys_, H1, H2) == \
+        ref.iterated_quotient_check(sys_, H1, H2)
+    assert is_minimal(sys_) == ref.is_minimal(sys_)
+    x = data.draw(st.integers(0, sys_.n_points - 1))
+    assert orbit_of(sys_, x) == ref.orbit_of(sys_, x)
+
+
+@SETTINGS
+@given(st.data())
+def test_relation_closures_and_invariance_witnesses_match_reference(data):
+    sys_ = data.draw(commuting_systems())
+    point = st.integers(0, sys_.n_points - 1)
+    pairs = frozenset(data.draw(st.lists(st.tuples(point, point),
+                                         max_size=6)))
+    rel = PairRelation(sys_.n_points, pairs, sys_)
+    assert rel.classes() == ref.classes(sys_.n_points, pairs)
+    assert rel.equivalence_closure() == ref.equivalence_closure(rel)
+    try:
+        want = ref.quotient(sys_, rel)
+    except InvarianceError as exc:
+        want = (exc.pair, exc.generator)
+    try:
+        got = quotient(sys_, rel)
+    except InvarianceError as exc:
+        assert (exc.pair, exc.generator) == want
+    else:
+        _same_quotient(got, want)
+
+
+@SETTINGS
+@given(st.data())
+def test_factor_map_and_z0h_witnesses_match_reference(data):
+    sys_ = data.draw(commuting_systems())
+    H = data.draw(subgroups(sys_.d))
+    k = data.draw(st.integers(1, 4))
+    mapping = tuple(data.draw(st.lists(st.integers(0, k - 1),
+                                       min_size=sys_.n_points,
+                                       max_size=sys_.n_points)))
+    # H (indeed everything) acts trivially on this target, so z0h applies
+    still = FiniteZdSystem(k, sys_.d, (tuple(range(k)),) * sys_.d)
+    pi = FactorMap(sys_, still, mapping)
+    assert check_factor_map(pi) == ref.check_factor_map(pi)
+    assert z0h_universality_check(pi, H) == ref.z0h_universality_check(pi, H)
+    # a target with a non-trivial generator: maps rarely commute with it
+    moving = FiniteZdSystem(k, sys_.d, tuple(
+        tuple((y + i) % k for y in range(k)) for i in range(sys_.d)))
+    pi = FactorMap(sys_, moving, mapping)
+    assert check_factor_map(pi) == ref.check_factor_map(pi)
+    assert z0h_universality_check(pi, H) == ref.z0h_universality_check(pi, H)
+
+
+@SETTINGS
+@given(commuting_systems())
+def test_R_closures_match_brute_force(sys_):
+    orders = [brute.perm_order(list(p)) for p in sys_.perms]
+    if sys_.n_points * math.prod(orders) << sys_.d > BRUTE_BUDGET:
+        return
+    Q = brute.brute_Q([list(p) for p in sys_.perms], sys_.n_points, orders)
+    rels = [set(brute.brute_R_j(Q, sys_.d, j)) for j in range(1, sys_.d + 1)]
+    for j, want in enumerate(rels, start=1):
+        assert compute_R_j(sys_, j).pairs == want
+    R = compute_R(sys_)
+    assert R.pairs == set.intersection(*rels)
+    assert R.classes() == ref.classes(sys_.n_points, set.intersection(*rels))
+    assert R.equivalence_closure() == ref.equivalence_closure(R)
+
+
+def test_relabelled_cycle_of_2_pow_15_points():
+    n = 1 << 15
+    sigma = np.random.default_rng(15).permutation(n)
+    step = np.empty(n, dtype=np.int64)
+    step[sigma] = sigma[(np.arange(n) + 1) % n]  # sigma(k) -> sigma(k + 1)
+    sys_ = FiniteZdSystem(n, 1, (tuple(step.tolist()),))
+    res = is_minimal(sys_)
+    assert res.ok and res.witness is None and res.orbit_sizes == (n,)
+    assert (partition(n, np.arange(n), step) == 0).all()
+    # <T^8> has the 8 residue classes of k as orbits, numbered by least member
+    residue = np.empty(n, dtype=np.int64)
+    residue[sigma] = np.arange(n) % 8
+    least = np.array([sigma[r::8].min() for r in range(8)])
+    rank = np.argsort(np.argsort(least))
+    H = SubgroupSpec(words=((8,),))
+    q_sys, pi = maximal_trivial_H_factor(sys_, H)
+    assert pi.mapping == tuple(rank[residue].tolist())
+    assert q_sys.perms[0] == tuple(rank[(np.argsort(rank) + 1) % 8].tolist())
+    assert z0h_universality_check(pi, H) == ("pass", None)
+    assert (partition(n, np.arange(n), np.asarray(sys_.word_perm((8,))))
+            == least[residue]).all()
+
+
+def test_label_classes_orders_any_ids_by_least_member():
+    assert label_classes([5, 2, 5, 0, 2]) == ((0, 2), (1, 4), (3,))

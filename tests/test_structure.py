@@ -1,5 +1,6 @@
 import pytest
 
+import scalar_relations as ref
 from zdcubes.cube_engine import enumerate_K
 from zdcubes.errors import InputError
 from zdcubes.finite_system import check_factor_map
@@ -19,12 +20,15 @@ from zdcubes.structure import (
 def test_subgroup_spec_elements(systems):
     sys_ = systems["rot6"]
     H = SubgroupSpec(dirs=(2,))
-    elems = H.element_perms(sys_)
+    elems = ref.element_perms(H, sys_)
     assert len(elems) == 3  # T2 = +2 on Z/6 generates a 3-element group
     H_full = SubgroupSpec(dirs=(1, 2))
-    assert len(H_full.element_perms(sys_)) == 6
+    assert len(ref.element_perms(H_full, sys_)) == 6
     H_word = SubgroupSpec(words=((2, 0),))
-    assert len(H_word.element_perms(sys_)) == 3  # T1^2 = +2
+    assert len(ref.element_perms(H_word, sys_)) == 3  # T1^2 = +2
+    # rotations act freely, so every orbit has the order of the subgroup
+    for spec, order in ((H, 3), (H_full, 6), (H_word, 3)):
+        assert {len(c) for c in compute_QH(sys_, spec).classes()} == {order}
 
 
 def test_subgroup_spec_rejects_bad_direction(systems):
