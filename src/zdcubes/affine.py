@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube_engine import RowIndex, row_keys
+from .cube_engine import RowIndex, orbit_rows, row_keys
 from .errors import InputError
 from .finite_system import FiniteZdSystem, _parse_header_int
 
@@ -373,34 +373,6 @@ def _keyable(rows: np.ndarray, q: int) -> tuple[np.ndarray, int]:
     return np.stack(cols, axis=1).astype(np.int64), 1 << _DIGIT
 
 
-def _sorted_rows(rows: np.ndarray, q: int) -> np.ndarray:
-    """The distinct rows, in lexicographic order."""
-    _, first = np.unique(row_keys(*_keyable(rows, q)), return_index=True)
-    return rows[first]
-
-
-def _orbit(maps: list[tuple[np.ndarray, np.ndarray]], start: np.ndarray,
-           q: int, cap: int) -> np.ndarray:
-    """Breadth-first search from the start row, one frontier array per
-    level.  The maps include the inverse of each one, so the images of a
-    level lie in the level before it, in it or in the next: only those two
-    levels are searched for them."""
-    levels = [start]
-    previous, frontier = start[:0], start
-    total = len(start)
-    while len(frontier):
-        images = _sorted_rows(
-            np.concatenate([_apply(m, t, frontier, q) for m, t in maps]), q)
-        near = _sorted_rows(np.concatenate([previous, frontier]), q)
-        _, found = RowIndex(*_keyable(near, q)).find(_keyable(images, q)[0])
-        previous, frontier = frontier, images[~found]
-        levels.append(frontier)
-        total += len(frontier)
-        if total > cap:
-            raise InputError(f"orbit exceeds the size cap {cap}")
-    return _sorted_rows(np.concatenate(levels), q)
-
-
 @dataclass(frozen=True)
 class FormulaTestResult:
     """status: "pass" (conditions hold, identity verified), "witness"
@@ -538,8 +510,13 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
         tables = _power_table(sys, q, -1, 1)
         start = np.array([[int(v * q) for v in base]], dtype=dtype)
         # entries 0 and 2 of each table are T_i^-1 and T_i
-        points = _orbit([(mats[e], trans[e]) for mats, trans in tables
-                         for e in (0, 2)], start, q, cap)
+        maps = [(mats[e], trans[e]) for mats, trans in tables for e in (0, 2)]
+        points = orbit_rows(
+            start, lambda rows: np.concatenate(
+                [_apply(m, t, rows, q) for m, t in maps]),
+            lambda rows: row_keys(*_keyable(rows, q)), cap)
+        if points is None:
+            raise InputError(f"orbit exceeds the size cap {cap}")
     index = RowIndex(*_keyable(points, q))
     perms = []
     for mats, trans in tables:  # the last entry of a table is T_i itself

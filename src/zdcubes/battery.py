@@ -576,8 +576,8 @@ def pset_battery(ps: PeriodicSet) -> list[dict]:
                             canonical_moduli=list(canon.moduli)))
     img = phi_image(ps)
     # residues are reduced into the moduli box, so they are its members
-    sums = {(sum(r) % img.moduli[0],) for r in ps.residues}
-    brute = {(s[0] % img.moduli[0],) for s in img.residues}
+    sums = {(sum(r) % img.moduli[0],) for r in ps.rows.tolist()}
+    brute = {(s % img.moduli[0],) for s in img.rows[:, 0].tolist()}
     items.append(_pass_fail("sum_image_consistency", sums == brute, None,
                             image_modulus=img.moduli[0]))
     return items

@@ -143,7 +143,7 @@ def cmd_validate(path: str) -> tuple[dict, int]:
         ps = PeriodicSet.from_text(text, path=path)
         return {"command": "validate", "input": path, "kind": kind,
                 "valid": True, "k": ps.k, "moduli": list(ps.moduli),
-                "residues": len(ps.residues), "status": "pass"}, 0
+                "residues": len(ps.rows), "status": "pass"}, 0
     if kind == "cube-set":
         cs = CubeSet.from_text(text, path=path)
         return {"command": "validate", "input": path, "kind": kind,
@@ -336,7 +336,7 @@ def cmd_analyze(path: str, subcommand: str, flags: dict) -> tuple[dict, int]:
         report = {"command": "return-times", "input": path,
                   "point": point, "target": sorted(U),
                   "moduli": list(N.moduli),
-                  "residues": sorted(list(r) for r in N.residues),
+                  "residues": N.rows.tolist(),
                   "density": list(N.density()),
                   "sum_image_text": img.to_text(),
                   "set_text": N.to_text(), "status": "pass"}
@@ -357,7 +357,7 @@ def cmd_joining(paths: tuple[str, ...]) -> tuple[dict, int]:
     report = {"command": "joining", "inputs": list(paths),
               "d": len(sets), "empty": joined.is_empty(),
               "moduli": list(joined.moduli),
-              "residues": sorted(list(r) for r in joined.residues),
+              "residues": joined.rows.tolist(),
               "set_text": joined.to_text(), "status": "pass"}
     return report, 0
 

@@ -15,7 +15,9 @@ dedups by row keys.  The sets over increasing directions are kept on the
 system (FiniteZdSystem.memo), so each is enumerated once.  Whole-set checks
 work on that array: RowIndex looks rows up by sorted row keys, and a
 face-group element acts as one permutation per coordinate, so its image of
-an array is a column gather.
+an array is a column gather.  orbit_rows is the breadth-first orbit search
+over int rows that face-group orbits, affine discretization and product
+realizations share.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .finite_system import FiniteZdSystem
+from .finite_system import FiniteZdSystem, _content_lines, perm_power
 from .hypercube import MAX_DIM, FaceSelector, Vertex, digit_permute
 
 CubePoint = tuple[int, ...]
@@ -155,11 +157,7 @@ class CubeSet:
 
     @classmethod
     def from_text(cls, text: str, path: str | None = None) -> "CubeSet":
-        rows: list[tuple[int, str]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                rows.append((lineno, line))
+        rows = _content_lines(text)
         if not rows or not rows[0][1].startswith("cube-set"):
             raise InputError("expected 'cube-set d=<k> dirs=<...>' header",
                              path=path, line=rows[0][0] if rows else 1)
@@ -231,12 +229,7 @@ class RowIndex:
     def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(position, found) per query row; position is meaningful only
         where found is set."""
-        q = row_keys(rows, self.n)
-        pos = np.searchsorted(self.keys, q)
-        found = np.zeros(len(q), dtype=bool)
-        inside = pos < len(self.keys)
-        found[inside] = self.keys[pos[inside]] == q[inside]
-        return pos, found
+        return _find_keys(self.keys, row_keys(rows, self.n))
 
     def same_set(self, rows: np.ndarray) -> bool:
         """Whether the query rows, as a set, equal the indexed set."""
@@ -246,6 +239,46 @@ class RowIndex:
         hit = np.zeros(len(self.keys), dtype=bool)
         hit[pos] = True
         return bool(hit.all())
+
+
+def _find_keys(keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position, found) of each query key in the sorted keys."""
+    pos = np.searchsorted(keys, q)
+    found = np.zeros(len(q), dtype=bool)
+    inside = pos < len(keys)
+    found[inside] = keys[pos[inside]] == q[inside]
+    return pos, found
+
+
+def orbit_rows(start: np.ndarray, step, key, cap: int | None = None
+               ) -> np.ndarray | None:
+    """The distinct rows reachable from the start rows, sorted by key, or
+    None once more than cap of them are found.
+
+    A breadth-first search with one frontier array per level.  step(rows)
+    gives the images of rows under every generator and its inverse (a
+    caller may drop some, such as those outside a set); key(rows) gives row
+    keys, ordered as the rows.  With the inverses among the steps, the
+    images of a level lie in the level before it, in it or in the next, so
+    only those two levels are searched for them."""
+    def distinct(rows):
+        keys, first = np.unique(key(rows), return_index=True)
+        return rows[first], keys
+
+    frontier, keys = distinct(start)
+    levels, previous = [frontier], keys[:0]
+    total = len(frontier)
+    while len(frontier):
+        images, image_keys = distinct(step(frontier))
+        _, found = _find_keys(np.sort(np.concatenate([previous, keys])),
+                              image_keys)
+        previous = keys
+        frontier, keys = images[~found], image_keys[~found]
+        levels.append(frontier)
+        total += len(frontier)
+        if cap is not None and total > cap:
+            return None
+    return distinct(np.concatenate(levels))[0]
 
 
 def _dir_orders(sys: FiniteZdSystem, dirs: tuple[int, ...]) -> list[int]:
@@ -485,19 +518,6 @@ def reflect_point(j: int, a: CubePoint) -> CubePoint:
 # the face group
 
 
-def _perm_power(perm: np.ndarray, e: int) -> np.ndarray:
-    """perm^e as an index array; negative exponents go through the inverse."""
-    if e < 0:
-        perm, e = np.argsort(perm).astype(perm.dtype), -e
-    out = np.arange(len(perm), dtype=perm.dtype)
-    while e:
-        if e & 1:
-            out = perm[out]
-        perm = perm[perm]
-        e >>= 1
-    return out
-
-
 @dataclass(frozen=True)
 class FaceGroupElement:
     """A face-group element for a k-cube over a d-system: exponent face[i]
@@ -519,10 +539,10 @@ class FaceGroupElement:
         if len(self.face) != k or len(self.diag) != sys.d:
             raise InputError("exponent vectors do not match dimensions")
         perms = [np.asarray(p, dtype=np.int32) for p in sys.perms]
-        faces = [_perm_power(perms[j - 1], e) for j, e in zip(dirs, self.face)]
+        faces = [perm_power(perms[j - 1], e) for j, e in zip(dirs, self.face)]
         diag = np.arange(sys.n_points, dtype=np.int32)
         for p, e in zip(perms, self.diag):
-            diag = _perm_power(p, e)[diag]
+            diag = perm_power(p, e)[diag]
         offset = 1 if based else 0
         maps = np.empty(((1 << k) - offset, sys.n_points), dtype=np.int32)
         for c in range(len(maps)):
@@ -575,23 +595,18 @@ def face_group_orbit(cubes: CubeSet, start: CubePoint) -> CubeSet:
     if start not in cubes:
         raise InputError("start point is not in the cube set")
     sys = cubes.base
-    rows = cubes.to_array()
-    index = RowIndex(rows, sys.n_points)
+    index = RowIndex(cubes.rows, sys.n_points)
     maps = [g.column_maps(sys, cubes.dirs, cubes.based)
             for g in face_group_generators(sys, cubes.dirs)]
     cols = np.arange(cubes.width)
-    frontier, _ = index.find(np.asarray(start).reshape(1, -1))
-    seen = np.zeros(len(rows), dtype=bool)
-    seen[frontier] = True
-    while len(frontier):
-        hits = []
-        for m in maps:
-            pos, found = index.find(m[cols, rows[frontier]])
-            hits.append(pos[found])
-        frontier = np.unique(np.concatenate(hits))
-        frontier = frontier[~seen[frontier]]
-        seen[frontier] = True
-    return CubeSet(dirs=cubes.dirs, points=rows[seen], based=cubes.based, base=sys)
+
+    def step(rows: np.ndarray) -> np.ndarray:
+        images = np.concatenate([m[cols, rows] for m in maps])
+        return images[index.find(images)[1]]
+
+    rows = orbit_rows(np.asarray(start, dtype=np.int32).reshape(1, -1), step,
+                      lambda r: row_keys(r, sys.n_points))
+    return CubeSet(dirs=cubes.dirs, points=rows, based=cubes.based, base=sys)
 
 
 def section_of(cubes: CubeSet, x0: int) -> CubeSet:

@@ -36,15 +36,6 @@ from .errors import InputError
 Perm = tuple[int, ...]
 
 
-def _identity(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def _compose(p: Perm, q: Perm) -> Perm:
-    """x -> p[q[x]]."""
-    return tuple(p[q[x]] for x in range(len(p)))
-
-
 def _invert(p: Perm) -> Perm:
     inv = [0] * len(p)
     for x, y in enumerate(p):
@@ -68,17 +59,16 @@ def perm_order(p: Perm) -> int:
     return order
 
 
-def perm_pow(p: Perm, e: int) -> Perm:
-    n = len(p)
+def perm_power(perm: np.ndarray, e: int) -> np.ndarray:
+    """perm^e as an index array, by square-and-multiply; negative exponents
+    go through the inverse."""
     if e < 0:
-        p = _invert(p)
-        e = -e
-    out = _identity(n)
-    base = p
+        perm, e = np.argsort(perm).astype(perm.dtype), -e
+    out = np.arange(len(perm), dtype=perm.dtype)
     while e:
         if e & 1:
-            out = _compose(base, out)
-        base = _compose(base, base)
+            out = perm[out]
+        perm = perm[perm]
         e >>= 1
     return out
 
@@ -150,10 +140,10 @@ class FiniteZdSystem:
     def word_perm(self, n_vec: Sequence[int]) -> Perm:
         if len(n_vec) != self.d:
             raise InputError(f"word length {len(n_vec)} != d = {self.d}")
-        out = _identity(self.n_points)
-        for i, e in enumerate(n_vec):
-            out = _compose(perm_pow(self.perms[i], e), out)
-        return out
+        out = np.arange(self.n_points)
+        for p, e in zip(self.perms, n_vec):
+            out = perm_power(np.asarray(p), e)[out]
+        return tuple(out.tolist())
 
 
 def apply_word(sys: FiniteZdSystem, n_vec: Sequence[int], x: int) -> int:
@@ -165,7 +155,7 @@ def apply_word(sys: FiniteZdSystem, n_vec: Sequence[int], x: int) -> int:
         if e == 0:
             continue
         p = sys.perms[i] if e > 0 else sys.inverses[i]
-        for _ in range(abs(e) % perm_order(sys.perms[i])):
+        for _ in range(abs(e) % sys.orders[i]):
             x = p[x]
     return x
 

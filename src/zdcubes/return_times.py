@@ -1,23 +1,32 @@
 """Return-time sets of finite systems and the joining algebra on periodic
 subsets of Z^k.
 
-A periodic set is stored as residue vectors modulo a fixed modulus per
-coordinate.  Return sets N(x, U) = {n : T^n x in U} of a finite system are
-periodic with the generator orders as moduli.  The d-joining glues d sets of
-dimension d-1: a vector belongs when every drop-one-coordinate projection
-lands in the corresponding input set.
+A periodic set is stored as int rows: its residue vectors, reduced modulo a
+fixed modulus per coordinate, in one sorted, duplicate-free int64 array, as
+a CubeSet stores its tuples; membership goes through RowIndex.  Return sets
+N(x, U) = {n : T^n x in U} of a finite system are periodic with the
+generator orders as moduli; they are read off the images of x over the
+exponent box, built by one gather per exponent and direction.  The
+d-joining glues d sets of dimension d-1: a vector belongs when every
+drop-one-coordinate projection lands in the corresponding input set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
+from functools import cached_property
 
+import numpy as np
+
+from .cube_engine import (RowIndex, enumerate_Q, orbit_rows, row_keys,
+                          ucpp_check)
 from .errors import InputError
-from .finite_system import FiniteZdSystem, perm_order, perm_pow
+from .finite_system import FiniteZdSystem, _content_lines
 
 JOIN_CAP = 1_000_000
+# moduli stay below 2^62, so that sums of two residues fit in int64
+MODULUS_LIMIT = 1 << 62
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -35,71 +44,93 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PeriodicSet:
-    """Residue vectors modulo componentwise moduli; set semantics on Z^k."""
+    """A subset of Z^k that is periodic modulo componentwise moduli.
+
+    It is stored as rows: the residue vectors reduced into the moduli box,
+    as a read-only, sorted, duplicate-free int64 array of shape (len, k).
+    The constructor takes the residues as such an array or as any iterable
+    of k-tuples, unreduced, in any order and with repeats; the residues
+    attribute gives them back as a frozenset of tuples."""
 
     k: int
     moduli: tuple[int, ...]
-    residues: frozenset[tuple[int, ...]]
+    rows: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int, moduli, residues=()) -> None:
+        moduli = tuple(moduli)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "moduli", moduli)
+        if k < 1:
             raise InputError("periodic sets need k >= 1")
-        if len(self.moduli) != self.k:
-            raise InputError(f"expected {self.k} moduli, got {len(self.moduli)}")
-        for m in self.moduli:
+        if len(moduli) != k:
+            raise InputError(f"expected {k} moduli, got {len(moduli)}")
+        for m in moduli:
             if m < 1:
                 raise InputError(f"modulus {m} must be positive")
-        for r in self.residues:
-            if len(r) != self.k:
+            if m >= MODULUS_LIMIT:
+                raise InputError(f"modulus {m} must be below 2^62")
+        if not isinstance(residues, np.ndarray):
+            residues = [tuple(r) for r in residues]
+            if any(len(r) != k for r in residues):
                 raise InputError("residue arity does not match k")
-        reduced = frozenset(
-            tuple(r[i] % self.moduli[i] for i in range(self.k)) for r in self.residues
-        )
-        object.__setattr__(self, "residues", reduced)
+            # reduced as Python ints first, so any int fits
+            residues = np.array([[v % m for v, m in zip(r, moduli)]
+                                 for r in residues], dtype=np.int64).reshape(-1, k)
+        if residues.ndim != 2 or residues.shape[1] != k:
+            raise InputError("residue arity does not match k")
+        rows = residues % np.array(moduli, dtype=np.int64)
+        _, first = np.unique(row_keys(rows, max(moduli)), return_index=True)
+        rows = rows[first]
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def empty(cls, k: int) -> "PeriodicSet":
-        return cls(k, (1,) * k, frozenset())
+        return cls(k, (1,) * k)
 
     @classmethod
     def full(cls, k: int) -> "PeriodicSet":
-        return cls(k, (1,) * k, frozenset({(0,) * k}))
+        return cls(k, (1,) * k, [(0,) * k])
+
+    @property
+    def residues(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def _index(self) -> RowIndex:
+        return RowIndex(self.rows, max(self.moduli))
 
     def __contains__(self, n: tuple[int, ...]) -> bool:
         if len(n) != self.k:
             raise InputError(f"vector arity {len(n)} != k = {self.k}")
-        return tuple(v % m for v, m in zip(n, self.moduli)) in self.residues
+        q = np.array([[v % m for v, m in zip(n, self.moduli)]], dtype=np.int64)
+        return bool(self._index.find(q)[1][0])
 
     def is_empty(self) -> bool:
-        return not self.residues
+        return not len(self.rows)
 
     def is_full(self) -> bool:
         c = self.canonical()
-        return c.moduli == (1,) * self.k and len(c.residues) == 1
+        return c.moduli == (1,) * self.k and len(c.rows) == 1
 
     def density(self) -> tuple[int, int]:
-        return len(self.residues), math.prod(self.moduli)
+        return len(self.rows), math.prod(self.moduli)
 
     def lift_to(self, moduli: tuple[int, ...], cap: int = JOIN_CAP) -> "PeriodicSet":
         if len(moduli) != self.k:
             raise InputError("lift arity mismatch")
-        factor = 1
+        factors = []
         for m_new, m_old in zip(moduli, self.moduli):
             if m_new % m_old:
                 raise InputError(f"{m_new} is not a multiple of {m_old}")
-            factor *= m_new // m_old
-        if factor * max(1, len(self.residues)) > cap:
+            factors.append(m_new // m_old)
+        if math.prod(factors) * max(1, len(self.rows)) > cap:
             raise InputError("lift would exceed the size cap")
-        residues = set()
-        ranges = [range(m_new // m_old)
-                  for m_new, m_old in zip(moduli, self.moduli)]
-        for r in self.residues:
-            for shift in product(*ranges):
-                residues.add(tuple(r[i] + shift[i] * self.moduli[i]
-                                   for i in range(self.k)))
-        return PeriodicSet(self.k, tuple(moduli), frozenset(residues))
+        shifts = np.indices(factors).reshape(self.k, -1).T * np.array(self.moduli)
+        rows = (self.rows[:, None, :] + shifts[None]).reshape(-1, self.k)
+        return PeriodicSet(self.k, moduli, rows)
 
     def canonical(self) -> "PeriodicSet":
         """Reduce each modulus to the minimal period of the set in that
@@ -107,27 +138,24 @@ class PeriodicSet:
 
         The periods in a coordinate form a subgroup g*Z with g dividing the
         modulus m, so dividing m by a prime q while m/q is still a period
-        ends at g."""
+        ends at g.  m/q is a period when shifting that coordinate by it
+        keeps every row in the set."""
         moduli = list(self.moduli)
-        residues = self.residues
+        ps = self
         for i in range(self.k):
             m = moduli[i]
             for q in _prime_factors(m):
                 while m % q == 0:
                     p = m // q
-                    shifted = frozenset(
-                        r[:i] + ((r[i] + p) % m,) + r[i + 1:] for r in residues
-                    )
-                    if shifted != residues:
+                    shifted = ps.rows.copy()
+                    shifted[:, i] = (shifted[:, i] + p) % m
+                    if not ps._index.find(shifted)[1].all():
                         break
-                    residues = frozenset(
-                        r[:i] + (r[i] % p,) + r[i + 1:] for r in residues
-                    )
-                    m = p
-            moduli[i] = m
-        if not residues:
-            return PeriodicSet(self.k, (1,) * self.k, frozenset())
-        return PeriodicSet(self.k, tuple(moduli), residues)
+                    m = moduli[i] = p
+                    ps = PeriodicSet(self.k, moduli, ps.rows)
+        if ps.is_empty():
+            return PeriodicSet.empty(self.k)
+        return ps
 
     def _common(self, other: "PeriodicSet", cap: int = JOIN_CAP
                 ) -> tuple["PeriodicSet", "PeriodicSet"]:
@@ -138,26 +166,22 @@ class PeriodicSet:
 
     def equals(self, other: "PeriodicSet") -> bool:
         a, b = self._common(other)
-        return a.residues == b.residues
+        return np.array_equal(a.rows, b.rows)
 
     def is_subset(self, other: "PeriodicSet") -> bool:
         a, b = self._common(other)
-        return a.residues <= b.residues
+        return bool(b._index.find(a.rows)[1].all())
 
     def to_text(self) -> str:
         lines = [
             f"periodic-set k={self.k} moduli={','.join(str(m) for m in self.moduli)}"
         ]
-        lines.extend(",".join(str(v) for v in r) for r in sorted(self.residues))
+        lines.extend(",".join(map(str, r)) for r in self.rows.tolist())
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str, path: str | None = None) -> "PeriodicSet":
-        rows: list[tuple[int, str]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                rows.append((lineno, line))
+        rows = _content_lines(text)
         if not rows or not rows[0][1].startswith("periodic-set"):
             raise InputError("expected 'periodic-set k=<K> moduli=<...>' header",
                              path=path, line=rows[0][0] if rows else 1)
@@ -169,7 +193,7 @@ class PeriodicSet:
         except (KeyError, ValueError):
             raise InputError("malformed periodic-set header", path=path,
                              line=header_line)
-        residues = set()
+        residues = []
         for lineno, line in rows[1:]:
             try:
                 r = tuple(int(t) for t in line.split(","))
@@ -179,11 +203,12 @@ class PeriodicSet:
             if len(r) != k:
                 raise InputError(f"residue arity {len(r)} != k = {k}", path=path,
                                  line=lineno)
-            residues.add(r)
+            residues.append(r)
         try:
-            return cls(k, moduli, frozenset(residues))
+            return cls(k, moduli, residues)
         except InputError as exc:
-            raise InputError(str(exc), path=path)
+            # every check left to the constructor is about the header
+            raise InputError(str(exc), path=path, line=header_line)
 
 
 def contains_zero_vector(ps: PeriodicSet) -> bool:
@@ -194,15 +219,19 @@ def intersects(a: PeriodicSet, b: PeriodicSet,
                cap: int = JOIN_CAP) -> tuple[bool, tuple[int, ...] | None]:
     """Nonempty intersection, with the smallest common residue as witness."""
     la, lb = a._common(b, cap)
-    both = la.residues & lb.residues
-    if not both:
+    both = lb._index.find(la.rows)[1]
+    if not both.any():
         return False, None
-    return True, min(sorted(both))
+    return True, tuple(la.rows[both.argmax()].tolist())
 
 
 def return_set(sys: FiniteZdSystem, x: int, U: frozenset[int] | set[int],
                cap: int = JOIN_CAP) -> PeriodicSet:
-    """N(x, U) = {n : T^n x in U}, periodic modulo the generator orders."""
+    """N(x, U) = {n : T^n x in U}, periodic modulo the generator orders.
+
+    images[n_1, .., n_d] = T_1^{n_1} .. T_d^{n_d} x is built direction by
+    direction, the last first: each direction stacks order_i successive
+    images of the array so far under T_i, one gather each."""
     if not 0 <= x < sys.n_points:
         raise InputError(f"point id {x} out of range")
     U = frozenset(U)
@@ -212,22 +241,16 @@ def return_set(sys: FiniteZdSystem, x: int, U: frozenset[int] | set[int],
     orders = sys.orders
     if math.prod(orders) > cap:
         raise InputError("order box exceeds the size cap")
-    tables = [
-        [perm_pow(sys.perms[i], e) for e in range(orders[i])] for i in range(sys.d)
-    ]
-    residues = set()
-    for n in product(*(range(L) for L in orders)):
-        y = x
-        for i in range(sys.d):
-            y = tables[i][n[i]][y]
-        if y in U:
-            residues.add(n)
-    return PeriodicSet(sys.d, orders, frozenset(residues))
-
-
-def _drop(n: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """Remove 1-based coordinate i."""
-    return n[:i - 1] + n[i:]
+    images = np.array(x)
+    for i in reversed(range(sys.d)):
+        step = np.asarray(sys.perms[i])
+        layers = [images]
+        for _ in range(orders[i] - 1):
+            layers.append(step[layers[-1]])
+        images = np.stack(layers)
+    inside = np.zeros(sys.n_points, dtype=bool)
+    inside[np.fromiter(U, dtype=np.int64, count=len(U))] = True
+    return PeriodicSet(sys.d, orders, np.argwhere(inside[images]))
 
 
 def d_joining(sets: list[PeriodicSet] | tuple[PeriodicSet, ...],
@@ -236,7 +259,8 @@ def d_joining(sets: list[PeriodicSet] | tuple[PeriodicSet, ...],
 
     Input i constrains the coordinates other than i, so its moduli line up
     with (1..d) minus i; output modulus at coordinate c is the lcm of the
-    matching input moduli."""
+    matching input moduli.  Every vector of the output box is tested at
+    once, one membership lookup per input."""
     d = len(sets)
     if d < 2:
         raise InputError("joining needs at least 2 sets")
@@ -255,22 +279,24 @@ def d_joining(sets: list[PeriodicSet] | tuple[PeriodicSet, ...],
         moduli.append(m)
     if math.prod(moduli) > cap:
         raise InputError("joining residue box exceeds the size cap")
-    residues = set()
-    for n in product(*(range(m) for m in moduli)):
-        if all(_drop(n, i) in sets[i - 1] for i in range(1, d + 1)):
-            residues.add(n)
-    return PeriodicSet(d, tuple(moduli), frozenset(residues))
+    box = np.indices(moduli).reshape(d, -1).T
+    keep = np.ones(len(box), dtype=bool)
+    for i, s in enumerate(sets):
+        keep &= s._index.find(np.delete(box, i, axis=1) % np.array(s.moduli))[1]
+    return PeriodicSet(d, moduli, box[keep])
 
 
 def phi_image(ps: PeriodicSet) -> PeriodicSet:
     """Image under (n_1..n_k) -> n_1 + .. + n_k.  Each residue class maps onto
     a full class modulo the gcd of the moduli, because the coordinate lattices
     sum to gcd * Z."""
-    g = math.gcd(*ps.moduli) if ps.k > 1 else ps.moduli[0]
+    g = math.gcd(*ps.moduli)
     if ps.is_empty():
-        return PeriodicSet(1, (1,), frozenset())
-    sums = frozenset((sum(r) % g,) for r in ps.residues)
-    return PeriodicSet(1, (g,), sums).canonical()
+        return PeriodicSet.empty(1)
+    sums = np.zeros(len(ps.rows), dtype=np.int64)
+    for column in ps.rows.T:  # below g plus a residue, so below 2^63
+        sums = (sums + column) % g
+    return PeriodicSet(1, (g,), sums[:, None]).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +322,6 @@ def joining_containment_check(sys: FiniteZdSystem, x: int,
     Hypotheses: the system is minimal with unique cube completion and x lies
     in U.  The diagonal of K^x projects to the constant tuple in every side
     system; its return sets are the inputs of the joining."""
-    from .cube_engine import enumerate_Q, ucpp_check
     from .structure import decompose
 
     if U is None:
@@ -312,11 +337,11 @@ def joining_containment_check(sys: FiniteZdSystem, x: int,
     if x not in U:
         return JoiningContainment("hypotheses-unmet", "x is not in U",
                                   None, None, None, None)
-    if not ucpp_check(enumerate_Q(sys, tuple(range(1, sys.d + 1)))).ok:
+    dec = decompose(sys, x)
+    if not dec.ucpp.ok:
         return JoiningContainment("hypotheses-unmet",
                                   "cube completion is not unique",
                                   None, None, None, None)
-    dec = decompose(sys, x)
     d = sys.d
     side_sets = []
     for j in range(1, d + 1):
@@ -330,8 +355,7 @@ def joining_containment_check(sys: FiniteZdSystem, x: int,
     joined = d_joining(side_sets)
     target = return_set(sys, x, U)
     contained = joined.is_subset(target)
-    diag_full = (x,) * len(dec.K.points[0])
-    y_id = dec.K.points.index(diag_full)
+    y_id = int(np.flatnonzero((dec.K.rows == x).all(axis=1))[0])
     n_diag = return_set(dec.Y, y_id, {y_id})
     identity = joined.equals(n_diag)
     return JoiningContainment(
@@ -391,8 +415,6 @@ def product_system_realization(
     of the tuple into the product neighborhood equals the joining of the
     factor return sets exactly.
     """
-    from .cube_engine import enumerate_Q, ucpp_check
-
     d = len(factors)
     if d < 2:
         raise InputError("need at least 2 factors")
@@ -406,47 +428,39 @@ def product_system_realization(
         for u in Uf:
             if not 0 <= u < f_sys.n_points:
                 raise InputError(f"neighborhood id of factor {i} out of range")
-    start = tuple(y for _, y, _ in factors)
     systems = [f for f, _, _ in factors]
+    forward = [[np.asarray(f.perms[i]) for f in systems] for i in range(d)]
+    backward = [[np.asarray(f.inverses[i]) for f in systems] for i in range(d)]
 
-    def act(state: tuple[int, ...], i: int, inverse: bool = False) -> tuple[int, ...]:
-        out = []
-        for j, v in enumerate(state):
-            p = (systems[j].inverses if inverse else systems[j].perms)[i - 1]
-            out.append(p[v])
-        return tuple(out)
+    def act(states: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
+        """Column j of a state is a point of factor j."""
+        return np.stack([p[states[:, j]] for j, p in enumerate(maps)], axis=1)
 
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for i in range(1, d + 1):
-                for inv in (False, True):
-                    t = act(s, i, inv)
-                    if t not in orbit:
-                        orbit.add(t)
-                        nxt.append(t)
-        frontier = nxt
-        if len(orbit) > cap:
-            raise InputError("orbit closure exceeds the size cap")
-    points = sorted(orbit)
-    index = {p: i for i, p in enumerate(points)}
-    perms = tuple(
-        tuple(index[act(p, i)] for p in points) for i in range(1, d + 1)
-    )
+    radix = max(f.n_points for f in systems)
+    start = np.array([[y for _, y, _ in factors]])
+    points = orbit_rows(
+        start, lambda s: np.concatenate([act(s, m) for m in forward + backward]),
+        lambda s: row_keys(s, radix), cap)
+    if points is None:
+        raise InputError("orbit closure exceeds the size cap")
+    index = RowIndex(points, radix)
+    perms = tuple(tuple(index.find(act(points, m))[0].tolist()) for m in forward)
     prod_sys = FiniteZdSystem(len(points), d, perms, name="product-orbit")
-    nbhd = frozenset(
-        index[p] for p in points
-        if all(p[j] in frozenset(factors[j][2]) for j in range(d))
-    )
-    N = return_set(prod_sys, index[start], nbhd, cap=cap)
+    # Q first: an over-budget product system then costs only the orbit search
+    u = ucpp_check(enumerate_Q(prod_sys, tuple(range(1, d + 1))))
+    inside = np.ones(len(points), dtype=bool)
+    for j, (f, _, Uf) in enumerate(factors):
+        member = np.zeros(f.n_points, dtype=bool)
+        member[np.fromiter(Uf, dtype=np.int64, count=len(Uf))] = True
+        inside &= member[points[:, j]]
+    nbhd = frozenset(np.flatnonzero(inside).tolist())
+    point = int(index.find(start)[0][0])
+    N = return_set(prod_sys, point, nbhd, cap=cap)
     joined = d_joining(
         [return_set(drop_generator(f, i), y, frozenset(Uf), cap=cap)
          for i, (f, y, Uf) in enumerate(factors, start=1)],
         cap=cap)
-    u = ucpp_check(enumerate_Q(prod_sys, tuple(range(1, d + 1))))
     return ProductRealization(
-        system=prod_sys, point=index[start], nbhd=nbhd, return_set=N,
+        system=prod_sys, point=point, nbhd=nbhd, return_set=N,
         joining=joined, equal=N.equals(joined), ucpp_ok=u.ok,
     )

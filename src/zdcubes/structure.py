@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube_engine import (CubeSet, FaceGroupElement, RowIndex, enumerate_K,
-                          enumerate_Q, section_of, ucpp_check, UcppResult)
+                          enumerate_Q, row_keys, section_of, ucpp_check,
+                          UcppResult)
 from .errors import HypothesisError, InputError
 from .finite_system import (FactorMap, FiniteZdSystem, PairRelation,
                             _label_quotient, is_minimal, label_classes,
@@ -152,27 +153,25 @@ class CoordinateProjection:
 
 def _project_positions(K: CubeSet, Y: FiniteZdSystem, positions: tuple[int, ...],
                        name: str) -> CoordinateProjection:
-    idx = [p - 1 for p in positions]
-    proj = [tuple(pt[i] for i in idx) for pt in K.points]
-    values = tuple(sorted(set(proj)))
-    val_index = {v: c for c, v in enumerate(values)}
-    mapping = tuple(val_index[v] for v in proj)
+    """The distinct projected tuples, in sorted order, are the points of the
+    target; each generator's image of a value is read off any tuple over
+    it, and must not depend on the tuple."""
+    cols = K.rows[:, [p - 1 for p in positions]]
+    keys = row_keys(K._shifted(cols), K._n)
+    _, first, mapping = np.unique(keys, return_index=True, return_inverse=True)
     perms = []
-    for gi in range(Y.d):
-        row = [0] * len(values)
-        seen = [False] * len(values)
-        for pt_id in range(Y.n_points):
-            src = mapping[pt_id]
-            dst = mapping[Y.perms[gi][pt_id]]
-            if seen[src] and row[src] != dst:
-                raise AssertionError(
-                    f"coordinate projection is not equivariant ({name}); bug")
-            row[src] = dst
-            seen[src] = True
-        perms.append(tuple(row))
-    target = FiniteZdSystem(len(values), Y.d, tuple(perms), name=name)
-    pi = FactorMap(Y, target, mapping)
-    return CoordinateProjection(positions=positions, values=values,
+    for p in Y.perms:
+        image = mapping[np.asarray(p)]
+        row = np.empty(len(first), dtype=np.int64)
+        row[mapping] = image
+        if (row[mapping] != image).any():
+            raise AssertionError(
+                f"coordinate projection is not equivariant ({name}); bug")
+        perms.append(tuple(row.tolist()))
+    target = FiniteZdSystem(len(first), Y.d, tuple(perms), name=name)
+    pi = FactorMap(Y, target, tuple(mapping.tolist()))
+    return CoordinateProjection(positions=positions,
+                                values=tuple(map(tuple, cols[first].tolist())),
                                 system=target, from_face=pi)
 
 

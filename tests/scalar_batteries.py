@@ -18,9 +18,11 @@ from zdcubes.cube_engine import (CubeSet, FaceGroupElement,
                                  digit_permute_point, duplicate, enumerate_Q,
                                  face_group_generators, glue, insert, project,
                                  reflect_point)
-from zdcubes.finite_system import perm_order, perm_pow
+from zdcubes.finite_system import perm_order
 from zdcubes.hypercube import FaceSelector
 from zdcubes.return_times import phi_image
+
+from scalar_return_times import perm_pow
 
 
 def _face(p, j, b, d):

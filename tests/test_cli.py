@@ -110,6 +110,24 @@ def test_validate_malformed_pair_relation_exits_3(tmp_path, text, line):
     assert rep["error"].startswith(f"{bad}:{line}: ")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("# bad modulus\nperiodic-set k=2 moduli=0,3\n0,0\n",
+     "modulus 0 must be positive"),
+    ("# too few moduli\nperiodic-set k=2 moduli=3\n0,0\n",
+     "expected 2 moduli, got 1"),
+    ("# int64 rows\nperiodic-set k=1 moduli=4611686018427387904\n0\n",
+     "modulus 4611686018427387904 must be below 2^62"),
+])
+def test_validate_periodic_set_header_errors_name_the_line(tmp_path, text,
+                                                           message):
+    bad = tmp_path / "bad1.pset"
+    bad.write_text(text)
+    code, rep, _ = _invoke(["validate", str(bad)])
+    assert code == 3
+    assert rep["status"] == "input-error"
+    assert rep["error"] == f"{bad}:2: {message}"
+
+
 @pytest.mark.parametrize("text,line", [
     ("finite-system\npoints = abc\nd = 1\nT1 = [0]\n", 2),
     ("finite-system\npoints = 1\nd = zz\nT1 = [0]\n", 3),

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import scalar_return_times as ref
 from zdcubes.errors import InputError
 from zdcubes.finite_system import (
     FactorMap,
@@ -13,7 +15,7 @@ from zdcubes.finite_system import (
     orbit_of,
     parse_finite_system,
     perm_order,
-    perm_pow,
+    perm_power,
     quotient,
     to_text,
     validate,
@@ -76,10 +78,12 @@ def test_validate_reports_orders(systems):
 def test_perm_order_and_pow():
     cyc = (1, 2, 3, 4, 5, 0)
     assert perm_order(cyc) == 6
-    assert perm_pow(cyc, 0) == tuple(range(6))
-    assert perm_pow(cyc, 2) == (2, 3, 4, 5, 0, 1)
-    assert perm_pow(cyc, -1) == (5, 0, 1, 2, 3, 4)
-    assert perm_pow(cyc, 7) == cyc
+    arr = np.array(cyc, dtype=np.int32)
+    for e, want in ((0, tuple(range(6))), (2, (2, 3, 4, 5, 0, 1)),
+                    (-1, (5, 0, 1, 2, 3, 4)), (7, cyc)):
+        got = perm_power(arr, e)
+        assert got.dtype == arr.dtype
+        assert tuple(got.tolist()) == want == ref.perm_pow(cyc, e)
 
 
 @given(st.integers(min_value=-10, max_value=10),

@@ -1,4 +1,5 @@
-"""Label-array relations against the scalar reference and the brute force.
+"""Label-array relations and int-row return times against the scalar
+references and the brute force.
 
 Random commuting systems are disjoint unions of products of cyclic groups,
 each generator a translation, under a random relabelling of the points.  On
@@ -6,7 +7,10 @@ each, the subgroup orbits, relation closures, quotients, factor-map checks,
 first witnesses and minimality must equal those of the union-find and BFS
 loops in tests/scalar_relations.py, and the closure of R must equal the
 closure of the relation the stdlib brute force in
-tests/oracles/gen_oracles.py extracts from its own cube set.
+tests/oracles/gen_oracles.py extracts from its own cube set.  Return sets,
+random periodic sets (reduction, lifts, canonical forms, equality, subsets,
+intersections), d-joinings and product-realization orbits must equal those
+of the tuple loops in tests/scalar_return_times.py.
 """
 
 import importlib.util
@@ -19,11 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_relations as ref
+import scalar_return_times as rt
 from zdcubes.finite_system import (FactorMap, FiniteZdSystem,
                                    InvarianceError, PairRelation,
                                    check_factor_map, is_minimal, orbit_of,
-                                   label_classes, partition, quotient)
+                                   label_classes, partition, perm_order,
+                                   quotient)
 from zdcubes.proximal import compute_R, compute_R_j
+from zdcubes.return_times import (PeriodicSet, d_joining, drop_generator,
+                                  insert_identity_generator, intersects,
+                                  product_system_realization, return_set)
 from zdcubes.structure import (SubgroupSpec, compute_QH,
                                iterated_quotient_check,
                                maximal_trivial_H_factor,
@@ -41,13 +50,15 @@ BRUTE_BUDGET = 20_000
 
 
 @st.composite
-def commuting_systems(draw):
-    """A disjoint union of 1..3 products of one or two cyclic groups, each
-    generator a translation, under a random relabelling."""
-    d = draw(st.integers(1, 3))
+def commuting_systems(draw, d=None, max_parts=3, max_modulus=5):
+    """A disjoint union of 1..max_parts products of one or two cyclic
+    groups, each generator a translation, under a random relabelling."""
+    if d is None:
+        d = draw(st.integers(1, 3))
     parts = []
-    for _ in range(draw(st.integers(1, 3))):
-        moduli = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
+    for _ in range(draw(st.integers(1, max_parts))):
+        moduli = draw(st.lists(st.integers(1, max_modulus), min_size=1,
+                               max_size=2))
         steps = [tuple(draw(st.integers(0, m - 1)) for m in moduli)
                  for _ in range(d)]
         parts.append((moduli, steps))
@@ -189,6 +200,96 @@ def test_relabelled_cycle_of_2_pow_15_points():
     assert z0h_universality_check(pi, H) == ("pass", None)
     assert (partition(n, np.arange(n), np.asarray(sys_.word_perm((8,))))
             == least[residue]).all()
+
+
+# ---------------------------------------------------------------------------
+# return times and periodic sets against tests/scalar_return_times.py
+
+
+@st.composite
+def residue_lists(draw, k):
+    """(moduli, residues): residues drawn modulo small periods and lifted to
+    multiples of them, perhaps with one stray residue that breaks the
+    periods, each moved by random multiples of its moduli."""
+    periods = [draw(st.sampled_from((1, 2, 3, 4, 6))) for _ in range(k)]
+    moduli = tuple(p * draw(st.sampled_from((1, 2, 3))) for p in periods)
+    box = list(itertools.product(*(range(p) for p in periods)))
+    cells = draw(st.lists(st.sampled_from(box), max_size=4))
+    lifts = itertools.product(*(range(m // p) for m, p in zip(moduli, periods)))
+    residues = [tuple(c + p * t for c, p, t in zip(cell, periods, shift))
+                for shift in lifts for cell in cells]
+    if draw(st.booleans()):
+        residues.append(tuple(draw(st.integers(0, m - 1)) for m in moduli))
+    wrap = st.integers(-2, 2)
+    return moduli, [tuple(r + m * draw(wrap) for r, m in zip(res, moduli))
+                    for res in residues]
+
+
+def _same(got, want):
+    assert (got.k, got.moduli, got.residues) == (want.k, want.moduli,
+                                                 want.residues)
+
+
+@SETTINGS
+@given(st.data())
+def test_periodic_sets_match_reference(data):
+    k = data.draw(st.integers(1, 2))
+    (ma, ra), (mb, rb) = data.draw(residue_lists(k)), data.draw(residue_lists(k))
+    a, b = PeriodicSet(k, ma, ra), PeriodicSet(k, mb, rb)
+    ref_a, ref_b = rt.PSet(k, ma, frozenset(ra)), rt.PSet(k, mb, frozenset(rb))
+    _same(a, ref_a)
+    _same(a.canonical(), ref_a.canonical())
+    _same(a.lift_to(tuple(2 * m for m in ma)), ref_a.lift_to([2 * m for m in ma]))
+    assert a.equals(b) == ref_a.equals(ref_b)
+    assert a.is_subset(b) == ref_a.is_subset(ref_b)
+    assert b.is_subset(a) == ref_b.is_subset(ref_a)
+    assert intersects(a, b) == rt.intersects(ref_a, ref_b)
+    assert a.equals(a.canonical()) and a.is_subset(a.canonical())
+
+
+@SETTINGS
+@given(st.data())
+def test_d_joining_matches_reference(data):
+    d = data.draw(st.integers(2, 3))
+    inputs = [data.draw(residue_lists(d - 1)) for _ in range(d)]
+    got = d_joining([PeriodicSet(d - 1, m, r) for m, r in inputs])
+    _same(got, rt.d_joining([rt.PSet(d - 1, m, frozenset(r))
+                             for m, r in inputs]))
+
+
+@SETTINGS
+@given(st.data())
+def test_return_sets_match_reference(data):
+    sys_ = data.draw(commuting_systems())
+    if math.prod(sys_.orders) > BRUTE_BUDGET:
+        return
+    x = data.draw(st.integers(0, sys_.n_points - 1))
+    U = frozenset(data.draw(st.lists(st.integers(0, sys_.n_points - 1),
+                                     max_size=3)))
+    _same(return_set(sys_, x, U), rt.return_set(sys_, x, U))
+
+
+@SETTINGS
+@given(st.data())
+def test_product_realization_matches_reference(data):
+    d = data.draw(st.integers(2, 3))
+    factors = []
+    for i in range(1, d + 1):
+        f = data.draw(commuting_systems(d - 1, max_parts=2, max_modulus=3))
+        y = data.draw(st.integers(0, f.n_points - 1))
+        U = frozenset(data.draw(st.lists(st.integers(0, f.n_points - 1),
+                                         min_size=1, max_size=2)))
+        factors.append((insert_identity_generator(f, i), y, U))
+    points, perms, start, nbhd = rt.product_orbit(factors)
+    if len(points) * math.prod(perm_order(p) for p in perms) << d > BRUTE_BUDGET:
+        return
+    real = product_system_realization(factors)
+    assert (real.system.perms, real.point, real.nbhd) == (perms, start, nbhd)
+    _same(real.return_set, rt.return_set(real.system, start, nbhd))
+    want = rt.d_joining([rt.return_set(drop_generator(f, i), y, U)
+                         for i, (f, y, U) in enumerate(factors, start=1)])
+    _same(real.joining, want)
+    assert real.equal == rt.PSet.of(real.return_set).equals(want)
 
 
 def test_label_classes_orders_any_ids_by_least_member():

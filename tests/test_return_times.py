@@ -32,6 +32,10 @@ def test_pset_reduction_and_membership():
     assert (5, 13) in ps
     assert (-3, -5) in ps
     assert (2, 1) not in ps
+    # residues and queries past the int64 range reduce exactly
+    big = _pset((4, 6), {(4 * 10**30 + 1, 1 - 6 * 10**30)})
+    assert big.residues == {(1, 1)}
+    assert (10**40 + 1, -(6 * 10**40) + 1) in big
 
 
 def test_pset_rejects_residues_of_the_wrong_arity():
