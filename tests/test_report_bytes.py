@@ -41,6 +41,12 @@ def report_hashes() -> dict[str, str]:
         if name.endswith(".fsys"):
             calls[f"return-times {path} --point 0"] = (
                 lambda p=path: cli.cmd_analyze(p, "return-times", {"point": 0}))
+            calls[f"cubes {path} --basepoint 0"] = (
+                lambda p=path: cli.cmd_analyze(
+                    p, "cubes", {"basepoint": 0, "dump": False}))
+            calls[f"rpp {path}"] = lambda p=path: cli.cmd_analyze(p, "rpp", {})
+            calls[f"structure {path} --basepoint 0"] = (
+                lambda p=path: cli.cmd_analyze(p, "structure", {"basepoint": 0}))
     pair = ("fixtures/parityB1.pset", "fixtures/parityB2.pset")
     calls["joining " + " ".join(pair)] = lambda: cli.cmd_joining(pair)
     return {key: hashlib.sha256(_bytes(call)).hexdigest()
