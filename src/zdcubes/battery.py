@@ -14,21 +14,22 @@ byte-identical from run to run.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
 
 from .affine import (AffineZdSystem, discretize, formula_equivalence_test,
                      matcond_check, validate_affine)
-from .cube_engine import (RowIndex, enumerate_K, enumerate_Q,
-                          face_group_generators, face_group_orbit, row_keys,
-                          section_of, ucpp_check)
+from .cube_engine import (RowIndex, _chunked_ranks, _find_keys, enumerate_K,
+                          enumerate_Q, face_group_generators,
+                          face_group_orbit, row_keys, section_of, ucpp_check)
 from .errors import InputError
 from .finite_system import (FiniteZdSystem, check_factor_map, is_minimal,
                             validate)
 from .hypercube import Vertex, digit_permute
-from .proximal import (check_equivalence, compute_R, compute_R_j,
-                       compute_R_j_reordered, maximal_ucpp_factor,
+from .proximal import (_constant_tail_keys, check_equivalence, compute_R,
+                       compute_R_j, compute_R_j_reordered, maximal_ucpp_factor,
                        pushforward_check, sections)
 from .return_times import (PeriodicSet, contains_zero_vector, d_joining,
                            joining_containment_check, phi_image,
@@ -66,18 +67,6 @@ PAIR_CHUNK = 1 << 20
 
 def _face_cols(d: int, j: int, b: int) -> list[int]:
     return [m for m in range(1 << d) if (m >> (j - 1)) & 1 == b]
-
-
-def _pair_chunks(counts: np.ndarray):
-    """Owner i holds counts[i] consecutive pairs; yields (owner, rank) index
-    arrays for the pairs in order, PAIR_CHUNK at a time."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    starts = ends - counts
-    for t0 in range(0, total, PAIR_CHUNK):
-        t = np.arange(t0, min(t0 + PAIR_CHUNK, total))
-        owner = np.searchsorted(ends, t, side="right")
-        yield owner, t - starts[owner]
 
 
 def _pair_gather(rows: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -123,7 +112,7 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
         if witness is not None:
             continue
         take_b = [bool(m & bit) for m in range(width)]
-        for a, rank in _pair_chunks(counts):
+        for a, rank in _chunked_ranks(counts, PAIR_CHUNK):
             b = order[first[a] + rank]
             miss = _first_missing(index, _pair_gather(rows, a, b, take_b,
                                                       list(range(width))))
@@ -157,7 +146,7 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
             take_b = [(m & bit) == keep for m in range(width)]
             sides.append((side, take_b,
                           [m if t else m ^ bit for m, t in enumerate(take_b)]))
-        for g, r in _pair_chunks(sizes * sizes):
+        for g, r in _chunked_ranks(sizes * sizes, PAIR_CHUNK):
             a = members[starts[g] + r // sizes[g]]
             b = members[starts[g] + r % sizes[g]]
             found = [index.find(_pair_gather(rows, a, b, take_b, cols))[1]
@@ -302,33 +291,90 @@ def cube_battery(sys: FiniteZdSystem) -> list[dict]:
 # proximality relations
 
 
+def _pair_keys(pairs, n: int) -> np.ndarray:
+    """Sorted keys x*n + y of a set of pairs on n points."""
+    xy = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return np.sort(xy[:, 0] * n + xy[:, 1])
+
+
+def _section_classes(Q, sec: dict[int, range], n: int
+                     ) -> tuple[np.ndarray, np.ndarray, int]:
+    """(ids, shared, m) for the sections of a full cube set over n points:
+    ids[x] in 0..m-1 is equal for two points exactly when their sections
+    hold the same tails (m - 1 is the empty section of points without
+    one), and shared holds the sorted keys a*m + b of the class pairs
+    whose sections have a tail in common.
+
+    The tails of a section are sorted, so each is a slice of dense tail
+    ids and equal sections are equal slices, ranked by their bytes within
+    each length.  Shared tails are a join on tail ids over one section per
+    class."""
+    tails = np.unique(row_keys(Q.rows[:, 1:], n), return_inverse=True)[1]
+    xs = np.array(list(sec), dtype=np.int64)
+    starts = np.array([r.start for r in sec.values()], dtype=np.int64)
+    lengths = np.array([len(r) for r in sec.values()], dtype=np.int64)
+    ids = np.full(n, -1, dtype=np.int64)
+    m = 0
+    for length in np.unique(lengths).tolist():
+        pick = np.flatnonzero(lengths == length)
+        block = tails[starts[pick, None] + np.arange(length)]
+        rank = np.unique(block.view(f"V{block.itemsize * length}").ravel(),
+                         return_inverse=True)[1]
+        ids[xs[pick]] = m + rank
+        m += int(rank.max()) + 1
+    ids[ids < 0] = m
+    m += 1
+    rep = np.unique(ids[xs], return_index=True)[1]
+    rows = np.concatenate([np.arange(starts[i], starts[i] + lengths[i])
+                           for i in rep.tolist()] or [np.empty(0, np.int64)])
+    owner = np.repeat(ids[xs[rep]], lengths[rep])
+    order = np.lexsort((owner, tails[rows]))
+    held, owner = tails[rows][order], owner[order]
+    head = np.flatnonzero(np.diff(held, prepend=-1))
+    sizes = np.diff(np.append(head, len(held)))
+    shared = [np.empty(0, dtype=np.int64)]
+    for g, r in _chunked_ranks(sizes * sizes, PAIR_CHUNK):
+        a = owner[head[g] + r // sizes[g]]
+        b = owner[head[g] + r % sizes[g]]
+        shared.append(np.unique(a * m + b))
+    return ids, np.unique(np.concatenate(shared)), m
+
+
 def five_way_battery(sys: FiniteZdSystem) -> tuple[bool, int, list | None]:
     """All five membership formulations on every pair at once; returns
-    (agree everywhere, pairs checked, first disagreement with its flags)."""
+    (agree everywhere, pairs checked, first disagreement with its flags).
+
+    The pairs (x, y) are keys x*n + y, tested in row-major order for
+    PAIR_CHUNK // n values of x at a time: membership in every R_j and in
+    some R_j, and the constant tail (x, y, .., y) in Q, are lookups in
+    sorted pair keys; equal sections are equal section classes, and
+    sections that meet are a lookup of the class pair among those sharing
+    a tail."""
+    n = sys.n_points
     dirs = _full_dirs(sys)
     Q = enumerate_Q(sys, dirs)
-    rels = [compute_R_j(sys, j).pairs for j in dirs]
-    sec = sections(Q)
-    rows = Q.to_array()
-    # (x, y) with (x, y, .., y) in Q
-    constant = (rows[:, 1:] == rows[:, 1:2]).all(axis=1)
-    tails = set(map(tuple, rows[constant, :2].tolist()))
-    checked = 0
-    for x in range(sys.n_points):
-        sx = sec.get(x, frozenset())
-        for y in range(sys.n_points):
-            sy = sec.get(y, frozenset())
-            conds = (
-                all((x, y) in r for r in rels),
-                (x, y) in tails,
-                bool(sx & sy),
-                sx == sy,
-                any((x, y) in r for r in rels),
-            )
-            checked += 1
-            if len(set(conds)) != 1:
-                return False, checked, [x, y, list(conds)]
-    return True, checked, None
+    rels = [_pair_keys(compute_R_j(sys, j).pairs, n) for j in dirs]
+    every = reduce(np.intersect1d, rels)
+    some = reduce(np.union1d, rels)
+    tails = _constant_tail_keys(Q, n)
+    ids, shared, m = _section_classes(Q, sections(Q), n)
+    step = max(1, PAIR_CHUNK // n)
+    for x0 in range(0, n, step):
+        keys = np.arange(x0 * n, min(x0 + step, n) * n, dtype=np.int64)
+        x, y = np.divmod(keys, n)
+        conds = np.stack([
+            _find_keys(every, keys)[1],
+            _find_keys(tails, keys)[1],
+            _find_keys(shared, ids[x] * m + ids[y])[1],
+            ids[x] == ids[y],
+            _find_keys(some, keys)[1],
+        ])
+        split = (conds != conds[0]).any(axis=0)
+        if split.any():
+            i = int(np.argmax(split))
+            return False, int(keys[i]) + 1, [int(x[i]), int(y[i]),
+                                             conds[:, i].tolist()]
+    return True, n * n, None
 
 
 def proximal_battery(sys: FiniteZdSystem) -> list[dict]:

@@ -13,6 +13,7 @@ import sys
 import time
 
 import click
+import numpy as np
 
 from . import battery
 from .affine import (affine_to_text, discretize, formula_equivalence_test,
@@ -385,7 +386,8 @@ def cmd_verify(path: str, threads: int = 1) -> tuple[dict, int]:
         cs = CubeSet.from_text(text, path=path)
         rt = CubeSet.from_text(cs.to_text())
         items.append(battery._pass_fail(
-            "roundtrip", rt.points == cs.points and rt.dirs == cs.dirs))
+            "roundtrip",
+            rt.dirs == cs.dirs and np.array_equal(rt.rows, cs.rows)))
         items.append(battery._item("census", "pass", None, size=len(cs),
                                    sha256=cs.text_sha256()))
     else:

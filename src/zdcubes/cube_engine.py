@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .hypercube import MAX_DIM, FaceSelector, Vertex, digit_permute
 CubePoint = tuple[int, ...]
 
 MAX_ENUM_ROWS = 5_000_000
+TEXT_CHUNK = 1 << 22  # bytes of cell buffer per chunk of the text form
 INT32 = np.iinfo(np.int32)
 
 
@@ -148,12 +149,48 @@ class CubeSet:
         return self.rows
 
     def to_text(self) -> str:
-        lines = [f"cube-set d={self.k} dirs={','.join(str(j) for j in self.dirs)}"]
-        lines.extend(",".join(map(str, r)) for r in self.rows.tolist())
-        return "\n".join(lines) + "\n"
+        return b"".join(self._text_chunks()).decode("ascii")
 
     def text_sha256(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()
+        digest = hashlib.sha256()
+        for chunk in self._text_chunks():
+            digest.update(chunk)
+        return digest.hexdigest()
+
+    def _text_chunks(self):
+        """The ASCII bytes of the text form: the header line, then the rows
+        as comma-separated decimals, one line each, TEXT_CHUNK buffer bytes
+        at a time.
+
+        Each distinct value is formatted once, into a table holding its
+        digits followed by a ',' (or, for the last column, a newline); a
+        chunk of rows gathers its cells from the table and keeps the bytes
+        under each cell's length."""
+        yield f"cube-set d={self.k} dirs={','.join(map(str, self.dirs))}\n".encode()
+        rows = self.rows
+        if not len(rows):
+            return
+        if self._n <= rows.size:  # the table spans the value range
+            values = np.arange(self._lo, self._lo + self._n)
+            codes = self._shifted
+        else:  # a raw set with sparse values: only those that occur
+            values = np.unique(rows)
+            codes = partial(np.searchsorted, values)
+        cell = max(len(str(values[0])), len(str(values[-1]))) + 1
+        digits = values.astype(f"S{cell}").view(np.uint8).reshape(-1, cell)
+        size = (digits != 0).sum(axis=1) + 1  # digits and separator
+        table = np.repeat(digits[None], 2, axis=0)
+        table[0, np.arange(len(values)), size - 1] = ord(",")
+        table[1, np.arange(len(values)), size - 1] = ord("\n")
+        table = table.view(f"V{cell}").reshape(2, -1)
+        width = rows.shape[1]
+        last = (np.arange(width) == width - 1).astype(np.intp)
+        keep = np.arange(cell)
+        step = max(1, TEXT_CHUNK // (width * cell))
+        for start in range(0, len(rows), step):
+            c = codes(rows[start:start + step])
+            buf = table[last, c].view(np.uint8).reshape(len(c), width, cell)
+            yield buf[keep < size[c][..., None]].tobytes()
 
     @classmethod
     def from_text(cls, text: str, path: str | None = None) -> "CubeSet":
@@ -248,6 +285,18 @@ def _find_keys(keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     inside = pos < len(keys)
     found[inside] = keys[pos[inside]] == q[inside]
     return pos, found
+
+
+def _chunked_ranks(counts: np.ndarray, chunk: int):
+    """Owner i holds counts[i] consecutive items; yields (owner, rank) index
+    arrays for the items in order, chunk at a time."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    starts = ends - counts
+    for t0 in range(0, total, chunk):
+        t = np.arange(t0, min(t0 + chunk, total))
+        owner = np.searchsorted(ends, t, side="right")
+        yield owner, t - starts[owner]
 
 
 def orbit_rows(start: np.ndarray, step, key, cap: int | None = None
@@ -376,16 +425,25 @@ def ucpp_check(cubes: CubeSet) -> UcppResult:
     rows = cubes.rows
     for v in range(width):
         keys = row_keys(cubes._shifted(np.delete(rows, v, axis=1)), cubes._n)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        repeat = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-        if len(repeat):
-            # the stable sort keeps each key's tuples in row order
-            t = repeat[np.argmin(order[repeat])]
-            first = np.searchsorted(keys, keys[t])
-            pair = (tuple(rows[order[first]].tolist()), tuple(rows[order[t]].tolist()))
+        clash = _first_repeat(keys)
+        if clash is not None:
+            pair = (tuple(rows[clash[0]].tolist()), tuple(rows[clash[1]].tolist()))
             return UcppResult(ok=False, pair=pair, vertex=v)
     return UcppResult(ok=True)
+
+
+def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
+    """(i, t) for the first index t whose key occurred before, i being the
+    first index with that key; None when the keys are distinct."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeat = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    if not len(repeat):
+        return None
+    # the stable sort keeps each key's indices in order, so the earliest
+    # repeat is the second holder of its key and follows the first
+    t = repeat[np.argmin(order[repeat])]
+    return int(order[t - 1]), int(order[t])
 
 
 # ---------------------------------------------------------------------------

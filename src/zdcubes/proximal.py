@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .cube_engine import CubePoint, CubeSet, enumerate_Q, ucpp_check
+from .cube_engine import (CubePoint, CubeSet, _find_keys, enumerate_Q,
+                          ucpp_check)
 from .errors import HypothesisError, InputError
 from .finite_system import (FactorMap, FiniteZdSystem, PairRelation,
                             is_minimal, quotient)
@@ -95,27 +96,44 @@ def compute_R_j_reordered(sys: FiniteZdSystem, j: int) -> PairRelation:
     return _scan(sys, dirs, 1)
 
 
-def sections(Q: CubeSet) -> dict[int, frozenset[tuple[int, ...]]]:
-    """Group the full cube set by its vertex-0 coordinate; the value sets are
-    the possible completions over each base point."""
+def sections(Q: CubeSet) -> dict[int, range]:
+    """The rows of a full cube set over each of its base points.  Q is
+    sorted by its vertex-0 coordinate, so each section is one row range;
+    the tails of its rows (the coordinates after vertex 0) are the possible
+    completions over that point, in sorted order."""
     if Q.based:
         raise InputError("sections need a full cube set")
-    acc: dict[int, set[tuple[int, ...]]] = {}
-    for p in Q.points:
-        acc.setdefault(p[0], set()).add(p[1:])
-    return {x: frozenset(v) for x, v in acc.items()}
+    col = Q.rows[:, 0]
+    head = np.ones(len(col), dtype=bool)
+    head[1:] = col[1:] != col[:-1]
+    starts = np.flatnonzero(head)
+    stops = np.append(starts[1:], len(col))
+    return {x: range(a, b) for x, a, b in
+            zip(col[starts].tolist(), starts.tolist(), stops.tolist())}
+
+
+def _constant_tail_keys(Q: CubeSet, n: int) -> np.ndarray:
+    """Sorted keys x*n + y of the pairs with (x, y, .., y) in the full cube
+    set Q over a system on n points."""
+    rows = Q.rows
+    constant = (rows[:, 1:] == rows[:, 1:2]).all(axis=1)
+    return rows[constant, 0].astype(np.int64) * n + rows[constant, 1]
 
 
 def constant_tail_symmetry(sys: FiniteZdSystem
                            ) -> tuple[bool, tuple[int, int] | None]:
-    """(x, y..y) is a cube tuple exactly when (y, x..x) is."""
-    Q = enumerate_Q(sys, _full_dirs(sys))
-    w = Q.width
-    for x in range(sys.n_points):
-        for y in range(sys.n_points):
-            if (((x,) + (y,) * (w - 1)) in Q) != (((y,) + (x,) * (w - 1)) in Q):
-                return False, (x, y)
-    return True, None
+    """(x, y..y) is a cube tuple exactly when (y, x..x) is.  The witness is
+    the first pair (x, y) in row-major order where one holds and the other
+    does not: a constant-tail pair whose transpose is missing, or that
+    transpose."""
+    n = sys.n_points
+    keys = _constant_tail_keys(enumerate_Q(sys, _full_dirs(sys)), n)
+    flipped = keys % n * n + keys // n
+    lonely = ~_find_keys(keys, flipped)[1]
+    if not lonely.any():
+        return True, None
+    x, y = divmod(int(min(keys[lonely].min(), flipped[lonely].min())), n)
+    return False, (x, y)
 
 
 @dataclass(frozen=True)

@@ -16,18 +16,19 @@ completion, Y embeds into the product of the Y_j.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_engine import (CubeSet, FaceGroupElement, RowIndex, enumerate_K,
-                          enumerate_Q, row_keys, section_of, ucpp_check,
-                          UcppResult)
+from .cube_engine import (CubeSet, FaceGroupElement, RowIndex, UcppResult,
+                          _chunked_ranks, _first_repeat, enumerate_K,
+                          enumerate_Q, row_keys, section_of, ucpp_check)
 from .errors import HypothesisError, InputError
 from .finite_system import (FactorMap, FiniteZdSystem, PairRelation,
                             _label_quotient, is_minimal, label_classes,
                             orbit_labels)
+
+COMBO_CHUNK = 1 << 18  # relative-independence candidates per chunk
 
 
 @dataclass(frozen=True)
@@ -228,22 +229,25 @@ def _decompose(sys: FiniteZdSystem, x0: int) -> JoiningDecomposition:
         for j in range(i + 1, sys.d + 1):
             corners[(i, j)] = _project_positions(
                 K, Y, _corner_positions(sys.d, i, j), f"Y_{i},{j}")
-    combined: dict[tuple[int, ...], tuple[int, ...]] = {}
-    witness = None
-    injective = True
-    for pt_id, pt in enumerate(K.points):
-        key = tuple(sides[j].from_face(pt_id) for j in range(sys.d))
-        other = combined.get(key)
-        if other is not None and other != pt:
-            injective = False
-            witness = (other, pt)
-            break
-        combined[key] = pt
+    injective, witness = _injectivity(K, sides)
     return JoiningDecomposition(
         sys=sys, x0=x0, K=K, ucpp=u, minimal=minimal, Y=Y,
         side_projections=sides, corner_projections=corners,
         injective=injective, injectivity_witness=witness,
     )
+
+
+def _injectivity(K: CubeSet, sides: tuple[CoordinateProjection, ...]
+                 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """Whether the product of the side projections separates the points of
+    K; the witness pairs the first point, in K order, whose side values
+    repeat with the first point holding them."""
+    labels = np.stack([np.asarray(side.from_face.mapping) for side in sides],
+                      axis=1)
+    clash = _first_repeat(row_keys(labels, len(K)))
+    if clash is None:
+        return True, None
+    return False, tuple(tuple(K.rows[i].tolist()) for i in clash)
 
 
 @dataclass(frozen=True)
@@ -263,72 +267,68 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
                              ) -> FactorIsoResult:
     """The face system of K quotiented by the direction-j face orbit must be
     carried isomorphically onto K of the remaining directions by forgetting
-    the eps_j = 1 coordinates."""
+    the eps_j = 1 coordinates.
+
+    The forgetting map is the side projection Y_j of decompose(sys, x0);
+    each class is read through its first point, and the witness names the
+    class of the first point that projects differently, or the first class
+    whose image under a generator disagrees."""
     if not 1 <= j <= sys.d:
         raise InputError(f"direction {j} out of range 1..{sys.d}")
     if sys.d < 2:
         raise InputError("need d >= 2")
     dirs = tuple(range(1, sys.d + 1))
     rest = tuple(i for i in dirs if i != j)
-    K = enumerate_K(sys, dirs, x0)
-    Y = face_system(K)
-    q_sys, kappa = maximal_trivial_H_factor(Y, SubgroupSpec(dirs=(j,)))
+    dec = decompose(sys, x0)
+    q_sys, kappa = maximal_trivial_H_factor(dec.Y, SubgroupSpec(dirs=(j,)))
     if len(rest) == 1:
-        K_rest = enumerate_Q(sys, rest)
-        low = tuple(p[1] for p in K_rest.points if p[0] == x0)
-        rest_values = tuple((v,) for v in sorted(set(low)))
+        low = enumerate_Q(sys, rest).rows
+        rest_rows = np.unique(low[low[:, 0] == x0, 1]).reshape(-1, 1)
         Y_rest = None
     else:
         K_rest = enumerate_K(sys, rest, x0)
-        rest_values = K_rest.points
+        rest_rows = K_rest.rows
         Y_rest = face_system(K_rest)
-    rest_index = {v: i for i, v in enumerate(rest_values)}
-    positions = _side_positions(sys.d, j)
-    idx = [p - 1 for p in positions]
-    proj = [tuple(pt[i] for i in idx) for pt in K.points]
-    cls_val: dict[int, tuple[int, ...]] = {}
-    constant = True
-    witness = None
-    for pt_id in range(Y.n_points):
-        c = kappa(pt_id)
-        if c in cls_val and cls_val[c] != proj[pt_id]:
-            constant = False
-            witness = f"class {c} projects two ways"
-            break
-        cls_val[c] = proj[pt_id]
+    proj = np.asarray(dec.side_projections[j - 1].from_face.mapping)
+    cls = np.asarray(kappa.mapping)
+    first = np.unique(cls, return_index=True)[1]  # classes are 0..m-1
+    split = np.flatnonzero(proj != proj[first[cls]])
+    constant = not len(split)
+    witness = None if constant else f"class {cls[split[0]]} projects two ways"
     bijective = False
     if constant:
-        image = set(cls_val.values())
-        bijective = (len(cls_val) == q_sys.n_points == len(rest_values)
-                     and image == set(rest_values)
-                     and len(image) == len(cls_val))
-        if not bijective and witness is None:
-            witness = (f"{len(cls_val)} classes vs {len(rest_values)} "
+        labels = proj[first]
+        image = dec.K.rows[first][:, [p - 1 for p in _side_positions(sys.d, j)]]
+        here, found = RowIndex(rest_rows, sys.n_points).find(image)
+        distinct = len(np.unique(labels))
+        bijective = (len(first) == q_sys.n_points == len(rest_rows)
+                     and bool(found.all()) and distinct == len(rest_rows)
+                     and distinct == len(first))
+        if not bijective:
+            witness = (f"{len(first)} classes vs {len(rest_rows)} "
                        "restricted tuples")
     equivariant = True
     if constant and bijective:
         for gi, i_dir in enumerate(dirs):
             if i_dir == j:
                 continue
-            ri = rest.index(i_dir)
-            for c in range(q_sys.n_points):
-                lhs = cls_val[q_sys.perms[gi][c]]
-                here = rest_index[cls_val[c]]
-                if Y_rest is None:
-                    rhs = (sys.perms[i_dir - 1][cls_val[c][0]],)
-                else:
-                    rhs = K_rest.points[Y_rest.perms[ri][here]]
-                if lhs != rhs:
-                    equivariant = False
-                    witness = f"direction {i_dir} disagrees at class {c}"
-                    break
-            if not equivariant:
+            lhs = image[np.asarray(q_sys.perms[gi])]
+            if Y_rest is None:
+                rhs = np.asarray(sys.perms[i_dir - 1])[image]
+            else:
+                step = np.asarray(Y_rest.perms[rest.index(i_dir)])
+                rhs = rest_rows[step[here]]
+            bad = (lhs != rhs).any(axis=1)
+            if bad.any():
+                equivariant = False
+                witness = (f"direction {i_dir} disagrees at class "
+                           f"{int(np.argmax(bad))}")
                 break
     gen_j = q_sys.perms[dirs.index(j)]
     dropped_trivial = gen_j == tuple(range(q_sys.n_points))
     ok = constant and bijective and equivariant and dropped_trivial
     return FactorIsoResult(ok=ok, j=j, classes=q_sys.n_points,
-                           target_size=len(rest_values),
+                           target_size=len(rest_rows),
                            constant_on_classes=constant, bijective=bijective,
                            equivariant=equivariant,
                            dropped_trivial=dropped_trivial, witness=witness)
@@ -348,48 +348,55 @@ def relative_independence_check(dec: JoiningDecomposition
 
     A candidate fixes the coordinates with two or more zero bits from the
     base tuple, draws the all-ones-but-j coordinate from any Y_j member with
-    matching pinned part, and must then extend to exactly one K member."""
+    matching pinned part, and must then extend to exactly one K member.
+
+    As joins: for each j, the distinct (pinned part, value) pairs of K,
+    sorted, give each pinned part a bucket of side values, which holds the
+    point's own value.  A point's candidates are the mixed-radix ranks over
+    its bucket sizes, the last direction fastest, which is the order of
+    itertools.product over the sorted values; they are expanded COMBO_CHUNK
+    at a time in K order and counted among the rows of K without their
+    last column.  The witness is the first point with a candidate that
+    does not complete exactly once, with that candidate's side values."""
     if not dec.ucpp.ok or not dec.minimal:
         return RelativeIndependenceResult(status="hypotheses-unmet", checked=0,
                                           witness=None)
     K = dec.K
+    rows, n = K.rows, K._n  # a based set of a system: coordinates 0..n-1
     d = K.k
     full = (1 << d) - 1
-    free_pos = [full ^ (1 << (j - 1)) for j in range(1, d + 1)]  # all ones but j
-    side_pos = [_side_positions(d, j) for j in range(1, d + 1)]
-    side_sets: list[dict[tuple[int, ...], set[int]]] = []
+    free = [(full ^ (1 << (j - 1))) - 1 for j in range(1, d + 1)]  # columns
+    starts, sizes, values = [], [], []
     for j in range(1, d + 1):
-        pins = [p for p in side_pos[j - 1] if p != free_pos[j - 1]]
-        table: dict[tuple[int, ...], set[int]] = {}
-        for pt in K.points:
-            key = tuple(pt[p - 1] for p in pins)
-            table.setdefault(key, set()).add(pt[free_pos[j - 1] - 1])
-        side_sets.append(table)
-    completions: dict[tuple[int, ...], set[int]] = {}
-    for pt in K.points:
-        completions.setdefault(pt[:-1], set()).add(pt[-1])
-
-    def check_point(pt: tuple[int, ...]) -> tuple | None:
-        choices = []
-        for j in range(1, d + 1):
-            pins = [p for p in side_pos[j - 1] if p != free_pos[j - 1]]
-            key = tuple(pt[p - 1] for p in pins)
-            vals = side_sets[j - 1].get(key)
-            if not vals:
-                return (pt, f"no side values in direction {j}")
-            choices.append(sorted(vals))
-        for combo in itertools.product(*choices):
-            partial = list(pt[:-1])
-            for j, v in enumerate(combo, start=1):
-                partial[free_pos[j - 1] - 1] = v
-            comp = completions.get(tuple(partial), set())
-            if len(comp) != 1:
-                return (pt, combo, f"{len(comp)} completions")
-        return None
-
-    for pt in K.points:
-        r = check_point(pt)
-        if r is not None:
-            return RelativeIndependenceResult(status="fail", checked=len(K),
-                                              witness=r)
+        pins = [p - 1 for p in _side_positions(d, j) if p - 1 != free[j - 1]]
+        part = np.unique(row_keys(rows[:, pins], n), return_inverse=True)[1]
+        pairs = np.unique(part * n + rows[:, free[j - 1]])
+        bucket = pairs // n
+        starts.append(np.searchsorted(bucket, part))
+        sizes.append(np.searchsorted(bucket, part, side="right") - starts[-1])
+        values.append(pairs % n)
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+    prefixes = RowIndex(rows[head, :-1], n)
+    completions = np.diff(np.append(np.flatnonzero(head), len(rows)))
+    total = np.prod(np.stack(sizes, axis=1), axis=1)
+    for point, rank in _chunked_ranks(total, COMBO_CHUNK):
+        combo = np.empty((len(point), d), dtype=rows.dtype)
+        for j in reversed(range(d)):
+            size = sizes[j][point]
+            combo[:, j] = values[j][starts[j][point] + rank % size]
+            rank = rank // size
+        partial = rows[point, :-1]
+        partial[:, free] = combo
+        pos, found = prefixes.find(partial)
+        count = np.where(found, completions[np.minimum(pos, len(completions) - 1)],
+                         0)
+        bad = np.flatnonzero(count != 1)
+        if len(bad):
+            i = bad[0]
+            return RelativeIndependenceResult(
+                status="fail", checked=len(K),
+                witness=(tuple(rows[point[i]].tolist()),
+                         tuple(combo[i].tolist()),
+                         f"{int(count[i])} completions"))
     return RelativeIndependenceResult(status="pass", checked=len(K), witness=None)

@@ -4,20 +4,29 @@ These are the per-point Python loops the surgery, face-group, membership
 and unique-completion checks and the template scan were first written as:
 one cube tuple (or pair) at a time, membership in a Python set.  The array
 code in zdcubes must give exactly the same items, witnesses and counts;
-tests/test_array_batteries.py compares them.  The periodic-set sum-image
-check, which now sums the residues, first looped over the whole moduli box;
+tests/test_array_batteries.py compares them.  So were the five-way
+agreement of the proximal relations over frozenset sections, relative
+independence, the factor isomorphisms, the injectivity of the joining
+decomposition and the text form of a cube set; tests/test_array_structure.py
+compares those.  The periodic-set sum-image check, which now sums the
+residues, first looped over the whole moduli box;
 tests/test_return_times.py compares the two.
 """
 
 from __future__ import annotations
 
+import itertools
 from itertools import combinations, permutations, product
 
 from zdcubes.battery import _pass_fail
 from zdcubes.cube_engine import (CubeSet, FaceGroupElement,
-                                 digit_permute_point, duplicate, enumerate_Q,
-                                 face_group_generators, glue, insert, project,
-                                 reflect_point)
+                                 digit_permute_point, duplicate, enumerate_K,
+                                 enumerate_Q, face_group_generators, glue,
+                                 insert, project, reflect_point)
+from zdcubes.proximal import compute_R_j
+from zdcubes.structure import (FactorIsoResult, RelativeIndependenceResult,
+                               SubgroupSpec, _side_positions, face_system,
+                               maximal_trivial_H_factor)
 from zdcubes.finite_system import perm_order
 from zdcubes.hypercube import FaceSelector
 from zdcubes.return_times import phi_image
@@ -239,3 +248,181 @@ def sum_image_consistency(ps):
     brute = {(s[0] % img.moduli[0],) for s in img.residues}
     return _pass_fail("sum_image_consistency", sums == brute, None,
                       image_modulus=img.moduli[0])
+
+
+# ---------------------------------------------------------------------------
+# proximal relations and the joining decomposition
+
+
+def sections(Q):
+    acc = {}
+    for p in Q.points:
+        acc.setdefault(p[0], set()).add(p[1:])
+    return {x: frozenset(v) for x, v in acc.items()}
+
+
+def five_way_battery(sys):
+    dirs = tuple(range(1, sys.d + 1))
+    Q = enumerate_Q(sys, dirs)
+    rels = [compute_R_j(sys, j).pairs for j in dirs]
+    sec = sections(Q)
+    tails = {(p[0], p[1]) for p in Q.points if len(set(p[1:])) == 1}
+    checked = 0
+    for x in range(sys.n_points):
+        sx = sec.get(x, frozenset())
+        for y in range(sys.n_points):
+            sy = sec.get(y, frozenset())
+            conds = (
+                all((x, y) in r for r in rels),
+                (x, y) in tails,
+                bool(sx & sy),
+                sx == sy,
+                any((x, y) in r for r in rels),
+            )
+            checked += 1
+            if len(set(conds)) != 1:
+                return False, checked, [x, y, list(conds)]
+    return True, checked, None
+
+
+def constant_tail_symmetry(sys):
+    Q = enumerate_Q(sys, tuple(range(1, sys.d + 1)))
+    members = set(Q.points)
+    w = Q.width
+    for x in range(sys.n_points):
+        for y in range(sys.n_points):
+            if (((x,) + (y,) * (w - 1)) in members) != \
+                    (((y,) + (x,) * (w - 1)) in members):
+                return False, (x, y)
+    return True, None
+
+
+def injectivity(K, sides):
+    """(injective, witness) of the product of the side projections."""
+    combined = {}
+    for pt_id, pt in enumerate(K.points):
+        key = tuple(side.from_face(pt_id) for side in sides)
+        other = combined.get(key)
+        if other is not None and other != pt:
+            return False, (other, pt)
+        combined[key] = pt
+    return True, None
+
+
+def factor_isomorphism_check(sys, x0, j):
+    dirs = tuple(range(1, sys.d + 1))
+    rest = tuple(i for i in dirs if i != j)
+    K = enumerate_K(sys, dirs, x0)
+    Y = face_system(K)
+    q_sys, kappa = maximal_trivial_H_factor(Y, SubgroupSpec(dirs=(j,)))
+    if len(rest) == 1:
+        K_rest = enumerate_Q(sys, rest)
+        low = tuple(p[1] for p in K_rest.points if p[0] == x0)
+        rest_values = tuple((v,) for v in sorted(set(low)))
+        Y_rest = None
+    else:
+        K_rest = enumerate_K(sys, rest, x0)
+        rest_values = K_rest.points
+        Y_rest = face_system(K_rest)
+    rest_index = {v: i for i, v in enumerate(rest_values)}
+    idx = [p - 1 for p in _side_positions(sys.d, j)]
+    proj = [tuple(pt[i] for i in idx) for pt in K.points]
+    cls_val = {}
+    constant = True
+    witness = None
+    for pt_id in range(Y.n_points):
+        c = kappa(pt_id)
+        if c in cls_val and cls_val[c] != proj[pt_id]:
+            constant = False
+            witness = f"class {c} projects two ways"
+            break
+        cls_val[c] = proj[pt_id]
+    bijective = False
+    if constant:
+        image = set(cls_val.values())
+        bijective = (len(cls_val) == q_sys.n_points == len(rest_values)
+                     and image == set(rest_values)
+                     and len(image) == len(cls_val))
+        if not bijective and witness is None:
+            witness = (f"{len(cls_val)} classes vs {len(rest_values)} "
+                       "restricted tuples")
+    equivariant = True
+    if constant and bijective:
+        for gi, i_dir in enumerate(dirs):
+            if i_dir == j:
+                continue
+            ri = rest.index(i_dir)
+            for c in range(q_sys.n_points):
+                lhs = cls_val[q_sys.perms[gi][c]]
+                here = rest_index[cls_val[c]]
+                if Y_rest is None:
+                    rhs = (sys.perms[i_dir - 1][cls_val[c][0]],)
+                else:
+                    rhs = K_rest.points[Y_rest.perms[ri][here]]
+                if lhs != rhs:
+                    equivariant = False
+                    witness = f"direction {i_dir} disagrees at class {c}"
+                    break
+            if not equivariant:
+                break
+    gen_j = q_sys.perms[dirs.index(j)]
+    dropped_trivial = gen_j == tuple(range(q_sys.n_points))
+    ok = constant and bijective and equivariant and dropped_trivial
+    return FactorIsoResult(ok=ok, j=j, classes=q_sys.n_points,
+                           target_size=len(rest_values),
+                           constant_on_classes=constant, bijective=bijective,
+                           equivariant=equivariant,
+                           dropped_trivial=dropped_trivial, witness=witness)
+
+
+def relative_independence_check(dec):
+    if not dec.ucpp.ok or not dec.minimal:
+        return RelativeIndependenceResult(status="hypotheses-unmet", checked=0,
+                                          witness=None)
+    K = dec.K
+    d = K.k
+    full = (1 << d) - 1
+    free_pos = [full ^ (1 << (j - 1)) for j in range(1, d + 1)]
+    side_pos = [_side_positions(d, j) for j in range(1, d + 1)]
+    side_sets = []
+    for j in range(1, d + 1):
+        pins = [p for p in side_pos[j - 1] if p != free_pos[j - 1]]
+        table = {}
+        for pt in K.points:
+            key = tuple(pt[p - 1] for p in pins)
+            table.setdefault(key, set()).add(pt[free_pos[j - 1] - 1])
+        side_sets.append(table)
+    completions = {}
+    for pt in K.points:
+        completions.setdefault(pt[:-1], set()).add(pt[-1])
+
+    def check_point(pt):
+        choices = []
+        for j in range(1, d + 1):
+            pins = [p for p in side_pos[j - 1] if p != free_pos[j - 1]]
+            key = tuple(pt[p - 1] for p in pins)
+            vals = side_sets[j - 1].get(key)
+            if not vals:
+                return (pt, f"no side values in direction {j}")
+            choices.append(sorted(vals))
+        for combo in itertools.product(*choices):
+            partial = list(pt[:-1])
+            for j, v in enumerate(combo, start=1):
+                partial[free_pos[j - 1] - 1] = v
+            comp = completions.get(tuple(partial), set())
+            if len(comp) != 1:
+                return (pt, combo, f"{len(comp)} completions")
+        return None
+
+    for pt in K.points:
+        r = check_point(pt)
+        if r is not None:
+            return RelativeIndependenceResult(status="fail", checked=len(K),
+                                              witness=r)
+    return RelativeIndependenceResult(status="pass", checked=len(K), witness=None)
+
+
+def to_text(cubes):
+    lines = [f"cube-set d={cubes.k} dirs={','.join(str(j) for j in cubes.dirs)}"]
+    lines.extend(",".join(map(str, r)) for r in cubes.rows.tolist())
+    return "\n".join(lines) + "\n"
