@@ -2,8 +2,11 @@
 
 Each report is serialised as `zdcubes` prints it (sorted keys, indent 2)
 followed by its exit code, from the repository root so that the input paths
-in it read `fixtures/<name>`.  tests/data/reports.json holds the SHA-256 of
-each; regenerate it only for a deliberate change of output:
+in it read `fixtures/<name>`.  Two more reports run on periodic sets at the
+sizes of the benchmark's, generated from a fixed seed and written under
+relative names into a temporary working directory.  tests/data/reports.json
+holds the SHA-256 of each; regenerate it only for a deliberate change of
+output:
 
     PYTHONPATH=src python tests/test_report_bytes.py > tests/data/reports.json
 """
@@ -12,6 +15,9 @@ import hashlib
 import json
 import os
 import pathlib
+import random
+import tempfile
+from itertools import product
 
 from zdcubes import cli
 from zdcubes.errors import HypothesisError, InputError
@@ -29,6 +35,37 @@ def _bytes(call) -> bytes:
         report, code = {"error": str(exc), "status": "hypotheses-unmet"}, 2
     return (json.dumps(report, indent=2, sort_keys=True,
                        default=cli._json_default) + f"\n{code}\n").encode()
+
+
+def _pset_text(moduli, residues) -> str:
+    lines = [f"periodic-set k={len(moduli)} moduli={','.join(map(str, moduli))}"]
+    lines += [",".join(map(str, r)) for r in residues]
+    return "\n".join(lines) + "\n"
+
+
+def generated_inputs() -> dict[str, str]:
+    """Text of periodic sets as large as the benchmark's: 4,800 residues
+    with true periods (12, 10) lifted to the moduli (96, 100), in random
+    order and some unreduced, and the three inputs of a joining with output
+    moduli (20, 24, 30), each half of its box."""
+    rng = random.Random(20181)
+    base = rng.sample(list(product(range(12), range(10))), 60)
+    lifted = [(a + 12 * s + 96 * rng.randint(-2, 2), b + 10 * t)
+              for a, b in base for s in range(8) for t in range(10)]
+    rng.shuffle(lifted)
+    files = {"lifted.pset": _pset_text((96, 100), lifted)}
+    moduli = (20, 24, 30)
+    for j in range(3):
+        sub = moduli[:j] + moduli[j + 1:]
+        box = list(product(*map(range, sub)))
+        files[f"join{j + 1}.pset"] = _pset_text(sub, rng.sample(box, len(box) // 2))
+    return files
+
+
+def _generated_calls() -> dict:
+    joined = ("join1.pset", "join2.pset", "join3.pset")
+    return {"verify lifted.pset": lambda: cli.cmd_verify("lifted.pset"),
+            "joining " + " ".join(joined): lambda: cli.cmd_joining(joined)}
 
 
 def report_hashes() -> dict[str, str]:
@@ -49,8 +86,19 @@ def report_hashes() -> dict[str, str]:
                 lambda p=path: cli.cmd_analyze(p, "structure", {"basepoint": 0}))
     pair = ("fixtures/parityB1.pset", "fixtures/parityB2.pset")
     calls["joining " + " ".join(pair)] = lambda: cli.cmd_joining(pair)
-    return {key: hashlib.sha256(_bytes(call)).hexdigest()
-            for key, call in calls.items()}
+    hashes = {key: hashlib.sha256(_bytes(call)).hexdigest()
+              for key, call in calls.items()}
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in generated_inputs().items():
+                pathlib.Path(name).write_text(text)
+            hashes.update((key, hashlib.sha256(_bytes(call)).hexdigest())
+                          for key, call in _generated_calls().items())
+        finally:
+            os.chdir(here)
+    return hashes
 
 
 def test_reports_match_frozen_hashes(monkeypatch):
