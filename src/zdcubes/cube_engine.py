@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -37,6 +38,7 @@ CubePoint = tuple[int, ...]
 
 MAX_ENUM_ROWS = 5_000_000
 TEXT_CHUNK = 1 << 22  # bytes of cell buffer per chunk of the text form
+READ_CHUNK = 1 << 16  # lines parsed at once: bounds the str objects alive
 INT32 = np.iinfo(np.int32)
 
 
@@ -149,48 +151,16 @@ class CubeSet:
         return self.rows
 
     def to_text(self) -> str:
-        return b"".join(self._text_chunks()).decode("ascii")
+        return _rows_text(self._header(), self.rows)
 
     def text_sha256(self) -> str:
         digest = hashlib.sha256()
-        for chunk in self._text_chunks():
+        for chunk in _text_chunks(self._header(), self.rows):
             digest.update(chunk)
         return digest.hexdigest()
 
-    def _text_chunks(self):
-        """The ASCII bytes of the text form: the header line, then the rows
-        as comma-separated decimals, one line each, TEXT_CHUNK buffer bytes
-        at a time.
-
-        Each distinct value is formatted once, into a table holding its
-        digits followed by a ',' (or, for the last column, a newline); a
-        chunk of rows gathers its cells from the table and keeps the bytes
-        under each cell's length."""
-        yield f"cube-set d={self.k} dirs={','.join(map(str, self.dirs))}\n".encode()
-        rows = self.rows
-        if not len(rows):
-            return
-        if self._n <= rows.size:  # the table spans the value range
-            values = np.arange(self._lo, self._lo + self._n)
-            codes = self._shifted
-        else:  # a raw set with sparse values: only those that occur
-            values = np.unique(rows)
-            codes = partial(np.searchsorted, values)
-        cell = max(len(str(values[0])), len(str(values[-1]))) + 1
-        digits = values.astype(f"S{cell}").view(np.uint8).reshape(-1, cell)
-        size = (digits != 0).sum(axis=1) + 1  # digits and separator
-        table = np.repeat(digits[None], 2, axis=0)
-        table[0, np.arange(len(values)), size - 1] = ord(",")
-        table[1, np.arange(len(values)), size - 1] = ord("\n")
-        table = table.view(f"V{cell}").reshape(2, -1)
-        width = rows.shape[1]
-        last = (np.arange(width) == width - 1).astype(np.intp)
-        keep = np.arange(cell)
-        step = max(1, TEXT_CHUNK // (width * cell))
-        for start in range(0, len(rows), step):
-            c = codes(rows[start:start + step])
-            buf = table[last, c].view(np.uint8).reshape(len(c), width, cell)
-            yield buf[keep < size[c][..., None]].tobytes()
+    def _header(self) -> str:
+        return f"cube-set d={self.k} dirs={','.join(map(str, self.dirs))}"
 
     @classmethod
     def from_text(cls, text: str, path: str | None = None) -> "CubeSet":
@@ -208,27 +178,113 @@ class CubeSet:
         if len(dirs) != k:
             raise InputError(f"header says d={k} but lists {len(dirs)} dirs",
                              path=path, line=header_line)
-        points = []
-        width = None
-        for lineno, line in rows[1:]:
-            try:
-                p = tuple(int(t) for t in line.split(","))
-            except ValueError:
-                raise InputError(f"non-integer coordinate in {line!r}", path=path, line=lineno)
-            if width is None:
-                width = len(p)
-                if width not in (1 << k, (1 << k) - 1):
-                    raise InputError(
-                        f"row width {width} matches neither 2^{k} nor 2^{k}-1",
-                        path=path, line=lineno)
-            elif len(p) != width:
-                raise InputError(f"row width {len(p)} != {width}", path=path, line=lineno)
-            if not INT32.min <= min(p) <= max(p) <= INT32.max:
-                raise InputError(f"coordinate outside the int32 range in {line!r}",
-                                 path=path, line=lineno)
-            points.append(p)
-        based = width == (1 << k) - 1 if width is not None else False
+
+        def width_error(width: int, first: int) -> str | None:
+            if width != first:
+                return f"row width {width} != {first}"
+            if width not in (1 << k, (1 << k) - 1):
+                return f"row width {width} matches neither 2^{k} nor 2^{k}-1"
+            return None
+
+        points = _read_int_rows(rows[1:], "coordinate", width_error, path, INT32)
+        based = len(points) > 0 and points.shape[1] == (1 << k) - 1
         return cls(dirs=dirs, points=points, based=based)
+
+
+# ---------------------------------------------------------------------------
+# int rows as text
+
+
+def _read_int_rows(body: list[tuple[int, str]], noun: str, width_error,
+                   path: str | None, bounds: np.iinfo | None = None
+                   ) -> np.ndarray | list[tuple[int, ...]]:
+    """The rows of comma-separated integers on the content lines body (as
+    _content_lines gives them) as an int64 array of shape (lines, width),
+    or as a list of int tuples: an empty one when there are no lines, and
+    the rows themselves when, without bounds, a value is beyond int64 (for
+    the caller to reduce exactly).
+
+    width_error(width, first) is the message for a line of width values
+    when the first line holds first values, or None when the line is fine.
+    Values must lie within bounds when given.
+
+    Every line's comma count is checked, then the values are parsed with
+    one map(int, ..) per READ_CHUNK lines; if anything is wrong, the lines
+    are read again one at a time until the first bad one, whose message and
+    number the error carries."""
+    if not body:
+        return []
+    _, lines = zip(*body)
+    first = lines[0].count(",") + 1
+    commas = set(map(str.count, lines, repeat(",")))
+    if not any(width_error(c + 1, first) for c in commas):
+        try:
+            rows = np.concatenate([
+                np.fromiter(map(int, ",".join(lines[s:s + READ_CHUNK]).split(",")),
+                            dtype=np.int64)
+                for s in range(0, len(lines), READ_CHUNK)]).reshape(len(lines), first)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if bounds is None or bounds.min <= rows.min() and rows.max() <= bounds.max:
+                return rows
+    rows = []
+    for lineno, line in body:
+        try:
+            row = tuple(int(t) for t in line.split(","))
+        except ValueError:
+            raise InputError(f"non-integer {noun} in {line!r}", path=path, line=lineno)
+        message = width_error(len(row), len(rows[0]) if rows else len(row))
+        if message is not None:
+            raise InputError(message, path=path, line=lineno)
+        if bounds is not None and not bounds.min <= min(row) <= max(row) <= bounds.max:
+            raise InputError(f"{noun} outside the {bounds.dtype} range in {line!r}",
+                             path=path, line=lineno)
+        rows.append(row)
+    return rows
+
+
+def _rows_text(header: str, rows: np.ndarray) -> str:
+    return b"".join(_text_chunks(header, rows)).decode("ascii")
+
+
+def _text_chunks(header: str, rows: np.ndarray):
+    """The ASCII bytes of a header line followed by the rows of an int
+    array as comma-separated decimals, one line each, TEXT_CHUNK buffer
+    bytes at a time.
+
+    Each distinct value is formatted once, into a table holding its digits
+    followed by a ',' (or, for the last column, a newline); a chunk of rows
+    gathers its cells from the table and keeps the bytes under each cell's
+    length.  The table spans the value range, or only the values that occur
+    when the range exceeds the cell count (as with large moduli)."""
+    yield f"{header}\n".encode()
+    if not len(rows):
+        return
+    lo, hi = int(rows.min()), int(rows.max())
+    if hi - lo < rows.size:
+        values = np.arange(lo, hi + 1)
+
+        def codes(c):
+            return c - lo if lo else c
+    else:
+        values = np.unique(rows)
+        codes = partial(np.searchsorted, values)
+    cell = max(len(str(lo)), len(str(hi))) + 1
+    digits = values.astype(f"S{cell}").view(np.uint8).reshape(-1, cell)
+    size = (digits != 0).sum(axis=1) + 1  # digits and separator
+    table = np.repeat(digits[None], 2, axis=0)
+    table[0, np.arange(len(values)), size - 1] = ord(",")
+    table[1, np.arange(len(values)), size - 1] = ord("\n")
+    table = table.view(f"V{cell}").reshape(2, -1)
+    width = rows.shape[1]
+    last = (np.arange(width) == width - 1).astype(np.intp)
+    keep = np.arange(cell)
+    step = max(1, TEXT_CHUNK // (width * cell))
+    for start in range(0, len(rows), step):
+        c = codes(rows[start:start + step])
+        buf = table[last, c].view(np.uint8).reshape(len(c), width, cell)
+        yield buf[keep < size[c][..., None]].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -513,12 +513,11 @@ def _label_quotient(sys: FiniteZdSystem, labels: np.ndarray
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
     """(lineno, stripped) for lines that are not blank or comments."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] if "#" in line else line for line in lines]
+    return [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), 1)
+            if line]
 
 
 def _parse_int_list(text: str, lineno: int, path: str | None) -> list[int]:

@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cube_engine import (RowIndex, enumerate_Q, orbit_rows, row_keys,
-                          ucpp_check)
+from .cube_engine import (RowIndex, _read_int_rows, _rows_text, enumerate_Q,
+                          orbit_rows, row_keys, ucpp_check)
 from .errors import InputError
 from .finite_system import FiniteZdSystem, _content_lines
 
@@ -139,12 +139,17 @@ class PeriodicSet:
         The periods in a coordinate form a subgroup g*Z with g dividing the
         modulus m, so dividing m by a prime q while m/q is still a period
         ends at g.  m/q is a period when shifting that coordinate by it
-        keeps every row in the set."""
+        keeps every row in the set.  Such a shift has order q and acts
+        freely on the rows, so q also divides the row count: only the primes
+        of gcd(m, rows) are tried, and a large prime modulus is never
+        factored."""
+        if self.is_empty():
+            return PeriodicSet.empty(self.k)
         moduli = list(self.moduli)
         ps = self
         for i in range(self.k):
             m = moduli[i]
-            for q in _prime_factors(m):
+            for q in _prime_factors(math.gcd(m, len(ps.rows))):
                 while m % q == 0:
                     p = m // q
                     shifted = ps.rows.copy()
@@ -153,8 +158,6 @@ class PeriodicSet:
                         break
                     m = moduli[i] = p
                     ps = PeriodicSet(self.k, moduli, ps.rows)
-        if ps.is_empty():
-            return PeriodicSet.empty(self.k)
         return ps
 
     def _common(self, other: "PeriodicSet", cap: int = JOIN_CAP
@@ -173,11 +176,9 @@ class PeriodicSet:
         return bool(b._index.find(a.rows)[1].all())
 
     def to_text(self) -> str:
-        lines = [
-            f"periodic-set k={self.k} moduli={','.join(str(m) for m in self.moduli)}"
-        ]
-        lines.extend(",".join(map(str, r)) for r in self.rows.tolist())
-        return "\n".join(lines) + "\n"
+        return _rows_text(
+            f"periodic-set k={self.k} moduli={','.join(map(str, self.moduli))}",
+            self.rows)
 
     @classmethod
     def from_text(cls, text: str, path: str | None = None) -> "PeriodicSet":
@@ -193,17 +194,11 @@ class PeriodicSet:
         except (KeyError, ValueError):
             raise InputError("malformed periodic-set header", path=path,
                              line=header_line)
-        residues = []
-        for lineno, line in rows[1:]:
-            try:
-                r = tuple(int(t) for t in line.split(","))
-            except ValueError:
-                raise InputError(f"non-integer residue in {line!r}", path=path,
-                                 line=lineno)
-            if len(r) != k:
-                raise InputError(f"residue arity {len(r)} != k = {k}", path=path,
-                                 line=lineno)
-            residues.append(r)
+
+        def width_error(width: int, first: int) -> str | None:
+            return f"residue arity {width} != k = {k}" if width != k else None
+
+        residues = _read_int_rows(rows[1:], "residue", width_error, path)
         try:
             return cls(k, moduli, residues)
         except InputError as exc:

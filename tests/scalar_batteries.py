@@ -10,7 +10,9 @@ independence, the factor isomorphisms, the injectivity of the joining
 decomposition and the text form of a cube set; tests/test_array_structure.py
 compares those.  The periodic-set sum-image check, which now sums the
 residues, first looped over the whole moduli box;
-tests/test_return_times.py compares the two.
+tests/test_return_times.py compares the two.  A cube set was read from text
+one line at a time; tests/test_text_rows.py compares that loop with the
+library's reader.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 from itertools import combinations, permutations, product
 
 from zdcubes.battery import _pass_fail
-from zdcubes.cube_engine import (CubeSet, FaceGroupElement,
+from zdcubes.cube_engine import (INT32, CubeSet, FaceGroupElement,
                                  digit_permute_point, duplicate, enumerate_K,
                                  enumerate_Q, face_group_generators, glue,
                                  insert, project, reflect_point)
@@ -27,7 +29,8 @@ from zdcubes.proximal import compute_R_j
 from zdcubes.structure import (FactorIsoResult, RelativeIndependenceResult,
                                SubgroupSpec, _side_positions, face_system,
                                maximal_trivial_H_factor)
-from zdcubes.finite_system import perm_order
+from zdcubes.errors import InputError
+from zdcubes.finite_system import _content_lines, perm_order
 from zdcubes.hypercube import FaceSelector
 from zdcubes.return_times import phi_image
 
@@ -426,3 +429,41 @@ def to_text(cubes):
     lines = [f"cube-set d={cubes.k} dirs={','.join(str(j) for j in cubes.dirs)}"]
     lines.extend(",".join(map(str, r)) for r in cubes.rows.tolist())
     return "\n".join(lines) + "\n"
+
+
+def cube_set_from_text(text, path=None):
+    rows = _content_lines(text)
+    if not rows or not rows[0][1].startswith("cube-set"):
+        raise InputError("expected 'cube-set d=<k> dirs=<...>' header",
+                         path=path, line=rows[0][0] if rows else 1)
+    header_line, header = rows[0]
+    fields = dict(tok.split("=", 1) for tok in header.split()[1:] if "=" in tok)
+    try:
+        k = int(fields["d"])
+        dirs = tuple(int(t) for t in fields["dirs"].split(","))
+    except (KeyError, ValueError):
+        raise InputError("malformed cube-set header", path=path, line=header_line)
+    if len(dirs) != k:
+        raise InputError(f"header says d={k} but lists {len(dirs)} dirs",
+                         path=path, line=header_line)
+    points = []
+    width = None
+    for lineno, line in rows[1:]:
+        try:
+            p = tuple(int(t) for t in line.split(","))
+        except ValueError:
+            raise InputError(f"non-integer coordinate in {line!r}", path=path, line=lineno)
+        if width is None:
+            width = len(p)
+            if width not in (1 << k, (1 << k) - 1):
+                raise InputError(
+                    f"row width {width} matches neither 2^{k} nor 2^{k}-1",
+                    path=path, line=lineno)
+        elif len(p) != width:
+            raise InputError(f"row width {len(p)} != {width}", path=path, line=lineno)
+        if not INT32.min <= min(p) <= max(p) <= INT32.max:
+            raise InputError(f"coordinate outside the int32 range in {line!r}",
+                             path=path, line=lineno)
+        points.append(p)
+    based = width == (1 << k) - 1 if width is not None else False
+    return CubeSet(dirs=dirs, points=points, based=based)

@@ -8,7 +8,9 @@ the exponent box through full powers of the generators built by
 square-and-multiply over tuple permutations; the product realization is a
 breadth-first search over tuple states.  The array code in zdcubes must
 give the same sets and systems; tests/test_relations.py and
-tests/test_return_times.py compare them.
+tests/test_return_times.py compare them.  The text form of a periodic set
+was read and written one line at a time; tests/test_text_rows.py compares
+those loops with the library's.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+
+from zdcubes.errors import InputError
+from zdcubes.finite_system import _content_lines
+from zdcubes.return_times import PeriodicSet
 
 
 def _prime_factors(m):
@@ -189,3 +195,43 @@ def product_orbit(factors):
     nbhd = frozenset(index[p] for p in points
                      if all(p[j] in factors[j][2] for j in range(d)))
     return points, perms, index[start], nbhd
+
+
+# ---------------------------------------------------------------------------
+# text
+
+
+def pset_to_text(ps):
+    lines = [f"periodic-set k={ps.k} moduli={','.join(str(m) for m in ps.moduli)}"]
+    lines.extend(",".join(map(str, r)) for r in ps.rows.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def pset_from_text(text, path=None):
+    rows = _content_lines(text)
+    if not rows or not rows[0][1].startswith("periodic-set"):
+        raise InputError("expected 'periodic-set k=<K> moduli=<...>' header",
+                         path=path, line=rows[0][0] if rows else 1)
+    header_line, header = rows[0]
+    fields = dict(tok.split("=", 1) for tok in header.split()[1:] if "=" in tok)
+    try:
+        k = int(fields["k"])
+        moduli = tuple(int(t) for t in fields["moduli"].split(","))
+    except (KeyError, ValueError):
+        raise InputError("malformed periodic-set header", path=path,
+                         line=header_line)
+    residues = []
+    for lineno, line in rows[1:]:
+        try:
+            r = tuple(int(t) for t in line.split(","))
+        except ValueError:
+            raise InputError(f"non-integer residue in {line!r}", path=path,
+                             line=lineno)
+        if len(r) != k:
+            raise InputError(f"residue arity {len(r)} != k = {k}", path=path,
+                             line=lineno)
+        residues.append(r)
+    try:
+        return PeriodicSet(k, moduli, residues)
+    except InputError as exc:
+        raise InputError(str(exc), path=path, line=header_line)

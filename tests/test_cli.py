@@ -1,4 +1,5 @@
 import json
+from time import perf_counter
 
 import pytest
 from click.testing import CliRunner
@@ -406,6 +407,34 @@ def test_verify_pset_with_a_large_modulus(tmp_path):
     assert code == 0
     item = next(c for c in rep["checks"] if c["check"] == "sum_image_consistency")
     assert (item["status"], item["detail"]["image_modulus"]) == ("pass", 1_000_000)
+
+
+def test_verify_pset_with_a_large_prime_modulus(tmp_path):
+    path = tmp_path / "prime.pset"
+    path.write_text("periodic-set k=1 moduli=2305843009213693951\n0\n")
+    start = perf_counter()
+    code, rep, _ = _invoke(["verify", str(path)])
+    assert perf_counter() - start < 1.0
+    assert code == 0
+    canon = next(c for c in rep["checks"] if c["check"] == "canonical_equivalent")
+    assert canon["detail"]["canonical_moduli"] == [2305843009213693951]
+
+
+@pytest.mark.parametrize("kind,text,line,message", [
+    ("pset", "periodic-set k=2 moduli=4,6\n0,0\n\n# c\n1,x\n", 5,
+     "non-integer residue in '1,x'"),
+    ("pset", "periodic-set k=2 moduli=4,6\n0,0\n1,2,3\n", 3,
+     "residue arity 3 != k = 2"),
+    ("cubes", "cube-set d=1 dirs=1\n0,1\n0,1,2\n", 3, "row width 3 != 2"),
+])
+def test_malformed_rows_exit_3_with_file_and_line(tmp_path, kind, text, line,
+                                                   message):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(text)
+    for command in ("validate", "verify"):
+        code, rep, _ = _invoke([command, str(bad)])
+        assert code == 3
+        assert rep["error"] == f"{bad}:{line}: {message}"
 
 
 @pytest.mark.parametrize("name", ["rot12", "rot8_d3", "nonmin_z4z2"])

@@ -101,6 +101,43 @@ def test_pset_canonical_on_a_large_modulus():
     assert c.residues == {(7,)}
 
 
+def test_pset_canonical_on_large_prime_and_near_limit_moduli():
+    # factoring gcd(modulus, row count) instead of the modulus keeps these
+    # instant; trial division up to sqrt(2^61 - 1) would not finish
+    p = (1 << 61) - 1
+    assert _pset((p,), {(0,)}).canonical().moduli == (p,)
+    assert _pset((p,), set()).canonical().moduli == (1,)
+    c = _pset((2 * p, p), {(0, 5), (p, 5)}).canonical()
+    assert (c.moduli, c.residues) == ((p, p), {(0, 5)})
+    c = _pset((2 * p,), {(1,), (2,)}).canonical()
+    assert c.moduli == (2 * p,)
+
+
+def test_sum_image_consistency_near_the_modulus_limit():
+    # three residues near 2^62 sum past int64 unless reduced column by column
+    p = (1 << 61) - 1
+    top = (1 << 62) - 3
+    ps = _pset((2 * p, 2 * p, p), {(top, top, p - 1), (1, 2, 3)})
+    item = battery.pset_battery(ps)[-1]
+    assert item["status"] == "pass"
+    g = item["detail"]["image_modulus"]
+    assert phi_image(ps).residues == {((2 * top + p - 1) % g,), (6 % g,)}
+
+
+def test_sum_image_consistency_fails_on_a_wrong_image(monkeypatch):
+    ps = _pset((4, 6), {(0, 0), (1, 1), (3, 1)})
+    right = phi_image(ps)
+    assert right.moduli == (2,) and right.residues == {(0,)}
+    wrong = {"shifted": PeriodicSet(1, (2,), [(1,)]),
+             "finer": PeriodicSet(1, (4,), [(0,), (1,)]),
+             "empty": PeriodicSet.empty(1)}
+    for name, img in wrong.items():
+        monkeypatch.setattr(battery, "phi_image", lambda ps, img=img: img)
+        item = battery.pset_battery(ps)[-1]
+        assert item["check"] == "sum_image_consistency"
+        assert item["status"] == "fail", name
+
+
 def test_sum_image_consistency_matches_box_loop():
     rng = random.Random(5)
     for _ in range(200):

@@ -1,0 +1,268 @@
+"""The int-row text codec of periodic sets and cube sets against the
+one-line-at-a-time loops in scalar_return_times and scalar_batteries.
+
+Every input, malformed or not, must give what the loop gives: the same
+error message, path and line, or the same rows.  The writer must give the
+bytes of joining each row's decimals with commas.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_batteries as cube_ref
+import scalar_return_times as pset_ref
+from zdcubes import cube_engine
+from zdcubes.cube_engine import CubeSet
+from zdcubes.errors import InputError
+from zdcubes.return_times import MODULUS_LIMIT, PeriodicSet
+
+SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
+
+BIG = 10**25  # beyond int64
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, path="in.txt")
+    except InputError as exc:
+        return ("error", str(exc), exc.path, exc.line)
+
+
+def _same_pset(text):
+    got = _outcome(PeriodicSet.from_text, text)
+    want = _outcome(pset_ref.pset_from_text, text)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert (got.k, got.moduli) == (want.k, want.moduli)
+    assert got.rows.dtype == np.int64
+    assert np.array_equal(got.rows, want.rows)
+    return got
+
+
+def _same_cubes(text):
+    got = _outcome(CubeSet.from_text, text)
+    want = _outcome(cube_ref.cube_set_from_text, text)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert (got.dirs, got.based, got.width) == (want.dirs, want.based, want.width)
+    assert np.array_equal(got.rows, want.rows)
+    return got
+
+
+# ---------------------------------------------------------------------------
+# the reader: malformed inputs
+
+
+PSET = "periodic-set k=2 moduli=4,6\n"
+
+
+@pytest.mark.parametrize("body,line,message", [
+    ("1,x\n", 2, "non-integer residue in '1,x'"),
+    ("1,,2\n", 2, "non-integer residue in '1,,2'"),
+    ("1,2,\n", 2, "non-integer residue in '1,2,'"),
+    ("1.5,2\n", 2, "non-integer residue in '1.5,2'"),
+    ("1,2,3\n", 2, "residue arity 3 != k = 2"),
+    ("7\n", 2, "residue arity 1 != k = 2"),
+    ("0,0\n1,1\n-3,9\n2,x\n5,5\n", 5, "non-integer residue in '2,x'"),
+    ("0,0\n1,1\n1,2,3\nx\n", 4, "residue arity 3 != k = 2"),
+    ("0,0\n1,2,3,x\n", 3, "non-integer residue in '1,2,3,x'"),
+    (f"{BIG},0\n1\n", 3, "residue arity 1 != k = 2"),
+    (f"{BIG},0\n1,y\n", 3, "non-integer residue in '1,y'"),
+    ("# comment\n\n  0,1  # trailing\n\n1,1,1 # three\n", 6, "residue arity 3 != k = 2"),
+    ("0,1\r\n\r\n# c\r\n 2 ,z\r\n", 5, "non-integer residue in '2 ,z'"),
+])
+def test_pset_reader_reports_the_first_bad_line(body, line, message):
+    err = _same_pset(PSET + body)
+    assert err == ("error", f"in.txt:{line}: {message}", "in.txt", line)
+
+
+def test_pset_reader_reports_a_bad_line_before_a_bad_header_value():
+    # the line is read before the constructor checks the moduli
+    err = _same_pset("periodic-set k=2 moduli=0,6\n1,x\n")
+    assert err[3] == 2
+    err = _same_pset("periodic-set k=2 moduli=0,6\n1,1\n")
+    assert err == ("error", "in.txt:1: modulus 0 must be positive", "in.txt", 1)
+    err = _same_pset("periodic-set k=0 moduli=1\n0\n")
+    assert err[1:] == ("in.txt:2: residue arity 1 != k = 0", "in.txt", 2)
+
+
+CUBES = "cube-set d=2 dirs=1,2\n"
+
+
+@pytest.mark.parametrize("body,line,message", [
+    ("0,1,x,3\n", 2, "non-integer coordinate in '0,1,x,3'"),
+    ("0,,1,2\n", 2, "non-integer coordinate in '0,,1,2'"),
+    ("0,1\n", 2, "row width 2 matches neither 2^2 nor 2^2-1"),
+    ("0,1,2,3,4\n", 2, "row width 5 matches neither 2^2 nor 2^2-1"),
+    ("0,1,2,3\n0,1,2\n", 3, "row width 3 != 4"),
+    ("0,1,2\n0,1,2\n0,1,2,3\n", 4, "row width 4 != 3"),
+    ("0,1,2,2147483648\n", 2,
+     "coordinate outside the int32 range in '0,1,2,2147483648'"),
+    ("0,1,2,-2147483649\n", 2,
+     "coordinate outside the int32 range in '0,1,2,-2147483649'"),
+    (f"0,1,2,{BIG}\n", 2, f"coordinate outside the int32 range in '0,1,2,{BIG}'"),
+    ("0,1,2,3\n0,1,2,2147483648\n0,1,2\n", 3,
+     "coordinate outside the int32 range in '0,1,2,2147483648'"),
+    ("0,1,2,3\n0,1,2\n0,1,2,2147483648\n", 3, "row width 3 != 4"),
+    ("0,1,2,3\n0,1,x\n", 3, "non-integer coordinate in '0,1,x'"),
+    ("# c\n\n0,1,2,3 # ok\n\n 4,5 , 6,7\n\n0,1,2\n", 8, "row width 3 != 4"),
+    ("0,1,2,3\r\n# c\r\n\r\n0,1,2,q\r\n", 5, "non-integer coordinate in '0,1,2,q'"),
+])
+def test_cube_reader_reports_the_first_bad_line(body, line, message):
+    err = _same_cubes(CUBES + body)
+    assert err == ("error", f"in.txt:{line}: {message}", "in.txt", line)
+
+
+# ---------------------------------------------------------------------------
+# the reader: accepted inputs
+
+
+@pytest.mark.parametrize("body", [
+    "",
+    "# only a comment\n\n",
+    "0,0\n1,1\n",
+    "-1,-1\n-5,7\n3,-13\n",
+    " 1 , 2 \n\t3,4\t\n",
+    "1,2 # a comment\r\n\r\n3,4\r\n",
+    f"{BIG},{-BIG}\n{BIG + 1},{-BIG - 1}\n1,1\n",
+    "9223372036854775807,-9223372036854775808\n9223372036854775808,0\n",
+    "9223372036854775807,-9223372036854775808\n",
+    "+3,1_000\n",
+])
+def test_pset_reader_accepts_what_the_loop_accepts(body):
+    ps = _same_pset(PSET + body)
+    assert ps.moduli == (4, 6)
+    want = pset_ref.PSet(2, (4, 6), frozenset(
+        tuple(int(t) for t in line.split("#")[0].split(","))
+        for line in body.splitlines() if line.split("#")[0].strip()))
+    assert pset_ref.PSet.of(ps) == want
+
+
+@pytest.mark.parametrize("text", [
+    CUBES,
+    CUBES + "0,1,2,3\n3,2,1,0\n0,1,2,3\n",
+    CUBES + "1,2,3\n-4,5,6\n",
+    CUBES + "2147483647,-2147483648,0\n",
+    "cube-set d=1 dirs=2\n5\n-1\n5\n",
+    "# set\ncube-set d=3 dirs=1,2,3\r\n0,1,2,3,4,5,6,7\r\n",
+])
+def test_cube_reader_accepts_what_the_loop_accepts(text):
+    cs = _same_cubes(text)
+    assert cs.rows.dtype == np.int32
+
+
+TOKENS = ["0", "1", "2", "7", "-3", "-40", " 5", "6 ", "+8", "1_1", "", "x",
+          "1.5", "2147483647", "2147483648", "-2147483649",
+          "9223372036854775807", "-9223372036854775809", str(BIG)]
+VALID = st.integers(-50, 50).map(str)
+
+
+def _lines(width: int):
+    fixed = st.lists(VALID, min_size=width, max_size=width)
+    free = st.lists(st.one_of(VALID, st.sampled_from(TOKENS)), min_size=1, max_size=5)
+    row = st.one_of(fixed, fixed, fixed, free).map(",".join)
+    noise = st.sampled_from(["", "   ", "# comment"])
+    comment = st.sampled_from(["", "", " # note"])
+    line = st.one_of(st.tuples(row, comment).map("".join), noise)
+    return st.tuples(st.lists(line, max_size=8), st.sampled_from(["\n", "\r\n"])
+                     ).map(lambda t: t[1].join(t[0]) + t[1])
+
+
+@SETTINGS
+@given(st.data())
+def test_pset_reader_matches_the_loop_on_random_lines(data):
+    k = data.draw(st.integers(1, 3))
+    moduli = data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    header = f"periodic-set k={k} moduli={','.join(map(str, moduli))}\n"
+    _same_pset(header + data.draw(_lines(k)))
+
+
+@SETTINGS
+@given(st.data())
+def test_cube_reader_matches_the_loop_on_random_lines(data):
+    k = data.draw(st.integers(1, 2))
+    width = data.draw(st.sampled_from([1 << k, (1 << k) - 1]))
+    header = f"cube-set d={k} dirs={','.join(map(str, range(1, k + 1)))}\n"
+    _same_cubes(header + data.draw(_lines(width)))
+
+
+# ---------------------------------------------------------------------------
+# the writer
+
+
+def _moduli(k: int):
+    modulus = st.one_of(st.integers(1, 40), st.integers(1 << 32, MODULUS_LIMIT - 1))
+    return st.lists(modulus, min_size=k, max_size=k)
+
+
+@st.composite
+def periodic_sets(draw):
+    k = draw(st.integers(1, 3))
+    moduli = draw(_moduli(k))
+    value = st.integers(-(1 << 70), 1 << 70)
+    residues = draw(st.lists(st.lists(value, min_size=k, max_size=k), max_size=30))
+    return PeriodicSet(k, moduli, residues)
+
+
+@SETTINGS
+@given(periodic_sets())
+def test_pset_writer_matches_joined_rows(ps):
+    text = ps.to_text()
+    assert text == pset_ref.pset_to_text(ps)
+    again = PeriodicSet.from_text(text)
+    assert again.moduli == ps.moduli and np.array_equal(again.rows, ps.rows)
+
+
+@pytest.mark.parametrize("ps", [
+    PeriodicSet.empty(2),
+    PeriodicSet(2, (5, 7)),
+    PeriodicSet(1, (10,), [(3,), (-1,), (12,)]),
+    PeriodicSet(1, (1,), [(0,)]),
+    # two values spanning more than their cells: the sparse digit table
+    PeriodicSet(1, (1 << 40,), [(0,), (-1,)]),
+    PeriodicSet(2, (MODULUS_LIMIT - 1, 1 << 33), [(-1, 1), (5, -(1 << 32))]),
+], ids=["empty", "empty-moduli", "k1", "full", "sparse-k1", "sparse-k2"])
+def test_pset_writer_edge_cases(ps):
+    assert ps.to_text() == pset_ref.pset_to_text(ps)
+
+
+def test_pset_writer_across_chunks(monkeypatch):
+    monkeypatch.setattr(cube_engine, "TEXT_CHUNK", 7)
+    rows = [(i, 3 * i, -i) for i in range(40)]
+    for moduli in ((50, 150, 60), (50, 1 << 40, 60)):
+        ps = PeriodicSet(3, moduli, rows)
+        assert ps.to_text() == pset_ref.pset_to_text(ps)
+
+
+@pytest.mark.parametrize("rows", [
+    [(-3, 0, 3, -1), (2, -2, 1, 0), (-3, -3, -3, -3)],  # dense table, negative
+    [(5, 6, 7, 8), (6, 6, 6, 6)],  # dense table from 5 up
+    [(-(1 << 31), 0, 7, (1 << 31) - 1)],  # sparse table
+])
+@pytest.mark.parametrize("chunk", [cube_engine.TEXT_CHUNK, 7])
+def test_cube_writer_matches_joined_rows(monkeypatch, rows, chunk):
+    monkeypatch.setattr(cube_engine, "TEXT_CHUNK", chunk)
+    cs = CubeSet((1, 2), rows)
+    text = cube_ref.to_text(cs)
+    assert cs.to_text() == text
+    assert cs.text_sha256() == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_readers_across_chunks(monkeypatch):
+    monkeypatch.setattr(cube_engine, "READ_CHUNK", 2)
+    body = [(i + 2, f"{i},{-i}") for i in range(7)]
+    rows = cube_engine._read_int_rows(body, "residue", lambda w, first: None, None)
+    assert isinstance(rows, np.ndarray)
+    assert rows.tolist() == [[i, -i] for i in range(7)]
+    text = "".join(f"{i},{i + 1}\n" for i in range(5))
+    _same_pset(PSET + text)
+    _same_pset(PSET + text + "1,x\n")
+    text = "".join(f"{i},1,2,3\n" for i in range(5))
+    _same_cubes(CUBES + text)
+    _same_cubes(CUBES + text + "0,1,2,2147483648\n")
