@@ -2,9 +2,11 @@
 
 Each report is serialised as `zdcubes` prints it (sorted keys, indent 2)
 followed by its exit code, from the repository root so that the input paths
-in it read `fixtures/<name>`.  Two more reports run on periodic sets at the
-sizes of the benchmark's, generated from a fixed seed and written under
-relative names into a temporary working directory.  tests/data/reports.json
+in it read `fixtures/<name>`.  More reports run on generated inputs, written
+under relative names into a temporary working directory: periodic sets at
+the sizes of the benchmark's, from a fixed seed, and two finite systems
+whose face-group orbits are many generator steps deep, a Z/24 rotation
+with d=2 and a relabelled disjoint union of Z/5 and Z/7.  tests/data/reports.json
 holds the SHA-256 of each; regenerate it only for a deliberate change of
 output:
 
@@ -43,11 +45,39 @@ def _pset_text(moduli, residues) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fsys_text(perms) -> str:
+    lines = ["finite-system", f"points = {len(perms[0])}", f"d = {len(perms)}"]
+    lines += [f"T{i} = [{', '.join(map(str, p))}]"
+              for i, p in enumerate(perms, start=1)]
+    return "\n".join(lines) + "\n"
+
+
+def generated_systems(rng: random.Random) -> dict[str, str]:
+    """Text of a Z/24 rotation by steps (1, 5), and of the union of Z/5
+    rotated by (1, 2) and Z/7 rotated by (3, 1) under a random relabelling
+    of its 12 points."""
+    files = {"rot24.fsys": _fsys_text(
+        [[(x + s) % 24 for x in range(24)] for s in (1, 5)])}
+    union = [[(x + a) % 5 for x in range(5)] + [5 + (x + b) % 7 for x in range(7)]
+             for a, b in ((1, 3), (2, 1))]
+    sigma = list(range(12))
+    rng.shuffle(sigma)
+    relabelled = []
+    for p in union:
+        q = [0] * 12
+        for x, y in enumerate(p):
+            q[sigma[x]] = sigma[y]
+        relabelled.append(q)
+    files["union5_7.fsys"] = _fsys_text(relabelled)
+    return files
+
+
 def generated_inputs() -> dict[str, str]:
     """Text of periodic sets as large as the benchmark's: 4,800 residues
     with true periods (12, 10) lifted to the moduli (96, 100), in random
     order and some unreduced, and the three inputs of a joining with output
-    moduli (20, 24, 30), each half of its box."""
+    moduli (20, 24, 30), each half of its box; then the finite systems of
+    generated_systems."""
     rng = random.Random(20181)
     base = rng.sample(list(product(range(12), range(10))), 60)
     lifted = [(a + 12 * s + 96 * rng.randint(-2, 2), b + 10 * t)
@@ -59,13 +89,16 @@ def generated_inputs() -> dict[str, str]:
         sub = moduli[:j] + moduli[j + 1:]
         box = list(product(*map(range, sub)))
         files[f"join{j + 1}.pset"] = _pset_text(sub, rng.sample(box, len(box) // 2))
+    files.update(generated_systems(random.Random(20182)))
     return files
 
 
 def _generated_calls() -> dict:
     joined = ("join1.pset", "join2.pset", "join3.pset")
-    return {"verify lifted.pset": lambda: cli.cmd_verify("lifted.pset"),
-            "joining " + " ".join(joined): lambda: cli.cmd_joining(joined)}
+    calls = {f"verify {name}": lambda p=name: cli.cmd_verify(p)
+             for name in ("lifted.pset", "rot24.fsys", "union5_7.fsys")}
+    calls["joining " + " ".join(joined)] = lambda: cli.cmd_joining(joined)
+    return calls
 
 
 def report_hashes() -> dict[str, str]:
