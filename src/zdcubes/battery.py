@@ -93,8 +93,7 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     dirs = _full_dirs(sys)
     width = 1 << d
     Q = enumerate_Q(sys, dirs)
-    rows = Q.to_array()
-    index = RowIndex(rows, n)
+    rows, index = Q.to_array(), Q.index
     items = []
 
     # glue: a's upper j-face against b's lower j-face, a then b in Q order
@@ -182,11 +181,8 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     checked = 0
     witness = None
     if d >= 2:
-        rest_index = {
-            j: RowIndex(enumerate_Q(sys, tuple(i for i in dirs if i != j))
-                        .to_array(), n)
-            for j in dirs
-        }
+        rest_index = {j: enumerate_Q(sys, tuple(i for i in dirs if i != j)).index
+                      for j in dirs}
         for j in dirs:
             for b in (0, 1):
                 checked += len(Q)
@@ -243,8 +239,7 @@ def cube_battery(sys: FiniteZdSystem) -> list[dict]:
     else:
         items.append(_item("ucpp", "skipped", None, reason="needs d >= 2"))
 
-    rows = Q.to_array()
-    index = RowIndex(rows, sys.n_points)
+    rows, index = Q.to_array(), Q.index
     diagonal = np.repeat(np.arange(sys.n_points), Q.width).reshape(-1, Q.width)
     witness = _first_missing(index, diagonal)
     items.append(_pass_fail("diagonal_membership", witness is None, witness,
@@ -252,10 +247,10 @@ def cube_battery(sys: FiniteZdSystem) -> list[dict]:
 
     witness = None
     for j in dirs:
-        pairs = enumerate_Q(sys, (j,)).to_array()
-        miss = _first_missing(RowIndex(pairs, sys.n_points), pairs[:, ::-1])
+        pairs = enumerate_Q(sys, (j,))
+        miss = _first_missing(pairs.index, pairs.to_array()[:, ::-1])
         if miss is not None:
-            witness = [j] + pairs[miss].tolist()
+            witness = [j] + pairs.to_array()[miss].tolist()
             break
     items.append(_pass_fail("single_direction_symmetry", witness is None, witness))
 

@@ -9,20 +9,26 @@ vertex order (hypercube.py).  K^{x0} is the restriction to base point x0
 with the eps = 0 coordinate dropped, so its tuples have width 2^k - 1 and
 position p corresponds to vertex mask p.
 
-A CubeSet holds its tuples as one sorted, duplicate-free int32 array.
-Enumeration runs the numpy kernel over every base point, then sorts and
-dedups by row keys.  The sets over increasing directions are kept on the
-system (FiniteZdSystem.memo), so each is enumerated once.  Whole-set checks
-work on that array: RowIndex looks rows up by sorted row keys, and a
-face-group element acts as one permutation per coordinate, so its image of
-an array is a column gather.  orbit_rows is the breadth-first orbit search
-over int rows that face-group orbits, affine discretization and product
-realizations share.
+A CubeSet holds its tuples as one sorted, duplicate-free int32 array and
+owns the RowIndex of the row keys it sorted them by, keyed with radix
+n_points of its base system (raw sets keep their value range).  Enumeration
+runs the numpy kernel over every base point, each exponent below the
+generator's order on the base point's orbit, then sorts and dedups by row
+keys.  The sets over increasing directions are kept on the system
+(FiniteZdSystem.memo), so each is enumerated once, and each keeps its
+unique-completion verdict.  Whole-set checks work on that array: the index
+looks rows up by sorted row keys, and a face-group element acts as one
+permutation per coordinate, so its image of an array is a column gather.
+A face-group orbit is a class of the partition of a set's rows by those
+images.  orbit_rows is the breadth-first orbit search over int rows that
+affine discretization and product realizations share, where no enclosing
+set exists in advance.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
@@ -31,7 +37,8 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .finite_system import FiniteZdSystem, _content_lines, perm_power
+from .finite_system import (FiniteZdSystem, _content_lines, _orbits,
+                            orbit_labels, partition, perm_power)
 from .hypercube import MAX_DIM, FaceSelector, Vertex, digit_permute
 
 CubePoint = tuple[int, ...]
@@ -63,8 +70,14 @@ class CubeSet:
     built on first use.
 
     based=True marks a base-point restriction (width 2^k - 1, vertex 0
-    dropped).  base keeps the originating system when known; raw sets parsed
-    from text have base=None and may hold any int32 coordinates.
+    dropped).  base keeps the originating system when known, and then the
+    coordinates are its point ids; raw sets parsed from text have base=None
+    and may hold any int32 coordinates.
+
+    index is the RowIndex of the rows: keyed with radix base.n_points, so
+    that images of rows under the system's maps can be looked up, or over
+    the value range of a raw set, whose queries are moved like its rows
+    (_shifted).
     """
 
     dirs: tuple[int, ...]
@@ -99,6 +112,10 @@ class CubeSet:
         lo, hi = (int(rows.min()), int(rows.max())) if len(rows) else (0, 0)
         if lo < INT32.min or hi > INT32.max:
             raise InputError("cube coordinates must fit in int32")
+        if self.base is not None:
+            if lo < 0 or hi >= self.base.n_points:
+                raise InputError("cube coordinates must be point ids of the base system")
+            lo, hi = 0, self.base.n_points - 1
         lo = min(lo, 0)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_n", hi - lo + 1)
@@ -110,6 +127,7 @@ class CubeSet:
         rows = rows[order[keep]].astype(np.int32, copy=False)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "index", RowIndex.of_keys(keys[keep], self._n))
 
     def _shifted(self, rows: np.ndarray) -> np.ndarray:
         """rows (or some of their columns) moved into 0.._n-1, the range
@@ -129,8 +147,8 @@ class CubeSet:
         return tuple(map(tuple, self.rows.tolist()))
 
     @cached_property
-    def _index(self) -> RowIndex:
-        return RowIndex(self._shifted(self.rows), self._n)
+    def _ucpp(self) -> UcppResult:
+        return _ucpp_scan(self)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -144,7 +162,7 @@ class CubeSet:
             return False
         if q.min() < self._lo or q.max() >= self._lo + self._n:
             return False
-        return bool(self._index.find(self._shifted(q))[1][0])
+        return bool(self.index.find(self._shifted(q))[1][0])
 
     def to_array(self) -> np.ndarray:
         """The stored rows (read-only)."""
@@ -319,6 +337,14 @@ class RowIndex:
         self.n = n
         self.keys = row_keys(rows, n)
 
+    @classmethod
+    def of_keys(cls, keys: np.ndarray, n: int) -> "RowIndex":
+        """The index over rows whose sorted, distinct row_keys(rows, n) are
+        keys."""
+        index = cls.__new__(cls)
+        index.n, index.keys = n, keys
+        return index
+
     def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(position, found) per query row; position is meaningful only
         where found is set."""
@@ -386,11 +412,10 @@ def orbit_rows(start: np.ndarray, step, key, cap: int | None = None
     return distinct(np.concatenate(levels))[0]
 
 
-def _dir_orders(sys: FiniteZdSystem, dirs: tuple[int, ...]) -> list[int]:
+def _check_range(sys: FiniteZdSystem, dirs: tuple[int, ...]) -> None:
     for j in dirs:
         if not 1 <= j <= sys.d:
             raise InputError(f"direction {j} out of range 1..{sys.d}")
-    return [sys.orders[j - 1] for j in dirs]
 
 
 def _pow_table(p, L: int) -> np.ndarray:
@@ -403,18 +428,48 @@ def _pow_table(p, L: int) -> np.ndarray:
     return table
 
 
+def _orbit_orders(sys: FiniteZdSystem) -> np.ndarray:
+    """int64[d, n] whose entry (i, x) is the order of T_{i+1} on the orbit
+    of x: the lcm of its cycle lengths there, which in a commuting system
+    are all equal.  An order beyond 2^62 is stored as 2^62; it fails the
+    enumeration cap either way."""
+    def build() -> np.ndarray:
+        n = sys.n_points
+        orbit = _orbits(sys)
+        orders = np.empty((sys.d, n), dtype=np.int64)
+        for i, p in enumerate(sys.perms):
+            cycle = orbit_labels(n, [p])
+            pairs = np.unique(orbit * (n + 1) + np.bincount(cycle)[cycle])
+            owner, length = np.divmod(pairs, n + 1)
+            order = np.zeros(n, dtype=np.int64)
+            order[owner] = length
+            for c in np.unique(owner[1:][owner[1:] == owner[:-1]]).tolist():
+                order[c] = min(math.lcm(*length[owner == c].tolist()), 1 << 62)
+            orders[i] = order[orbit]
+        return orders
+
+    return sys.memo(("orbit_orders",), build)
+
+
 def _enumerate_rows(sys: FiniteZdSystem, dirs: tuple[int, ...],
                     bases: np.ndarray) -> np.ndarray:
-    limits = _dir_orders(sys, dirs)
-    total = len(bases)
-    for L in limits:
-        total *= L
+    """The cube tuples over dirs of the base points, with repeats.  The
+    exponent of T_j runs below its order on the base point's orbit, so the
+    bases are enumerated in groups of equal orders; a minimal system forms
+    one group, with the orders of the whole system."""
+    _check_range(sys, dirs)
+    orders = _orbit_orders(sys)[[j - 1 for j in dirs]][:, bases].T
+    limits, group = np.unique(orders, axis=0, return_inverse=True)
+    groups = [(L, bases[group.ravel() == g]) for g, L in enumerate(limits.tolist())]
+    total = sum(len(b) * math.prod(L) for L, b in groups)
     if total > MAX_ENUM_ROWS:
         raise InputError(
             f"enumeration would produce {total} rows (limit {MAX_ENUM_ROWS}); "
             "restrict the directions or the system size")
-    tables = [_pow_table(sys.perms[j - 1], L) for j, L in zip(dirs, limits)]
-    return kernels.enumerate_blocks(tables, kernels.exponent_combos(limits), bases)
+    blocks = [kernels.enumerate_blocks(
+        [_pow_table(sys.perms[j - 1], L) for j, L in zip(dirs, limits)],
+        kernels.exponent_combos(limits), b) for limits, b in groups]
+    return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
 
 def _check_dirs(dirs: tuple[int, ...]) -> None:
@@ -474,12 +529,16 @@ def ucpp_check(cubes: CubeSet) -> UcppResult:
     """The witness is the first clash in the order vertex by vertex, then
     tuple by tuple: for the first vertex v where two tuples agree off v, p
     is the first tuple whose rest already occurred and the pair is (first
-    tuple with that rest, p)."""
-    width = cubes.width
-    if width < 2:
+    tuple with that rest, p).  The verdict is kept on the cube set, so each
+    set is scanned once."""
+    if cubes.width < 2:
         raise InputError("unique-completion needs tuples of width >= 2")
+    return cubes._ucpp
+
+
+def _ucpp_scan(cubes: CubeSet) -> UcppResult:
     rows = cubes.rows
-    for v in range(width):
+    for v in range(cubes.width):
         keys = row_keys(cubes._shifted(np.delete(rows, v, axis=1)), cubes._n)
         clash = _first_repeat(keys)
         if clash is not None:
@@ -701,26 +760,30 @@ def face_group_generators(sys: FiniteZdSystem, dirs: tuple[int, ...]
 
 
 def face_group_orbit(cubes: CubeSet, start: CubePoint) -> CubeSet:
-    """Breadth-first closure of {start} under the face-group generators,
-    intersected with cubes.  The start must be a member; whether the orbit
-    exhausts the set is a separate check."""
+    """The members of cubes that face-group generator steps within cubes
+    connect to start.  The start must be a member; whether the orbit
+    exhausts the set is a separate check.
+
+    The orbit is the class of start in the partition of the rows by the
+    edges (row, g row) of each generator g whose image is a member; the
+    inverse of g gives the same edges read backwards.  One generator's edges
+    are hooked at a time, together with the edges (row, label so far) that
+    carry the classes found before, so the edge arrays stay at twice the
+    size of the set."""
     if cubes.base is None:
         raise InputError("cube set carries no base system")
     if start not in cubes:
         raise InputError("start point is not in the cube set")
-    sys = cubes.base
-    index = RowIndex(cubes.rows, sys.n_points)
-    maps = [g.column_maps(sys, cubes.dirs, cubes.based)
-            for g in face_group_generators(sys, cubes.dirs)]
-    cols = np.arange(cubes.width)
-
-    def step(rows: np.ndarray) -> np.ndarray:
-        images = np.concatenate([m[cols, rows] for m in maps])
-        return images[index.find(images)[1]]
-
-    rows = orbit_rows(np.asarray(start, dtype=np.int32).reshape(1, -1), step,
-                      lambda r: row_keys(r, sys.n_points))
-    return CubeSet(dirs=cubes.dirs, points=rows, based=cubes.based, base=sys)
+    sys, rows = cubes.base, cubes.rows
+    every = np.arange(len(rows))
+    labels = every
+    for g in face_group_generators(sys, cubes.dirs)[::2]:  # no inverses
+        pos, found = cubes.index.find(g.apply_rows(sys, cubes.dirs, rows, cubes.based))
+        labels = partition(len(rows), np.concatenate([every[found], every]),
+                           np.concatenate([pos[found], labels]))
+    here = cubes.index.find(np.asarray(start).reshape(1, -1))[0][0]
+    return CubeSet(dirs=cubes.dirs, points=rows[labels == labels[here]],
+                   based=cubes.based, base=sys)
 
 
 def section_of(cubes: CubeSet, x0: int) -> CubeSet:

@@ -86,7 +86,10 @@ class FiniteZdSystem:
 
     Objects derived from the system (cube sets, relations, minimality, the
     joining decomposition) are computed once and kept on the instance by
-    memo(); the store takes no part in equality, hashing or repr.
+    memo(); the store takes no part in equality, hashing or repr.  Each
+    stored value depends only on n_points and perms, so a system with the
+    same points and generators, such as the quotient by a discrete
+    partition, may share the store.
     """
 
     n_points: int
@@ -491,7 +494,13 @@ def _label_quotient(sys: FiniteZdSystem, labels: np.ndarray
     """Quotient by the partition with least-member labels.  Classes are
     numbered by least member; the first InvarianceError pair is (least
     member, x) for the first generator, class and member x, in that order,
-    whose image leaves the image class of the least member."""
+    whose image leaves the image class of the least member.  The quotient
+    by the discrete partition is a copy of sys that shares its memo."""
+    name = f"{sys.name}/~" if sys.name else ""
+    if (np.asarray(labels) == np.arange(sys.n_points)).all():
+        q_sys = FiniteZdSystem(sys.n_points, sys.d, sys.perms, name=name)
+        object.__setattr__(q_sys, "_memo", sys._memo)
+        return q_sys, FactorMap(sys, q_sys, tuple(range(sys.n_points)))
     reps, class_of = np.unique(labels, return_inverse=True)
     perms = [np.asarray(p) for p in sys.perms]
     for i, p in enumerate(perms, start=1):
@@ -501,8 +510,7 @@ def _label_quotient(sys: FiniteZdSystem, labels: np.ndarray
             x = int(bad[np.lexsort((bad, class_of[bad]))[0]])
             raise InvarianceError((int(reps[class_of[x]]), x), i)
     new_perms = tuple(tuple(class_of[p[reps]].tolist()) for p in perms)
-    q_sys = FiniteZdSystem(len(reps), sys.d, new_perms,
-                           name=f"{sys.name}/~" if sys.name else "")
+    q_sys = FiniteZdSystem(len(reps), sys.d, new_perms, name=name)
     pi = FactorMap(sys, q_sys, tuple(class_of.tolist()))
     return q_sys, pi
 

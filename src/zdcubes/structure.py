@@ -123,14 +123,12 @@ def face_system(K: CubeSet) -> FiniteZdSystem:
         raise InputError("face systems are built on based cube sets")
     if K.base is None:
         raise InputError("cube set carries no base system")
-    sys = K.base
-    rows = K.to_array()
-    index = RowIndex(rows, sys.n_points)
+    sys, rows = K.base, K.to_array()
     perms = []
     for i, j in enumerate(K.dirs):
         g = FaceGroupElement(tuple(1 if t == i else 0 for t in range(K.k)),
                              (0,) * sys.d)
-        pos, found = index.find(g.apply_rows(sys, K.dirs, rows, based=True))
+        pos, found = K.index.find(g.apply_rows(sys, K.dirs, rows, based=True))
         if not found.all():
             p = tuple(rows[int(np.argmin(found))].tolist())
             raise AssertionError(

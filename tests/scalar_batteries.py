@@ -4,7 +4,9 @@ These are the per-point Python loops the surgery, face-group, membership
 and unique-completion checks and the template scan were first written as:
 one cube tuple (or pair) at a time, membership in a Python set.  The array
 code in zdcubes must give exactly the same items, witnesses and counts;
-tests/test_array_batteries.py compares them.  So were the five-way
+tests/test_array_batteries.py compares them.  The face-group orbit, now a
+class of a label partition, was a breadth-first search over int rows
+before; test_array_batteries.py compares it with that search as well.  So were the five-way
 agreement of the proximal relations over frozenset sections, relative
 independence, the factor isomorphisms, the injectivity of the joining
 decomposition and the text form of a cube set; tests/test_array_structure.py
@@ -20,11 +22,14 @@ from __future__ import annotations
 import itertools
 from itertools import combinations, permutations, product
 
+import numpy as np
+
 from zdcubes.battery import _pass_fail
-from zdcubes.cube_engine import (INT32, CubeSet, FaceGroupElement,
+from zdcubes.cube_engine import (INT32, CubeSet, FaceGroupElement, RowIndex,
                                  digit_permute_point, duplicate, enumerate_K,
                                  enumerate_Q, face_group_generators, glue,
-                                 insert, project, reflect_point)
+                                 insert, orbit_rows, project, reflect_point,
+                                 row_keys)
 from zdcubes.proximal import compute_R_j
 from zdcubes.structure import (FactorIsoResult, RelativeIndependenceResult,
                                SubgroupSpec, _side_positions, face_system,
@@ -181,6 +186,25 @@ def face_group_orbit(cubes, start):
         frontier = nxt
     return CubeSet(dirs=cubes.dirs, points=tuple(sorted(seen)),
                    based=cubes.based, base=sys)
+
+
+def face_group_orbit_bfs(cubes, start):
+    """The breadth-first face-group orbit over int rows: every generator
+    and inverse applied to a whole level at once, images outside cubes
+    dropped."""
+    sys = cubes.base
+    index = RowIndex(cubes.rows, sys.n_points)
+    maps = [g.column_maps(sys, cubes.dirs, cubes.based)
+            for g in face_group_generators(sys, cubes.dirs)]
+    cols = np.arange(cubes.width)
+
+    def step(rows):
+        images = np.concatenate([m[cols, rows] for m in maps])
+        return images[index.find(images)[1]]
+
+    rows = orbit_rows(np.asarray(start, dtype=np.int32).reshape(1, -1), step,
+                      lambda r: row_keys(r, sys.n_points))
+    return CubeSet(dirs=cubes.dirs, points=rows, based=cubes.based, base=sys)
 
 
 def face_system_perms(K):

@@ -6,9 +6,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import scalar_batteries as ref
 from conftest import ALL_FSYS
+from test_relations import SETTINGS, commuting_systems
 from zdcubes import battery, kernels
 from zdcubes.cube_engine import (CubeSet, RowIndex, enumerate_K, enumerate_Q,
                                  face_group_orbit, row_keys, ucpp_check)
@@ -71,6 +73,60 @@ def test_face_group_matches_scalar_loops(systems, name):
         assert face_system(K).perms == ref.face_system_perms(K)
         orb = face_group_orbit(K, K.points[-1])
         assert orb.points == ref.face_group_orbit(K, K.points[-1]).points
+
+
+def _orbit_cases(sys_):
+    """(cube set, start) pairs: Q from its first, middle and last rows, Q
+    without every other row from its first row, and K^x0 from its last row
+    for the first and the last point, whose values may stop short of the
+    last point id or start above 0."""
+    dirs = tuple(range(1, sys_.d + 1))
+    Q = enumerate_Q(sys_, dirs)
+    thinned = CubeSet(Q.dirs, Q.rows[::2], base=Q.base)
+    cases = [(Q, row) for row in (Q.rows[0], Q.rows[len(Q) // 2], Q.rows[-1])]
+    cases.append((thinned, thinned.rows[0]))
+    for x0 in (0, sys_.n_points - 1):
+        K = enumerate_K(sys_, dirs, x0)
+        cases.append((K, K.rows[-1]))
+    return cases
+
+
+def _same_orbits(sys_):
+    for cubes, start in _orbit_cases(sys_):
+        assert face_group_orbit(cubes, start).points == \
+            ref.face_group_orbit_bfs(cubes, start).points
+
+
+@pytest.mark.parametrize("name", ALL_FSYS)
+def test_face_group_orbit_matches_breadth_first_search(systems, name):
+    _same_orbits(systems[name])
+
+
+@SETTINGS
+@given(commuting_systems(max_parts=2, max_modulus=4))
+def test_face_group_orbit_matches_breadth_first_search_on_random_systems(sys_):
+    _same_orbits(sys_)
+
+
+def test_face_group_orbit_stays_in_a_thinned_set(systems):
+    # without every other row the start's class is a proper part
+    Q = enumerate_Q(systems["rot12"], (1, 2))
+    thinned = CubeSet(Q.dirs, Q.rows[::2], base=Q.base)
+    orbit = face_group_orbit(thinned, thinned.rows[0])
+    assert 1 < len(orbit) < len(thinned)
+    assert orbit.points == ref.face_group_orbit_bfs(thinned, thinned.rows[0]).points
+
+
+def test_face_group_orbit_of_a_based_set_short_of_the_last_point(systems):
+    # K^0 of Z/4 + Z/2 holds ids 0..3 only; its face-group images reach 4
+    # and 5, which its index, keyed over all six points, looks up as misses
+    sys_ = systems["nonmin_z4z2"]
+    for dirs in ((1, 2), (1,), (2,)):
+        K = enumerate_K(sys_, dirs, 0)
+        assert K.rows.max() < sys_.n_points - 1
+        for start in (K.rows[0], K.rows[-1]):
+            assert face_group_orbit(K, start).points == \
+                ref.face_group_orbit_bfs(K, start).points
 
 
 @pytest.mark.parametrize("name,where", [(n, "middle") for n in ALL_FSYS]

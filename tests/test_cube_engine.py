@@ -1,9 +1,13 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_relations import BRUTE_BUDGET, SETTINGS, brute, commuting_systems
+from zdcubes import cube_engine
+from zdcubes.cli import cmd_verify
 from zdcubes.cube_engine import (
     CubeSet,
     digit_permute_point,
@@ -19,7 +23,9 @@ from zdcubes.cube_engine import (
     ucpp_check,
 )
 from zdcubes.errors import InputError
-from zdcubes.finite_system import parse_finite_system
+from zdcubes.finite_system import FiniteZdSystem, parse_finite_system
+from zdcubes.proximal import compute_R, maximal_ucpp_factor
+from zdcubes.structure import SubgroupSpec, maximal_trivial_H_factor
 from zdcubes.hypercube import FaceSelector
 
 
@@ -223,3 +229,93 @@ def test_section_consistency(systems, oracle):
     sec = section_of(Q, 0)
     assert sec.points == K.points
     assert sec.text_sha256() == oracle["fixtures"]["rot6"]["K0_sha256"]
+
+
+# ---------------------------------------------------------------------------
+# enumeration by orbit
+
+
+def _union_5_7():
+    """Z/5 rotated by (1, 2) beside Z/7 rotated by (3, 1): the generators
+    have order 35, but 5 and 7 on the two orbits."""
+    perms = [[(x + a) % 5 for x in range(5)] + [5 + (x + b) % 7 for x in range(7)]
+             for a, b in ((1, 3), (2, 1))]
+    return FiniteZdSystem(12, 2, tuple(map(tuple, perms)), name="z5+z7")
+
+
+@SETTINGS
+@given(commuting_systems())
+def test_enumeration_matches_brute_force(sys_):
+    orders = [brute.perm_order(list(p)) for p in sys_.perms]
+    if sys_.n_points * math.prod(orders) << sys_.d > BRUTE_BUDGET:
+        return
+    perms = [list(p) for p in sys_.perms]
+    dirs = tuple(range(1, sys_.d + 1))
+    assert enumerate_Q(sys_, dirs).points == \
+        tuple(brute.brute_Q(perms, sys_.n_points, orders))
+    for x0 in (0, sys_.n_points - 1):
+        assert enumerate_K(sys_, dirs, x0).points == \
+            tuple(brute.brute_K(perms, sys_.n_points, orders, x0))
+
+
+def test_enumeration_cap_counts_rows_by_orbit(monkeypatch):
+    # 12 * 35^2 = 14,700 rows at the whole-system orders; 5^3 + 7^3 = 468
+    sys_ = _union_5_7()
+    tables = []
+    real = cube_engine._pow_table
+    monkeypatch.setattr(cube_engine, "_pow_table",
+                        lambda p, L: tables.append(L) or real(p, L))
+    monkeypatch.setattr(cube_engine, "MAX_ENUM_ROWS", 467)
+    with pytest.raises(InputError, match="would produce 468 rows"):
+        enumerate_Q(sys_, (1, 2))
+    assert tables == []  # the cap is checked before any power table
+    monkeypatch.setattr(cube_engine, "MAX_ENUM_ROWS", 468)
+    Q = enumerate_Q(sys_, (1, 2))
+    assert sorted(tables) == [5, 5, 7, 7]
+    perms = [list(p) for p in sys_.perms]
+    assert Q.points == tuple(brute.brute_Q(perms, 12, [35, 35]))
+    assert enumerate_K(sys_, (1, 2), 11).points == \
+        tuple(brute.brute_K(perms, 12, [35, 35], 11))
+
+
+# ---------------------------------------------------------------------------
+# derived objects built once
+
+
+def test_discrete_quotient_shares_the_memo(systems):
+    sys_ = systems["rot6"]  # unique completion: R is the diagonal
+    Q = enumerate_Q(sys_, (1, 2))
+    q_sys, pi = maximal_ucpp_factor(sys_)
+    assert pi.mapping == tuple(range(sys_.n_points))
+    assert q_sys.perms == sys_.perms
+    assert enumerate_Q(q_sys, (1, 2)) is Q
+    assert compute_R(q_sys) is compute_R(sys_)
+    coarse, _ = maximal_trivial_H_factor(systems["z4xz3"], SubgroupSpec((1,)))
+    assert coarse.n_points < systems["z4xz3"].n_points
+    assert enumerate_Q(coarse, (1, 2)) is not \
+        enumerate_Q(systems["z4xz3"], (1, 2))
+
+
+def test_ucpp_scans_each_cube_set_once(fixture_dir, monkeypatch):
+    scanned = []
+    real = cube_engine._ucpp_scan
+    monkeypatch.setattr(cube_engine, "_ucpp_scan",
+                        lambda cubes: scanned.append(cubes) or real(cubes))
+    _, code = cmd_verify(str(fixture_dir / "rot12.fsys"))
+    assert code == 0 and scanned
+    assert len({id(c) for c in scanned}) == len(scanned)
+    before = len(scanned)
+    Q = CubeSet((1, 2), scanned[0].rows)
+    assert ucpp_check(Q) == ucpp_check(Q) == ucpp_check(scanned[0])
+    assert scanned[before:] == [Q]
+
+
+def test_contains_on_a_based_set_short_of_the_last_point(systems):
+    sys_ = systems["nonmin_z4z2"]
+    K = enumerate_K(sys_, (1, 2), 0)
+    top = int(K.rows.max())
+    assert top < sys_.n_points - 1
+    assert tuple(K.rows[0].tolist()) in K
+    for v in (top + 1, sys_.n_points - 1, sys_.n_points, 2**40, -1):
+        assert (v,) * K.width not in K
+        assert (v,) + tuple(K.rows[0, 1:].tolist()) not in K
