@@ -38,7 +38,7 @@ import numpy as np
 from . import kernels
 from .errors import InputError
 from .finite_system import (FiniteZdSystem, _content_lines, _orbits,
-                            orbit_labels, partition, perm_power)
+                            is_minimal, orbit_labels, partition, perm_power)
 from .hypercube import MAX_DIM, FaceSelector, Vertex, digit_permute
 
 CubePoint = tuple[int, ...]
@@ -455,12 +455,16 @@ def _enumerate_rows(sys: FiniteZdSystem, dirs: tuple[int, ...],
                     bases: np.ndarray) -> np.ndarray:
     """The cube tuples over dirs of the base points, with repeats.  The
     exponent of T_j runs below its order on the base point's orbit, so the
-    bases are enumerated in groups of equal orders; a minimal system forms
-    one group, with the orders of the whole system."""
+    bases of a system that is not minimal are enumerated in groups of equal
+    orders."""
     _check_range(sys, dirs)
-    orders = _orbit_orders(sys)[[j - 1 for j in dirs]][:, bases].T
-    limits, group = np.unique(orders, axis=0, return_inverse=True)
-    groups = [(L, bases[group.ravel() == g]) for g, L in enumerate(limits.tolist())]
+    if is_minimal(sys).ok:
+        groups = [([sys.orders[j - 1] for j in dirs], bases)]
+    else:
+        orders = _orbit_orders(sys)[[j - 1 for j in dirs]][:, bases].T
+        limits, group = np.unique(orders, axis=0, return_inverse=True)
+        groups = [(L, bases[group.ravel() == g])
+                  for g, L in enumerate(limits.tolist())]
     total = sum(len(b) * math.prod(L) for L, b in groups)
     if total > MAX_ENUM_ROWS:
         raise InputError(
