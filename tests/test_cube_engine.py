@@ -258,6 +258,17 @@ def test_enumeration_matches_brute_force(sys_):
             tuple(brute.brute_K(perms, sys_.n_points, orders, x0))
 
 
+def test_enumeration_of_a_non_commuting_system_matches_brute_force():
+    # on the orbit {0, 1, 2} each generator has a fixed point and a
+    # 2-cycle, so the exponents must run to the lcm of both lengths
+    sys_ = FiniteZdSystem(4, 2, ((1, 0, 2, 3), (0, 2, 1, 3)))
+    perms = [list(p) for p in sys_.perms]
+    assert enumerate_Q(sys_, (1, 2)).points == tuple(brute.brute_Q(perms, 4, [2, 2]))
+    for x0 in range(4):
+        assert enumerate_K(sys_, (1, 2), x0).points == \
+            tuple(brute.brute_K(perms, 4, [2, 2], x0))
+
+
 def test_enumeration_cap_counts_rows_by_orbit(monkeypatch):
     # 12 * 35^2 = 14,700 rows at the whole-system orders; 5^3 + 7^3 = 468
     sys_ = _union_5_7()
