@@ -55,30 +55,22 @@ class SubgroupSpec:
         return gens
 
 
-def _H_orbits(sys: FiniteZdSystem, H: SubgroupSpec) -> np.ndarray:
-    """Least-member labels of the H-orbits, kept on the system."""
-    return sys.memo(("H-orbits", H),
-                    lambda: orbit_labels(sys.n_points, H.generator_perms(sys)))
-
-
 def compute_QH(sys: FiniteZdSystem, H: SubgroupSpec) -> PairRelation:
     """The orbit relation {(x, hx) : h in H}."""
-    return PairRelation.from_labels(_H_orbits(sys, H), sys)
+    labels = orbit_labels(sys.n_points, H.generator_perms(sys))
+    return PairRelation.from_labels(labels, sys)
 
 
 def maximal_trivial_H_factor(sys: FiniteZdSystem, H: SubgroupSpec
                              ) -> tuple[FiniteZdSystem, FactorMap]:
-    """Quotient by Q_H: the maximal factor on which H acts trivially, built
-    once per system and subgroup."""
-    def build() -> tuple[FiniteZdSystem, FactorMap]:
-        q_sys, pi = _label_quotient(sys, _H_orbits(sys, H))
-        mapping = np.asarray(pi.mapping)
-        for h in H.generator_perms(sys):
-            if (mapping[np.asarray(h)] != mapping).any():
-                raise AssertionError("H does not act trivially on the quotient; bug")
-        return q_sys, pi
-
-    return sys.memo(("trivial-H", H), build)
+    """Quotient by Q_H: the maximal factor on which H acts trivially."""
+    gens = H.generator_perms(sys)
+    q_sys, pi = _label_quotient(sys, orbit_labels(sys.n_points, gens))
+    mapping = np.asarray(pi.mapping)
+    for h in gens:
+        if (mapping[np.asarray(h)] != mapping).any():
+            raise AssertionError("H does not act trivially on the quotient; bug")
+    return q_sys, pi
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,7 @@ def z0h_universality_check(pi: FactorMap, H: SubgroupSpec
     for h in H.generator_perms(pi.target):
         if h != tuple(range(pi.target.n_points)):
             return "hypotheses-unmet", None
-    labels = _H_orbits(pi.source, H)
+    labels = orbit_labels(pi.source.n_points, H.generator_perms(pi.source))
     mapping = np.asarray(pi.mapping)
     # the members pi separates from the least member of their orbit
     split = np.flatnonzero(mapping != mapping[labels])
