@@ -117,16 +117,22 @@ def test_face_group_orbit_stays_in_a_thinned_set(systems):
     assert orbit.points == ref.face_group_orbit_bfs(thinned, thinned.rows[0]).points
 
 
-def test_face_group_orbit_of_a_based_set_short_of_the_last_point(systems):
-    # K^0 of Z/4 + Z/2 holds ids 0..3 only; its face-group images reach 4
-    # and 5, which its index, keyed over all six points, looks up as misses
-    sys_ = systems["nonmin_z4z2"]
-    for dirs in ((1, 2), (1,), (2,)):
-        K = enumerate_K(sys_, dirs, 0)
-        assert K.rows.max() < sys_.n_points - 1
-        for start in (K.rows[0], K.rows[-1]):
-            assert face_group_orbit(K, start).points == \
-                ref.face_group_orbit_bfs(K, start).points
+def test_face_group_orbit_of_based_sets_short_of_the_last_point(systems):
+    # K^x0 over some of the directions holds the points those directions
+    # reach from x0; the diagonal generators carry its rows to other
+    # points, up to the last id, which its index, keyed over all points,
+    # looks up as misses
+    short = 0
+    for name in ("nonmin_z4z2", "z4xz3"):
+        sys_ = systems[name]
+        for dirs in ((1,), (2,), (1, 2)):
+            for x0 in (0, sys_.n_points - 1):
+                K = enumerate_K(sys_, dirs, x0)
+                short += int(K.rows.max()) < sys_.n_points - 1
+                for start in (K.rows[0], K.rows[-1]):
+                    assert face_group_orbit(K, start).points == \
+                        ref.face_group_orbit_bfs(K, start).points
+    assert short
 
 
 @pytest.mark.parametrize("name,where", [(n, "middle") for n in ALL_FSYS]

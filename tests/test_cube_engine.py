@@ -23,9 +23,10 @@ from zdcubes.cube_engine import (
     ucpp_check,
 )
 from zdcubes.errors import InputError
-from zdcubes.finite_system import FiniteZdSystem, parse_finite_system
+from zdcubes.finite_system import (FiniteZdSystem, PairRelation,
+                                   parse_finite_system, quotient)
 from zdcubes.proximal import compute_R, maximal_ucpp_factor
-from zdcubes.structure import SubgroupSpec, maximal_trivial_H_factor
+from zdcubes.structure import SubgroupSpec, compute_QH
 from zdcubes.hypercube import FaceSelector
 
 
@@ -296,15 +297,17 @@ def test_enumeration_cap_counts_rows_by_orbit(monkeypatch):
 def test_discrete_quotient_shares_the_memo(systems):
     sys_ = systems["rot6"]  # unique completion: R is the diagonal
     Q = enumerate_Q(sys_, (1, 2))
-    q_sys, pi = maximal_ucpp_factor(sys_)
+    diagonal, pi = quotient(sys_, PairRelation.diagonal(sys_.n_points))
     assert pi.mapping == tuple(range(sys_.n_points))
-    assert q_sys.perms == sys_.perms
+    assert diagonal.perms == sys_.perms
+    assert enumerate_Q(diagonal, (1, 2)) is Q
+    q_sys, _ = maximal_ucpp_factor(sys_)
     assert enumerate_Q(q_sys, (1, 2)) is Q
     assert compute_R(q_sys) is compute_R(sys_)
-    coarse, _ = maximal_trivial_H_factor(systems["z4xz3"], SubgroupSpec((1,)))
-    assert coarse.n_points < systems["z4xz3"].n_points
-    assert enumerate_Q(coarse, (1, 2)) is not \
-        enumerate_Q(systems["z4xz3"], (1, 2))
+    parent = systems["z4xz3"]
+    coarse, _ = quotient(parent, compute_QH(parent, SubgroupSpec((1,))))
+    assert coarse._memo is not parent._memo
+    assert enumerate_Q(coarse, (1, 2)).base is coarse
 
 
 def test_ucpp_scans_each_cube_set_once(fixture_dir, monkeypatch):
