@@ -114,7 +114,8 @@ class CubeSet:
             raise InputError("cube coordinates must fit in int32")
         if self.base is not None:
             if lo < 0 or hi >= self.base.n_points:
-                raise InputError("cube coordinates must be point ids of the base system")
+                raise InputError("cube coordinates must be point ids of the "
+                                 "base system")
             lo, hi = 0, self.base.n_points - 1
         lo = min(lo, 0)
         object.__setattr__(self, "_lo", lo)
@@ -782,7 +783,8 @@ def face_group_orbit(cubes: CubeSet, start: CubePoint) -> CubeSet:
     every = np.arange(len(rows))
     labels = every
     for g in face_group_generators(sys, cubes.dirs)[::2]:  # no inverses
-        pos, found = cubes.index.find(g.apply_rows(sys, cubes.dirs, rows, cubes.based))
+        images = g.apply_rows(sys, cubes.dirs, rows, cubes.based)
+        pos, found = cubes.index.find(images)
         labels = partition(len(rows), np.concatenate([every[found], every]),
                            np.concatenate([pos[found], labels]))
     here = cubes.index.find(np.asarray(start).reshape(1, -1))[0][0]

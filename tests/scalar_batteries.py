@@ -4,9 +4,7 @@ These are the per-point Python loops the surgery, face-group, membership
 and unique-completion checks and the template scan were first written as:
 one cube tuple (or pair) at a time, membership in a Python set.  The array
 code in zdcubes must give exactly the same items, witnesses and counts;
-tests/test_array_batteries.py compares them.  The face-group orbit, now a
-class of a label partition, was a breadth-first search over int rows
-before; test_array_batteries.py compares it with that search as well.  So were the five-way
+tests/test_array_batteries.py compares them.  So were the five-way
 agreement of the proximal relations over frozenset sections, relative
 independence, the factor isomorphisms, the injectivity of the joining
 decomposition and the text form of a cube set; tests/test_array_structure.py
@@ -14,7 +12,9 @@ compares those.  The periodic-set sum-image check, which now sums the
 residues, first looped over the whole moduli box;
 tests/test_return_times.py compares the two.  A cube set was read from text
 one line at a time; tests/test_text_rows.py compares that loop with the
-library's reader.
+library's reader.  The face-group orbit, now a class of a label partition,
+was a breadth-first search over int rows (face_group_orbit_bfs);
+tests/test_array_batteries.py compares the two.
 """
 
 from __future__ import annotations
