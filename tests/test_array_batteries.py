@@ -55,6 +55,30 @@ def test_surgery_battery_matches_scalar_loops(systems, name):
     assert battery.surgery_battery(systems[name]) == ref.surgery_battery(systems[name])
 
 
+def _orbit_cases(sys_):
+    """(cube set, start) pairs: Q from its first, middle and last rows, Q
+    without every other row from its first row, and from its last row K^x0
+    over all directions and over each single direction, for the first and
+    the last point; the values of a based set may stop short of the last
+    point id or start above 0."""
+    dirs = tuple(range(1, sys_.d + 1))
+    Q = enumerate_Q(sys_, dirs)
+    thinned = CubeSet(Q.dirs, Q.rows[::2], base=Q.base)
+    cases = [(Q, row) for row in (Q.rows[0], Q.rows[len(Q) // 2], Q.rows[-1])]
+    cases.append((thinned, thinned.rows[0]))
+    for K_dirs in [dirs] + [(j,) for j in dirs if (j,) != dirs]:
+        for x0 in (0, sys_.n_points - 1):
+            K = enumerate_K(sys_, K_dirs, x0)
+            cases.append((K, K.rows[-1]))
+    return cases
+
+
+def _same_orbits(sys_):
+    for cubes, start in _orbit_cases(sys_):
+        assert face_group_orbit(cubes, start).points == \
+            ref.face_group_orbit(cubes, start).points
+
+
 @pytest.mark.parametrize("name", ALL_FSYS)
 def test_face_group_matches_scalar_loops(systems, name):
     sys_ = systems[name]
@@ -64,75 +88,30 @@ def test_face_group_matches_scalar_loops(systems, name):
     assert got["face_group_invariance"] == ref.face_group_invariance(sys_, Q)
     assert got["diagonal_membership"] == ref.diagonal_membership(sys_, Q)
     assert got["single_direction_symmetry"] == ref.single_direction_symmetry(sys_)
-    for start in (Q.points[0], Q.points[len(Q) // 2], Q.points[-1]):
-        assert face_group_orbit(Q, start).points == ref.face_group_orbit(Q, start).points
+    _same_orbits(sys_)
     assert got["orbit_covers_when_minimal"]["detail"]["orbit"] == \
         len(ref.face_group_orbit(Q, Q.points[0]))
     if sys_.d >= 2:
         K = enumerate_K(sys_, dirs, 0)
         assert face_system(K).perms == ref.face_system_perms(K)
-        orb = face_group_orbit(K, K.points[-1])
-        assert orb.points == ref.face_group_orbit(K, K.points[-1]).points
-
-
-def _orbit_cases(sys_):
-    """(cube set, start) pairs: Q from its first, middle and last rows, Q
-    without every other row from its first row, and K^x0 from its last row
-    for the first and the last point, whose values may stop short of the
-    last point id or start above 0."""
-    dirs = tuple(range(1, sys_.d + 1))
-    Q = enumerate_Q(sys_, dirs)
-    thinned = CubeSet(Q.dirs, Q.rows[::2], base=Q.base)
-    cases = [(Q, row) for row in (Q.rows[0], Q.rows[len(Q) // 2], Q.rows[-1])]
-    cases.append((thinned, thinned.rows[0]))
-    for x0 in (0, sys_.n_points - 1):
-        K = enumerate_K(sys_, dirs, x0)
-        cases.append((K, K.rows[-1]))
-    return cases
-
-
-def _same_orbits(sys_):
-    for cubes, start in _orbit_cases(sys_):
-        assert face_group_orbit(cubes, start).points == \
-            ref.face_group_orbit_bfs(cubes, start).points
-
-
-@pytest.mark.parametrize("name", ALL_FSYS)
-def test_face_group_orbit_matches_breadth_first_search(systems, name):
-    _same_orbits(systems[name])
 
 
 @SETTINGS
 @given(commuting_systems(max_parts=2, max_modulus=4))
-def test_face_group_orbit_matches_breadth_first_search_on_random_systems(sys_):
+def test_face_group_orbit_matches_scalar_loop_on_random_systems(sys_):
     _same_orbits(sys_)
 
 
-def test_face_group_orbit_stays_in_a_thinned_set(systems):
-    # without every other row the start's class is a proper part
-    Q = enumerate_Q(systems["rot12"], (1, 2))
-    thinned = CubeSet(Q.dirs, Q.rows[::2], base=Q.base)
-    orbit = face_group_orbit(thinned, thinned.rows[0])
-    assert 1 < len(orbit) < len(thinned)
-    assert orbit.points == ref.face_group_orbit_bfs(thinned, thinned.rows[0]).points
-
-
-def test_face_group_orbit_of_based_sets_short_of_the_last_point(systems):
-    # K^x0 over some of the directions holds the points those directions
-    # reach from x0; the diagonal generators carry its rows to other
-    # points, up to the last id, which its index, keyed over all points,
-    # looks up as misses
-    short = 0
-    for name in ("nonmin_z4z2", "z4xz3"):
-        sys_ = systems[name]
-        for dirs in ((1,), (2,), (1, 2)):
-            for x0 in (0, sys_.n_points - 1):
-                K = enumerate_K(sys_, dirs, x0)
-                short += int(K.rows.max()) < sys_.n_points - 1
-                for start in (K.rows[0], K.rows[-1]):
-                    assert face_group_orbit(K, start).points == \
-                        ref.face_group_orbit_bfs(K, start).points
-    assert short
+def test_orbit_cases_hold_a_proper_class_and_a_short_based_set(systems):
+    # the thinned Q of rot12 splits into several classes; K^x0 over one
+    # direction of nonmin_z4z2 stops short of the last point id, which the
+    # diagonal generators reach and its index, keyed over all points, looks
+    # up as a miss
+    thinned, start = _orbit_cases(systems["rot12"])[3]
+    assert 1 < len(face_group_orbit(thinned, start)) < len(thinned)
+    sys_ = systems["nonmin_z4z2"]
+    assert any(K.based and int(K.rows.max()) < sys_.n_points - 1
+               for K, _ in _orbit_cases(sys_))
 
 
 @pytest.mark.parametrize("name,where", [(n, "middle") for n in ALL_FSYS]

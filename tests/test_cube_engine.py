@@ -23,7 +23,7 @@ from zdcubes.cube_engine import (
     ucpp_check,
 )
 from zdcubes.errors import InputError
-from zdcubes.finite_system import (FiniteZdSystem, PairRelation,
+from zdcubes.finite_system import (FiniteZdSystem, PairRelation, is_minimal,
                                    parse_finite_system, quotient)
 from zdcubes.proximal import compute_R, maximal_ucpp_factor
 from zdcubes.structure import SubgroupSpec, compute_QH
@@ -268,6 +268,16 @@ def test_enumeration_of_a_non_commuting_system_matches_brute_force():
     for x0 in range(4):
         assert enumerate_K(sys_, (1, 2), x0).points == \
             tuple(brute.brute_K(perms, 4, [2, 2], x0))
+
+
+@SETTINGS
+@given(commuting_systems(max_parts=1))
+def test_orbit_orders_of_a_minimal_system_are_its_orders(sys_):
+    # _enumerate_rows takes the whole-system orders on a minimal system in
+    # place of the per-orbit table; the two agree there
+    if is_minimal(sys_).ok:
+        assert cube_engine._orbit_orders(sys_).tolist() == \
+            [[k] * sys_.n_points for k in sys_.orders]
 
 
 def test_enumeration_cap_counts_rows_by_orbit(monkeypatch):
