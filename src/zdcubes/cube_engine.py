@@ -1,4 +1,5 @@
-"""Directional cube sets of a finite Z^d-system and surgery on cube points.
+"""Directional cube sets of a finite Z^d-system and the face group acting
+on them.
 
 For directions (j_1..j_k) the cube set Q collects all tuples
 
@@ -22,7 +23,10 @@ permutation per coordinate, so its image of an array is a column gather.
 A face-group orbit is a class of the partition of a set's rows by those
 images.  orbit_rows is the breadth-first orbit search over int rows that
 affine discretization and product realizations share, where no enclosing
-set exists in advance.
+set exists in advance.  The surgery closures (glue, insert, duplicate,
+project, digit permutation, reflection) are column gathers over whole
+cube sets in battery.surgery_battery; the per-point operations they were
+first written as are the test reference.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from . import kernels
 from .errors import InputError
 from .finite_system import (FiniteZdSystem, _content_lines, _orbits,
                             is_minimal, orbit_labels, partition, perm_power)
-from .hypercube import MAX_DIM, FaceSelector, Vertex, digit_permute
+from .hypercube import MAX_DIM
 
 CubePoint = tuple[int, ...]
 
@@ -47,16 +51,6 @@ MAX_ENUM_ROWS = 5_000_000
 TEXT_CHUNK = 1 << 22  # bytes of cell buffer per chunk of the text form
 READ_CHUNK = 1 << 16  # lines parsed at once: bounds the str objects alive
 INT32 = np.iinfo(np.int32)
-
-
-def _cube_dim(width: int) -> tuple[int, bool]:
-    """(k, based) from a tuple width of 2^k or 2^k - 1 (k >= 1)."""
-    for k in range(1, MAX_DIM + 1):
-        if width == 1 << k:
-            return k, False
-        if width == (1 << k) - 1:
-            return k, True
-    raise InputError(f"width {width} is not 2^k or 2^k-1 for any supported k")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -568,132 +562,6 @@ def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
     # repeat is the second holder of its key and follows the first
     t = repeat[np.argmin(order[repeat])]
     return int(order[t - 1]), int(order[t])
-
-
-# ---------------------------------------------------------------------------
-# surgery on cube points
-
-
-def _point_dim(a: CubePoint) -> int:
-    k, based = _cube_dim(len(a))
-    if based:
-        raise InputError("operation needs a full-width cube point")
-    return k
-
-
-def glue(a: CubePoint, b: CubePoint, j: int) -> CubePoint:
-    """Concatenate along direction j; the upper j-face of a must equal the
-    lower j-face of b."""
-    a, b = tuple(a), tuple(b)
-    k = _point_dim(a)
-    if len(b) != len(a):
-        raise InputError("cube points have different widths")
-    if not 1 <= j <= k:
-        raise InputError(f"direction {j} out of range 1..{k}")
-    bit = 1 << (j - 1)
-    for m in range(1 << k):
-        if not m & bit and a[m | bit] != b[m]:
-            raise InputError(
-                f"faces do not match at vertex mask {m}: "
-                f"upper({j}) of a is {a[m | bit]}, lower({j}) of b is {b[m]}")
-    return tuple(a[m] if not m & bit else b[m] for m in range(1 << k))
-
-
-def insert(a: CubePoint, b: CubePoint, j: int, side: str = "upper") -> CubePoint:
-    """Replace one j-face of a copy of b.
-
-    side names the face of the result taken from b; the opposite face is the
-    reflected copy of a's same-side face, so side="lower" yields
-    z_eps = b_eps when eps_j = 0 and z_eps = a_{reflect_j(eps)} otherwise.
-    """
-    a, b = tuple(a), tuple(b)
-    k = _point_dim(a)
-    if len(b) != len(a):
-        raise InputError("cube points have different widths")
-    if not 1 <= j <= k:
-        raise InputError(f"direction {j} out of range 1..{k}")
-    if side not in ("upper", "lower"):
-        raise InputError(f"side must be 'upper' or 'lower', got {side!r}")
-    bit = 1 << (j - 1)
-    keep = bit if side == "upper" else 0
-    out = []
-    for m in range(1 << k):
-        if (m & bit) == keep:
-            out.append(b[m])
-        else:
-            out.append(a[m ^ bit])
-    return tuple(out)
-
-
-def duplicate(a: CubePoint, dirs_sub: tuple[int, ...],
-              dirs_full: tuple[int, ...]) -> CubePoint:
-    """Spread a cube point over dirs_sub across the cube over dirs_full:
-    coordinate eps of the result reads a at the sub-vertex formed by the
-    eps-bits sitting at the slots dirs_sub occupies inside dirs_full."""
-    a = tuple(a)
-    k = _point_dim(a)
-    dirs_sub, dirs_full = tuple(dirs_sub), tuple(dirs_full)
-    d = len(dirs_full)
-    if len(dirs_sub) != k or len(set(dirs_sub)) != k:
-        raise InputError(f"need {k} distinct sub-directions, got {dirs_sub}")
-    if not 1 <= d <= MAX_DIM or len(set(dirs_full)) != d:
-        raise InputError(f"bad full direction list {dirs_full}")
-    try:
-        slots = [dirs_full.index(j) for j in dirs_sub]
-    except ValueError:
-        missing = [j for j in dirs_sub if j not in dirs_full]
-        raise InputError(f"sub-directions {missing} not among {dirs_full}")
-    out = []
-    for m in range(1 << d):
-        sub = 0
-        for ell, s in enumerate(slots):
-            sub |= ((m >> s) & 1) << ell
-        out.append(a[sub])
-    return tuple(out)
-
-
-def project(a: CubePoint, sel: FaceSelector) -> CubePoint:
-    """Restrict to a face: keep the coordinates matching the pinned bits,
-    reindexed canonically over the free directions in increasing order."""
-    a = tuple(a)
-    k = _point_dim(a)
-    if sel.dim != k:
-        raise InputError(f"selector dimension {sel.dim} != cube dimension {k}")
-    free = sel.free
-    if not free:
-        raise InputError("selector pins every direction; nothing to project onto")
-    out = []
-    for w in range(1 << len(free)):
-        m = 0
-        for j, b in sel.pinned:
-            m |= b << (j - 1)
-        for ell, j in enumerate(free):
-            m |= ((w >> ell) & 1) << (j - 1)
-        out.append(a[m])
-    return tuple(out)
-
-
-def digit_permute_point(sigma: tuple[int, ...], a: CubePoint) -> CubePoint:
-    """Relabel the cube axes of a point: coordinate eps of the result reads a
-    at the vertex whose digit i is eps_{sigma(i)}.
-
-    Sends the cube set over directions (j_1..j_k) onto the one over
-    (j_{sigma^{-1}(1)}, .., j_{sigma^{-1}(k)}); with dirs = (sigma(1)..sigma(k))
-    the image lands on (1..k).
-    """
-    a = tuple(a)
-    k = _point_dim(a)
-    return tuple(a[digit_permute(sigma, Vertex(m, k)).mask] for m in range(1 << k))
-
-
-def reflect_point(j: int, a: CubePoint) -> CubePoint:
-    """Flip digit j of every vertex; an involution on full cube points."""
-    a = tuple(a)
-    k = _point_dim(a)
-    if not 1 <= j <= k:
-        raise InputError(f"direction {j} out of range 1..{k}")
-    bit = 1 << (j - 1)
-    return tuple(a[m ^ bit] for m in range(1 << k))
 
 
 # ---------------------------------------------------------------------------

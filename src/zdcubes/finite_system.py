@@ -85,11 +85,11 @@ class FiniteZdSystem:
     remember which torus point each id stands for).
 
     Objects derived from the system (cube sets, relations, minimality, the
-    joining decomposition) are computed once and kept on the instance by
-    memo(); the store takes no part in equality, hashing or repr.  Stored
-    values may name and point to the system that built them (a cube set's
-    base, a relation's system, the joining decomposition's sys and the name
-    of its Y).  The quotient by a discrete partition, which has the same
+    joining decomposition, return sets, systems with a generator dropped)
+    are computed once and kept on the instance by memo(); the store takes
+    no part in equality, hashing or repr.  Stored values may name and point
+    to the system that built them (a cube set's base, a relation's system,
+    the joining decomposition's sys and the name of its Y).  The quotient by a discrete partition, which has the same
     points and generators, shares its parent's store; that is sound only
     for checks that read n_points and perms of what they get back, which
     are the ones that run on such a quotient.
@@ -152,20 +152,6 @@ class FiniteZdSystem:
         return tuple(out.tolist())
 
 
-def apply_word(sys: FiniteZdSystem, n_vec: Sequence[int], x: int) -> int:
-    """T_1^{n_1} ... T_d^{n_d} x."""
-    if not 0 <= x < sys.n_points:
-        raise InputError(f"point id {x} out of range")
-    for i in range(sys.d - 1, -1, -1):
-        e = n_vec[i]
-        if e == 0:
-            continue
-        p = sys.perms[i] if e > 0 else sys.inverses[i]
-        for _ in range(abs(e) % sys.orders[i]):
-            x = p[x]
-    return x
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -213,11 +199,6 @@ class MinimalityResult:
 
 def _orbits(sys: FiniteZdSystem) -> np.ndarray:
     return sys.memo(("orbits",), lambda: orbit_labels(sys.n_points, sys.perms))
-
-
-def orbit_of(sys: FiniteZdSystem, x: int) -> frozenset[int]:
-    lab = _orbits(sys)
-    return frozenset(np.flatnonzero(lab == lab[x]).tolist())
 
 
 def is_minimal(sys: FiniteZdSystem) -> MinimalityResult:
@@ -356,21 +337,11 @@ class PairRelation:
                     return False, ((x, y), i)
         return True, None
 
-    @classmethod
-    def from_labels(cls, labels: np.ndarray,
-                    base: FiniteZdSystem | None = None) -> "PairRelation":
-        """The equivalence relation whose classes are those of labels."""
-        return cls(len(labels), frozenset(
-            (x, y) for c in label_classes(labels) for x in c for y in c), base)
-
     def labels(self) -> np.ndarray:
         """Least-member labels of the classes of the equivalence closure."""
         flat = np.fromiter((v for pair in self.pairs for v in pair),
                            dtype=np.int64, count=2 * len(self.pairs))
         return partition(self.n_points, flat[0::2], flat[1::2])
-
-    def equivalence_closure(self) -> "PairRelation":
-        return PairRelation.from_labels(self.labels(), self.base)
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Partition classes of the equivalence closure, sorted by least member."""

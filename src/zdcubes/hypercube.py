@@ -35,15 +35,6 @@ class Vertex:
         if not 0 <= self.mask < (1 << self.dim):
             raise ValueError(f"mask {self.mask} out of range for dim {self.dim}")
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "Vertex":
-        mask = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError("bits must be 0/1")
-            mask |= b << i
-        return cls(mask, len(bits))
-
     def bit(self, i: int) -> int:
         """eps_i for a 1-based direction i."""
         if not 1 <= i <= self.dim:
@@ -63,12 +54,6 @@ class Vertex:
         return "".join(str(b) for b in self.bits)
 
 
-def all_vertices(d: int) -> list[Vertex]:
-    """All 2^d vertices in canonical order."""
-    _check_dim(d)
-    return [Vertex(m, d) for m in range(1 << d)]
-
-
 def digit_permute(sigma: Sequence[int], v: Vertex) -> Vertex:
     """eps' with eps'_i = eps_{sigma(i)}; sigma is 1-based, sigma[i-1] = sigma(i)."""
     d = v.dim
@@ -78,20 +63,6 @@ def digit_permute(sigma: Sequence[int], v: Vertex) -> Vertex:
     for i in range(1, d + 1):
         mask |= v.bit(sigma[i - 1]) << (i - 1)
     return Vertex(mask, d)
-
-
-def compose_perm(sigma: Sequence[int], tau: Sequence[int]) -> tuple[int, ...]:
-    """The permutation sigma.tau with (sigma.tau)(i) = sigma(tau(i)), so that
-    digit_permute(compose_perm(sigma, tau), v)
-        == digit_permute(tau, digit_permute(sigma, v))."""
-    return tuple(sigma[tau[i] - 1] for i in range(len(tau)))
-
-
-def reflect(j: int, v: Vertex) -> Vertex:
-    """Flip bit j only."""
-    if not 1 <= j <= v.dim:
-        raise ValueError(f"direction {j} out of range 1..{v.dim}")
-    return Vertex(v.mask ^ (1 << (j - 1)), v.dim)
 
 
 def embed_face(j: int, b: int, w: Vertex) -> Vertex:
@@ -105,53 +76,3 @@ def embed_face(j: int, b: int, w: Vertex) -> Vertex:
     low = w.mask & ((1 << (j - 1)) - 1)
     high = w.mask >> (j - 1)
     return Vertex(low | (b << (j - 1)) | (high << j), d)
-
-
-def delete_bit(j: int, v: Vertex) -> Vertex:
-    """Remove bit j (inverse of embed_face at position j)."""
-    if not 1 <= j <= v.dim:
-        raise ValueError(f"direction {j} out of range 1..{v.dim}")
-    if v.dim == 1:
-        raise ValueError("cannot delete the only bit")
-    low = v.mask & ((1 << (j - 1)) - 1)
-    high = v.mask >> j
-    return Vertex(low | (high << (j - 1)), v.dim - 1)
-
-
-@dataclass(frozen=True)
-class FaceSelector:
-    """A face of the cube: some directions pinned to fixed bits, the rest free.
-
-    pinned is a sorted tuple of (direction, bit) pairs; directions are 1-based
-    and must be distinct.
-    """
-
-    dim: int
-    pinned: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        dirs = [j for j, _ in self.pinned]
-        if len(set(dirs)) != len(dirs):
-            raise ValueError("pinned directions must be distinct")
-        for j, b in self.pinned:
-            if not 1 <= j <= self.dim:
-                raise ValueError(f"pinned direction {j} out of range 1..{self.dim}")
-            if b not in (0, 1):
-                raise ValueError("pinned bits must be 0/1")
-        object.__setattr__(self, "pinned", tuple(sorted(self.pinned)))
-
-    @property
-    def free(self) -> tuple[int, ...]:
-        pinned_dirs = {j for j, _ in self.pinned}
-        return tuple(j for j in range(1, self.dim + 1) if j not in pinned_dirs)
-
-    def matches(self, v: Vertex) -> bool:
-        return v.dim == self.dim and all(v.bit(j) == b for j, b in self.pinned)
-
-
-def face_vertices(sel: FaceSelector) -> list[Vertex]:
-    """All vertices matching the pinned assignment, in canonical order."""
-    out = [v for v in all_vertices(sel.dim) if sel.matches(v)]
-    assert len(out) == 1 << len(sel.free)
-    return out

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .cube_engine import (CubePoint, CubeSet, _find_keys, enumerate_Q,
-                          ucpp_check)
+from .cube_engine import CubeSet, enumerate_Q, ucpp_check
 from .errors import HypothesisError, InputError
 from .finite_system import (FactorMap, FiniteZdSystem, PairRelation,
                             is_minimal, quotient)
@@ -37,28 +36,6 @@ def template_positions(d: int, j: int) -> tuple[list[tuple[int, int]], int, int]
     x_pos = 0
     y_pos = 1 << (j - 1)
     return pairs, x_pos, y_pos
-
-
-def build_z(x: int, y: int, a_star: tuple[int, ...], j: int) -> CubePoint:
-    """Assemble the template cube tuple from a completion a_star, which lists
-    the shared values indexed like a based cube point over d-1 directions."""
-    width = len(a_star) + 1
-    d = 1
-    while (1 << (d - 1)) < width:
-        d += 1
-    if 1 << (d - 1) != width:
-        raise InputError(f"completion length {len(a_star)} is not 2^(d-1)-1")
-    if not 1 <= j <= d:
-        raise InputError(f"direction {j} out of range 1..{d}")
-    z = [-1] * (1 << d)
-    z[0] = x
-    z[1 << (j - 1)] = y
-    for eta in range(1, 1 << (d - 1)):
-        w = Vertex(eta, d - 1)
-        v = a_star[eta - 1]
-        z[embed_face(j, 0, w).mask] = v
-        z[embed_face(j, 1, w).mask] = v
-    return tuple(z)
 
 
 def _full_dirs(sys: FiniteZdSystem) -> tuple[int, ...]:
@@ -120,22 +97,6 @@ def _constant_tail_keys(Q: CubeSet, n: int) -> np.ndarray:
     return rows[constant, 0].astype(np.int64) * n + rows[constant, 1]
 
 
-def constant_tail_symmetry(sys: FiniteZdSystem
-                           ) -> tuple[bool, tuple[int, int] | None]:
-    """(x, y..y) is a cube tuple exactly when (y, x..x) is.  The witness is
-    the first pair (x, y) in row-major order where one holds and the other
-    does not: a constant-tail pair whose transpose is missing, or that
-    transpose."""
-    n = sys.n_points
-    keys = _constant_tail_keys(enumerate_Q(sys, _full_dirs(sys)), n)
-    flipped = keys % n * n + keys // n
-    lonely = ~_find_keys(keys, flipped)[1]
-    if not lonely.any():
-        return True, None
-    x, y = divmod(int(min(keys[lonely].min(), flipped[lonely].min())), n)
-    return False, (x, y)
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     ok: bool
@@ -160,27 +121,6 @@ def check_equivalence(rel: PairRelation) -> EquivalenceReport:
                              symmetric=sym, sym_witness=sw,
                              transitive=trans, trans_witness=tw,
                              invariant=inv, inv_witness=iw)
-
-
-@dataclass(frozen=True)
-class ProximalReport:
-    relation_sizes: tuple[int, ...]
-    intersection_size: int
-    equivalence: EquivalenceReport
-    is_diagonal: bool
-    minimal: bool
-
-
-def proximal_report(sys: FiniteZdSystem) -> ProximalReport:
-    rels = [compute_R_j(sys, j) for j in _full_dirs(sys)]
-    R = compute_R(sys)
-    return ProximalReport(
-        relation_sizes=tuple(len(r) for r in rels),
-        intersection_size=len(R),
-        equivalence=check_equivalence(R),
-        is_diagonal=R.is_diagonal(),
-        minimal=is_minimal(sys).ok,
-    )
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@ subsets of Z^k.
 
 A periodic set is stored as int rows: its residue vectors, reduced modulo a
 fixed modulus per coordinate, in one sorted, duplicate-free int64 array, as
-a CubeSet stores its tuples; membership goes through RowIndex.  Return sets
-N(x, U) = {n : T^n x in U} of a finite system are periodic with the
-generator orders as moduli; they are read off the images of x over the
-exponent box, built by one gather per exponent and direction.  The
+a CubeSet stores its tuples, and owns the RowIndex of the row keys it was
+sorted by.  Return sets N(x, U) = {n : T^n x in U} of a finite system are
+periodic with the generator orders as moduli; they are read off the images
+of x over the exponent box, built by one gather per exponent and direction,
+and kept on the system (FiniteZdSystem.memo), as are the systems
+drop_generator derives from it, so each is built once.  The
 d-joining glues d sets of dimension d-1: a vector belongs when every
 drop-one-coordinate projection lands in the corresponding input set.
 """
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,8 @@ class PeriodicSet:
     as a read-only, sorted, duplicate-free int64 array of shape (len, k).
     The constructor takes the residues as such an array or as any iterable
     of k-tuples, unreduced, in any order and with repeats; the residues
-    attribute gives them back as a frozenset of tuples."""
+    attribute gives them back as a frozenset of tuples.  index is the
+    RowIndex of the rows, keyed with radix max(moduli)."""
 
     k: int
     moduli: tuple[int, ...]
@@ -81,10 +83,11 @@ class PeriodicSet:
         if residues.ndim != 2 or residues.shape[1] != k:
             raise InputError("residue arity does not match k")
         rows = residues % np.array(moduli, dtype=np.int64)
-        _, first = np.unique(row_keys(rows, max(moduli)), return_index=True)
+        keys, first = np.unique(row_keys(rows, max(moduli)), return_index=True)
         rows = rows[first]
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "index", RowIndex.of_keys(keys, max(moduli)))
 
     @classmethod
     def empty(cls, k: int) -> "PeriodicSet":
@@ -98,22 +101,14 @@ class PeriodicSet:
     def residues(self) -> frozenset[tuple[int, ...]]:
         return frozenset(map(tuple, self.rows.tolist()))
 
-    @cached_property
-    def _index(self) -> RowIndex:
-        return RowIndex(self.rows, max(self.moduli))
-
     def __contains__(self, n: tuple[int, ...]) -> bool:
         if len(n) != self.k:
             raise InputError(f"vector arity {len(n)} != k = {self.k}")
         q = np.array([[v % m for v, m in zip(n, self.moduli)]], dtype=np.int64)
-        return bool(self._index.find(q)[1][0])
+        return bool(self.index.find(q)[1][0])
 
     def is_empty(self) -> bool:
         return not len(self.rows)
-
-    def is_full(self) -> bool:
-        c = self.canonical()
-        return c.moduli == (1,) * self.k and len(c.rows) == 1
 
     def density(self) -> tuple[int, int]:
         return len(self.rows), math.prod(self.moduli)
@@ -154,7 +149,7 @@ class PeriodicSet:
                     p = m // q
                     shifted = ps.rows.copy()
                     shifted[:, i] = (shifted[:, i] + p) % m
-                    if not ps._index.find(shifted)[1].all():
+                    if not ps.index.find(shifted)[1].all():
                         break
                     m = moduli[i] = p
                     ps = PeriodicSet(self.k, moduli, ps.rows)
@@ -173,7 +168,7 @@ class PeriodicSet:
 
     def is_subset(self, other: "PeriodicSet") -> bool:
         a, b = self._common(other)
-        return bool(b._index.find(a.rows)[1].all())
+        return bool(b.index.find(a.rows)[1].all())
 
     def to_text(self) -> str:
         return _rows_text(
@@ -210,32 +205,28 @@ def contains_zero_vector(ps: PeriodicSet) -> bool:
     return (0,) * ps.k in ps
 
 
-def intersects(a: PeriodicSet, b: PeriodicSet,
-               cap: int = JOIN_CAP) -> tuple[bool, tuple[int, ...] | None]:
-    """Nonempty intersection, with the smallest common residue as witness."""
-    la, lb = a._common(b, cap)
-    both = lb._index.find(la.rows)[1]
-    if not both.any():
-        return False, None
-    return True, tuple(la.rows[both.argmax()].tolist())
-
-
 def return_set(sys: FiniteZdSystem, x: int, U: frozenset[int] | set[int],
                cap: int = JOIN_CAP) -> PeriodicSet:
     """N(x, U) = {n : T^n x in U}, periodic modulo the generator orders.
 
-    images[n_1, .., n_d] = T_1^{n_1} .. T_d^{n_d} x is built direction by
-    direction, the last first: each direction stacks order_i successive
-    images of the array so far under T_i, one gather each."""
+    The set is kept on the system, so each (x, U) is built once; the ids
+    and the cap are checked on every call."""
     if not 0 <= x < sys.n_points:
         raise InputError(f"point id {x} out of range")
     U = frozenset(U)
     for u in U:
         if not 0 <= u < sys.n_points:
             raise InputError(f"target id {u} out of range")
-    orders = sys.orders
-    if math.prod(orders) > cap:
+    if math.prod(sys.orders) > cap:
         raise InputError("order box exceeds the size cap")
+    return sys.memo(("return_set", x, U), lambda: _return_set(sys, x, U))
+
+
+def _return_set(sys: FiniteZdSystem, x: int, U: frozenset[int]) -> PeriodicSet:
+    """images[n_1, .., n_d] = T_1^{n_1} .. T_d^{n_d} x is built direction by
+    direction, the last first: each direction stacks order_i successive
+    images of the array so far under T_i, one gather each."""
+    orders = sys.orders
     images = np.array(x)
     for i in reversed(range(sys.d)):
         step = np.asarray(sys.perms[i])
@@ -277,7 +268,7 @@ def d_joining(sets: list[PeriodicSet] | tuple[PeriodicSet, ...],
     box = np.indices(moduli).reshape(d, -1).T
     keep = np.ones(len(box), dtype=bool)
     for i, s in enumerate(sets):
-        keep &= s._index.find(np.delete(box, i, axis=1) % np.array(s.moduli))[1]
+        keep &= s.index.find(np.delete(box, i, axis=1) % np.array(s.moduli))[1]
     return PeriodicSet(d, moduli, box[keep])
 
 
@@ -344,9 +335,7 @@ def joining_containment_check(sys: FiniteZdSystem, x: int,
         diag = (x,) * len(proj.positions)
         yj = proj.values.index(diag)
         # the side system drops direction j from the face action
-        perms = tuple(proj.system.perms[i] for i in range(d) if i != j - 1)
-        side = FiniteZdSystem(proj.system.n_points, d - 1, perms)
-        side_sets.append(return_set(side, yj, {yj}))
+        side_sets.append(return_set(drop_generator(proj.system, j), yj, {yj}))
     joined = d_joining(side_sets)
     target = return_set(sys, x, U)
     contained = joined.is_subset(target)
@@ -374,15 +363,15 @@ class ProductRealization:
 
 def drop_generator(sys: FiniteZdSystem, j: int) -> FiniteZdSystem:
     """Forget generator j, turning a Z^d-system into a Z^(d-1)-system on the
-    same point set."""
+    same point set.  The result is kept on sys, so the return sets built on
+    it are shared by every caller."""
     if sys.d < 2:
         raise InputError("cannot drop the only generator")
     if not 1 <= j <= sys.d:
         raise InputError(f"generator {j} out of range 1..{sys.d}")
-    perms = sys.perms[:j - 1] + sys.perms[j:]
-    return FiniteZdSystem(sys.n_points, sys.d - 1, perms,
-                          name=f"{sys.name}/drop{j}" if sys.name else "",
-                          labels=sys.labels)
+    return sys.memo(("drop", j), lambda: FiniteZdSystem(
+        sys.n_points, sys.d - 1, sys.perms[:j - 1] + sys.perms[j:],
+        name=f"{sys.name}/drop{j}" if sys.name else "", labels=sys.labels))
 
 
 def insert_identity_generator(sys: FiniteZdSystem, j: int) -> FiniteZdSystem:

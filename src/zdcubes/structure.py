@@ -23,10 +23,9 @@ import numpy as np
 from .cube_engine import (CubeSet, FaceGroupElement, RowIndex, UcppResult,
                           _chunked_ranks, _first_repeat, enumerate_K,
                           enumerate_Q, row_keys, section_of, ucpp_check)
-from .errors import HypothesisError, InputError
-from .finite_system import (FactorMap, FiniteZdSystem, PairRelation,
-                            _label_quotient, is_minimal, label_classes,
-                            orbit_labels)
+from .errors import InputError
+from .finite_system import (FactorMap, FiniteZdSystem, _label_quotient,
+                            is_minimal, label_classes, orbit_labels)
 
 COMBO_CHUNK = 1 << 18  # relative-independence candidates per chunk
 
@@ -39,11 +38,6 @@ class SubgroupSpec:
     dirs: tuple[int, ...] = ()
     words: tuple[tuple[int, ...], ...] = ()
 
-    def describe(self) -> str:
-        parts = [f"T{j}" for j in self.dirs]
-        parts.extend("T^" + ",".join(str(e) for e in w) for w in self.words)
-        return "<" + (", ".join(parts) if parts else "identity") + ">"
-
     def generator_perms(self, sys: FiniteZdSystem) -> list[tuple[int, ...]]:
         gens = []
         for j in self.dirs:
@@ -53,12 +47,6 @@ class SubgroupSpec:
         for w in self.words:
             gens.append(sys.word_perm(w))
         return gens
-
-
-def compute_QH(sys: FiniteZdSystem, H: SubgroupSpec) -> PairRelation:
-    """The orbit relation {(x, hx) : h in H}."""
-    labels = orbit_labels(sys.n_points, H.generator_perms(sys))
-    return PairRelation.from_labels(labels, sys)
 
 
 def maximal_trivial_H_factor(sys: FiniteZdSystem, H: SubgroupSpec

@@ -2,7 +2,9 @@
 
 These are the per-point Python loops the surgery, face-group, membership
 and unique-completion checks and the template scan were first written as:
-one cube tuple (or pair) at a time, membership in a Python set.  The array
+one cube tuple (or pair) at a time, membership in a Python set, with the
+surgeries (glue, insert, duplicate, project onto a face, digit permutation,
+reflection) as operations on one cube point.  The array
 code in zdcubes must give exactly the same items, witnesses and counts;
 tests/test_array_batteries.py compares them.  So were the five-way
 agreement of the proximal relations over frozenset sections, relative
@@ -18,23 +20,202 @@ library's reader.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from zdcubes.battery import _pass_fail
-from zdcubes.cube_engine import (INT32, CubeSet, FaceGroupElement,
-                                 digit_permute_point, duplicate, enumerate_K,
-                                 enumerate_Q, face_group_generators, glue,
-                                 insert, project, reflect_point)
+from zdcubes.cube_engine import (INT32, CubePoint, CubeSet, FaceGroupElement,
+                                 enumerate_K, enumerate_Q,
+                                 face_group_generators)
 from zdcubes.proximal import compute_R_j
 from zdcubes.structure import (FactorIsoResult, RelativeIndependenceResult,
                                SubgroupSpec, _side_positions, face_system,
                                maximal_trivial_H_factor)
 from zdcubes.errors import InputError
 from zdcubes.finite_system import _content_lines, perm_order
-from zdcubes.hypercube import FaceSelector
+from zdcubes.hypercube import MAX_DIM, Vertex, _check_dim, digit_permute
 from zdcubes.return_times import phi_image
 
 from scalar_return_times import perm_pow
+
+
+# ---------------------------------------------------------------------------
+# surgery on one cube point, and faces of the cube
+
+
+def _cube_dim(width: int) -> tuple[int, bool]:
+    """(k, based) from a tuple width of 2^k or 2^k - 1 (k >= 1)."""
+    for k in range(1, MAX_DIM + 1):
+        if width == 1 << k:
+            return k, False
+        if width == (1 << k) - 1:
+            return k, True
+    raise InputError(f"width {width} is not 2^k or 2^k-1 for any supported k")
+
+
+def _point_dim(a: CubePoint) -> int:
+    k, based = _cube_dim(len(a))
+    if based:
+        raise InputError("operation needs a full-width cube point")
+    return k
+
+
+def glue(a: CubePoint, b: CubePoint, j: int) -> CubePoint:
+    """Concatenate along direction j; the upper j-face of a must equal the
+    lower j-face of b."""
+    a, b = tuple(a), tuple(b)
+    k = _point_dim(a)
+    if len(b) != len(a):
+        raise InputError("cube points have different widths")
+    if not 1 <= j <= k:
+        raise InputError(f"direction {j} out of range 1..{k}")
+    bit = 1 << (j - 1)
+    for m in range(1 << k):
+        if not m & bit and a[m | bit] != b[m]:
+            raise InputError(
+                f"faces do not match at vertex mask {m}: "
+                f"upper({j}) of a is {a[m | bit]}, lower({j}) of b is {b[m]}")
+    return tuple(a[m] if not m & bit else b[m] for m in range(1 << k))
+
+
+def insert(a: CubePoint, b: CubePoint, j: int, side: str = "upper") -> CubePoint:
+    """Replace one j-face of a copy of b.
+
+    side names the face of the result taken from b; the opposite face is the
+    reflected copy of a's same-side face, so side="lower" yields
+    z_eps = b_eps when eps_j = 0 and z_eps = a_{reflect_j(eps)} otherwise.
+    """
+    a, b = tuple(a), tuple(b)
+    k = _point_dim(a)
+    if len(b) != len(a):
+        raise InputError("cube points have different widths")
+    if not 1 <= j <= k:
+        raise InputError(f"direction {j} out of range 1..{k}")
+    if side not in ("upper", "lower"):
+        raise InputError(f"side must be 'upper' or 'lower', got {side!r}")
+    bit = 1 << (j - 1)
+    keep = bit if side == "upper" else 0
+    out = []
+    for m in range(1 << k):
+        if (m & bit) == keep:
+            out.append(b[m])
+        else:
+            out.append(a[m ^ bit])
+    return tuple(out)
+
+
+def duplicate(a: CubePoint, dirs_sub: tuple[int, ...],
+              dirs_full: tuple[int, ...]) -> CubePoint:
+    """Spread a cube point over dirs_sub across the cube over dirs_full:
+    coordinate eps of the result reads a at the sub-vertex formed by the
+    eps-bits sitting at the slots dirs_sub occupies inside dirs_full."""
+    a = tuple(a)
+    k = _point_dim(a)
+    dirs_sub, dirs_full = tuple(dirs_sub), tuple(dirs_full)
+    d = len(dirs_full)
+    if len(dirs_sub) != k or len(set(dirs_sub)) != k:
+        raise InputError(f"need {k} distinct sub-directions, got {dirs_sub}")
+    if not 1 <= d <= MAX_DIM or len(set(dirs_full)) != d:
+        raise InputError(f"bad full direction list {dirs_full}")
+    try:
+        slots = [dirs_full.index(j) for j in dirs_sub]
+    except ValueError:
+        missing = [j for j in dirs_sub if j not in dirs_full]
+        raise InputError(f"sub-directions {missing} not among {dirs_full}")
+    out = []
+    for m in range(1 << d):
+        sub = 0
+        for ell, s in enumerate(slots):
+            sub |= ((m >> s) & 1) << ell
+        out.append(a[sub])
+    return tuple(out)
+
+
+def project(a: CubePoint, sel: FaceSelector) -> CubePoint:
+    """Restrict to a face: keep the coordinates matching the pinned bits,
+    reindexed canonically over the free directions in increasing order."""
+    a = tuple(a)
+    k = _point_dim(a)
+    if sel.dim != k:
+        raise InputError(f"selector dimension {sel.dim} != cube dimension {k}")
+    free = sel.free
+    if not free:
+        raise InputError("selector pins every direction; nothing to project onto")
+    out = []
+    for w in range(1 << len(free)):
+        m = 0
+        for j, b in sel.pinned:
+            m |= b << (j - 1)
+        for ell, j in enumerate(free):
+            m |= ((w >> ell) & 1) << (j - 1)
+        out.append(a[m])
+    return tuple(out)
+
+
+def digit_permute_point(sigma: tuple[int, ...], a: CubePoint) -> CubePoint:
+    """Relabel the cube axes of a point: coordinate eps of the result reads a
+    at the vertex whose digit i is eps_{sigma(i)}.
+
+    Sends the cube set over directions (j_1..j_k) onto the one over
+    (j_{sigma^{-1}(1)}, .., j_{sigma^{-1}(k)}); with dirs = (sigma(1)..sigma(k))
+    the image lands on (1..k).
+    """
+    a = tuple(a)
+    k = _point_dim(a)
+    return tuple(a[digit_permute(sigma, Vertex(m, k)).mask] for m in range(1 << k))
+
+
+def reflect_point(j: int, a: CubePoint) -> CubePoint:
+    """Flip digit j of every vertex; an involution on full cube points."""
+    a = tuple(a)
+    k = _point_dim(a)
+    if not 1 <= j <= k:
+        raise InputError(f"direction {j} out of range 1..{k}")
+    bit = 1 << (j - 1)
+    return tuple(a[m ^ bit] for m in range(1 << k))
+
+
+@dataclass(frozen=True)
+class FaceSelector:
+    """A face of the cube: some directions pinned to fixed bits, the rest free.
+
+    pinned is a sorted tuple of (direction, bit) pairs; directions are 1-based
+    and must be distinct.
+    """
+
+    dim: int
+    pinned: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        _check_dim(self.dim)
+        dirs = [j for j, _ in self.pinned]
+        if len(set(dirs)) != len(dirs):
+            raise ValueError("pinned directions must be distinct")
+        for j, b in self.pinned:
+            if not 1 <= j <= self.dim:
+                raise ValueError(f"pinned direction {j} out of range 1..{self.dim}")
+            if b not in (0, 1):
+                raise ValueError("pinned bits must be 0/1")
+        object.__setattr__(self, "pinned", tuple(sorted(self.pinned)))
+
+    @property
+    def free(self) -> tuple[int, ...]:
+        pinned_dirs = {j for j, _ in self.pinned}
+        return tuple(j for j in range(1, self.dim + 1) if j not in pinned_dirs)
+
+    def matches(self, v: Vertex) -> bool:
+        return v.dim == self.dim and all(v.bit(j) == b for j, b in self.pinned)
+
+
+def face_vertices(sel: FaceSelector) -> list[Vertex]:
+    """All vertices matching the pinned assignment, in canonical order."""
+    out = [v for m in range(1 << sel.dim) if sel.matches(v := Vertex(m, sel.dim))]
+    assert len(out) == 1 << len(sel.free)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the batteries
 
 
 def _face(p, j, b, d):
@@ -286,18 +467,6 @@ def five_way_battery(sys):
             if len(set(conds)) != 1:
                 return False, checked, [x, y, list(conds)]
     return True, checked, None
-
-
-def constant_tail_symmetry(sys):
-    Q = enumerate_Q(sys, tuple(range(1, sys.d + 1)))
-    members = set(Q.points)
-    w = Q.width
-    for x in range(sys.n_points):
-        for y in range(sys.n_points):
-            if (((x,) + (y,) * (w - 1)) in members) != \
-                    (((y,) + (x,) * (w - 1)) in members):
-                return False, (x, y)
-    return True, None
 
 
 def injectivity(K, sides):

@@ -49,12 +49,6 @@ def classes(n: int, pairs) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 
-def equivalence_closure(rel: PairRelation) -> PairRelation:
-    pairs = frozenset((x, y) for members in classes(rel.n_points, rel.pairs)
-                      for x in members for y in members)
-    return PairRelation(rel.n_points, pairs, rel.base)
-
-
 def element_perms(H: SubgroupSpec, sys: FiniteZdSystem) -> list[tuple[int, ...]]:
     """All permutations in the generated subgroup, BFS from the identity."""
     ident = tuple(range(sys.n_points))

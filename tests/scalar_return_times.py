@@ -69,6 +69,20 @@ def perm_pow(p, e):
     return out
 
 
+def apply_word(sys, n_vec, x):
+    """T_1^{n_1} ... T_d^{n_d} x, one generator step at a time."""
+    if not 0 <= x < sys.n_points:
+        raise InputError(f"point id {x} out of range")
+    for i in range(sys.d - 1, -1, -1):
+        e = n_vec[i]
+        if e == 0:
+            continue
+        p = sys.perms[i] if e > 0 else sys.inverses[i]
+        for _ in range(abs(e) % sys.orders[i]):
+            x = p[x]
+    return x
+
+
 @dataclass(frozen=True)
 class PSet:
     k: int
@@ -129,12 +143,6 @@ class PSet:
     def is_subset(self, other):
         a, b = self.common(other)
         return a.residues <= b.residues
-
-
-def intersects(a, b):
-    la, lb = a.common(b)
-    both = la.residues & lb.residues
-    return (True, min(both)) if both else (False, None)
 
 
 def d_joining(sets):

@@ -20,7 +20,7 @@ from test_relations import SETTINGS, commuting_systems
 from zdcubes import battery, cube_engine, structure
 from zdcubes.cube_engine import CubeSet, UcppResult, enumerate_K, enumerate_Q
 from zdcubes.finite_system import FactorMap, FiniteZdSystem
-from zdcubes.proximal import constant_tail_symmetry, sections
+from zdcubes.proximal import sections
 from zdcubes.structure import (_injectivity, decompose,
                                factor_isomorphism_check,
                                relative_independence_check)
@@ -42,7 +42,6 @@ def _same_everywhere(sys_):
     Q = enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))
     assert _as_sets(Q) == ref.sections(Q)
     assert battery.five_way_battery(sys_) == ref.five_way_battery(sys_)
-    assert constant_tail_symmetry(sys_) == ref.constant_tail_symmetry(sys_)
     assert Q.to_text() == ref.to_text(Q)
     if sys_.d < 2:
         return
@@ -303,24 +302,6 @@ def test_injectivity_witness_on_merged_sides(systems, name):
     got = _injectivity(dec.K, lonely)
     assert got == ref.injectivity(dec.K, lonely)
     assert got == (False, (dec.K.points[0], dec.K.points[1]))
-
-
-def test_constant_tail_witness_on_planted_rows(systems, monkeypatch):
-    # (x, y, .., y) added without its transpose (y, x, .., x)
-    from zdcubes import proximal
-
-    for name in ("rot6", "rot8_d3", "z4xz3", "nonmin_z4z2"):
-        sys_ = systems[name]
-        Q = enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))
-        n = sys_.n_points
-        for x, y in ((n - 1, 0), (1, n - 1), (n - 2, n - 1)):
-            row = [[x] + [y] * (Q.width - 1)]
-            bad = CubeSet(Q.dirs, np.concatenate([Q.rows, row]), base=sys_)
-            for module in (proximal, ref):
-                monkeypatch.setattr(module, "enumerate_Q", lambda s, d: bad)
-            got = constant_tail_symmetry(sys_)
-            assert got == (False, min((x, y), (y, x)))
-            assert got == ref.constant_tail_symmetry(sys_)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
+import sys
 from time import perf_counter
 
 import pytest
 from click.testing import CliRunner
 
+from conftest import ALL_FSYS
 from zdcubes.cli import cmd_verify, detect_kind, main
 from zdcubes.errors import InputError
 
@@ -457,6 +459,55 @@ def test_verify_enumerates_each_cube_set_once(fixture_dir, monkeypatch, name):
     assert code == 0
     assert calls and max(calls.values()) == 1, \
         {k[1:]: v for k, v in calls.items() if v > 1}
+
+
+@pytest.mark.parametrize("name", ALL_FSYS)
+def test_verify_builds_each_return_set_once(fixture_dir, monkeypatch, name):
+    from zdcubes import return_times
+    from zdcubes.cube_engine import RowIndex
+
+    real_set, real_index = return_times._return_set, RowIndex.__init__
+    calls = {}
+    alive = []  # keeps every system alive so no id is reused within the run
+    pset_indexes = []
+
+    def counting(system, x, U):
+        alive.append(system)
+        key = (id(system), x, U)
+        calls[key] = calls.get(key, 0) + 1
+        return real_set(system, x, U)
+
+    def indexing(self, rows, n):
+        caller = sys._getframe(1).f_locals.get("self")
+        if isinstance(caller, return_times.PeriodicSet):
+            pset_indexes.append(len(rows))
+        real_index(self, rows, n)
+
+    monkeypatch.setattr(RowIndex, "__init__", indexing)
+    monkeypatch.setattr(return_times, "_return_set", counting)
+    _, code = cmd_verify(_path(fixture_dir, f"{name}.fsys"))
+    assert code == 0
+    assert calls and max(calls.values()) == 1, \
+        {k[1:]: v for k, v in calls.items() if v > 1}
+    assert pset_indexes == []
+
+
+def test_verify_skips_an_over_budget_zero_vector_return(tmp_path):
+    # T1 = T2 rotate cycles of lengths 2, 3, 5, 7, 11 and 13: 41 points, but
+    # a box of 30030^2 generator-order vectors, beyond the return-set cap
+    perm = []
+    for length in (2, 3, 5, 7, 11, 13):
+        perm += [len(perm) + (i + 1) % length for i in range(length)]
+    path = tmp_path / "cycles.fsys"
+    path.write_text("finite-system\npoints = 41\nd = 2\n"
+                    f"T1 = {perm}\nT2 = {perm}\n")
+    code, rep, out = _invoke(["verify", str(path)])
+    assert code == 0, out
+    assert rep["counts"]["fail"] == 0
+    item = next(i for i in rep["checks"] if i["check"] == "zero_vector_return")
+    assert item["status"] == "skipped"
+    assert item["detail"] == {
+        "reason": "budget: order box exceeds the size cap"}
 
 
 def test_verify_skips_an_over_budget_product_realization(fixture_dir,

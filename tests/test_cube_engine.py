@@ -5,20 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_batteries import (FaceSelector, digit_permute_point, duplicate,
+                              glue, insert, project, reflect_point)
 from test_relations import BRUTE_BUDGET, SETTINGS, brute, commuting_systems
 from zdcubes import cube_engine
 from zdcubes.cli import cmd_verify
 from zdcubes.cube_engine import (
     CubeSet,
-    digit_permute_point,
-    duplicate,
     enumerate_K,
     enumerate_Q,
     face_group_orbit,
-    glue,
-    insert,
-    project,
-    reflect_point,
     section_of,
     ucpp_check,
 )
@@ -26,8 +22,7 @@ from zdcubes.errors import InputError
 from zdcubes.finite_system import (FiniteZdSystem, PairRelation, is_minimal,
                                    parse_finite_system, quotient)
 from zdcubes.proximal import compute_R, maximal_ucpp_factor
-from zdcubes.structure import SubgroupSpec, compute_QH
-from zdcubes.hypercube import FaceSelector
+from zdcubes.structure import SubgroupSpec, maximal_trivial_H_factor
 
 
 def test_rot6_census(systems, oracle):
@@ -114,7 +109,8 @@ def test_ucpp_holds_on_rot6(systems):
 
 
 # ---------------------------------------------------------------------------
-# surgery, unit examples
+# surgery on one cube point (the reference the surgery battery is checked
+# against), unit examples
 
 
 def test_glue_example():
@@ -315,7 +311,7 @@ def test_discrete_quotient_shares_the_memo(systems):
     assert enumerate_Q(q_sys, (1, 2)) is Q
     assert compute_R(q_sys) is compute_R(sys_)
     parent = systems["z4xz3"]
-    coarse, _ = quotient(parent, compute_QH(parent, SubgroupSpec((1,))))
+    coarse, _ = maximal_trivial_H_factor(parent, SubgroupSpec((1,)))
     assert coarse._memo is not parent._memo
     assert enumerate_Q(coarse, (1, 2)).base is coarse
 

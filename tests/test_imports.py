@@ -1,10 +1,16 @@
 """The library imports nothing outside the standard library, numpy and
 click: every absolute import in src/zdcubes/*.py names one of them or the
-package itself."""
+package itself.  The names the benchmark harness looks up in the library
+exist."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 import sys
+
+from zdcubes import cli, kernels
 
 ALLOWED = {"numpy", "click", "zdcubes"}
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "zdcubes"
@@ -28,3 +34,21 @@ def test_library_imports_only_stdlib_numpy_and_click():
                if name.split(".")[0] not in ALLOWED
                and name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_names_the_benchmark_harness_looks_up_exist():
+    # perfbench/tracing.py wraps these by name, and perfbench/worker.py
+    # calls the cli functions with these arguments
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {m: importlib.import_module(f"zdcubes.{m}")
+               for m in tracing.MODULES}
+    missing = [key for key in tracing.METHODS
+               if key[2] not in vars(getattr(modules[key[0]], key[1]))]
+    assert missing == []
+    inspect.signature(cli.cmd_verify).bind("x.fsys", threads=1)
+    inspect.signature(cli.cmd_analyze).bind("x.fsys", "cubes", {"threads": 1})
+    inspect.signature(cli.cmd_joining).bind(("a.pset", "b.pset"))
+    assert callable(cli._json_default) and kernels.backend_name()

@@ -2,8 +2,10 @@ import numpy as np
 
 from zdcubes import kernels
 from zdcubes.cube_engine import _pow_table
-from zdcubes.finite_system import apply_word, perm_order
+from zdcubes.finite_system import perm_order
 from zdcubes.kernels import backend_name, exponent_combos
+
+from scalar_return_times import apply_word
 
 
 def test_exponent_combos_order():

@@ -1,15 +1,12 @@
-import pytest
-
+from zdcubes.battery import proximal_battery
 from zdcubes.cube_engine import enumerate_Q
 from zdcubes.proximal import (
-    build_z,
+    _constant_tail_keys,
     check_equivalence,
     compute_R,
     compute_R_j,
     compute_R_j_reordered,
-    constant_tail_symmetry,
     maximal_ucpp_factor,
-    proximal_report,
     pushforward_check,
     sections,
     template_positions,
@@ -30,23 +27,6 @@ def test_template_positions_d3():
     # eta runs over the 3 nonzero 2-bit masks, lifted around position 2
     assert pairs == [(1, 3), (4, 6), (5, 7)]
     assert (x_pos, y_pos) == (0, 2)
-
-
-def test_build_z_examples(systems):
-    Q = enumerate_Q(systems["rot6"], (1, 2))
-    z1 = build_z(2, 2, (4,), 1)
-    assert z1 == (2, 2, 4, 4)
-    assert z1 in Q
-    z2 = build_z(0, 0, (1,), 2)
-    assert z2 == (0, 1, 0, 1)
-    assert z2 in Q
-
-
-def test_build_z_rejects_bad_completion_length():
-    from zdcubes.errors import InputError
-
-    with pytest.raises(InputError):
-        build_z(0, 0, (1, 2), 1)  # length 2 is not 2^(d-1) - 1 for any d
 
 
 def test_relation_diagonal_flags_match_oracle(systems, oracle):
@@ -81,9 +61,14 @@ def test_intersection_relation_is_invariant_equivalence(minimal_systems):
 
 
 def test_constant_tail_symmetry(systems):
+    # (x, y, .., y) is a cube tuple exactly when (y, x, .., x) is
     for name in ("rot6", "z4xz3", "rot8_d3"):
-        ok, witness = constant_tail_symmetry(systems[name])
-        assert ok, (name, witness)
+        sys_ = systems[name]
+        n = sys_.n_points
+        Q = enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))
+        keys = _constant_tail_keys(Q, n)
+        flipped = keys % n * n + keys // n
+        assert sorted(keys.tolist()) == sorted(flipped.tolist()), name
 
 
 def test_sections_partition_cube_set(systems):
@@ -94,12 +79,11 @@ def test_sections_partition_cube_set(systems):
 
 
 def test_proximal_report_rot6(systems):
-    rep = proximal_report(systems["rot6"])
-    assert rep.minimal
-    assert rep.is_diagonal
-    assert rep.relation_sizes == (6, 6)
-    assert rep.intersection_size == 6
-    assert rep.equivalence.ok
+    items = {i["check"]: i for i in proximal_battery(systems["rot6"])}
+    assert all(i["status"] == "pass" for i in items.values())
+    assert items["r_equivalence_invariance"]["detail"] == {"diagonal": True,
+                                                          "pairs": 6}
+    assert [len(compute_R_j(systems["rot6"], j)) for j in (1, 2)] == [6, 6]
 
 
 def test_pushforward_exact_on_minimal(systems):

@@ -8,9 +8,9 @@ first witnesses and minimality must equal those of the union-find and BFS
 loops in tests/scalar_relations.py, and the closure of R must equal the
 closure of the relation the stdlib brute force in
 tests/oracles/gen_oracles.py extracts from its own cube set.  Return sets,
-random periodic sets (reduction, lifts, canonical forms, equality, subsets,
-intersections), d-joinings and product-realization orbits must equal those
-of the tuple loops in tests/scalar_return_times.py.
+random periodic sets (reduction, lifts, canonical forms, equality,
+subsets), d-joinings and product-realization orbits must equal those of the
+tuple loops in tests/scalar_return_times.py.
 """
 
 import importlib.util
@@ -26,15 +26,14 @@ import scalar_relations as ref
 import scalar_return_times as rt
 from zdcubes.finite_system import (FactorMap, FiniteZdSystem,
                                    InvarianceError, PairRelation,
-                                   check_factor_map, is_minimal, orbit_of,
-                                   label_classes, partition, perm_order,
-                                   quotient)
+                                   check_factor_map, is_minimal,
+                                   label_classes, orbit_labels, partition,
+                                   perm_order, quotient)
 from zdcubes.proximal import compute_R, compute_R_j
 from zdcubes.return_times import (PeriodicSet, d_joining, drop_generator,
-                                  insert_identity_generator, intersects,
+                                  insert_identity_generator,
                                   product_system_realization, return_set)
-from zdcubes.structure import (SubgroupSpec, compute_QH,
-                               iterated_quotient_check,
+from zdcubes.structure import (SubgroupSpec, iterated_quotient_check,
                                maximal_trivial_H_factor,
                                z0h_universality_check)
 
@@ -105,10 +104,9 @@ def test_subgroup_orbits_and_quotients_match_reference(data):
     H1 = data.draw(subgroups(sys_.d))
     H2 = data.draw(subgroups(sys_.d))
     for H in (H1, H2):
-        qh = compute_QH(sys_, H)
-        assert qh.pairs == ref.compute_QH(sys_, H).pairs
-        assert qh.classes() == ref.classes(sys_.n_points, qh.pairs)
         got = maximal_trivial_H_factor(sys_, H)
+        assert label_classes(got[1].mapping) == \
+            ref.classes(sys_.n_points, ref.compute_QH(sys_, H).pairs)
         _same_quotient(got, ref.maximal_trivial_H_factor(sys_, H))
         assert check_factor_map(got[1]) == ref.check_factor_map(got[1])
         assert z0h_universality_check(got[1], H) == ("pass", None)
@@ -116,7 +114,9 @@ def test_subgroup_orbits_and_quotients_match_reference(data):
         ref.iterated_quotient_check(sys_, H1, H2)
     assert is_minimal(sys_) == ref.is_minimal(sys_)
     x = data.draw(st.integers(0, sys_.n_points - 1))
-    assert orbit_of(sys_, x) == ref.orbit_of(sys_, x)
+    orbits = orbit_labels(sys_.n_points, sys_.perms)
+    assert frozenset(np.flatnonzero(orbits == orbits[x]).tolist()) == \
+        ref.orbit_of(sys_, x)
 
 
 @SETTINGS
@@ -128,7 +128,6 @@ def test_relation_closures_and_invariance_witnesses_match_reference(data):
                                          max_size=6)))
     rel = PairRelation(sys_.n_points, pairs, sys_)
     assert rel.classes() == ref.classes(sys_.n_points, pairs)
-    assert rel.equivalence_closure() == ref.equivalence_closure(rel)
     try:
         want = ref.quotient(sys_, rel)
     except InvarianceError as exc:
@@ -176,7 +175,6 @@ def test_R_closures_match_brute_force(sys_):
     R = compute_R(sys_)
     assert R.pairs == set.intersection(*rels)
     assert R.classes() == ref.classes(sys_.n_points, set.intersection(*rels))
-    assert R.equivalence_closure() == ref.equivalence_closure(R)
 
 
 def test_relabelled_cycle_of_2_pow_15_points():
@@ -243,7 +241,6 @@ def test_periodic_sets_match_reference(data):
     assert a.equals(b) == ref_a.equals(ref_b)
     assert a.is_subset(b) == ref_a.is_subset(ref_b)
     assert b.is_subset(a) == ref_b.is_subset(ref_a)
-    assert intersects(a, b) == rt.intersects(ref_a, ref_b)
     assert a.equals(a.canonical()) and a.is_subset(a.canonical())
 
 

@@ -4,16 +4,17 @@ from itertools import product
 import pytest
 
 import scalar_batteries as ref
+from scalar_return_times import apply_word
 from zdcubes import battery
 from zdcubes.errors import InputError
-from zdcubes.finite_system import apply_word, parse_finite_system
+from zdcubes.finite_system import parse_finite_system
+from zdcubes.structure import decompose
 from zdcubes.return_times import (
     PeriodicSet,
     contains_zero_vector,
     d_joining,
     drop_generator,
     insert_identity_generator,
-    intersects,
     joining_containment_check,
     phi_image,
     product_system_realization,
@@ -46,7 +47,8 @@ def test_pset_rejects_residues_of_the_wrong_arity():
 
 def test_pset_empty_full():
     assert PeriodicSet.empty(2).is_empty()
-    assert PeriodicSet.full(2).is_full()
+    box = PeriodicSet(2, (3, 5), product(range(3), range(5)))
+    assert PeriodicSet.full(2).equals(box)
     assert (17, -3) in PeriodicSet.full(2)
 
 
@@ -175,17 +177,6 @@ def test_pset_from_text_errors():
         PeriodicSet.from_text("cube-set d=1 dirs=1\n0,0\n")
     with pytest.raises(InputError):
         PeriodicSet.from_text("periodic-set k=2 moduli=2,2\n0\n")
-
-
-def test_intersects():
-    a = _pset((2,), {(0,)})
-    b = _pset((3,), {(1,)})
-    hit, witness = intersects(a, b)
-    assert hit
-    assert witness in a and witness in b
-    c = _pset((2,), {(1,)})
-    d = _pset((4,), {(0,), (2,)})
-    assert intersects(c, d) == (False, None)
 
 
 def test_contains_zero_vector():
@@ -323,7 +314,7 @@ def test_phi_image_oracle_cases(oracle):
     want2 = PeriodicSet(1, tuple(full["moduli"]),
                         frozenset((r,) for r in full["residues"]))
     assert img2.equals(want2)
-    assert img2.is_full()
+    assert img2.canonical().moduli == (1,) and len(img2.rows) == 1
 
 
 def test_phi_image_brute_force():
@@ -351,6 +342,14 @@ def test_joining_containment_minimal(systems):
         assert res.status == "pass", name
         assert res.diagonal_identity
         assert res.joining.is_subset(res.target)
+        # the return sets are the ones kept on their systems, which the
+        # battery and product realization read again
+        assert return_set(systems[name], 0, {0}) is res.target
+        dec = decompose(systems[name], 0)
+        for j, side in enumerate(res.side_sets, start=1):
+            proj = dec.side_projections[j - 1]
+            y = proj.values.index((0,) * len(proj.positions))
+            assert return_set(drop_generator(proj.system, j), y, {y}) is side
 
 
 def test_joining_containment_gates(systems):

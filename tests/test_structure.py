@@ -1,12 +1,12 @@
+import numpy as np
 import pytest
 
 import scalar_relations as ref
 from zdcubes.cube_engine import enumerate_K
 from zdcubes.errors import InputError
-from zdcubes.finite_system import check_factor_map
+from zdcubes.finite_system import check_factor_map, label_classes
 from zdcubes.structure import (
     SubgroupSpec,
-    compute_QH,
     decompose,
     face_system,
     factor_isomorphism_check,
@@ -28,7 +28,8 @@ def test_subgroup_spec_elements(systems):
     assert len(ref.element_perms(H_word, sys_)) == 3  # T1^2 = +2
     # rotations act freely, so every orbit has the order of the subgroup
     for spec, order in ((H, 3), (H_full, 6), (H_word, 3)):
-        assert {len(c) for c in compute_QH(sys_, spec).classes()} == {order}
+        _, pi = maximal_trivial_H_factor(sys_, spec)
+        assert {len(c) for c in label_classes(pi.mapping)} == {order}
 
 
 def test_subgroup_spec_rejects_bad_direction(systems):
@@ -37,18 +38,18 @@ def test_subgroup_spec_rejects_bad_direction(systems):
 
 
 def test_QH_pair_counts_match_oracle(systems, oracle):
+    # Q_H pairs every point with each point of its H-orbit
     sys_ = systems["rot6"]
-    q1 = compute_QH(sys_, SubgroupSpec(dirs=(1,)))
-    q2 = compute_QH(sys_, SubgroupSpec(dirs=(2,)))
-    assert len(q1) == oracle["rot6_QH_T1_pairs"]
-    assert len(q2) == oracle["rot6_QH_T2_pairs"]
+    for j in (1, 2):
+        _, pi = maximal_trivial_H_factor(sys_, SubgroupSpec(dirs=(j,)))
+        pairs = int((np.bincount(pi.mapping) ** 2).sum())
+        assert pairs == oracle[f"rot6_QH_T{j}_pairs"]
 
 
 def test_QH_quotient_classes_match_oracle(systems, oracle):
     sys_ = systems["rot6"]
     q_sys, pi = maximal_trivial_H_factor(sys_, SubgroupSpec(dirs=(2,)))
-    rel = compute_QH(sys_, SubgroupSpec(dirs=(2,)))
-    classes = [sorted(c) for c in rel.classes()]
+    classes = [list(c) for c in label_classes(pi.mapping)]
     assert classes == oracle["rot6_quotient_by_QT2_classes"]
     assert q_sys.n_points == len(classes)
     assert check_factor_map(pi).ok
