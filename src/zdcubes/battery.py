@@ -23,10 +23,11 @@ from .affine import (AffineZdSystem, discretize, formula_equivalence_test,
                      matcond_check, validate_affine)
 from .cube_engine import (RowIndex, _chunked_ranks, _find_keys, enumerate_K,
                           enumerate_Q, face_group_generators,
-                          face_group_orbit, row_keys, section_of, ucpp_check)
+                          face_group_images, face_group_orbit, row_keys,
+                          section_of, ucpp_check)
 from .errors import InputError
 from .finite_system import (FiniteZdSystem, check_factor_map, is_minimal,
-                            validate)
+                            partition, validate)
 from .hypercube import Vertex, digit_permute
 from .proximal import (_constant_tail_keys, check_equivalence, compute_R,
                        compute_R_j, compute_R_j_reordered, maximal_ucpp_factor,
@@ -54,19 +55,45 @@ def _full_dirs(sys: FiniteZdSystem) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# surgery closures, exhaustive
+# surgery closures: a certificate per direction, or every pair
 #
 # Each surgery reads every coordinate of its result from one coordinate of
 # one input, so over an array of cube tuples it is a column-index gather.
-# Pairs are formed by sorted face-key joins and expanded PAIR_CHUNK at a
-# time, in the order a nested loop over the rows of Q would visit them, so the
-# first witness and every count match that loop.
+# Glue and insert in direction j are first decided by a count over the rows
+# (_faces_equivalent).  Where it fails, pairs are formed by sorted face-id
+# joins and expanded PAIR_CHUNK at a time, in the order a nested loop over
+# the rows of Q would visit them, so the first witness and every count match
+# that loop.
 
 PAIR_CHUNK = 1 << 20
 
 
 def _face_cols(d: int, j: int, b: int) -> list[int]:
     return [m for m in range(1 << d) if (m >> (j - 1)) & 1 == b]
+
+
+def _face_ids(rows: np.ndarray, d: int, j: int, n: int
+              ) -> tuple[np.ndarray, np.ndarray, int]:
+    """(lower, upper, faces): the ids of each row's lower and upper j-face,
+    numbered 0..faces-1 in the order of their row keys."""
+    keys = [row_keys(rows[:, _face_cols(d, j, b)], n) for b in (0, 1)]
+    distinct, ids = np.unique(np.concatenate(keys), return_inverse=True)
+    return ids[:len(rows)], ids[len(rows):], len(distinct)
+
+
+def _faces_equivalent(lower: np.ndarray, upper: np.ndarray, faces: int) -> bool:
+    """Whether the rows, read as pairs (lower face, upper face), form an
+    equivalence relation on the faces.  Exactly then are glue and insert in
+    that direction closed: insert gives the pairs (L, L), (U, U) and (U, L),
+    glue gives transitivity, and an equivalence relation is closed under
+    both.
+
+    Every pair lies inside a class of the equivalence the pairs generate,
+    and distinct rows are distinct pairs, so the pairs fill class x class
+    for every class exactly when they number the sum of the squared class
+    sizes."""
+    sizes = np.bincount(partition(faces, lower, upper))
+    return len(lower) == int((sizes * sizes).sum())
 
 
 def _pair_gather(rows: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -84,10 +111,67 @@ def _first_missing(index: RowIndex, rows: np.ndarray) -> int | None:
     return None if found.all() else int(np.argmin(found))
 
 
+def _glue_witness(rows: np.ndarray, index: RowIndex, j: int,
+                  lower: np.ndarray, upper: np.ndarray, below: np.ndarray
+                  ) -> list | None:
+    """The first pair (a, b) of rows, a then b in Q order, with a's upper
+    j-face equal to b's lower one whose glue leaves Q, as [j, a, b].  below
+    counts the rows over each lower face id."""
+    width = rows.shape[1]
+    bit = 1 << (j - 1)
+    order = np.argsort(lower, kind="stable")
+    first = (np.cumsum(below) - below)[upper]
+    take_b = [bool(m & bit) for m in range(width)]
+    for a, rank in _chunked_ranks(below[upper], PAIR_CHUNK):
+        b = order[first[a] + rank]
+        miss = _first_missing(index, _pair_gather(rows, a, b, take_b,
+                                                  list(range(width))))
+        if miss is not None:
+            return [j, rows[a[miss]].tolist(), rows[b[miss]].tolist()]
+    return None
+
+
+def _insert_witness(rows: np.ndarray, index: RowIndex, j: int,
+                    upper: np.ndarray) -> list | None:
+    """The first pair (a, b) of rows coinciding in the upper j-face whose
+    insertion leaves Q on either side, as [j, side, a, b].  Buckets of
+    equal upper faces go in order of first appearance, members in Q
+    order."""
+    width = rows.shape[1]
+    bit = 1 << (j - 1)
+    _, first, inverse, sizes = np.unique(
+        upper, return_index=True, return_inverse=True, return_counts=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[by_first] = np.arange(len(first))
+    members = np.argsort(rank[inverse], kind="stable")
+    sizes = sizes[by_first]
+    starts = np.cumsum(sizes) - sizes
+    sides = []
+    for side in ("upper", "lower"):
+        keep = bit if side == "upper" else 0
+        take_b = [(m & bit) == keep for m in range(width)]
+        sides.append((side, take_b,
+                      [m if t else m ^ bit for m, t in enumerate(take_b)]))
+    for g, r in _chunked_ranks(sizes * sizes, PAIR_CHUNK):
+        a = members[starts[g] + r // sizes[g]]
+        b = members[starts[g] + r % sizes[g]]
+        found = [index.find(_pair_gather(rows, a, b, take_b, cols))[1]
+                 for _, take_b, cols in sides]
+        bad = ~(found[0] & found[1])
+        if bad.any():
+            i = int(np.argmax(bad))
+            side = sides[0][0] if not found[0][i] else sides[1][0]
+            return [j, side, rows[a[i]].tolist(), rows[b[i]].tolist()]
+    return None
+
+
 def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     """Closure of the full cube set under gluing, insertion, duplication,
-    projection, digit permutation and reflection.  Every eligible input pair
-    or tuple is tried; no sampling."""
+    projection, digit permutation and reflection.  No sampling: glue and
+    insert in a direction are decided by the face-equivalence count, or,
+    where that fails, by trying every eligible pair; the other surgeries
+    map every row."""
     d = sys.d
     n = sys.n_points
     dirs = _full_dirs(sys)
@@ -96,68 +180,25 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     rows, index = Q.to_array(), Q.index
     items = []
 
-    # glue: a's upper j-face against b's lower j-face, a then b in Q order
-    checked = 0
-    witness = None
+    # glue and insert, direction by direction; the pair counts are closed
+    # forms over the face ids
+    glued = inserted = 0
+    glue_witness = insert_witness = None
     for j in dirs:
-        bit = 1 << (j - 1)
-        lower = row_keys(rows[:, _face_cols(d, j, 0)], n)
-        upper = row_keys(rows[:, _face_cols(d, j, 1)], n)
-        order = np.argsort(lower, kind="stable")
-        lower = lower[order]
-        first = np.searchsorted(lower, upper, side="left")
-        counts = np.searchsorted(lower, upper, side="right") - first
-        checked += int(counts.sum())
-        if witness is not None:
+        lower, upper, faces = _face_ids(rows, d, j, n)
+        below = np.bincount(lower, minlength=faces)
+        glued += int(below[upper].sum())
+        inserted += 2 * int((np.bincount(upper) ** 2).sum())
+        if _faces_equivalent(lower, upper, faces):
             continue
-        take_b = [bool(m & bit) for m in range(width)]
-        for a, rank in _chunked_ranks(counts, PAIR_CHUNK):
-            b = order[first[a] + rank]
-            miss = _first_missing(index, _pair_gather(rows, a, b, take_b,
-                                                      list(range(width))))
-            if miss is not None:
-                witness = [j, rows[a[miss]].tolist(), rows[b[miss]].tolist()]
-                break
-    items.append(_pass_fail("glue_closure", witness is None, witness,
-                            pairs=checked))
-
-    # insert: pairs coinciding in the j-upper face, both sides; buckets in
-    # order of first appearance, members in Q order
-    checked = 0
-    witness = None
-    for j in dirs:
-        bit = 1 << (j - 1)
-        upper = row_keys(rows[:, _face_cols(d, j, 1)], n)
-        _, first, inverse, sizes = np.unique(
-            upper, return_index=True, return_inverse=True, return_counts=True)
-        by_first = np.argsort(first)
-        rank = np.empty(len(first), dtype=np.intp)
-        rank[by_first] = np.arange(len(first))
-        members = np.argsort(rank[inverse], kind="stable")
-        sizes = sizes[by_first]
-        starts = np.cumsum(sizes) - sizes
-        checked += 2 * int((sizes * sizes).sum())
-        if witness is not None:
-            continue
-        sides = []
-        for side in ("upper", "lower"):
-            keep = bit if side == "upper" else 0
-            take_b = [(m & bit) == keep for m in range(width)]
-            sides.append((side, take_b,
-                          [m if t else m ^ bit for m, t in enumerate(take_b)]))
-        for g, r in _chunked_ranks(sizes * sizes, PAIR_CHUNK):
-            a = members[starts[g] + r // sizes[g]]
-            b = members[starts[g] + r % sizes[g]]
-            found = [index.find(_pair_gather(rows, a, b, take_b, cols))[1]
-                     for _, take_b, cols in sides]
-            bad = ~(found[0] & found[1])
-            if bad.any():
-                i = int(np.argmax(bad))
-                side = sides[0][0] if not found[0][i] else sides[1][0]
-                witness = [j, side, rows[a[i]].tolist(), rows[b[i]].tolist()]
-                break
-    items.append(_pass_fail("insert_closure", witness is None, witness,
-                            pairs=checked))
+        if glue_witness is None:
+            glue_witness = _glue_witness(rows, index, j, lower, upper, below)
+        if insert_witness is None:
+            insert_witness = _insert_witness(rows, index, j, upper)
+    items.append(_pass_fail("glue_closure", glue_witness is None, glue_witness,
+                            pairs=glued))
+    items.append(_pass_fail("insert_closure", insert_witness is None,
+                            insert_witness, pairs=inserted))
 
     # duplicate: every proper nonempty direction subset
     checked = 0
@@ -254,17 +295,23 @@ def cube_battery(sys: FiniteZdSystem) -> list[dict]:
             break
     items.append(_pass_fail("single_direction_symmetry", witness is None, witness))
 
-    gens = face_group_generators(sys, dirs)
+    # g(Q) within Q gives g(Q) = Q for an injective g and a finite Q, so an
+    # inverse generator never fails first: only forward ones are tried, on
+    # the images the orbit partition reads as well
     witness = None
-    for g in gens:
-        miss = _first_missing(index, g.apply_rows(sys, dirs, rows))
-        if miss is not None:
-            witness = [list(g.face), list(g.diag), rows[miss].tolist()]
-            break
-    items.append(_pass_fail("face_group_invariance", witness is None, witness,
-                            generators=len(gens)))
 
-    orbit = face_group_orbit(Q, rows[0])
+    def tried(images):
+        nonlocal witness
+        for g, pos, found in images:
+            if witness is None and not found.all():
+                witness = [list(g.face), list(g.diag),
+                           rows[int(np.argmin(found))].tolist()]
+            yield g, pos, found
+
+    orbit = face_group_orbit(Q, rows[0], tried(face_group_images(Q)))
+    items.append(_pass_fail("face_group_invariance", witness is None, witness,
+                            generators=len(face_group_generators(sys, dirs))))
+
     if minimal:
         items.append(_pass_fail("orbit_covers_when_minimal",
                                 len(orbit) == len(Q), None,

@@ -336,6 +336,8 @@ def relative_independence_check(dec: JoiningDecomposition
     base tuple, draws the all-ones-but-j coordinate from any Y_j member with
     matching pinned part, and must then extend to exactly one K member.
 
+    A count over the rows of K passes it at once (_complete_once); only
+    when that count fails do the joins run, for the verdict and witness.
     As joins: for each j, the distinct (pinned part, value) pairs of K,
     sorted, give each pinned part a bucket of side values, which holds the
     point's own value.  A point's candidates are the mixed-radix ranks over
@@ -363,9 +365,12 @@ def relative_independence_check(dec: JoiningDecomposition
         values.append(pairs % n)
     head = np.ones(len(rows), dtype=bool)
     head[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+    total = np.prod(np.stack(sizes, axis=1), axis=1)
+    if _complete_once(rows, free, head, total, n):
+        return RelativeIndependenceResult(status="pass", checked=len(K),
+                                          witness=None)
     prefixes = RowIndex(rows[head, :-1], n)
     completions = np.diff(np.append(np.flatnonzero(head), len(rows)))
-    total = np.prod(np.stack(sizes, axis=1), axis=1)
     for point, rank in _chunked_ranks(total, COMBO_CHUNK):
         combo = np.empty((len(point), d), dtype=rows.dtype)
         for j in reversed(range(d)):
@@ -386,3 +391,23 @@ def relative_independence_check(dec: JoiningDecomposition
                          tuple(combo[i].tolist()),
                          f"{int(count[i])} completions"))
     return RelativeIndependenceResult(status="pass", checked=len(K), witness=None)
+
+
+def _complete_once(rows: np.ndarray, free: list[int], head: np.ndarray,
+                   total: np.ndarray, n: int) -> bool:
+    """Whether every candidate of every point of K (its rows) completes
+    exactly once, by counting; head marks the first row of each prefix
+    (row without its last column) and total the number of candidates of
+    each point.
+
+    The core of a row is its columns other than the free ones and the last.
+    Each side's pinned columns lie in the core, so a point's candidates
+    depend only on its core, and they hold every prefix of K with that
+    core.  So they all complete exactly once when no prefix has two
+    completions and each core holds as many prefixes as its points have
+    candidates.  At d = 2 the core is empty: one class."""
+    if not head.all():
+        return False
+    core = np.setdiff1d(np.arange(rows.shape[1] - 1), free)
+    ids = np.unique(row_keys(rows[:, core], n), return_inverse=True)[1]
+    return bool((np.bincount(ids)[ids] == total).all())

@@ -50,9 +50,64 @@ def _face_items(sys):
     return {i["check"]: i for i in items}
 
 
+def _join_spy(monkeypatch, module):
+    """One entry per pair or candidate join that module runs from now on
+    (a call of its _chunked_ranks), so that a test sees which checks a
+    certificate sent down the exhaustive path."""
+    calls = []
+    real = module._chunked_ranks
+
+    def spy(counts, chunk):
+        calls.append(int(np.sum(counts)))
+        return real(counts, chunk)
+
+    monkeypatch.setattr(module, "_chunked_ranks", spy)
+    return calls
+
+
+def _face_equivalences(Q):
+    """Per direction j, whether the rows of Q, read as pairs (lower j-face,
+    upper j-face), form an equivalence relation, by Python sets."""
+    out = []
+    for j in range(1, Q.k + 1):
+        bit = 1 << (j - 1)
+        low = [m for m in range(Q.width) if not m & bit]
+        rel = {(tuple(r[m] for m in low), tuple(r[m | bit] for m in low))
+               for r in Q.rows.tolist()}
+        after = {}
+        for a, b in rel:
+            after.setdefault(a, set()).add(b)
+        out.append(all((a, a) in rel and (b, b) in rel and (b, a) in rel
+                       and after[b] <= after[a] for a, b in rel))
+    return out
+
+
+def _surgery(sys_):
+    """surgery_battery(sys_) on the Q enumerate_Q gives the batteries.  It
+    must equal the reference and its own result with the face certificate
+    switched off; glue and insert must each join the pairs of exactly the
+    directions whose faces are no equivalence, up to their first witness,
+    which lies in such a direction."""
+    Q = battery.enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))
+    closed = _face_equivalences(Q)
+    with pytest.MonkeyPatch.context() as mp:
+        joins = _join_spy(mp, battery)
+        got = battery.surgery_battery(sys_)
+        expected = 0
+        for item in got[:2]:
+            last = item["witness"][0] if item["witness"] else sys_.d
+            assert item["status"] == "pass" or not closed[last - 1]
+            expected += closed[:last].count(False)
+        assert len(joins) == expected
+        mp.setattr(battery, "_faces_equivalent", lambda *args: False)
+        assert battery.surgery_battery(sys_) == got
+    assert got == ref.surgery_battery(sys_)
+    return got
+
+
 @pytest.mark.parametrize("name", ALL_FSYS)
 def test_surgery_battery_matches_scalar_loops(systems, name):
-    assert battery.surgery_battery(systems[name]) == ref.surgery_battery(systems[name])
+    _surgery(systems[name])
 
 
 def _orbit_cases(sys_):
@@ -122,8 +177,7 @@ def test_batteries_match_scalar_loops_on_corrupted_Q(systems, monkeypatch,
                                                      name, where):
     sys_ = systems[name]
     _corrupt(monkeypatch, where)
-    got = battery.surgery_battery(sys_)
-    assert got == ref.surgery_battery(sys_)
+    got = _surgery(sys_)
     if len(battery.enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))) > 1:
         assert any(item["status"] == "fail" for item in got)
     Q = battery.enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))
@@ -136,16 +190,19 @@ def test_batteries_match_scalar_loops_on_corrupted_Q(systems, monkeypatch,
         len(ref.face_group_orbit(Q, Q.points[0]))
 
 
-def test_surgery_battery_on_wide_rows_matches_scalar_loops():
+def test_surgery_battery_on_wide_rows_matches_scalar_loops(monkeypatch):
     # (Z/2)^4: cube tuples of width 16 over 16 points overflow int64 keys
     sys_ = _z2_power(4)
-    assert battery.surgery_battery(sys_) == ref.surgery_battery(sys_)
+    _surgery(sys_)
     Q = enumerate_Q(sys_, (1, 2, 3, 4))
     assert _face_items(sys_)["face_group_invariance"] == \
         ref.face_group_invariance(sys_, Q)
     results = [_ucpp(v) for v in _variants(Q)]
     assert results == [ref.ucpp_check(v) for v in _variants(Q)]
     assert not all(ok for ok, _, _ in results)
+    _corrupt(monkeypatch, "middle")
+    got = _surgery(sys_)
+    assert got[0]["status"] == "fail" or got[1]["status"] == "fail"
 
 
 def test_insert_witness_when_both_sides_fail(monkeypatch):
@@ -157,8 +214,7 @@ def test_insert_witness_when_both_sides_fail(monkeypatch):
 
     for module in (battery, ref):
         monkeypatch.setattr(module, "enumerate_Q", fake)
-    got = battery.surgery_battery(sys_)
-    assert got == ref.surgery_battery(sys_)
+    got = _surgery(sys_)
     assert got[1]["witness"] == [1, "upper", [0, 1], [0, 1]]
 
 

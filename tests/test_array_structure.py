@@ -15,10 +15,11 @@ from hypothesis import given
 
 import scalar_batteries as ref
 from conftest import ALL_FSYS
-from test_array_batteries import _z2_power
+from test_array_batteries import _join_spy, _surgery, _z2_power
 from test_relations import SETTINGS, commuting_systems
 from zdcubes import battery, cube_engine, structure
-from zdcubes.cube_engine import CubeSet, UcppResult, enumerate_K, enumerate_Q
+from zdcubes.cube_engine import (CubeSet, UcppResult, enumerate_K, enumerate_Q,
+                                 row_keys)
 from zdcubes.finite_system import FactorMap, FiniteZdSystem
 from zdcubes.proximal import sections
 from zdcubes.structure import (_injectivity, decompose,
@@ -37,6 +38,20 @@ def _assume_hypotheses(dec):
     return dataclasses.replace(dec, ucpp=UcppResult(ok=True), minimal=True)
 
 
+def _relative_independence(dec):
+    """relative_independence_check(dec), which must equal the reference and
+    its own result with the count certificate switched off, and must run
+    the candidate join exactly when it fails."""
+    with pytest.MonkeyPatch.context() as mp:
+        joins = _join_spy(mp, structure)
+        got = relative_independence_check(dec)
+        assert bool(joins) == (got.status == "fail")
+        mp.setattr(structure, "_complete_once", lambda *args: False)
+        assert relative_independence_check(dec) == got
+    assert got == ref.relative_independence_check(dec)
+    return got
+
+
 def _same_everywhere(sys_):
     """Every array battery of this file against its reference on sys_."""
     Q = enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))
@@ -50,7 +65,7 @@ def _same_everywhere(sys_):
         ref.injectivity(dec.K, dec.side_projections)
     assert dec.K.to_text() == ref.to_text(dec.K)
     for d in (dec, _assume_hypotheses(dec)):
-        assert relative_independence_check(d) == ref.relative_independence_check(d)
+        _relative_independence(d)
     for j in range(1, sys_.d + 1):
         assert factor_isomorphism_check(sys_, 0, j) == \
             ref.factor_isomorphism_check(sys_, 0, j)
@@ -72,9 +87,7 @@ def test_random_systems_match_scalar_loops(sys_):
         return
     dec = decompose(sys_, 0)
     for K in _planted_K(dec.K):
-        planted = _assume_hypotheses(dataclasses.replace(dec, K=K))
-        assert relative_independence_check(planted) == \
-            ref.relative_independence_check(planted)
+        _relative_independence(_assume_hypotheses(dataclasses.replace(dec, K=K)))
     for how in ("coarse", "fine", "other", "relabelled"):
         with pytest.MonkeyPatch.context() as mp:
             _plant_quotient(mp, how)
@@ -97,10 +110,8 @@ def test_small_chunks_do_not_change_witnesses(systems, monkeypatch):
     dec = decompose(systems["rot6"], 0)
     K = dec.K
     for rows in (np.delete(K.rows, len(K) // 2, axis=0), K.rows[::2]):
-        planted = _assume_hypotheses(dataclasses.replace(
-            dec, K=CubeSet(K.dirs, rows, True, K.base)))
-        assert relative_independence_check(planted) == \
-            ref.relative_independence_check(planted)
+        _relative_independence(_assume_hypotheses(dataclasses.replace(
+            dec, K=CubeSet(K.dirs, rows, True, K.base))))
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +137,9 @@ def _planted_K(K):
                                   "z2z2z3_d3", "affine25"])
 def test_relative_independence_witness_on_planted_K(systems, name):
     dec = decompose(systems[name], 0)
-    assert relative_independence_check(dec).status == "pass"
-    statuses = []
-    for K in _planted_K(dec.K):
-        planted = dataclasses.replace(dec, K=K)
-        got = relative_independence_check(planted)
-        assert got == ref.relative_independence_check(planted)
-        statuses.append(got.status)
+    assert _relative_independence(dec).status == "pass"
+    statuses = [_relative_independence(dataclasses.replace(dec, K=K)).status
+                for K in _planted_K(dec.K)]
     # a copy of rows with another last coordinate completes twice; with
     # d = 2 nothing is pinned, every point tries every pair of side values,
     # and a dropped row leaves one of them without a completion
@@ -148,14 +155,12 @@ def test_relative_independence_counts_completions(systems):
     extra = rows[:1].copy()
     extra[0, -1] = (extra[0, -1] + 1) % 6
     K = CubeSet(dec.K.dirs, np.concatenate([rows, extra]), True, dec.K.base)
-    planted = dataclasses.replace(dec, K=K)
-    got = relative_independence_check(planted)
+    got = _relative_independence(dataclasses.replace(dec, K=K))
     assert got.witness == (tuple(rows[0].tolist()), (0, 0), "2 completions")
-    assert got == ref.relative_independence_check(planted)
 
 
 def _corrupt_Q(monkeypatch, change):
-    """enumerate_Q of the five-way battery and its reference gives the rows
+    """enumerate_Q of the batteries and their reference gives the rows
     change(Q) instead; the relations still come from the intact set."""
     real = enumerate_Q
 
@@ -207,6 +212,34 @@ def test_five_way_witness_on_corrupted_Q(systems, monkeypatch, name, how,
         # the sections of 0 and n - 1 meet but differ, outside every R_j
         assert got == (False, n, [0, n - 1, [False, False, True, False,
                                             False]])
+
+
+def _face_variants(Q):
+    """Rows for Q: every third row dropped; copies of every third row with
+    another last coordinate; copies of every other row with the upper
+    1-face of the row after it, so that faces pair up anew; and Q without
+    the rows whose lower 1-face is related to its first row's, which keeps
+    direction 1 an equivalence where Q's was one."""
+    rows, n = Q.rows, Q.base.n_points
+    low, high = (battery._face_cols(Q.k, 1, b) for b in (0, 1))
+    changed = rows[::3].copy()
+    changed[:, -1] = (changed[:, -1] + 1) % n
+    shared = rows[:-1:2].copy()
+    shared[:, high] = rows[1::2][:, high]
+    lower, upper = (row_keys(rows[:, c], n) for c in (low, high))
+    return [np.delete(rows, np.arange(1, len(rows), 3), axis=0),
+            np.concatenate([rows, changed]),
+            np.concatenate([rows, shared]),
+            rows[~np.isin(lower, upper[lower == lower[0]])]]
+
+
+@SETTINGS
+@given(commuting_systems(max_parts=2, max_modulus=4))
+def test_face_certificate_matches_the_pair_joins_on_random_systems(sys_):
+    for i in range(4):
+        with pytest.MonkeyPatch.context() as mp:
+            _corrupt_Q(mp, lambda Q, i=i: _face_variants(Q)[i])
+            _surgery(sys_)
 
 
 def _plant_quotient(monkeypatch, how):
