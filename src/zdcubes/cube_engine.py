@@ -21,9 +21,9 @@ unique-completion verdict.  Whole-set checks work on that array: the index
 looks rows up by sorted row keys, and a face-group element acts as one
 permutation per coordinate, so its image of an array is a column gather.
 A face-group orbit is a class of the partition of a set's rows by the
-images of the forward generators (face_group_images); the invariance
-check of battery.cube_battery reads the same images, so each is computed
-once.  orbit_rows is the breadth-first orbit search over int rows that
+images of the forward generators; the same pass reports the first image
+that leaves the set, which decides face-group invariance, so each image
+is computed once.  orbit_rows is the breadth-first orbit search over int rows that
 affine discretization and product realizations share, where no enclosing
 set exists in advance.  The surgery closures (glue, insert, duplicate,
 project, digit permutation, reflection) are column gathers over whole
@@ -641,45 +641,41 @@ def face_group_generators(sys: FiniteZdSystem, dirs: tuple[int, ...]
     return gens
 
 
-def face_group_images(cubes: CubeSet):
-    """(g, position, found) for each forward face-group generator g, in
-    face_group_generators order: where g's image of each row of cubes sits
-    in cubes, and whether it is a member.  The images are built one
-    generator at a time, as the iteration reaches it."""
-    if cubes.base is None:
-        raise InputError("cube set carries no base system")
-    sys = cubes.base
-    for g in face_group_generators(sys, cubes.dirs)[::2]:  # no inverses
-        images = g.apply_rows(sys, cubes.dirs, cubes.rows, cubes.based)
-        yield (g, *cubes.index.find(images))
-
-
-def face_group_orbit(cubes: CubeSet, start: CubePoint, images=None) -> CubeSet:
+def face_group_orbit(cubes: CubeSet, start: CubePoint
+                     ) -> tuple[CubeSet, tuple[FaceGroupElement, np.ndarray] | None]:
     """The members of cubes that face-group generator steps within cubes
-    connect to start.  The start must be a member; whether the orbit
-    exhausts the set is a separate check.
+    connect to start, and the first forward generator g, in
+    face_group_generators order, with the first row whose image under g is
+    not a member (None when every image is).  The start must be a member;
+    whether the orbit exhausts the set is a separate check.
 
-    The orbit is the class of start in the partition of the rows by the
-    edges (row, g row) of each forward generator g whose image is a member;
-    the inverse of g gives the same edges read backwards.  images, when
-    given, is face_group_images(cubes) as a caller already iterates it, so
-    that each image is computed once.  One generator's edges are hooked at
-    a time, together with the edges (row, label so far) that carry the
-    classes found before, so the edge arrays stay at twice the size of the
-    set."""
+    For an injective g and a finite set, g(cubes) within cubes gives
+    g(cubes) = cubes, so an inverse generator never leaves the set first
+    and the escape decides face-group invariance.  The orbit is the class
+    of start in the partition of the rows by the edges (row, g row) of each
+    forward generator g whose image is a member; the inverse of g gives the
+    same edges read backwards.  One generator's edges are hooked at a time,
+    together with the edges (row, label so far) that carry the classes
+    found before, so the edge arrays stay at twice the size of the set."""
     if cubes.base is None:
         raise InputError("cube set carries no base system")
     if start not in cubes:
         raise InputError("start point is not in the cube set")
-    rows = cubes.rows
+    sys, rows = cubes.base, cubes.rows
     every = np.arange(len(rows))
     labels = every
-    for _, pos, found in face_group_images(cubes) if images is None else images:
+    escape = None
+    for g in face_group_generators(sys, cubes.dirs)[::2]:  # no inverses
+        images = g.apply_rows(sys, cubes.dirs, rows, cubes.based)
+        pos, found = cubes.index.find(images)
+        if escape is None and not found.all():
+            escape = (g, rows[int(np.argmin(found))])
         labels = partition(len(rows), np.concatenate([every[found], every]),
                            np.concatenate([pos[found], labels]))
     here = cubes.index.find(np.asarray(start).reshape(1, -1))[0][0]
-    return CubeSet(dirs=cubes.dirs, points=rows[labels == labels[here]],
-                   based=cubes.based, base=cubes.base)
+    orbit = CubeSet(dirs=cubes.dirs, points=rows[labels == labels[here]],
+                    based=cubes.based, base=sys)
+    return orbit, escape
 
 
 def section_of(cubes: CubeSet, x0: int) -> CubeSet:

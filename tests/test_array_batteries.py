@@ -130,7 +130,7 @@ def _orbit_cases(sys_):
 
 def _same_orbits(sys_):
     for cubes, start in _orbit_cases(sys_):
-        assert face_group_orbit(cubes, start).points == \
+        assert face_group_orbit(cubes, start)[0].points == \
             ref.face_group_orbit(cubes, start).points
 
 
@@ -163,7 +163,7 @@ def test_orbit_cases_hold_a_proper_class_and_a_short_based_set(systems):
     # diagonal generators reach and its index, keyed over all points, looks
     # up as a miss
     thinned, start = _orbit_cases(systems["rot12"])[3]
-    assert 1 < len(face_group_orbit(thinned, start)) < len(thinned)
+    assert 1 < len(face_group_orbit(thinned, start)[0]) < len(thinned)
     sys_ = systems["nonmin_z4z2"]
     assert any(K.based and int(K.rows.max()) < sys_.n_points - 1
                for K, _ in _orbit_cases(sys_))

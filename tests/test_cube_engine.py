@@ -209,14 +209,14 @@ def test_digit_permute_maps_between_direction_orders(systems):
 
 def test_face_group_orbit_covers_minimal(systems):
     Q = enumerate_Q(systems["rot6"], (1, 2))
-    orb = face_group_orbit(Q, Q.points[0])
+    orb, _ = face_group_orbit(Q, Q.points[0])
     assert set(orb.points) == set(Q.points)
 
 
 def test_face_group_orbit_proper_on_nonminimal(systems):
     sys_ = systems["nonmin_z4z2"]
     Q = enumerate_Q(sys_, (1, 2))
-    orb = face_group_orbit(Q, Q.points[0])
+    orb, _ = face_group_orbit(Q, Q.points[0])
     assert len(orb) < len(Q)
 
 

@@ -10,7 +10,8 @@ goes first alternates from rung to rung, since a shared machine drifts in
 speed.  Each rung writes its input into the work directory and runs there
 as the recorded command, so the report's "input" field is the bare file
 name: a report hash is comparable only together with that command line.
-A run longer than TIMEOUT_S is killed and recorded as a timeout.
+A run longer than TIMEOUT_S is killed and recorded as a timeout; a child
+that dies before writing its stats is recorded with its return code.
 
 Wall time spans the child interpreter from start to exit.  Peak RSS and
 the seconds per battery are measured inside the child, which wraps the
@@ -84,15 +85,19 @@ def run(tree: str, workdir: str, name: str) -> dict:
     report = os.path.join(workdir, f"{name}.json")
     stats = os.path.join(workdir, f"{name}.stats.json")
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    if os.path.exists(stats):  # left by the other tree's run of this rung
+        os.remove(stats)
     t0 = time.perf_counter()
     with open(report, "wb") as out:
         try:
-            subprocess.run([sys.executable, "-c", CHILD, f"{name}.fsys", stats],
-                           cwd=workdir, env=env, stdout=out, check=False,
-                           timeout=TIMEOUT_S)
+            child = subprocess.run(
+                [sys.executable, "-c", CHILD, f"{name}.fsys", stats],
+                cwd=workdir, env=env, stdout=out, check=False, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return {"timeout": TIMEOUT_S}
     wall = time.perf_counter() - t0
+    if child.returncode != 0 or not os.path.exists(stats):
+        return {"failed": child.returncode, "wall_s": round(wall, 3)}
     with open(stats) as fh:
         result = json.load(fh)
     with open(report, "rb") as fh:
@@ -108,15 +113,13 @@ def main() -> int:
     ap.add_argument("trees", nargs="+", help="parent tree, then change tree")
     ap.add_argument("--out", required=True)
     ap.add_argument("--workdir", help="where inputs and reports go")
-    ap.add_argument("--rungs", default=",".join(RUNGS))
     args = ap.parse_args()
     if len(args.trees) > 2:
         ap.error("give one or two trees")
     labels = ["parent", "change"] if len(args.trees) == 2 else ["change"]
     workdir = args.workdir or tempfile.mkdtemp(prefix="ladder-")
     rungs = []
-    for i, name in enumerate(args.rungs.split(",")):
-        n, steps = RUNGS[name]
+    for i, (name, (n, steps)) in enumerate(RUNGS.items()):
         write_system(os.path.join(workdir, f"{name}.fsys"), n, steps)
         order = list(zip(labels, args.trees))
         order = order[::-1] if i % 2 else order
