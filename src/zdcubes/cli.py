@@ -20,8 +20,9 @@ from .affine import (affine_to_text, discretize, formula_equivalence_test,
                      matcond_check, parse_affine, validate_affine)
 from .cube_engine import CubeSet, enumerate_K, enumerate_Q, ucpp_check
 from .errors import HypothesisError, InputError
-from .finite_system import (PairRelation, check_factor_map, is_minimal,
-                            parse_finite_system, to_text, validate)
+from .finite_system import (PairRelation, _first_content_line,
+                            check_factor_map, is_minimal, parse_finite_system,
+                            to_text, validate)
 from .proximal import (check_equivalence, compute_R, compute_R_j,
                        maximal_ucpp_factor)
 from .return_times import PeriodicSet, d_joining, phi_image, return_set
@@ -41,15 +42,13 @@ def _read(path: str) -> str:
 
 
 def detect_kind(text: str, path: str | None = None) -> str:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head = line.split()[0]
-        if head in _KINDS:
-            return head
-        raise InputError(f"unrecognized header {head!r}", path=path, line=1)
-    raise InputError("empty file", path=path)
+    first = _first_content_line(text)
+    if first is None:
+        raise InputError("empty file", path=path)
+    head = first[1].split()[0]
+    if head in _KINDS:
+        return head
+    raise InputError(f"unrecognized header {head!r}", path=path, line=1)
 
 
 def _load_system(path: str, strict: bool = True):

@@ -32,29 +32,39 @@ direction are first decided by whether the rows, read as pairs (lower
 face, upper face), are an equivalence relation, a count over the rows;
 the per-point operations they were first written as are the test
 reference.
+
+Cube sets and periodic sets (return_times.py) share one text codec of int
+rows.  The reader hands the text after the header line to numpy's C text
+reader in one pass; the line-at-a-time loop of str.splitlines and int()
+reads it only where that reader refuses it or could read it otherwise,
+and names the first bad line.  The writer formats each distinct value once
+into a digit table.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import repeat
 
 import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .finite_system import (FiniteZdSystem, _content_lines, _orbits,
-                            is_minimal, orbit_labels, partition, perm_power)
+from .finite_system import (FiniteZdSystem, _content_lines, _first_content_line,
+                            _orbits, is_minimal, orbit_labels, partition,
+                            perm_power)
 from .hypercube import MAX_DIM
 
 CubePoint = tuple[int, ...]
 
 MAX_ENUM_ROWS = 5_000_000
 TEXT_CHUNK = 1 << 22  # bytes of cell buffer per chunk of the text form
-READ_CHUNK = 1 << 16  # lines parsed at once: bounds the str objects alive
+# tab, line feed, carriage return and printable ASCII
+_PLAIN = bytes([9, 10, 13, *range(32, 127)])
 INT32 = np.iinfo(np.int32)
 
 
@@ -182,11 +192,11 @@ class CubeSet:
 
     @classmethod
     def from_text(cls, text: str, path: str | None = None) -> "CubeSet":
-        rows = _content_lines(text)
-        if not rows or not rows[0][1].startswith("cube-set"):
+        first = _first_content_line(text)
+        if first is None or not first[1].startswith("cube-set"):
             raise InputError("expected 'cube-set d=<k> dirs=<...>' header",
-                             path=path, line=rows[0][0] if rows else 1)
-        header_line, header = rows[0]
+                             path=path, line=first[0] if first else 1)
+        header_line, header, body = first
         fields = dict(tok.split("=", 1) for tok in header.split()[1:] if "=" in tok)
         try:
             k = int(fields["d"])
@@ -204,8 +214,9 @@ class CubeSet:
                 return f"row width {width} matches neither 2^{k} nor 2^{k}-1"
             return None
 
-        points = _read_int_rows(rows[1:], "coordinate", width_error, path, INT32)
-        based = len(points) > 0 and points.shape[1] == (1 << k) - 1
+        points = _read_int_rows(body, header_line, "coordinate", width_error, path,
+                                INT32)
+        based = len(points) > 0 and len(points[0]) == (1 << k) - 1
         return cls(dirs=dirs, points=points, based=based)
 
 
@@ -213,39 +224,60 @@ class CubeSet:
 # int rows as text
 
 
-def _read_int_rows(body: list[tuple[int, str]], noun: str, width_error,
+def _read_int_rows(body: str, header_line: int, noun: str, width_error,
                    path: str | None, bounds: np.iinfo | None = None
                    ) -> np.ndarray | list[tuple[int, ...]]:
-    """The rows of comma-separated integers on the content lines body (as
-    _content_lines gives them) as an int64 array of shape (lines, width),
-    or as a list of int tuples: an empty one when there are no lines, and
-    the rows themselves when, without bounds, a value is beyond int64 (for
-    the caller to reduce exactly).
+    """The rows of comma-separated integers in body, the text after the
+    header on line header_line, as an int64 array of shape (lines, width),
+    or as a list of int tuples: an empty one when there are no content
+    lines, and the rows themselves when int() reads a value that numpy's C
+    text reader does not, such as one beyond int64 (for the caller to
+    reduce exactly).
 
     width_error(width, first) is the message for a line of width values
     when the first line holds first values, or None when the line is fine.
     Values must lie within bounds when given.
 
-    Every line's comma count is checked, then the values are parsed with
-    one map(int, ..) per READ_CHUNK lines; if anything is wrong, the lines
-    are read again one at a time until the first bad one, whose message and
-    number the error carries."""
-    if not body:
+    The body is parsed by _c_rows in one pass.  Where that gives None, or
+    rows of a width or range the caller refuses, _read_lines reads it again
+    one line at a time and raises at the first bad line."""
+    rows = _c_rows(body)
+    if rows is not None and not len(rows):
         return []
-    _, lines = zip(*body)
-    first = lines[0].count(",") + 1
-    commas = set(map(str.count, lines, repeat(",")))
-    if not any(width_error(c + 1, first) for c in commas):
+    if (rows is not None and width_error(rows.shape[1], rows.shape[1]) is None
+            and (bounds is None
+                 or bounds.min <= rows.min() and rows.max() <= bounds.max)):
+        return rows
+    return _read_lines(_content_lines(body, header_line + 1), noun, width_error,
+                       path, bounds)
+
+
+def _c_rows(body: str) -> np.ndarray | None:
+    """The rows of body read by numpy's C text reader, or None when it
+    refuses them or body holds what the reader could split or strip
+    otherwise than str.splitlines and int() do: a character that is neither
+    printable ASCII nor a tab or line break, or a carriage return outside
+    a CR LF pair (a comment runs on past it).  Where it reads rows, it
+    reads the values int() reads."""
+    if (not body.isascii() or body.encode("ascii").translate(None, _PLAIN)
+            or body.count("\r") != body.count("\r\n")):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a body without rows
+        # older numpy reads "1.5" as an int with a DeprecationWarning
+        warnings.simplefilter("error", DeprecationWarning)
         try:
-            rows = np.concatenate([
-                np.fromiter(map(int, ",".join(lines[s:s + READ_CHUNK]).split(",")),
-                            dtype=np.int64)
-                for s in range(0, len(lines), READ_CHUNK)]).reshape(len(lines), first)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            if bounds is None or bounds.min <= rows.min() and rows.max() <= bounds.max:
-                return rows
+            return np.loadtxt(io.StringIO(body), dtype=np.int64, comments="#",
+                              delimiter=",", ndmin=2)
+        except (ValueError, OverflowError, DeprecationWarning):
+            return None
+
+
+def _read_lines(body: list[tuple[int, str]], noun: str, width_error,
+                path: str | None, bounds: np.iinfo | None
+                ) -> list[tuple[int, ...]]:
+    """The content lines body (as _content_lines gives them) parsed by int()
+    one at a time; the first bad line raises with its message and number."""
     rows = []
     for lineno, line in body:
         try:

@@ -25,6 +25,7 @@ least member of its class.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Sequence
@@ -493,13 +494,32 @@ def _label_quotient(sys: FiniteZdSystem, labels: np.ndarray
 # text format
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    """(lineno, stripped) for lines that are not blank or comments."""
+def _content_lines(text: str, start: int = 1) -> list[tuple[int, str]]:
+    """(lineno, stripped) for lines that are not blank or comments, the
+    first line of text numbered start."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] if "#" in line else line for line in lines]
-    return [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), 1)
+    return [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start)
             if line]
+
+
+# the line boundaries of str.splitlines
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _first_content_line(text: str) -> tuple[int, str, str] | None:
+    """The first entry of _content_lines(text) followed by the text after
+    that line, or None when there is no such line.  Lines are split off one
+    at a time, so the rest of the text is never split."""
+    start = lineno = 0
+    for lineno, brk in enumerate(_LINE_BREAK.finditer(text), 1):
+        line = text[start:brk.start()].split("#", 1)[0].strip()
+        if line:
+            return lineno, line, text[brk.end():]
+        start = brk.end()
+    line = text[start:].split("#", 1)[0].strip()
+    return (lineno + 1, line, "") if line else None
 
 
 def _parse_int_list(text: str, lineno: int, path: str | None) -> list[int]:

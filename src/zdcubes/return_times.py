@@ -23,7 +23,7 @@ import numpy as np
 from .cube_engine import (RowIndex, _read_int_rows, _rows_text, enumerate_Q,
                           orbit_rows, row_keys, ucpp_check)
 from .errors import InputError
-from .finite_system import FiniteZdSystem, _content_lines
+from .finite_system import FiniteZdSystem, _first_content_line
 
 JOIN_CAP = 1_000_000
 # moduli stay below 2^62, so that sums of two residues fit in int64
@@ -114,8 +114,12 @@ class PeriodicSet:
         return len(self.rows), math.prod(self.moduli)
 
     def lift_to(self, moduli: tuple[int, ...], cap: int = JOIN_CAP) -> "PeriodicSet":
+        """The same subset of Z^k with the given moduli, multiples of the
+        set's own; refused when it would hold more than cap rows."""
         if len(moduli) != self.k:
             raise InputError("lift arity mismatch")
+        if tuple(moduli) == self.moduli:
+            return self
         factors = []
         for m_new, m_old in zip(moduli, self.moduli):
             if m_new % m_old:
@@ -160,6 +164,8 @@ class PeriodicSet:
         if self.k != other.k:
             raise InputError("dimension mismatch")
         moduli = tuple(math.lcm(a, b) for a, b in zip(self.moduli, other.moduli))
+        # a lift no larger than an input is not a derived object to refuse
+        cap = max(cap, len(self.rows), len(other.rows))
         return self.lift_to(moduli, cap), other.lift_to(moduli, cap)
 
     def equals(self, other: "PeriodicSet") -> bool:
@@ -177,11 +183,11 @@ class PeriodicSet:
 
     @classmethod
     def from_text(cls, text: str, path: str | None = None) -> "PeriodicSet":
-        rows = _content_lines(text)
-        if not rows or not rows[0][1].startswith("periodic-set"):
+        first = _first_content_line(text)
+        if first is None or not first[1].startswith("periodic-set"):
             raise InputError("expected 'periodic-set k=<K> moduli=<...>' header",
-                             path=path, line=rows[0][0] if rows else 1)
-        header_line, header = rows[0]
+                             path=path, line=first[0] if first else 1)
+        header_line, header, body = first
         fields = dict(tok.split("=", 1) for tok in header.split()[1:] if "=" in tok)
         try:
             k = int(fields["k"])
@@ -193,7 +199,7 @@ class PeriodicSet:
         def width_error(width: int, first: int) -> str | None:
             return f"residue arity {width} != k = {k}" if width != k else None
 
-        residues = _read_int_rows(rows[1:], "residue", width_error, path)
+        residues = _read_int_rows(body, header_line, "residue", width_error, path)
         try:
             return cls(k, moduli, residues)
         except InputError as exc:

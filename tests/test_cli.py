@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from conftest import ALL_FSYS
 from zdcubes.cli import cmd_verify, detect_kind, main
 from zdcubes.errors import InputError
+from zdcubes.return_times import JOIN_CAP
 
 runner = CliRunner()
 
@@ -420,6 +421,20 @@ def test_verify_pset_with_a_large_prime_modulus(tmp_path):
     assert code == 0
     canon = next(c for c in rep["checks"] if c["check"] == "canonical_equivalent")
     assert canon["detail"]["canonical_moduli"] == [2305843009213693951]
+
+
+def test_verify_pset_above_the_join_cap(tmp_path):
+    # the roundtrip compares the set with itself and the canonical set,
+    # lifted to the set's moduli, with the set: no lift exceeds the input
+    n = JOIN_CAP + 1
+    path = tmp_path / "full.pset"
+    path.write_text(f"periodic-set k=1 moduli={n}\n"
+                    + "".join(f"{r}\n" for r in range(n)))
+    code, rep, _ = _invoke(["verify", str(path)])
+    assert code == 0, rep
+    assert rep["counts"] == {"pass": 3, "fail": 0, "skipped": 0}
+    canon = next(c for c in rep["checks"] if c["check"] == "canonical_equivalent")
+    assert canon["detail"]["canonical_moduli"] == [1]
 
 
 @pytest.mark.parametrize("kind,text,line,message", [

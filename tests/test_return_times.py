@@ -161,6 +161,20 @@ def test_pset_lift_and_equality():
     assert not a.equals(_pset((4,), {(0,)}))
 
 
+def test_pset_lifts_no_larger_than_an_input_are_never_refused():
+    full = _pset((10,), {(i,) for i in range(10)})
+    assert full.lift_to((10,), cap=1) is full
+    one = _pset((1,), {(0,)})
+    with pytest.raises(InputError, match="size cap"):
+        one.lift_to((10,), cap=5)
+    # lifted to 10, one holds as many rows as full
+    la, lb = one._common(full, cap=5)
+    assert la.moduli == (10,) and len(la.rows) == 10 and lb is full
+    # lifted to 6, the sets hold 3 and 2 rows: more than either and the cap
+    with pytest.raises(InputError, match="size cap"):
+        _pset((2,), {(0,)})._common(_pset((3,), {(0,)}), cap=2)
+
+
 def test_pset_density():
     assert _pset((4, 6), {(0, 0), (1, 1)}).density() == (2, 24)
 

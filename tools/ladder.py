@@ -1,6 +1,7 @@
-"""Scale ladder: `zdcubes verify` on large synthetic rotations, each run in
-a fresh interpreter, recording wall time, peak RSS, seconds per battery and
-the SHA-256 of the report.
+"""Scale ladder: `zdcubes verify` on large synthetic rotations, a large
+periodic set and a large raw cube set, each run in a fresh interpreter,
+recording wall time, peak RSS, seconds per battery and the SHA-256 of the
+report.
 
     python3 tools/ladder.py --out BENCH.json [--workdir DIR] TREE [TREE]
 
@@ -34,16 +35,18 @@ import time
 import numpy as np
 
 TIMEOUT_S = 300
-# name: (points, step of each generator); each generator is x -> x + step
+# name: (input suffix, arguments of the suffix's writer after the path)
 RUNGS = {
-    "z48_d2": (48, (1, 5)),
-    "rot32_d3": (32, (1, 3, 5)),
-    "z12_d4": (12, (1, 5, 7, 11)),
-    "z100_d2": (100, (1, 7)),
-    "z160_d2": (160, (1, 7)),
+    "z48_d2": ("fsys", (48, (1, 5))),
+    "rot32_d3": ("fsys", (32, (1, 3, 5))),
+    "z12_d4": ("fsys", (12, (1, 5, 7, 11))),
+    "z100_d2": ("fsys", (100, (1, 7))),
+    "z160_d2": ("fsys", (160, (1, 7))),
+    "pset900k_k2": ("pset", ((100, 90), (1000, 1800), 4500)),
+    "cubes400k_d3": ("cubes", (3, 400_000, 13)),
 }
 BATTERIES = ("cube_battery", "surgery_battery", "proximal_battery",
-             "structure_battery", "return_battery")
+             "structure_battery", "return_battery", "pset_battery")
 CHILD = """
 import json, resource, sys, time
 from zdcubes import battery, cli
@@ -73,6 +76,7 @@ with open(sys.argv[2], "w") as fh:
 
 
 def write_system(path: str, n: int, steps: tuple[int, ...]) -> None:
+    """The system on Z/n with one generator x -> x + s per step s."""
     lines = ["finite-system", f"points = {n}", f"d = {len(steps)}"]
     lines += [f"T{i} = [{', '.join(str((x + s) % n) for x in range(n))}]"
               for i, s in enumerate(steps, start=1)]
@@ -80,8 +84,38 @@ def write_system(path: str, n: int, steps: tuple[int, ...]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def run(tree: str, workdir: str, name: str) -> dict:
-    """One `zdcubes verify <name>.fsys` in workdir, importing tree/src."""
+def write_pset(path: str, periods: tuple[int, ...], moduli: tuple[int, ...],
+               count: int) -> None:
+    """The residues of the period box whose flat index i has 7919 i mod
+    (box size) below count, lifted to moduli, written as the benchmark
+    writes a set: a comment, the header, the sorted rows."""
+    size = int(np.prod(periods))
+    base = np.flatnonzero(np.arange(size) * 7919 % size < count)
+    base = np.stack(np.unravel_index(base, periods), axis=1)
+    shifts = np.indices([m // p for p, m in zip(periods, moduli)])
+    shifts = shifts.reshape(len(periods), -1).T * np.array(periods)
+    rows = (base[:, None] + shifts[None]).reshape(-1, len(periods))
+    rows = rows[np.lexsort(rows.T[::-1])]
+    with open(path, "w") as fh:
+        fh.write(f"# periods {periods} lifted to {moduli}\n"
+                 f"periodic-set k={len(moduli)} moduli={','.join(map(str, moduli))}\n")
+        np.savetxt(fh, rows, fmt="%d", delimiter=",")
+
+
+def write_cube_set(path: str, d: int, rows: int, seed: int) -> None:
+    """rows raw tuples of width 2^d with coordinates below 1000, drawn by
+    numpy's default generator from seed."""
+    values = np.random.default_rng(seed).integers(0, 1000, size=(rows, 1 << d))
+    with open(path, "w") as fh:
+        fh.write(f"cube-set d={d} dirs={','.join(map(str, range(1, d + 1)))}\n")
+        np.savetxt(fh, values, fmt="%d", delimiter=",")
+
+
+WRITERS = {"fsys": write_system, "pset": write_pset, "cubes": write_cube_set}
+
+
+def run(tree: str, workdir: str, name: str, infile: str) -> dict:
+    """One `zdcubes verify <infile>` in workdir, importing tree/src."""
     report = os.path.join(workdir, f"{name}.json")
     stats = os.path.join(workdir, f"{name}.stats.json")
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
@@ -91,7 +125,7 @@ def run(tree: str, workdir: str, name: str) -> dict:
     with open(report, "wb") as out:
         try:
             child = subprocess.run(
-                [sys.executable, "-c", CHILD, f"{name}.fsys", stats],
+                [sys.executable, "-c", CHILD, infile, stats],
                 cwd=workdir, env=env, stdout=out, check=False, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return {"timeout": TIMEOUT_S}
@@ -118,22 +152,22 @@ def main() -> int:
         ap.error("give one or two trees")
     labels = ["parent", "change"] if len(args.trees) == 2 else ["change"]
     workdir = args.workdir or tempfile.mkdtemp(prefix="ladder-")
-    rungs = []
-    for i, (name, (n, steps)) in enumerate(RUNGS.items()):
-        write_system(os.path.join(workdir, f"{name}.fsys"), n, steps)
+    records = []
+    for i, (name, (suffix, params)) in enumerate(RUNGS.items()):
+        infile = f"{name}.{suffix}"
+        WRITERS[suffix](os.path.join(workdir, infile), *params)
         order = list(zip(labels, args.trees))
         order = order[::-1] if i % 2 else order
         runs = {}
         for label, tree in order:
-            runs[label] = run(tree, workdir, name)
+            runs[label] = run(tree, workdir, name, infile)
             print(name, label, json.dumps(runs[label]), flush=True)
-        rungs.append({"name": name, "points": n, "steps": list(steps),
-                      "input": f"{name}.fsys",
-                      "command": f"zdcubes verify {name}.fsys",
-                      "order": [label for label, _ in order], "runs": runs})
+        records.append({"name": name, "params": params, "input": infile,
+                        "command": f"zdcubes verify {infile}",
+                        "order": [label for label, _ in order], "runs": runs})
     record = {"nproc": os.cpu_count(), "python": platform.python_version(),
               "numpy": np.__version__, "timeout_s": TIMEOUT_S,
-              "rungs": rungs}
+              "rungs": records}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
