@@ -129,8 +129,11 @@ class CubeSet:
         lo = min(lo, 0)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_n", hi - lo + 1)
-        keys = row_keys(self._shifted(rows), self._n)
-        order = np.argsort(keys)
+        shifted = self._shifted(rows)
+        keys = row_keys(shifted, self._n)
+        # lexsort orders rows as their structured keys compare, and faster
+        order = (np.argsort(keys) if keys.dtype == np.int64
+                 else np.lexsort(shifted.T[::-1]))
         keys = keys[order]
         keep = np.ones(len(keys), dtype=bool)
         keep[1:] = keys[1:] != keys[:-1]
@@ -303,11 +306,13 @@ def _text_chunks(header: str, rows: np.ndarray):
     array as comma-separated decimals, one line each, TEXT_CHUNK buffer
     bytes at a time.
 
-    Each distinct value is formatted once, into a table holding its digits
-    followed by a ',' (or, for the last column, a newline); a chunk of rows
-    gathers its cells from the table and keeps the bytes under each cell's
-    length.  The table spans the value range, or only the values that occur
-    when the range exceeds the cell count (as with large moduli)."""
+    Each distinct value is formatted once, into a fixed-width cell holding
+    its digits followed by a ',' (or, for the last column, a newline) and
+    padded with NUL bytes; a chunk of rows gathers its cells from the table
+    and drops the padding with bytes.replace, which is exact because no
+    digit, sign or separator is NUL.  The table spans the value range, or
+    only the values that occur when the range exceeds the cell count (as
+    with large moduli)."""
     yield f"{header}\n".encode()
     if not len(rows):
         return
@@ -329,12 +334,10 @@ def _text_chunks(header: str, rows: np.ndarray):
     table = table.view(f"V{cell}").reshape(2, -1)
     width = rows.shape[1]
     last = (np.arange(width) == width - 1).astype(np.intp)
-    keep = np.arange(cell)
     step = max(1, TEXT_CHUNK // (width * cell))
     for start in range(0, len(rows), step):
-        c = codes(rows[start:start + step])
-        buf = table[last, c].view(np.uint8).reshape(len(c), width, cell)
-        yield buf[keep < size[c][..., None]].tobytes()
+        cells = table[last, codes(rows[start:start + step])]
+        yield cells.tobytes().replace(b"\0", b"")
 
 
 # ---------------------------------------------------------------------------
@@ -570,17 +573,30 @@ def ucpp_check(cubes: CubeSet) -> UcppResult:
     tuple by tuple: for the first vertex v where two tuples agree off v, p
     is the first tuple whose rest already occurred and the pair is (first
     tuple with that rest, p).  The verdict is kept on the cube set, so each
-    set is scanned once."""
+    set is scanned once.  The scan derives each vertex's keys from the
+    set's own row keys and sorts them once; the stable sort that locates
+    the witness runs only at the vertex that has one."""
     if cubes.width < 2:
         raise InputError("unique-completion needs tuples of width >= 2")
     return cubes._ucpp
 
 
 def _ucpp_scan(cubes: CubeSet) -> UcppResult:
-    rows = cubes.rows
-    for v in range(cubes.width):
-        keys = row_keys(cubes._shifted(np.delete(rows, v, axis=1)), cubes._n)
-        clash = _first_repeat(keys)
+    """The scan behind ucpp_check.  While the set's row keys are int64
+    mixed-radix keys, the keys off vertex v come from them by one
+    multiply-subtract: keys - (column v) * n^(width-1-v) is exactly the key
+    of each row with column v set to 0, so it compares and orders as the
+    rows with column v deleted do.  Wider sets key the deleted rows
+    afresh."""
+    rows, n, width = cubes.rows, cubes._n, cubes.width
+    keys = cubes.index.keys
+    for v in range(width):
+        if keys.dtype == np.int64:
+            digit = rows[:, v].astype(np.int64) - cubes._lo
+            rest = keys - digit * n ** (width - 1 - v)
+        else:
+            rest = row_keys(cubes._shifted(np.delete(rows, v, axis=1)), n)
+        clash = _first_repeat(rest)
         if clash is not None:
             pair = (tuple(rows[clash[0]].tolist()), tuple(rows[clash[1]].tolist()))
             return UcppResult(ok=False, pair=pair, vertex=v)
@@ -589,12 +605,17 @@ def _ucpp_scan(cubes: CubeSet) -> UcppResult:
 
 def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
     """(i, t) for the first index t whose key occurred before, i being the
-    first index with that key; None when the keys are distinct."""
+    first index with that key; None when the keys are distinct.
+
+    Distinct keys are the common answer, and a plain sort (numpy's SIMD
+    sort on int64 keys) settles it by its adjacent pairs; only a repeat pays
+    for the stable argsort that finds the first one."""
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     repeat = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-    if not len(repeat):
-        return None
     # the stable sort keeps each key's indices in order, so the earliest
     # repeat is the second holder of its key and follows the first
     t = repeat[np.argmin(order[repeat])]

@@ -1,8 +1,10 @@
 """The array batteries, unique-completion check and template scan against
 the scalar reference loops: identical items, first witnesses and counts, on
-intact and on corrupted cube sets."""
+intact and on corrupted cube sets; unique completion also against the
+pairwise brute force, with a second completion planted at each vertex."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given
 
 import scalar_batteries as ref
 from conftest import ALL_FSYS
-from test_relations import SETTINGS, commuting_systems
+from test_relations import BRUTE_BUDGET, SETTINGS, brute, commuting_systems
 from zdcubes import battery, kernels
 from zdcubes.cube_engine import (CubeSet, RowIndex, enumerate_K, enumerate_Q,
                                  face_group_orbit, row_keys, ucpp_check)
@@ -232,6 +234,11 @@ def test_pair_chunks_do_not_change_witnesses(systems, monkeypatch):
 # unique completion and the template scan
 
 
+# brute_ucpp compares every pair of tuples; larger sets meet the scalar
+# loop alone
+UCPP_BRUTE_ROWS = 150
+
+
 def _ucpp(cubes):
     res = ucpp_check(cubes)
     return res.ok, res.pair, res.vertex
@@ -278,6 +285,76 @@ def test_raw_cube_set_with_negative_coordinates():
         assert _ucpp(variant) == ref.ucpp_check(variant)
 
 
+def _planted(cubes):
+    """(v, set) per vertex v: cubes with a second completion planted at v, a
+    copy of its middle row whose coordinate v is the first value that makes
+    it a new row (a point id of the base system when there is one)."""
+    rows = cubes.rows
+    row = rows[len(rows) // 2]
+    top = cubes.base.n_points if cubes.base is not None else int(rows.max()) + 2
+    for v in range(cubes.width):
+        for c in range(int(rows.min()), top):
+            extra = row.copy()
+            extra[v] = c
+            if tuple(extra.tolist()) not in cubes:
+                yield v, CubeSet(cubes.dirs, np.vstack([rows, extra]),
+                                 cubes.based, cubes.base)
+                break
+
+
+def _ucpp_against_references(cubes):
+    """The verdict of ucpp_check, after checking it against the pairwise
+    brute force (on small sets) and its witness against the scalar loop,
+    which scans vertex by vertex and tuple by tuple in the same order."""
+    got = _ucpp(cubes)
+    assert got == ref.ucpp_check(cubes)
+    if len(cubes) <= UCPP_BRUTE_ROWS:
+        assert got[0] == brute.brute_ucpp(cubes.points)[0]
+    return got[0]
+
+
+def _ucpp_with_plants(cubes):
+    """Checks cubes and each of its planted sets against the references;
+    the vertices that got a plant."""
+    _ucpp_against_references(cubes)
+    planted = []
+    for v, variant in _planted(cubes):
+        assert not _ucpp_against_references(variant)
+        planted.append(v)
+    return planted
+
+
+@SETTINGS
+@given(commuting_systems())
+def test_ucpp_matches_brute_force(sys_):
+    orders = [brute.perm_order(list(p)) for p in sys_.perms]
+    if sys_.n_points * math.prod(orders) << sys_.d > BRUTE_BUDGET:
+        return
+    dirs = tuple(range(1, sys_.d + 1))
+    _ucpp_with_plants(enumerate_Q(sys_, dirs))
+    if sys_.d >= 2:
+        _ucpp_with_plants(enumerate_K(sys_, dirs, sys_.n_points - 1))
+
+
+@pytest.mark.parametrize("name", ["rot6", "z4xz3", "rot8_d3", "nonmin_z4z2"])
+def test_ucpp_witness_on_planted_completions(systems, name):
+    sys_ = systems[name]
+    dirs = tuple(range(1, sys_.d + 1))
+    Q = enumerate_Q(sys_, dirs)
+    # the fixtures have unique completion, so every vertex takes a plant
+    for cubes in (Q, enumerate_K(sys_, dirs, 0),
+                  CubeSet(dirs, Q.rows.astype(np.int64) - 3)):  # raw, below 0
+        assert _ucpp_with_plants(cubes) == list(range(cubes.width))
+
+
+def test_ucpp_witness_on_planted_completions_in_wide_rows():
+    # (Z/2)^4: 16^16 overflows int64 row keys, so the scan keys each
+    # vertex's rows afresh
+    Q = enumerate_Q(_z2_power(4), (1, 2, 3, 4))
+    assert Q.index.keys.dtype.names is not None
+    assert _ucpp_with_plants(Q) == list(range(Q.width))
+
+
 @pytest.mark.parametrize("name", ALL_FSYS)
 def test_template_scan_matches_scalar_loop(systems, name):
     sys_ = systems[name]
@@ -310,6 +387,20 @@ def test_row_index_void_branch_matches_python_set():
     assert index.same_set(np.concatenate([rows, rows[:5]]))
     assert not index.same_set(rows[1:])
     assert not index.same_set(np.concatenate([rows, queries[-1:]]))
+
+
+def test_raw_set_with_structured_keys_sorts_rows_lexicographically():
+    # values spread over 2^31 make n^4 overflow int64 keys; the rows are
+    # ordered by lexsort and indexed by the structured keys
+    rng = np.random.default_rng(7)
+    rows = rng.integers(-(1 << 30), 1 << 30, size=(300, 4))
+    rows[::3, :2] = rows[0, :2]  # long shared prefixes
+    rows = np.concatenate([rows, rows[::5]])  # repeats
+    cs = CubeSet((1, 2), rows)
+    assert cs.index.keys.dtype.names is not None
+    assert cs.points == tuple(sorted(set(map(tuple, rows.tolist()))))
+    assert all(tuple(r) in cs for r in rows[::7].tolist())
+    assert (rows[0, 0], rows[0, 1], 1 << 30, 0) not in cs
 
 
 def test_row_keys_follow_row_order():

@@ -8,18 +8,21 @@ merge points."""
 
 import dataclasses
 import hashlib
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_batteries as ref
 from conftest import ALL_FSYS
 from test_array_batteries import _join_spy, _surgery, _z2_power
-from test_relations import SETTINGS, commuting_systems
+from test_relations import BRUTE_BUDGET, SETTINGS, brute, commuting_systems
 from zdcubes import battery, cube_engine, structure
-from zdcubes.cube_engine import (CubeSet, UcppResult, enumerate_K, enumerate_Q,
-                                 row_keys)
+from zdcubes.cube_engine import (INT32, CubeSet, UcppResult, enumerate_K,
+                                 enumerate_Q, row_keys)
 from zdcubes.finite_system import FactorMap, FiniteZdSystem
 from zdcubes.proximal import sections
 from zdcubes.structure import (_injectivity, decompose,
@@ -358,3 +361,43 @@ def test_text_matches_join(monkeypatch, chunk):
         assert cs.to_text() == text
         assert cs.text_sha256() == hashlib.sha256(text.encode()).hexdigest()
         assert CubeSet.from_text(text).points == cs.points
+
+
+@SETTINGS
+@given(commuting_systems())
+def test_census_text_matches_brute_force(sys_):
+    orders = [brute.perm_order(list(p)) for p in sys_.perms]
+    if sys_.n_points * math.prod(orders) << sys_.d > BRUTE_BUDGET:
+        return
+    perms = [list(p) for p in sys_.perms]
+    dirs = tuple(range(1, sys_.d + 1))
+    sets = [(enumerate_Q(sys_, dirs), brute.brute_Q(perms, sys_.n_points, orders))]
+    sets += [(enumerate_K(sys_, dirs, x0),
+              brute.brute_K(perms, sys_.n_points, orders, x0))
+             for x0 in (0, sys_.n_points - 1)]
+    for cubes, points in sets:
+        text = brute.cube_text(points, dirs)
+        assert cubes.to_text() == text
+        assert cubes.text_sha256() == brute.sha(text)
+
+
+@st.composite
+def int_rows(draw):
+    """Up to 12 rows of width 1..5 around a centre: 0, an int32 bound or
+    near +-2^62, spread narrowly (one table entry per value in the range)
+    or widely (one entry per value that occurs)."""
+    width = draw(st.integers(1, 5))
+    centre = draw(st.sampled_from([0, -(1 << 62), 1 << 62, INT32.min, INT32.max]))
+    spread = draw(st.sampled_from([2, 40, 1 << 40]))
+    values = st.integers(centre - spread, centre + spread)
+    rows = draw(st.lists(st.lists(values, min_size=width, max_size=width),
+                         max_size=12))
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(int_rows(), st.sampled_from([1, 7, 64, cube_engine.TEXT_CHUNK]))
+def test_text_chunks_match_a_plain_join(rows, chunk):
+    want = "".join(["h\n", *(",".join(map(str, r)) + "\n" for r in rows.tolist())])
+    with mock.patch.object(cube_engine, "TEXT_CHUNK", chunk):
+        assert b"".join(cube_engine._text_chunks("h", rows)) == want.encode()
