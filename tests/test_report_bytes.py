@@ -2,7 +2,9 @@
 
 Each report is serialised as `zdcubes` prints it (sorted keys, indent 2)
 followed by its exit code, from the repository root so that the input paths
-in it read `fixtures/<name>`.  More reports run on generated inputs, written
+in it read `fixtures/<name>`; on the affine fixtures they include
+`affine-check`, a passing and a witnessed `formula-test`, and `discretize`
+in both modes.  More reports run on generated inputs, written
 under relative names into a temporary working directory: periodic sets at
 the sizes of the benchmark's, from a fixed seed, and two finite systems
 whose face-group orbits are many generator steps deep, a Z/24 rotation
@@ -117,6 +119,19 @@ def report_hashes() -> dict[str, str]:
             calls[f"rpp {path}"] = lambda p=path: cli.cmd_analyze(p, "rpp", {})
             calls[f"structure {path} --basepoint 0"] = (
                 lambda p=path: cli.cmd_analyze(p, "structure", {"basepoint": 0}))
+        if name.endswith(".affine"):
+            calls[f"affine-check {path}"] = (
+                lambda p=path: cli.cmd_analyze(p, "affine-check", {}))
+    for name, n_range in (("example83", 4), ("jordan3", 3)):
+        path = f"fixtures/{name}.affine"
+        calls[f"formula-test {path} --range {n_range}"] = (
+            lambda p=path, n=n_range: cli.cmd_analyze(
+                p, "formula-test", {"range": n, "q": None}))
+    for name, q, mode in (("jordan3", 8, "full"), ("example83", None, "orbit")):
+        path = f"fixtures/{name}.affine"
+        key = f"discretize {path}" + (f" --q {q}" if q else "") + f" --mode {mode}"
+        calls[key] = lambda p=path, q=q, mode=mode: cli.cmd_analyze(
+            p, "discretize", {"q": q, "out": None, "mode": mode})
     pair = ("fixtures/parityB1.pset", "fixtures/parityB2.pset")
     calls["joining " + " ".join(pair)] = lambda: cli.cmd_joining(pair)
     hashes = {key: hashlib.sha256(_bytes(call)).hexdigest()
