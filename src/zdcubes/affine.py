@@ -1,5 +1,5 @@
 """Affine maps x -> Ax + alpha on the rational torus (R/Z)^r with unipotent
-integer matrices, in exact arithmetic.
+integer matrices, in exact integer arithmetic.
 
 The commuting family T_1..T_d admits a closed form for the composed iterate:
 with d directions,
@@ -9,23 +9,34 @@ with d directions,
           (-1)^{|I|+1} (composition of T_k^{n_k}, k in I)(x)
 
 whenever the matrix product of the (A_i - I) vanishes and, for every j, the
-product over i != j of (A_i - I) sends alpha_j into Z^r.  The two condition
-families are checked exactly in Fraction arithmetic.
+product over i != j of (A_i - I) sends alpha_j into Z^r.
+
+A system derives its integer form once (AffineZdSystem.integer_form): the
+lattice denominator q of the translations, their numerators q*alpha_i, the
+matrices as int arrays, and the nilpotency index and inverse of each
+matrix.  Matrix products are exact (_product): int64 while a bound on the
+operands' entries keeps every sum below 2^63, Python integers past it.  A
+condition on translations is a congruence mod q of numerators, such as
+P(q*alpha_j) = 0 (mod q) for P(alpha_j) in Z^r.
 
 The identity test and the discretizer work on the denominator-q lattice in
 integer numerators mod q: the point k/q is the row k, and T_i acts as
 k -> A_i k + q*alpha_i (mod q).  Both sides of the identity are affine maps
 k -> M k + t, so they agree on every lattice point iff their matrices and
 translations agree mod q; no lattice point is evaluated.  Powers of each T_i
-come from one table built by one-step composition.  Arithmetic is int64
-while r*q^2 < 2^63, which bounds every entry before its reduction, and
-Python integers past that.
+come from one table built by one-step composition.  Arithmetic mod q is
+int64 while r*q^2 < 2^63, which bounds every entry before its reduction,
+and Python integers past that (_ring).  Single points (transform,
+iterate_word, closed_form) step their numerators over the lcm of q and
+their own denominators the same way; Fractions appear only where points
+enter and leave.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -40,65 +51,98 @@ TorusPoint = tuple[Fraction, ...]
 LATTICE_CAP = 200_000
 
 
-def _identity(r: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
+# ---------------------------------------------------------------------------
+# exact integer matrices
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    r = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r))
-        for i in range(r)
-    )
+def _peak(a: np.ndarray) -> int:
+    """The largest absolute value of an entry, as a Python integer."""
+    return max(int(a.max()), -int(a.min()))
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def _int_array(m) -> np.ndarray:
+    """Nested integer sequences as an exact array: int64 while every entry
+    is below 2^62 in absolute value, so that A - I and negations stay in
+    int64, and Python integers otherwise."""
+    a = np.array(m, dtype=object)
+    return a.astype(np.int64) if _peak(a) < 1 << 62 else a
 
 
-def mat_scale(c: int, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b exactly, with matmul's broadcasting.  Every entry and partial
+    sum is below r*max|a|*max|b|, so the product runs in int64 while that
+    bound is below 2^63 and on Python integers past it, the rule _ring
+    applies mod q.  A peak is taken as at least 1, so that both operands
+    fit in int64 on that path even when the other is zero."""
+    if a.shape[-1] * max(_peak(a), 1) * max(_peak(b), 1) < 1 << 63:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return a.astype(object) @ b.astype(object)
 
 
-def mat_sub_identity(a: Matrix) -> Matrix:
-    return tuple(
-        tuple(x - (1 if i == j else 0) for j, x in enumerate(row))
-        for i, row in enumerate(a)
-    )
+def _ring(r: int, q: int):
+    """dtype of numerator arithmetic mod q.  A product entry before its
+    reduction is below r*q^2 (r products under q^2, plus a translation
+    under q), so int64 is exact while r*q^2 < 2^63; past that the arrays
+    hold Python integers."""
+    return np.int64 if r * q * q < 1 << 63 else object
 
 
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
+def _mod(a: np.ndarray, q: int, dtype) -> np.ndarray:
+    """a reduced mod q into 0..q-1, as an array of dtype; on Python
+    integers unless both a and q fit in int64."""
+    if a.dtype == object or q >= 1 << 63:
+        a = a.astype(object)
+    return (a % q).astype(dtype, copy=False)
 
 
-def mat_vec(a: Matrix, v: tuple) -> tuple:
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
-
-
-def mat_pow(a: Matrix, e: int) -> Matrix:
-    out = _identity(len(a))
-    base = a
-    while e:
-        if e & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return out
+def _nilpotent(n: np.ndarray) -> tuple[int | None, np.ndarray | None]:
+    """The nilpotency index s of N (the least s with N^s = 0) and the
+    inverse (I + N)^{-1} = I - N + N^2 - .. +- N^{s-1}, or (None, None) when
+    N^r != 0, that is when I + N is not unipotent."""
+    r = len(n)
+    powers = [np.eye(r, dtype=np.int64)]
+    while np.any(powers[-1]):
+        if len(powers) > r:
+            return None, None
+        powers.append(_product(powers[-1], n))
+    powers.pop()
+    dtype = np.int64 if sum(map(_peak, powers)) < 1 << 63 else object
+    inverse = np.zeros((r, r), dtype=dtype)
+    for s, power in enumerate(powers):
+        power = power.astype(dtype, copy=False)
+        inverse = inverse - power if s % 2 else inverse + power
+    return len(powers), inverse
 
 
 def nilpotency_index(n: Matrix) -> int | None:
     """Smallest s with N^s = 0, or None when N is not nilpotent."""
-    r = len(n)
-    power = _identity(r)
-    for s in range(r + 1):
-        if mat_is_zero(power):
-            return s
-        power = mat_mul(power, n)
-    return None
+    return _nilpotent(_int_array(n))[0]
 
 
-def mod1(v: tuple) -> TorusPoint:
-    return tuple(Fraction(x) % 1 for x in v)
+def unipotent_inverse(a: Matrix) -> Matrix:
+    """(I + N)^{-1} = I - N + N^2 - .. for nilpotent N = A - I."""
+    a = _int_array(a)
+    inverse = _nilpotent(a - np.eye(len(a), dtype=np.int64))[1]
+    if inverse is None:
+        raise InputError("matrix is not unipotent; no integer inverse")
+    return tuple(map(tuple, inverse.tolist()))
+
+
+@dataclass(frozen=True)
+class _IntegerForm:
+    """An AffineZdSystem in integers.  q is the least common denominator of
+    the translations and shifts[i] holds the numerators q*alpha_{i+1}, in
+    0..q-1; mats and nils stack the A_i and the A_i - I as exact (d, r, r)
+    arrays; nil_index[i] and inverses[i] are the nilpotency index of
+    A_{i+1} - I and the inverse of A_{i+1}, both None when A_{i+1} is not
+    unipotent."""
+
+    q: int
+    shifts: tuple[tuple[int, ...], ...]
+    mats: np.ndarray
+    nils: np.ndarray
+    nil_index: tuple[int | None, ...]
+    inverses: tuple[np.ndarray | None, ...]
 
 
 @dataclass(frozen=True)
@@ -144,6 +188,20 @@ class AffineZdSystem:
                 q = math.lcm(q, x.denominator)
         return q
 
+    @cached_property
+    def integer_form(self) -> _IntegerForm:
+        q = self.lattice_denominator()
+        mats = _int_array(self.mats)
+        nils = mats - np.eye(self.r, dtype=np.int64)
+        found = [_nilpotent(n) for n in nils]
+        return _IntegerForm(
+            q=q,
+            shifts=tuple(tuple(x.numerator * (q // x.denominator) for x in a)
+                         for a in self.alphas),
+            mats=mats, nils=nils,
+            nil_index=tuple(s for s, _ in found),
+            inverses=tuple(inverse for _, inverse in found))
+
 
 @dataclass(frozen=True)
 class AffineValidation:
@@ -156,33 +214,32 @@ class AffineValidation:
     trans_witness: tuple[int, int] | None
 
 
+def _first_pair(bad: np.ndarray) -> tuple[int, int] | None:
+    """The first (i, j), i < j, numbered from 1, in row-major order with
+    bad[i-1, j-1]."""
+    hits = np.argwhere(np.triu(bad, 1))
+    return (int(hits[0, 0]) + 1, int(hits[0, 1]) + 1) if len(hits) else None
+
+
 def validate_affine(sys: AffineZdSystem) -> AffineValidation:
     """Unipotence of every matrix, pairwise commutation of the matrices, and
     the mixed condition (A_i - I) alpha_j = (A_j - I) alpha_i mod Z^r that
-    makes the affine maps commute on the torus."""
-    nil = tuple(nilpotency_index(mat_sub_identity(a)) for a in sys.mats)
-    unip = tuple(s is not None for s in nil)
-    mat_witness = None
-    for i in range(sys.d):
-        for j in range(i + 1, sys.d):
-            if mat_mul(sys.mats[i], sys.mats[j]) != mat_mul(sys.mats[j], sys.mats[i]):
-                mat_witness = (i + 1, j + 1)
-                break
-        if mat_witness:
-            break
-    trans_witness = None
-    for i in range(sys.d):
-        for j in range(i + 1, sys.d):
-            lhs = mat_vec(mat_sub_identity(sys.mats[i]), sys.alphas[j])
-            rhs = mat_vec(mat_sub_identity(sys.mats[j]), sys.alphas[i])
-            if any((a - b) % 1 != 0 for a, b in zip(lhs, rhs)):
-                trans_witness = (i + 1, j + 1)
-                break
-        if trans_witness:
-            break
+    makes the affine maps commute on the torus, tested on the numerators as
+    (A_i - I)(q*alpha_j) = (A_j - I)(q*alpha_i) (mod q)."""
+    form = sys.integer_form
+    unip = tuple(s is not None for s in form.nil_index)
+    products = _product(form.mats[:, None], form.mats[None, :])  # A_i A_j
+    mat_witness = _first_pair(
+        (products != products.swapaxes(0, 1)).any(axis=(2, 3)))
+    q, dtype = form.q, _ring(sys.r, form.q)
+    # images[i, j] = (A_i - I)(q*alpha_j), below r*q^2 before reduction
+    images = (_mod(form.nils, q, dtype)
+              @ np.array(form.shifts, dtype=dtype).T).swapaxes(1, 2)
+    trans_witness = _first_pair(
+        ((images - images.swapaxes(0, 1)) % q).any(axis=2))
     return AffineValidation(
         ok=all(unip) and mat_witness is None and trans_witness is None,
-        unipotent=unip, nilpotency_index=nil,
+        unipotent=unip, nilpotency_index=form.nil_index,
         mats_commute=mat_witness is None, mat_witness=mat_witness,
         translations_compatible=trans_witness is None, trans_witness=trans_witness,
     )
@@ -203,89 +260,27 @@ class MatCondReport:
 
 
 def matcond_check(sys: AffineZdSystem) -> MatCondReport:
-    ns = [mat_sub_identity(a) for a in sys.mats]
-    prod_all = _identity(sys.r)
-    for n in ns:
-        prod_all = mat_mul(prod_all, n)
+    """The product (A_1 - I) .. (A_d - I) exactly, and for each j the
+    congruence P_j(q*alpha_j) = 0 (mod q), P_j the product over i != j in
+    index order, taken mod q."""
+    form = sys.integer_form
+    prod_all = form.nils[0]
+    for n in form.nils[1:]:
+        if not np.any(prod_all):
+            break  # a zero product stays zero
+        prod_all = _product(prod_all, n)
+    q, dtype = form.q, _ring(sys.r, form.q)
+    nils = _mod(form.nils, q, dtype)
     trans = []
     for j in range(sys.d):
-        p = _identity(sys.r)
+        p = np.eye(sys.r, dtype=dtype)
         for i in range(sys.d):
             if i != j:
-                p = mat_mul(p, ns[i])
-        image = mat_vec(p, sys.alphas[j])
-        trans.append(all(x % 1 == 0 for x in image))
-    return MatCondReport(product_zero=mat_is_zero(prod_all),
+                p = p @ nils[i] % q
+        image = p @ np.array(form.shifts[j], dtype=dtype) % q
+        trans.append(not np.any(image))
+    return MatCondReport(product_zero=not np.any(prod_all),
                          translation_zero=tuple(trans))
-
-
-def unipotent_inverse(a: Matrix) -> Matrix:
-    """(I + N)^{-1} = I - N + N^2 - .. for nilpotent N = A - I."""
-    n = mat_sub_identity(a)
-    idx = nilpotency_index(n)
-    if idx is None:
-        raise InputError("matrix is not unipotent; no integer inverse")
-    out = _identity(len(a))
-    power = _identity(len(a))
-    for s in range(1, idx):
-        power = mat_mul(power, n)
-        out = mat_add(out, mat_scale((-1) ** s, power))
-    return out
-
-
-def affine_pow(a: Matrix, alpha: TorusPoint, n: int) -> tuple[Matrix, tuple]:
-    """T^n as an affine map (matrix, translation), exact for any sign of n."""
-    r = len(a)
-    if n >= 0:
-        # t_n = (I + A + .. + A^{n-1}) alpha, from T^1 = (A, alpha); n stays
-        # small here
-        power, t = (a, tuple(alpha)) if n else (_identity(r), (Fraction(0),) * r)
-        for _ in range(n - 1):
-            t = tuple(x + y for x, y in zip(mat_vec(power, alpha), t))
-            power = mat_mul(power, a)
-        return power, t
-    _, t_pos = affine_pow(a, alpha, -n)
-    inv = mat_pow(unipotent_inverse(a), -n)
-    t = tuple(-x for x in mat_vec(inv, t_pos))
-    return inv, t
-
-
-def transform(sys: AffineZdSystem, i: int, n: int, x: TorusPoint) -> TorusPoint:
-    """T_i^n x."""
-    if not 1 <= i <= sys.d:
-        raise InputError(f"direction {i} out of range 1..{sys.d}")
-    m, t = affine_pow(sys.mats[i - 1], sys.alphas[i - 1], n)
-    return mod1(tuple(a + b for a, b in zip(mat_vec(m, x), t)))
-
-
-def iterate_word(sys: AffineZdSystem, n_vec, x: TorusPoint) -> TorusPoint:
-    """T_1^{n_1} .. T_d^{n_d} x by direct composition."""
-    if len(n_vec) != sys.d:
-        raise InputError(f"word length {len(n_vec)} != d = {sys.d}")
-    y = tuple(Fraction(v) for v in x)
-    for i in range(sys.d, 0, -1):
-        y = transform(sys, i, n_vec[i - 1], y)
-    return mod1(y)
-
-
-def closed_form(sys: AffineZdSystem, n_vec, x: TorusPoint) -> TorusPoint:
-    """The alternating-sum expression over proper subsets of the directions."""
-    if len(n_vec) != sys.d:
-        raise InputError(f"word length {len(n_vec)} != d = {sys.d}")
-    x = tuple(Fraction(v) for v in x)
-    acc = [Fraction(0)] * sys.r
-    sign_d = (-1) ** sys.d
-    for bits in range(1 << sys.d):
-        size = bin(bits).count("1")
-        if size == sys.d:
-            continue
-        y = x
-        for i in range(sys.d, 0, -1):
-            if (bits >> (i - 1)) & 1:
-                y = transform(sys, i, n_vec[i - 1], y)
-        coeff = sign_d * ((-1) ** (size + 1))
-        acc = [a + coeff * v for a, v in zip(acc, y)]
-    return mod1(tuple(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -300,36 +295,39 @@ N_CHUNK = 4096  # exponent vectors per batch of the formula test
 _DIGIT = 32  # bits per digit when numerators pass int64 (q > 2^63)
 
 
-def _ring(r: int, q: int):
-    """dtype of numerator arithmetic mod q.  A product entry before its
-    reduction is below r*q^2 (r products under q^2, plus a translation
-    under q), so int64 is exact while r*q^2 < 2^63; past that the arrays
-    hold Python integers."""
-    return np.int64 if r * q * q < 1 << 63 else object
+def _step(sys: AffineZdSystem, i: int, sign: int,
+          q: int) -> tuple[np.ndarray, np.ndarray]:
+    """T_{i+1} (sign 1) or its inverse (sign -1) on numerators mod q, a
+    multiple of the lattice denominator, as (M, t) with entries in 0..q-1.
+    The inverse is k -> A^{-1}(k - q*alpha) and raises InputError when the
+    matrix is not unipotent."""
+    form = sys.integer_form
+    dtype = _ring(sys.r, q)
+    shift = np.array([q // form.q * x for x in form.shifts[i]], dtype=dtype)
+    if sign > 0:
+        return _mod(form.mats[i], q, dtype), shift
+    if form.inverses[i] is None:
+        raise InputError("matrix is not unipotent; no integer inverse")
+    m = _mod(form.inverses[i], q, dtype)
+    return m, -(m @ shift) % q
 
 
 def _power_table(sys: AffineZdSystem, q: int, lo: int,
                  hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per direction, T_i^n for lo <= n <= hi (lo <= 0 <= hi) as arrays
     M[n - lo] (r x r) and t[n - lo], built by one-step composition.  The
-    inverse step, and with it unipotent_inverse (which raises on a
-    non-unipotent matrix), is built only when lo < 0."""
+    inverse step, which raises on a non-unipotent matrix, is taken only
+    when lo < 0."""
     r, dtype = sys.r, _ring(sys.r, q)
     tables = []
-    for a, alpha in zip(sys.mats, sys.alphas):
-        shift = tuple(int(v * q) for v in alpha)
+    for i in range(sys.d):
         mats = np.empty((hi - lo + 1, r, r), dtype=dtype)
         trans = np.empty((hi - lo + 1, r), dtype=dtype)
         mats[-lo], trans[-lo] = np.eye(r, dtype=dtype), 0
         for sign, stop in ((1, hi), (-1, lo)):
             if stop == 0:
                 continue
-            m, t = a, shift
-            if sign < 0:
-                m = unipotent_inverse(a)
-                t = tuple(-x for x in mat_vec(m, shift))
-            m = np.array([[x % q for x in row] for row in m], dtype=dtype)
-            t = np.array([x % q for x in t], dtype=dtype)
+            m, t = _step(sys, i, sign, q)
             for n in range(sign, stop + sign, sign):
                 prev = n - sign - lo
                 mats[n - lo] = m @ mats[prev] % q
@@ -373,6 +371,71 @@ def _keyable(rows: np.ndarray, q: int) -> tuple[np.ndarray, int]:
     return np.stack(cols, axis=1).astype(np.int64), 1 << _DIGIT
 
 
+def _numerators(sys: AffineZdSystem, x) -> tuple[np.ndarray, int]:
+    """A torus point as its numerators mod den, den being the lcm of the
+    lattice denominator and the point's own denominators, which every T_i
+    preserves."""
+    if len(x) != sys.r:
+        raise InputError(f"point has {len(x)} coordinates, expected {sys.r}")
+    try:
+        ratios = [v.as_integer_ratio() for v in x]
+    except AttributeError:  # such as a string
+        ratios = [Fraction(v).as_integer_ratio() for v in x]
+    den = math.lcm(sys.integer_form.q, *(b for _, b in ratios))
+    return np.array([a * (den // b) % den for a, b in ratios],
+                    dtype=_ring(sys.r, den)), den
+
+
+def _torus_point(k: np.ndarray, den: int) -> TorusPoint:
+    return tuple(Fraction(v, den) for v in k.tolist())
+
+
+def _iterate(sys: AffineZdSystem, i: int, n: int, k: np.ndarray,
+             den: int) -> np.ndarray:
+    """T_i^n on numerators mod den, one step of T_i or its inverse at a
+    time."""
+    if n:
+        m, t = _step(sys, i - 1, 1 if n > 0 else -1, den)
+        for _ in range(abs(n)):
+            k = (m @ k + t) % den
+    return k
+
+
+def transform(sys: AffineZdSystem, i: int, n: int, x: TorusPoint) -> TorusPoint:
+    """T_i^n x."""
+    if not 1 <= i <= sys.d:
+        raise InputError(f"direction {i} out of range 1..{sys.d}")
+    k, den = _numerators(sys, x)
+    return _torus_point(_iterate(sys, i, n, k, den), den)
+
+
+def iterate_word(sys: AffineZdSystem, n_vec, x: TorusPoint) -> TorusPoint:
+    """T_1^{n_1} .. T_d^{n_d} x by direct composition."""
+    if len(n_vec) != sys.d:
+        raise InputError(f"word length {len(n_vec)} != d = {sys.d}")
+    k, den = _numerators(sys, x)
+    for i in range(sys.d, 0, -1):
+        k = _iterate(sys, i, n_vec[i - 1], k, den)
+    return _torus_point(k, den)
+
+
+def closed_form(sys: AffineZdSystem, n_vec, x: TorusPoint) -> TorusPoint:
+    """The alternating-sum expression over proper subsets of the directions."""
+    if len(n_vec) != sys.d:
+        raise InputError(f"word length {len(n_vec)} != d = {sys.d}")
+    k, den = _numerators(sys, x)
+    acc = np.zeros_like(k)
+    sign_d = (-1) ** sys.d
+    for bits in range((1 << sys.d) - 1):  # the proper subsets
+        y = k
+        for i in range(sys.d, 0, -1):
+            if (bits >> (i - 1)) & 1:
+                y = _iterate(sys, i, n_vec[i - 1], y, den)
+        coeff = sign_d * ((-1) ** (bin(bits).count("1") + 1))
+        acc = (acc + coeff * y) % den
+    return _torus_point(acc, den)
+
+
 @dataclass(frozen=True)
 class FormulaTestResult:
     """status: "pass" (conditions hold, identity verified), "witness"
@@ -405,8 +468,9 @@ def formula_equivalence_test(sys: AffineZdSystem, *, n_range: int = 3,
     (coordinate 0 most significant) is 0 when t != 0, and otherwise e_j
     for the last column j of D that is not 0.  The cap on q^r keeps
     r*q^2 < 2^63, so the arithmetic is exact in int64 (a larger cap that
-    lets q past that runs on Python integers).  A witness is re-checked in
-    Fraction arithmetic."""
+    lets q past that runs on Python integers).  A witness is re-checked by
+    iterate_word and closed_form, which step its numerators one generator
+    step at a time and share no table with the lattice test."""
     if n_range < 0:
         raise InputError(f"range must be at least 0, got {n_range}")
     base_q = sys.lattice_denominator()
@@ -495,7 +559,7 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
     if len(base) != sys.r:
         raise InputError("base point arity mismatch")
     for v in base:
-        if (v * q).denominator != 1:
+        if q % v.denominator:
             raise InputError(f"base coordinate {v} is not on the 1/{q} lattice")
     if mode not in ("orbit", "full"):
         raise InputError(f"mode must be 'orbit' or 'full', got {mode!r}")
@@ -508,7 +572,8 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
         points = np.indices((q,) * sys.r).reshape(sys.r, -1).T.astype(dtype)
     else:
         tables = _power_table(sys, q, -1, 1)
-        start = np.array([[int(v * q) for v in base]], dtype=dtype)
+        start = np.array([[v.numerator * (q // v.denominator) for v in base]],
+                         dtype=dtype)
         # entries 0 and 2 of each table are T_i^-1 and T_i
         maps = [(mats[e], trans[e]) for mats, trans in tables for e in (0, 2)]
         points = orbit_rows(

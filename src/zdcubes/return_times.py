@@ -137,27 +137,31 @@ class PeriodicSet:
 
         The periods in a coordinate form a subgroup g*Z with g dividing the
         modulus m, so dividing m by a prime q while m/q is still a period
-        ends at g.  m/q is a period when shifting that coordinate by it
-        keeps every row in the set.  Such a shift has order q and acts
-        freely on the rows, so q also divides the row count: only the primes
-        of gcd(m, rows) are tried, and a large prime modulus is never
+        ends at g.  m/q is a period when shifting that coordinate by it,
+        modulo the set's own modulus, keeps every row in the set, so each
+        candidate is tested on this set's index and the reduced set is
+        built once.  Such a shift has order q in the reduced set and acts
+        freely on its rows, so q also divides their count: only the primes
+        of gcd(m, count) are tried, and a large prime modulus is never
         factored."""
         if self.is_empty():
             return PeriodicSet.empty(self.k)
         moduli = list(self.moduli)
-        ps = self
+        count = len(self.rows)
         for i in range(self.k):
             m = moduli[i]
-            for q in _prime_factors(math.gcd(m, len(ps.rows))):
+            for q in _prime_factors(math.gcd(m, count)):
                 while m % q == 0:
-                    p = m // q
-                    shifted = ps.rows.copy()
-                    shifted[:, i] = (shifted[:, i] + p) % m
-                    if not ps.index.find(shifted)[1].all():
+                    shifted = self.rows.copy()
+                    shifted[:, i] = (shifted[:, i] + m // q) % self.moduli[i]
+                    if not self.index.find(shifted)[1].all():
                         break
-                    m = moduli[i] = p
-                    ps = PeriodicSet(self.k, moduli, ps.rows)
-        return ps
+                    m //= q
+                    count //= q
+            moduli[i] = m
+        if tuple(moduli) == self.moduli:
+            return self
+        return PeriodicSet(self.k, moduli, self.rows)
 
     def _common(self, other: "PeriodicSet", cap: int = JOIN_CAP
                 ) -> tuple["PeriodicSet", "PeriodicSet"]:

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from scalar_affine import closed_form_affine, word_affine
+from scalar_affine import closed_form_affine, mat_mul, mat_vec, mod1, word_affine
 from zdcubes.affine import (
     AffineZdSystem,
     affine_to_text,
@@ -12,9 +12,9 @@ from zdcubes.affine import (
     formula_equivalence_test,
     iterate_word,
     matcond_check,
-    mod1,
     nilpotency_index,
     parse_affine,
+    transform,
     unipotent_inverse,
     validate_affine,
 )
@@ -90,8 +90,6 @@ def test_nilpotency_index():
 def test_unipotent_inverse():
     a = ((1, 3), (0, 1))
     inv = unipotent_inverse(a)
-    from zdcubes.affine import mat_mul
-
     assert mat_mul(a, inv) == ((1, 0), (0, 1))
     with pytest.raises(InputError):
         unipotent_inverse(((2, 0), (0, 1)))
@@ -123,8 +121,6 @@ def test_word_affine_matches_iteration(affines):
     x = (Fraction(1, 3),) * asys.r
     for n in product(range(-2, 3), repeat=asys.d):
         A, c = word_affine(asys, n)
-        from zdcubes.affine import mat_vec
-
         direct = mod1(tuple(a + b for a, b in zip(mat_vec(A, x), c)))
         assert direct == iterate_word(asys, n, x), n
 
@@ -195,8 +191,6 @@ def test_discretize_respects_the_maps(affines):
     assert f.labels is not None
     vecs = [tuple(Fraction(s) for s in lab.split(",")) for lab in f.labels]
     for i in range(asys.d):
-        from zdcubes.affine import transform
-
         for x_id, v in enumerate(vecs):
             image = transform(asys, i + 1, 1, v)
             assert vecs[f.perms[i][x_id]] == image

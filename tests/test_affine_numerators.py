@@ -1,8 +1,10 @@
-"""The closed-form test and the discretizer on integer numerators mod q
-against the Fraction references in scalar_affine: equal results field by
-field, and the same errors, on the fixtures, on random unitriangular
-systems, from non-zero base points, past the int64 bound and on
-non-unipotent matrices."""
+"""The affine layer on int arrays and integer numerators against the
+Fraction references in scalar_affine: equal results field by field, and the
+same errors, for the closed-form test and the discretizer on the fixtures,
+on random unitriangular systems, from non-zero base points, past the int64
+bound and on non-unipotent matrices; and for the matrix checks and
+single-point iteration on random systems whose entries reach 2^32 and
+more, some with a non-unipotent matrix."""
 
 import random
 from fractions import Fraction
@@ -30,19 +32,24 @@ def _same(fn_name, *args, **kwargs):
     return got
 
 
-def _unitriangular(rng, r):
-    return tuple(tuple(1 if i == j else rng.randint(-3, 3) if j > i else 0
+def _unitriangular(rng, r, big=False):
+    def entry():
+        if big and rng.random() < 0.5:
+            return rng.choice((-1, 1)) * rng.randint(1 << 32, 1 << 41)
+        return rng.randint(-3, 3)
+
+    return tuple(tuple(1 if i == j else entry() if j > i else 0
                        for j in range(r)) for i in range(r))
 
 
-def _random_system(rng, commuting):
+def _random_system(rng, commuting, big=False):
     r, d = rng.randint(1, 4), rng.randint(1, 3)
     if commuting:
         # powers of one unitriangular matrix commute
-        gen = _unitriangular(rng, r)
-        mats = [affine.mat_pow(gen, rng.randint(0, 2)) for _ in range(d)]
+        gen = _unitriangular(rng, r, big)
+        mats = [ref.mat_pow(gen, rng.randint(0, 2)) for _ in range(d)]
     else:
-        mats = [_unitriangular(rng, r) for _ in range(d)]
+        mats = [_unitriangular(rng, r, big) for _ in range(d)]
     alphas = [tuple(Fraction(rng.randrange(den), den)
                     for den in (rng.choice((1, 2, 3, 4)) for _ in range(r)))
               for _ in range(d)]
@@ -160,3 +167,50 @@ def test_non_unipotent_matrices_raise_where_the_reference_does():
                       affine.FormulaTestResult)
     assert _outcome(affine.discretize, doubling, 3, mode="orbit")[0] \
         is affine.InputError
+
+
+def _non_unipotent(rng, r):
+    """A unitriangular matrix with one diagonal entry replaced by 2 or -1,
+    or with one entry planted below the diagonal."""
+    m = [list(row) for row in _unitriangular(rng, r, big=True)]
+    if r > 1 and rng.random() < 0.5:
+        i = rng.randrange(1, r)
+        m[i][rng.randrange(i)] = rng.choice((-1, 1, 1 << 33))
+    else:
+        i = rng.randrange(r)
+        m[i][i] = rng.choice((2, -1))
+    return tuple(map(tuple, m))
+
+
+def _random_point(rng, r):
+    """Fractions with small denominators, some outside [0, 1), and ints."""
+    return tuple(rng.randint(-2, 2) if rng.random() < 0.2
+                 else Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
+                 for _ in range(r))
+
+
+def test_matrix_checks_and_points_match_reference_on_random_systems():
+    # entries up to 2^41 push products past the int64 bound, onto Python
+    # integers; a non-unipotent matrix must give the reference's verdicts,
+    # and its error wherever an inverse step is taken
+    rng = random.Random(15)
+    for trial in range(48):
+        asys = _random_system(rng, commuting=trial % 2 == 0, big=trial % 3 > 0)
+        if trial % 4 == 3:
+            mats = list(asys.mats)
+            mats[rng.randrange(asys.d)] = _non_unipotent(rng, asys.r)
+            asys = AffineZdSystem(r=asys.r, d=asys.d, mats=tuple(mats),
+                                  alphas=asys.alphas)
+        _same("validate_affine", asys)
+        _same("matcond_check", asys)
+        for a in asys.mats:
+            _same("nilpotency_index", ref.mat_sub_identity(a))
+            _same("unipotent_inverse", a)
+        for _ in range(3):
+            x = _random_point(rng, asys.r)
+            for i in range(1, asys.d + 1):
+                for n in (-2, -1, 0, 1, 3):
+                    _same("transform", asys, i, n, x)
+            n_vec = tuple(rng.randint(-2, 2) for _ in range(asys.d))
+            _same("iterate_word", asys, n_vec, x)
+            _same("closed_form", asys, n_vec, x)
