@@ -62,10 +62,15 @@ def _peak(a: np.ndarray) -> int:
 
 def _int_array(m) -> np.ndarray:
     """Nested integer sequences as an exact array: int64 while every entry
-    is below 2^62 in absolute value, so that A - I and negations stay in
-    int64, and Python integers otherwise."""
-    a = np.array(m, dtype=object)
-    return a.astype(np.int64) if _peak(a) < 1 << 62 else a
+    is below 2^62 in absolute value, so that A - I stays in int64, and
+    Python integers otherwise."""
+    try:
+        a = np.array(m, dtype=np.int64)
+        if _peak(a) < 1 << 62:
+            return a
+    except OverflowError:
+        pass
+    return np.array(m, dtype=object)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -217,8 +222,10 @@ class AffineValidation:
 def _first_pair(bad: np.ndarray) -> tuple[int, int] | None:
     """The first (i, j), i < j, numbered from 1, in row-major order with
     bad[i-1, j-1]."""
-    hits = np.argwhere(np.triu(bad, 1))
-    return (int(hits[0, 0]) + 1, int(hits[0, 1]) + 1) if len(hits) else None
+    for i, j in np.argwhere(bad).tolist():
+        if i < j:
+            return i + 1, j + 1
+    return None
 
 
 def validate_affine(sys: AffineZdSystem) -> AffineValidation:
@@ -299,8 +306,8 @@ def _step(sys: AffineZdSystem, i: int, sign: int,
           q: int) -> tuple[np.ndarray, np.ndarray]:
     """T_{i+1} (sign 1) or its inverse (sign -1) on numerators mod q, a
     multiple of the lattice denominator, as (M, t) with entries in 0..q-1.
-    The inverse is k -> A^{-1}(k - q*alpha) and raises InputError when the
-    matrix is not unipotent."""
+    The inverse is k -> A^{-1}k + A^{-1}(q - q*alpha) and raises InputError
+    when the matrix is not unipotent."""
     form = sys.integer_form
     dtype = _ring(sys.r, q)
     shift = np.array([q // form.q * x for x in form.shifts[i]], dtype=dtype)
@@ -309,7 +316,7 @@ def _step(sys: AffineZdSystem, i: int, sign: int,
     if form.inverses[i] is None:
         raise InputError("matrix is not unipotent; no integer inverse")
     m = _mod(form.inverses[i], q, dtype)
-    return m, -(m @ shift) % q
+    return m, m @ (q - shift) % q
 
 
 def _power_table(sys: AffineZdSystem, q: int, lo: int,
