@@ -137,31 +137,32 @@ class PeriodicSet:
 
         The periods in a coordinate form a subgroup g*Z with g dividing the
         modulus m, so dividing m by a prime q while m/q is still a period
-        ends at g.  m/q is a period when shifting that coordinate by it,
-        modulo the set's own modulus, keeps every row in the set, so each
-        candidate is tested on this set's index and the reduced set is
-        built once.  Such a shift has order q in the reduced set and acts
-        freely on its rows, so q also divides their count: only the primes
-        of gcd(m, count) are tried, and a large prime modulus is never
-        factored."""
+        ends at g.  m/q is a period when shifting that coordinate by it
+        keeps every row in the set.  The rows whose reduced coordinates lie
+        below their new moduli represent the reduced set, so only they are
+        shifted, modulo this set's own moduli, and looked up in this set's
+        index; the reduced set is built once, at the end.  Such a shift has
+        order q and acts freely on the representatives, so q also divides
+        their count: only the primes of gcd(m, count) are tried, and a large
+        prime modulus is never factored."""
         if self.is_empty():
             return PeriodicSet.empty(self.k)
         moduli = list(self.moduli)
-        count = len(self.rows)
+        rows = self.rows
         for i in range(self.k):
             m = moduli[i]
-            for q in _prime_factors(math.gcd(m, count)):
+            for q in _prime_factors(math.gcd(m, len(rows))):
                 while m % q == 0:
-                    shifted = self.rows.copy()
+                    shifted = rows.copy()
                     shifted[:, i] = (shifted[:, i] + m // q) % self.moduli[i]
                     if not self.index.find(shifted)[1].all():
                         break
                     m //= q
-                    count //= q
+                    rows = rows[rows[:, i] < m]
             moduli[i] = m
         if tuple(moduli) == self.moduli:
             return self
-        return PeriodicSet(self.k, moduli, self.rows)
+        return PeriodicSet(self.k, moduli, rows)
 
     def _common(self, other: "PeriodicSet", cap: int = JOIN_CAP
                 ) -> tuple["PeriodicSet", "PeriodicSet"]:
