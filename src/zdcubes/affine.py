@@ -133,21 +133,26 @@ def unipotent_inverse(a: Matrix) -> Matrix:
     return tuple(map(tuple, inverse.tolist()))
 
 
-@dataclass(frozen=True)
 class _IntegerForm:
-    """An AffineZdSystem in integers.  q is the least common denominator of
+    """An AffineZdSystem in integers, derived once per system
+    (AffineZdSystem.integer_form).  q is the least common denominator of
     the translations and shifts[i] holds the numerators q*alpha_{i+1}, in
     0..q-1; mats and nils stack the A_i and the A_i - I as exact (d, r, r)
     arrays; nil_index[i] and inverses[i] are the nilpotency index of
     A_{i+1} - I and the inverse of A_{i+1}, both None when A_{i+1} is not
     unipotent."""
 
-    q: int
-    shifts: tuple[tuple[int, ...], ...]
-    mats: np.ndarray
-    nils: np.ndarray
-    nil_index: tuple[int | None, ...]
-    inverses: tuple[np.ndarray | None, ...]
+    __slots__ = ("q", "shifts", "mats", "nils", "nil_index", "inverses")
+
+    def __init__(self, sys: AffineZdSystem) -> None:
+        self.q = q = sys.lattice_denominator()
+        self.shifts = tuple(tuple(x.numerator * (q // x.denominator) for x in a)
+                            for a in sys.alphas)
+        self.mats = _int_array(sys.mats)
+        self.nils = self.mats - np.eye(sys.r, dtype=np.int64)
+        found = [_nilpotent(n) for n in self.nils]
+        self.nil_index = tuple(s for s, _ in found)
+        self.inverses = tuple(inverse for _, inverse in found)
 
 
 @dataclass(frozen=True)
@@ -195,17 +200,7 @@ class AffineZdSystem:
 
     @cached_property
     def integer_form(self) -> _IntegerForm:
-        q = self.lattice_denominator()
-        mats = _int_array(self.mats)
-        nils = mats - np.eye(self.r, dtype=np.int64)
-        found = [_nilpotent(n) for n in nils]
-        return _IntegerForm(
-            q=q,
-            shifts=tuple(tuple(x.numerator * (q // x.denominator) for x in a)
-                         for a in self.alphas),
-            mats=mats, nils=nils,
-            nil_index=tuple(s for s, _ in found),
-            inverses=tuple(inverse for _, inverse in found))
+        return _IntegerForm(self)
 
 
 @dataclass(frozen=True)
