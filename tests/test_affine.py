@@ -183,6 +183,16 @@ def test_discretize_rejects_bad_q(affines):
         discretize(affines["example83"], 7)
 
 
+def test_single_points_of_the_wrong_arity_are_rejected(affines):
+    asys = affines["jordan3"]
+    for x in ((Fraction(1, 4),) * 2, (0,) * 4):
+        for call in (lambda: transform(asys, 1, 1, x),
+                     lambda: iterate_word(asys, (1, -1), x),
+                     lambda: closed_form(asys, (1, -1), x)):
+            with pytest.raises(InputError):
+                call()
+
+
 def test_discretize_respects_the_maps(affines):
     asys = affines["example83"]
     q = asys.lattice_denominator()
