@@ -22,8 +22,8 @@ import numpy as np
 from .affine import (AffineZdSystem, discretize, formula_equivalence_test,
                      matcond_check, validate_affine)
 from .cube_engine import (RowIndex, _chunked_ranks, _find_keys, enumerate_K,
-                          enumerate_Q, face_group_orbit, row_keys,
-                          section_of, ucpp_check)
+                          enumerate_Q, face_group_orbit, held_order,
+                          row_keys, section_of, ucpp_check)
 from .errors import InputError
 from .finite_system import (FiniteZdSystem, check_factor_map, is_minimal,
                             partition, validate)
@@ -235,17 +235,19 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     items.append(_pass_fail("project_closure", witness is None, witness,
                             points=checked))
 
-    # digit permutation: Q over (sigma(1)..sigma(d)) maps onto Q over (1..d)
-    checked = 0
-    witness = None
-    for sigma in permutations(range(1, d + 1)):
+    # digit permutation: Q over (sigma(1)..sigma(d)) maps onto Q over (1..d).
+    # The held orders come last, so that only held ones are built while one
+    # is held, and the witness is the first failing order.
+    failed = []
+    sigmas = sorted(permutations(dirs), key=held_order)
+    for sigma in sigmas:
         src = enumerate_Q(sys, sigma)
-        checked += 1
         cols = [digit_permute(sigma, Vertex(m, d)).mask for m in range(width)]
-        if witness is None and not index.same_set(src.to_array()[:, cols]):
-            witness = list(sigma)
+        if not index.same_set(src.to_array()[:, cols]):
+            failed.append(list(sigma))
+    witness = min(failed, default=None)
     items.append(_pass_fail("digit_permute_bijection", witness is None, witness,
-                            permutations=checked))
+                            permutations=len(sigmas)))
 
     # reflection: flipping any digit permutes the set
     witness = None
@@ -412,13 +414,10 @@ def proximal_battery(sys: FiniteZdSystem) -> list[dict]:
     minimal = is_minimal(sys).ok
     items = []
 
-    witness = None
-    for j in dirs:
-        a = compute_R_j(sys, j)
-        b = compute_R_j_reordered(sys, j)
-        if a.pairs != b.pairs:
-            witness = j
-            break
+    # every direction is read, so that no held cube set stays on the memo
+    failed = [j for j in dirs
+              if compute_R_j(sys, j).pairs != compute_R_j_reordered(sys, j).pairs]
+    witness = min(failed, default=None)
     items.append(_pass_fail("relation_order_independence", witness is None,
                             witness))
 

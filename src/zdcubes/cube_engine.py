@@ -14,10 +14,13 @@ A CubeSet holds its tuples as one sorted, duplicate-free int32 array and
 owns the RowIndex of the row keys it sorted them by, keyed with radix
 n_points of its base system (raw sets keep their value range).  Enumeration
 runs the numpy kernel over every base point, each exponent below the
-generator's order on the base point's orbit, then sorts and dedups by row
-keys.  The sets over increasing directions are kept on the system
-(FiniteZdSystem.memo), so each is enumerated once, and each keeps its
-unique-completion verdict.  Whole-set checks work on that array: the index
+generator's order on the base point's orbit; the kernel gathers each column
+once per distinct choice of the exponents it depends on, and the set is
+then sorted and deduped by row keys.  The sets over increasing directions
+are kept on the system (FiniteZdSystem.memo), so each is enumerated once,
+and each keeps its unique-completion verdict; a set over (j, the other
+directions in increasing order) is held there from one request to the
+next only.  Whole-set checks work on that array: the index
 looks rows up by sorted row keys, and a face-group element acts as one
 permutation per coordinate, so its image of an array is a column gather.
 A face-group orbit is a class of the partition of a set's rows by the
@@ -38,7 +41,8 @@ rows.  The reader hands the text after the header line to numpy's C text
 reader in one pass; the line-at-a-time loop of str.splitlines and int()
 reads it only where that reader refuses it or could read it otherwise,
 and names the first bad line.  The writer formats each distinct value once
-into a digit table.
+into a digit table and reads the cells of the rows off it with one flat
+gather.
 """
 
 from __future__ import annotations
@@ -323,7 +327,7 @@ def _text_chunks(header: str, rows: np.ndarray):
         def codes(c):
             return c - lo if lo else c
     else:
-        values = np.unique(rows)
+        values = _distinct(rows)
         codes = partial(np.searchsorted, values)
     cell = max(len(str(lo)), len(str(hi))) + 1
     digits = values.astype(f"S{cell}").view(np.uint8).reshape(-1, cell)
@@ -331,13 +335,23 @@ def _text_chunks(header: str, rows: np.ndarray):
     table = np.repeat(digits[None], 2, axis=0)
     table[0, np.arange(len(values)), size - 1] = ord(",")
     table[1, np.arange(len(values)), size - 1] = ord("\n")
-    table = table.view(f"V{cell}").reshape(2, -1)
+    table = table.view(f"V{cell}").ravel()
     width = rows.shape[1]
-    last = (np.arange(width) == width - 1).astype(np.intp)
+    # the last column reads the newline cells, len(values) further on
+    last = (np.arange(width) == width - 1) * len(values)
     step = max(1, TEXT_CHUNK // (width * cell))
     for start in range(0, len(rows), step):
-        cells = table[last, codes(rows[start:start + step])]
+        cells = table[codes(rows[start:start + step]) + last]
         yield cells.tobytes().replace(b"\0", b"")
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) by a sort and an adjacent compare: numpy 2.4 hashes
+    integers in a plain np.unique call, 20-31 times slower."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +400,12 @@ class RowIndex:
         return _find_keys(self.keys, row_keys(rows, self.n))
 
     def same_set(self, rows: np.ndarray) -> bool:
-        """Whether the query rows, as a set, equal the indexed set."""
+        """Whether the query rows, as a set, equal the indexed set.  As many
+        rows as the index holds are the set exactly when their sorted keys
+        are the index keys, which are distinct; others are looked up."""
+        if len(rows) == len(self.keys):
+            return bool(np.array_equal(np.sort(row_keys(rows, self.n)),
+                                       self.keys))
         pos, found = self.find(rows)
         if not found.all():
             return False
@@ -474,11 +493,11 @@ def _orbit_orders(sys: FiniteZdSystem) -> np.ndarray:
         orders = np.empty((sys.d, n), dtype=np.int64)
         for i, p in enumerate(sys.perms):
             cycle = orbit_labels(n, [p])
-            pairs = np.unique(orbit * (n + 1) + np.bincount(cycle)[cycle])
+            pairs = _distinct(orbit * (n + 1) + np.bincount(cycle)[cycle])
             owner, length = np.divmod(pairs, n + 1)
             order = np.zeros(n, dtype=np.int64)
             order[owner] = length
-            for c in np.unique(owner[1:][owner[1:] == owner[:-1]]).tolist():
+            for c in _distinct(owner[1:][owner[1:] == owner[:-1]]).tolist():
                 order[c] = min(math.lcm(*length[owner == c].tolist()), 1 << 62)
             orders[i] = order[orbit]
         return orders
@@ -510,8 +529,8 @@ def _enumerate_rows(sys: FiniteZdSystem, dirs: tuple[int, ...],
             f"enumeration would produce {total} rows (limit {MAX_ENUM_ROWS}); "
             "restrict the directions or the system size")
     blocks = [kernels.enumerate_blocks(
-        [_pow_table(sys.perms[j - 1], L) for j, L in zip(dirs, limits)],
-        kernels.exponent_combos(limits), b) for limits, b in groups]
+        [_pow_table(sys.perms[j - 1], L) for j, L in zip(dirs, limits)], b)
+        for limits, b in groups]
     return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
 
@@ -522,12 +541,24 @@ def _check_dirs(dirs: tuple[int, ...]) -> None:
         raise InputError(f"directions must be distinct, got {dirs}")
 
 
+def held_order(dirs: tuple[int, ...]) -> bool:
+    """Whether dirs is a direction j followed by the others in increasing
+    order, whose cube sets _stored holds for a second request."""
+    return list(dirs[1:]) == sorted(dirs[1:])
+
+
 def _stored(sys: FiniteZdSystem, key: tuple, dirs: tuple[int, ...], build):
-    """build() through the system's memo when dirs increase; a set over any
-    other order is built afresh, as only the cross-checks of direction
-    order ask for one."""
+    """build() through the system's memo when dirs increase.  A set over
+    (j, the other directions in increasing order) is read twice per verify,
+    by the digit-permutation check and by the reordered relation R_j, so a
+    first request holds it on the memo and the next one takes it off; a
+    set over any other order is built afresh, as only the digit-permutation
+    check asks for one.  Holding every order would keep d! - 1 sets."""
     if list(dirs) == sorted(dirs):
         return sys.memo(key, build)
+    if held_order(dirs):
+        held = sys.memo(("held",), dict)
+        return held.pop(key) if key in held else held.setdefault(key, build())
     return build()
 
 

@@ -1,9 +1,10 @@
 """The two hot kernels, as whole-array numpy operations.
 
 enumerate_blocks expands base points into cube tuples through per-direction
-power tables; template_scan reads coordinate pairs off the cube tuples that
-match a template.  Both are deterministic, so enumeration output does not
-depend on how the caller splits the base points.
+power tables, gathering each column once per distinct choice of the
+exponents it depends on; template_scan reads coordinate pairs off the cube
+tuples that match a template.  Both are deterministic, so enumeration output
+does not depend on how the caller splits the base points.
 """
 
 from __future__ import annotations
@@ -15,31 +16,26 @@ def backend_name() -> str:
     return "numpy"
 
 
-def exponent_combos(limits: list[int]) -> np.ndarray:
-    """All exponent vectors over prod([0, L_i)) in itertools.product order
-    (the last listed direction varies fastest)."""
-    grids = np.meshgrid(*[np.arange(L, dtype=np.int32) for L in limits], indexing="ij")
-    return np.ascontiguousarray(
-        np.stack([g.ravel() for g in grids], axis=1), dtype=np.int32
-    )
+def enumerate_blocks(tables: list[np.ndarray], bases: np.ndarray) -> np.ndarray:
+    """int32[B*R, 2^k], R = L_1 ... L_k, whose row b*R + r is the cube tuple
+    of base point bases[b] with the r-th exponent vector (e_1..e_k) of
+    prod([0, L_i)) in itertools.product order (e_k varies fastest), in
+    canonical vertex order (direction 1 varies fastest).  tables[i] is the
+    int32[L_i, n] power table of direction i: row e is T^e.
 
-
-def enumerate_blocks(tables: list[np.ndarray], combos: np.ndarray,
-                     bases: np.ndarray) -> np.ndarray:
-    """int32[B*R, 2^k] whose row b*R + r is the cube tuple of base point
-    bases[b] with exponents combos[r], in canonical vertex order (direction 1
-    varies fastest).  tables[i] is the int32[L_i, n] power table of direction
-    i: row e is T^e.  Column block [size, 2*size) is direction i's power
-    applied to columns [0, size)."""
-    n_combos, k = combos.shape
-    out = np.empty((len(bases) * n_combos, 1 << k), dtype=np.int32)
-    out[:, 0] = np.repeat(bases, n_combos)
-    size = 1
-    for i in range(k):
-        combo = np.tile(combos[:, i], len(bases))
-        out[:, size:2 * size] = tables[i][combo[:, None], out[:, :size]]
-        size <<= 1
-    return out
+    Column c + 2^i, for c < 2^i, is T_i^{e_i} of column c, so it depends
+    only on the base and the exponents of the directions set in c + 2^i.
+    Each column is gathered over those axes of a (B, L_1, .., L_k) grid and
+    broadcast over the others."""
+    k = len(tables)
+    out = np.empty((len(bases), *map(len, tables), 1 << k), dtype=np.int32)
+    cols = [np.asarray(bases).reshape(-1, *[1] * k)]
+    for i, table in enumerate(tables):
+        e = np.arange(len(table)).reshape(-1, *[1] * (k - 1 - i))
+        cols += [table[e, col] for col in cols]
+    for c, col in enumerate(cols):
+        out[..., c] = col
+    return out.reshape(-1, 1 << k)
 
 
 def template_scan(points: np.ndarray, eq_pairs, x_pos: int,

@@ -112,6 +112,29 @@ def test_surgery_battery_matches_scalar_loops(systems, name):
     _surgery(systems[name])
 
 
+@pytest.mark.parametrize("broken", [((2, 1, 3), (2, 3, 1)),
+                                    ((1, 3, 2), (3, 1, 2)),
+                                    ((3, 1, 2), (3, 2, 1))])
+def test_digit_permutation_witness_is_the_first_failing_order(
+        systems, monkeypatch, broken):
+    # the held orders are checked after the others, yet the witness is the
+    # first failing order in permutation order
+    real = enumerate_Q
+
+    def corrupted(sys, dirs):
+        Q = real(sys, dirs)
+        return CubeSet(Q.dirs, Q.rows[1:], base=Q.base) if dirs in broken else Q
+
+    for module in (battery, ref):
+        monkeypatch.setattr(module, "enumerate_Q", corrupted)
+    sys_ = systems["rot8_d3"]
+    got = battery.surgery_battery(sys_)
+    assert got == ref.surgery_battery(sys_)
+    item = {i["check"]: i for i in got}["digit_permute_bijection"]
+    assert item["witness"] == list(min(broken))
+    assert item["detail"] == {"permutations": 6}
+
+
 def _orbit_cases(sys_):
     """(cube set, start) pairs: Q from its first, middle and last rows, Q
     without every other row from its first row, and from its last row K^x0
@@ -387,6 +410,30 @@ def test_row_index_void_branch_matches_python_set():
     assert index.same_set(np.concatenate([rows, rows[:5]]))
     assert not index.same_set(rows[1:])
     assert not index.same_set(np.concatenate([rows, queries[-1:]]))
+
+
+@pytest.mark.parametrize("n,width", [(7, 3), (16, 16)],
+                         ids=["int64-keys", "structured-keys"])
+def test_row_index_same_set_by_sorted_keys(n, width):
+    # as many query rows as indexed rows are compared by sorted keys, other
+    # counts are looked up; shuffled and repeated queries reach both paths
+    rng = np.random.default_rng(11)
+    rows = np.unique(rng.integers(0, n, size=(200, width)), axis=0)
+    index = RowIndex(rows, n)
+    members = set(map(tuple, rows.tolist()))
+    outsider = next(r for r in rng.integers(0, n, size=(50, width)).tolist()
+                    if tuple(r) not in members)
+    shuffled = rows[rng.permutation(len(rows))]
+    assert index.same_set(shuffled)
+    assert index.same_set(np.concatenate([shuffled, shuffled[:3]]))
+    repeated = shuffled.copy()
+    repeated[0] = repeated[1]
+    assert not index.same_set(repeated)
+    replaced = shuffled.copy()
+    replaced[-1] = outsider
+    assert not index.same_set(replaced)
+    assert not index.same_set(shuffled[1:])
+    assert not index.same_set(np.concatenate([shuffled, [outsider]]))
 
 
 def test_raw_set_with_structured_keys_sorts_rows_lexicographically():

@@ -476,6 +476,52 @@ def test_verify_enumerates_each_cube_set_once(fixture_dir, monkeypatch, name):
         {k[1:]: v for k, v in calls.items() if v > 1}
 
 
+@pytest.mark.parametrize("name,count", [("rot6", 6), ("rot8_d3", 17)])
+def test_verify_shares_the_reordered_cube_sets(fixture_dir, monkeypatch, name,
+                                               count):
+    # the digit-permutation check and the reordered relations read the sets
+    # over (j, the other directions in increasing order) once between them:
+    # (2, 1) at d=2, (2, 1, 3) and (3, 1, 2) at d=3
+    from zdcubes import cube_engine
+
+    real = cube_engine._enumerate_rows
+    calls = []
+
+    def counting(sys, dirs, bases):
+        calls.append(tuple(dirs))
+        return real(sys, dirs, bases)
+
+    monkeypatch.setattr(cube_engine, "_enumerate_rows", counting)
+    _, code = cmd_verify(_path(fixture_dir, f"{name}.fsys"))
+    assert code == 0
+    assert len(calls) == count, calls
+    reordered = [dirs for dirs in calls if list(dirs) != sorted(dirs)]
+    assert len(reordered) == len(set(reordered))
+
+
+@pytest.mark.parametrize("broken", [(), (2,), (2, 3)])
+def test_verify_leaves_no_held_cube_set(fixture_dir, monkeypatch, broken):
+    # a failing direction does not stop the reordered relations early, so
+    # every set the digit permutations held is taken off the memo again
+    from zdcubes import battery
+    from zdcubes.finite_system import PairRelation, load_finite_system
+
+    real = battery.compute_R_j_reordered
+
+    def reordered(sys, j):
+        rel = real(sys, j)
+        if j not in broken:
+            return rel
+        return PairRelation(rel.n_points, rel.pairs | {(0, sys.n_points - 1)}, sys)
+
+    monkeypatch.setattr(battery, "compute_R_j_reordered", reordered)
+    sys_ = load_finite_system(_path(fixture_dir, "rot8_d3.fsys"))
+    items = {i["check"]: i for i in battery.system_battery(sys_)}
+    assert items["relation_order_independence"]["witness"] == \
+        (broken[0] if broken else None)
+    assert sys_.memo(("held",), dict) == {}
+
+
 @pytest.mark.parametrize("name", ALL_FSYS)
 def test_verify_builds_each_return_set_once(fixture_dir, monkeypatch, name):
     from zdcubes import return_times

@@ -1,40 +1,118 @@
-import numpy as np
+from itertools import product
+from unittest import mock
 
-from zdcubes import kernels
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from zdcubes import cube_engine, kernels
 from zdcubes.cube_engine import _pow_table
-from zdcubes.finite_system import perm_order
-from zdcubes.kernels import backend_name, exponent_combos
+from zdcubes.finite_system import FiniteZdSystem, perm_order
+from zdcubes.kernels import backend_name
 
 from scalar_return_times import apply_word
+from test_relations import SETTINGS, commuting_systems
 
 
-def test_exponent_combos_order():
-    combos = exponent_combos([2, 3])
-    # itertools.product order: last coordinate fastest
-    assert combos.tolist() == [[0, 0], [0, 1], [0, 2],
-                               [1, 0], [1, 1], [1, 2]]
+def _rotation(n, steps):
+    return FiniteZdSystem(n, len(steps), tuple(
+        tuple((x + s) % n for x in range(n)) for s in steps))
+
+
+def _word_rows(sys_, limits, bases):
+    """The cube tuples enumerate_blocks should give, one apply_word per
+    coordinate: bases outermost, then the exponent vectors in
+    itertools.product order, and vertex m applying the exponent of every
+    direction whose bit is set in m."""
+    return [[apply_word(sys_, tuple(e[i] if m >> i & 1 else 0
+                                    for i in range(len(limits))), x)
+             for m in range(1 << len(limits))]
+            for x in bases for e in product(*map(range, limits))]
+
+
+def _blocks(sys_, limits, bases):
+    tables = [_pow_table(p, L) for p, L in zip(sys_.perms, limits)]
+    rows = kernels.enumerate_blocks(tables, np.array(bases, dtype=np.int32))
+    assert rows.dtype == np.int32 and rows.flags.c_contiguous
+    assert rows.shape == (len(bases) * int(np.prod(limits)), 1 << len(limits))
+    return rows
 
 
 def test_backend_name_is_known():
     assert backend_name() == "numpy"
 
 
+def test_enumerate_blocks_row_order():
+    # T1 adds 10 and T2 adds 1 on Z/100, so the row of exponents (a, b) over
+    # base x is (x, x + 10a, x + b, x + 10a + b): bases outermost, then the
+    # exponents in itertools.product order, the last direction fastest
+    sys_ = _rotation(100, (10, 1))
+    rows = _blocks(sys_, [2, 3], [0, 50])
+    assert rows.tolist() == [[x, x + 10 * a, x + b, x + 10 * a + b]
+                             for x in (0, 50) for a in range(2) for b in range(3)]
+
+
 def test_enumerate_blocks_rows_match_word_action(systems):
-    # row layout: for each base point, a block of one row per combo; column
-    # m applies exponent combo[i] of direction i for every bit i set in m
     for name in ("rot6", "rot8_d3", "nonmin_z4z2"):
         sys_ = systems[name]
         limits = [perm_order(p) for p in sys_.perms]
-        tables = [_pow_table(p, L) for p, L in zip(sys_.perms, limits)]
-        combos = exponent_combos(limits)
-        bases = np.arange(sys_.n_points, dtype=np.int32)
-        rows = kernels.enumerate_blocks(tables, combos, bases)
-        assert rows.dtype == np.int32
-        assert rows.shape == (len(combos) * len(bases), 1 << sys_.d), name
-        for ci in (0, 1, len(combos) // 2, len(combos) - 1):
-            for x in (0, sys_.n_points - 1):
-                row = rows[x * len(combos) + ci]
-                expect = [apply_word(sys_, tuple(int(combos[ci, i]) if m >> i & 1
-                                                 else 0 for i in range(sys_.d)), x)
-                          for m in range(1 << sys_.d)]
-                assert row.tolist() == expect, (name, ci, x)
+        bases = list(range(sys_.n_points))
+        assert _blocks(sys_, limits, bases).tolist() == \
+            _word_rows(sys_, limits, bases), name
+
+
+@SETTINGS
+@given(st.data())
+def test_enumerate_blocks_matches_word_action_on_random_systems(data):
+    # unions of parts whose generators have unequal orders; the exponents
+    # run below limits of their own, and a single base gives K's rows
+    sys_ = data.draw(commuting_systems(max_parts=3))
+    limits = data.draw(st.lists(st.integers(1, 4), min_size=sys_.d,
+                                max_size=sys_.d))
+    point = st.integers(0, sys_.n_points - 1)
+    for bases in (data.draw(st.lists(point, min_size=1, max_size=4)),
+                  [data.draw(point)]):
+        assert _blocks(sys_, limits, bases).tolist() == \
+            _word_rows(sys_, limits, bases)
+
+
+def test_enumerate_blocks_matches_word_action_with_d4():
+    sys_ = _rotation(6, (1, 2, 3, 5))
+    limits = [perm_order(p) for p in sys_.perms]
+    assert limits == [6, 3, 2, 6]
+    bases = list(range(6))
+    assert _blocks(sys_, limits, bases).tolist() == _word_rows(sys_, limits, bases)
+
+
+def _joined(header, rows):
+    return "".join([f"{header}\n"] + [",".join(map(str, row)) + "\n"
+                                      for row in rows])
+
+
+@st.composite
+def raw_rows(draw):
+    """An int array of rows mixing small values of either sign with values
+    of up to ten digits, so the digit table is dense or sparse."""
+    width = draw(st.integers(1, 8))
+    small = st.integers(-120, 120)
+    big = st.integers(-(1 << 31), (1 << 31) - 1)
+    value = draw(st.sampled_from([small, st.one_of(small, big)]))
+    rows = draw(st.lists(st.lists(value, min_size=width, max_size=width),
+                         min_size=1, max_size=30))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return np.array(rows, dtype=dtype)
+
+
+@SETTINGS
+@given(raw_rows(), st.sampled_from([cube_engine.TEXT_CHUNK, 7, 64]))
+def test_rows_text_matches_joined_rows(rows, chunk):
+    with mock.patch.object(cube_engine, "TEXT_CHUNK", chunk):
+        assert cube_engine._rows_text("rows", rows) == \
+            _joined("rows", rows.tolist())
+
+
+def test_rows_text_sparse_range():
+    # two values further apart than there are cells: the sparse table
+    rows = np.array([[-(1 << 31), 7, 7], [0, -7, (1 << 31) - 1]], dtype=np.int64)
+    assert cube_engine._rows_text("rows", rows) == _joined("rows", rows.tolist())
+    assert cube_engine._rows_text("rows", rows[:0]) == "rows\n"
