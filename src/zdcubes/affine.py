@@ -202,6 +202,16 @@ class AffineZdSystem:
     def integer_form(self) -> _IntegerForm:
         return _IntegerForm(self)
 
+    @cached_property
+    def _conditions(self) -> MatCondReport:
+        return _matrix_conditions(self)
+
+    @cached_property
+    def _power_tables(self) -> dict:
+        """q -> (lo, hi, tables): the widest range of powers _power_table
+        has built on the lattice of denominator q."""
+        return {}
+
 
 @dataclass(frozen=True)
 class AffineValidation:
@@ -264,7 +274,12 @@ class MatCondReport:
 def matcond_check(sys: AffineZdSystem) -> MatCondReport:
     """The product (A_1 - I) .. (A_d - I) exactly, and for each j the
     congruence P_j(q*alpha_j) = 0 (mod q), P_j the product over i != j in
-    index order, taken mod q."""
+    index order, taken mod q.  The report is kept on the system, as the
+    affine battery and the formula test both ask for it."""
+    return sys._conditions
+
+
+def _matrix_conditions(sys: AffineZdSystem) -> MatCondReport:
     form = sys.integer_form
     prod_all = form.nils[0]
     for n in form.nils[1:]:
@@ -316,10 +331,27 @@ def _step(sys: AffineZdSystem, i: int, sign: int,
 
 def _power_table(sys: AffineZdSystem, q: int, lo: int,
                  hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per direction, T_i^n for lo <= n <= hi (lo <= 0 <= hi) as arrays
-    M[n - lo] (r x r) and t[n - lo], built by one-step composition.  The
-    inverse step, which raises on a non-unipotent matrix, is taken only
-    when lo < 0."""
+    """Per direction, T_i^n for lo <= n <= hi (lo <= 0 <= hi) as read-only
+    arrays M[n - lo] (r x r) and t[n - lo].  The system keeps the widest
+    range built for each q and reads narrower ones off it, so an affine
+    verify builds one table for the formula test and the discretization;
+    a wider request builds the union of both ranges."""
+    built = sys._power_tables.get(q)
+    if built is None or lo < built[0] or hi > built[1]:
+        span = (lo, hi) if built is None else (min(lo, built[0]),
+                                                max(hi, built[1]))
+        built = sys._power_tables[q] = (*span,
+                                        _build_power_table(sys, q, *span))
+    first, _, tables = built
+    return [(mats[lo - first:hi - first + 1], trans[lo - first:hi - first + 1])
+            for mats, trans in tables]
+
+
+def _build_power_table(sys: AffineZdSystem, q: int, lo: int,
+                       hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_power_table's arrays, built by one-step composition.  The inverse
+    step, which raises on a non-unipotent matrix, is taken only when
+    lo < 0."""
     r, dtype = sys.r, _ring(sys.r, q)
     tables = []
     for i in range(sys.d):
@@ -334,6 +366,7 @@ def _power_table(sys: AffineZdSystem, q: int, lo: int,
                 prev = n - sign - lo
                 mats[n - lo] = m @ mats[prev] % q
                 trans[n - lo] = (m @ trans[prev] + t) % q
+        mats.flags.writeable = trans.flags.writeable = False
         tables.append((mats, trans))
     return tables
 

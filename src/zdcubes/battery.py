@@ -22,14 +22,15 @@ import numpy as np
 from .affine import (AffineZdSystem, discretize, formula_equivalence_test,
                      matcond_check, validate_affine)
 from .cube_engine import (RowIndex, _chunked_ranks, _find_keys, enumerate_K,
-                          enumerate_Q, face_group_orbit, held_order,
-                          row_keys, section_of, ucpp_check)
+                          enumerate_Q, face_group_orbit, row_keys,
+                          section_of, ucpp_check)
 from .errors import InputError
 from .finite_system import (FiniteZdSystem, check_factor_map, is_minimal,
                             partition, validate)
 from .hypercube import Vertex, digit_permute
 from .proximal import (_constant_tail_keys, check_equivalence, compute_R,
-                       compute_R_j, compute_R_j_reordered, maximal_ucpp_factor,
+                       compute_R_j, compute_R_j_reordered,
+                       keep_reordered_relation, maximal_ucpp_factor,
                        pushforward_check, sections)
 from .return_times import (PeriodicSet, contains_zero_vector,
                            joining_containment_check, phi_image,
@@ -236,16 +237,15 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
                             points=checked))
 
     # digit permutation: Q over (sigma(1)..sigma(d)) maps onto Q over (1..d).
-    # The held orders come last, so that only held ones are built while one
-    # is held, and the witness is the first failing order.
-    failed = []
-    sigmas = sorted(permutations(dirs), key=held_order)
+    # The reordered relations are read off the sets built here.
+    witness = None
+    sigmas = list(permutations(dirs))
     for sigma in sigmas:
         src = enumerate_Q(sys, sigma)
+        keep_reordered_relation(src)
         cols = [digit_permute(sigma, Vertex(m, d)).mask for m in range(width)]
-        if not index.same_set(src.to_array()[:, cols]):
-            failed.append(list(sigma))
-    witness = min(failed, default=None)
+        if witness is None and not index.same_set(src.to_array()[:, cols]):
+            witness = list(sigma)
     items.append(_pass_fail("digit_permute_bijection", witness is None, witness,
                             permutations=len(sigmas)))
 
@@ -414,10 +414,8 @@ def proximal_battery(sys: FiniteZdSystem) -> list[dict]:
     minimal = is_minimal(sys).ok
     items = []
 
-    # every direction is read, so that no held cube set stays on the memo
-    failed = [j for j in dirs
-              if compute_R_j(sys, j).pairs != compute_R_j_reordered(sys, j).pairs]
-    witness = min(failed, default=None)
+    witness = next((j for j in dirs if compute_R_j(sys, j).pairs
+                    != compute_R_j_reordered(sys, j).pairs), None)
     items.append(_pass_fail("relation_order_independence", witness is None,
                             witness))
 

@@ -11,18 +11,20 @@ with the eps = 0 coordinate dropped, so its tuples have width 2^k - 1 and
 position p corresponds to vertex mask p.
 
 A CubeSet holds its tuples as one sorted, duplicate-free int32 array and
-owns the RowIndex of the row keys it sorted them by, keyed with radix
-n_points of its base system (raw sets keep their value range).  Enumeration
-runs the numpy kernel over every base point, each exponent below the
-generator's order on the base point's orbit; the kernel gathers each column
-once per distinct choice of the exponents it depends on, and the set is
-then sorted and deduped by row keys.  The sets over increasing directions
-are kept on the system (FiniteZdSystem.memo), so each is enumerated once,
-and each keeps its unique-completion verdict; a set over (j, the other
-directions in increasing order) is held there from one request to the
-next only.  Whole-set checks work on that array: the index
-looks rows up by sorted row keys, and a face-group element acts as one
-permutation per coordinate, so its image of an array is a column gather.
+owns the RowIndex of its row keys, keyed with radix n_points of its base
+system (raw sets keep their value range); rows whose keys already increase
+are kept as they are, others are sorted and deduped by their keys.
+Enumeration runs the numpy kernel over every base point, each exponent
+below the generator's order on the base point's orbit, taken in the order
+of its images; the kernel gathers each column once per distinct choice of
+the exponents it depends on, and its rows come out sorted and distinct.
+The sets over increasing directions are kept on the system
+(FiniteZdSystem.memo), so each is enumerated once, and each keeps its
+unique-completion verdict, which scans vertex 0 and the single-direction
+vertices only when the rows are distinct on those.  Whole-set checks work
+on that array: the index looks rows up by sorted row keys, and a
+face-group element acts as one permutation per coordinate, so its image of
+an array is a column gather.
 A face-group orbit is a class of the partition of a set's rows by the
 images of the forward generators; the same pass reports the first image
 that leaves the set, which decides face-group invariance, so each image
@@ -41,8 +43,8 @@ rows.  The reader hands the text after the header line to numpy's C text
 reader in one pass; the line-at-a-time loop of str.splitlines and int()
 reads it only where that reader refuses it or could read it otherwise,
 and names the first bad line.  The writer formats each distinct value once
-into a digit table and reads the cells of the rows off it with one flat
-gather.
+into a table of 2-, 4- or 8-byte cells and reads the cells of the rows off
+it with one flat gather of unsigned integers.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -67,6 +69,7 @@ CubePoint = tuple[int, ...]
 
 MAX_ENUM_ROWS = 5_000_000
 TEXT_CHUNK = 1 << 22  # bytes of cell buffer per chunk of the text form
+CACHED_RANGE = 1 << 16  # widest value range whose text cells are kept
 # tab, line feed, carriage return and printable ASCII
 _PLAIN = bytes([9, 10, 13, *range(32, 127)])
 INT32 = np.iinfo(np.int32)
@@ -134,17 +137,23 @@ class CubeSet:
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_n", hi - lo + 1)
         shifted = self._shifted(rows)
-        keys = row_keys(shifted, self._n)
-        # lexsort orders rows as their structured keys compare, and faster
-        order = (np.argsort(keys) if keys.dtype == np.int64
-                 else np.lexsort(shifted.T[::-1]))
-        keys = keys[order]
-        keep = np.ones(len(keys), dtype=bool)
-        keep[1:] = keys[1:] != keys[:-1]
-        rows = rows[order[keep]].astype(np.int32, copy=False)
+        keys = _row_keys(shifted, self._n)
+        if _increasing(keys):
+            # already sorted and distinct, as enumerated sets are: kept as
+            # they are, through a read-only view
+            rows = np.ascontiguousarray(rows, dtype=np.int32).view()
+        else:
+            # lexsort orders rows as their structured keys compare, and faster
+            order = (np.argsort(keys) if keys.dtype == np.int64
+                     else np.lexsort(shifted.T[::-1]))
+            keys = keys[order]
+            keep = np.ones(len(keys), dtype=bool)
+            keep[1:] = keys[1:] != keys[:-1]
+            keys = keys[keep]
+            rows = rows[order[keep]].astype(np.int32, copy=False)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "index", RowIndex.of_keys(keys[keep], self._n))
+        object.__setattr__(self, "index", RowIndex.of_keys(keys, self._n))
 
     def _shifted(self, rows: np.ndarray) -> np.ndarray:
         """rows (or some of their columns) moved into 0.._n-1, the range
@@ -310,39 +319,60 @@ def _text_chunks(header: str, rows: np.ndarray):
     array as comma-separated decimals, one line each, TEXT_CHUNK buffer
     bytes at a time.
 
-    Each distinct value is formatted once, into a fixed-width cell holding
-    its digits followed by a ',' (or, for the last column, a newline) and
-    padded with NUL bytes; a chunk of rows gathers its cells from the table
-    and drops the padding with bytes.replace, which is exact because no
-    digit, sign or separator is NUL.  The table spans the value range, or
-    only the values that occur when the range exceeds the cell count (as
-    with large moduli)."""
+    Each distinct value is formatted once, into a cell of 2, 4 or 8 bytes
+    (or wider for long values) holding its digits followed by a ',' (or,
+    for the last column, a newline) and padded with NUL bytes; a chunk of
+    rows gathers its cells from the table as unsigned integers of the cell
+    width and drops the padding with bytes.translate, which is exact
+    because no digit, sign or separator is NUL, and is skipped when no
+    cell is padded.  The table spans the value range, or only the values
+    that occur when the range exceeds the cell count (as with large
+    moduli)."""
     yield f"{header}\n".encode()
     if not len(rows):
         return
     lo, hi = int(rows.min()), int(rows.max())
     if hi - lo < rows.size:
-        values = np.arange(lo, hi + 1)
+        table, padded = (_range_cells(lo, hi) if hi - lo < CACHED_RANGE
+                         else _cells(np.arange(lo, hi + 1)))
 
         def codes(c):
             return c - lo if lo else c
     else:
         values = _distinct(rows)
+        table, padded = _cells(values)
         codes = partial(np.searchsorted, values)
-    cell = max(len(str(lo)), len(str(hi))) + 1
+    width = rows.shape[1]
+    # the last column reads the newline cells, in the second half
+    last = (np.arange(width) == width - 1) * (len(table) // 2)
+    step = max(1, TEXT_CHUNK // (width * table.itemsize))
+    for start in range(0, len(rows), step):
+        data = table[codes(rows[start:start + step]) + last].tobytes()
+        yield data.translate(None, b"\0") if padded else data
+
+
+def _cells(values: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(table, padded) for the sorted values: table is the read-only 2V
+    cells of _text_chunks, V of them for the values followed by a ',' and
+    V followed by a newline, and padded tells whether any cell ends in NUL
+    bytes."""
+    cell = max(len(str(values[0])), len(str(values[-1]))) + 1
+    cell = next((c for c in (2, 4, 8) if c >= cell), cell)
     digits = values.astype(f"S{cell}").view(np.uint8).reshape(-1, cell)
     size = (digits != 0).sum(axis=1) + 1  # digits and separator
     table = np.repeat(digits[None], 2, axis=0)
     table[0, np.arange(len(values)), size - 1] = ord(",")
     table[1, np.arange(len(values)), size - 1] = ord("\n")
-    table = table.view(f"V{cell}").ravel()
-    width = rows.shape[1]
-    # the last column reads the newline cells, len(values) further on
-    last = (np.arange(width) == width - 1) * len(values)
-    step = max(1, TEXT_CHUNK // (width * cell))
-    for start in range(0, len(rows), step):
-        cells = table[codes(rows[start:start + step]) + last]
-        yield cells.tobytes().replace(b"\0", b"")
+    table = table.view(f"u{cell}" if cell <= 8 else f"V{cell}").ravel()
+    table.flags.writeable = False
+    return table, bool((size < cell).any())
+
+
+@lru_cache(maxsize=4)
+def _range_cells(lo: int, hi: int) -> tuple[np.ndarray, bool]:
+    """_cells of lo..hi, built once per range: a system's cube sets share
+    the range of its point ids."""
+    return _cells(np.arange(lo, hi + 1))
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -364,9 +394,14 @@ def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     significant) while n^width < 2^63, otherwise a structured view of the
     rows that compares column by column."""
     rows = np.asarray(rows)
-    width = rows.shape[1]
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         raise ValueError(f"row entries must lie in 0..{n - 1}")
+    return _row_keys(rows, n)
+
+
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """row_keys without its range check, for rows known to lie in 0..n-1."""
+    width = rows.shape[1]
     if n ** width < 1 << 63:
         keys = np.zeros(len(rows), dtype=np.int64)
         for c in range(width):
@@ -482,6 +517,19 @@ def _pow_table(p, L: int) -> np.ndarray:
     return table
 
 
+def _ranked_table(sys: FiniteZdSystem, j: int, L: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(table, ranked): the power table of T_j below L, and int32[n, L]
+    whose row x lists the exponents e < L ordered by the image T_j^e x (an
+    argsort of the table's column x).  Both are kept on the system memo."""
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        table = _pow_table(sys.perms[j - 1], L)
+        ranked = np.argsort(table.T, axis=1).astype(np.int32)
+        return table, ranked
+
+    return sys.memo(("ranked", j, L), build)
+
+
 def _orbit_orders(sys: FiniteZdSystem) -> np.ndarray:
     """int64[d, n] whose entry (i, x) is the order of T_{i+1} on the orbit
     of x: the lcm of its cycle lengths there, which in a commuting system
@@ -507,11 +555,13 @@ def _orbit_orders(sys: FiniteZdSystem) -> np.ndarray:
 
 def _enumerate_rows(sys: FiniteZdSystem, dirs: tuple[int, ...],
                     bases: np.ndarray) -> np.ndarray:
-    """The cube tuples over dirs of the base points, with repeats.  The
-    exponent of T_j runs below its order on the base point's orbit, so the
-    bases of a system that is not minimal are enumerated in groups of equal
-    orders.  A minimal system has one orbit, on which these are the
-    whole-system orders; taking those skips the per-orbit table, whose
+    """The cube tuples over dirs of the increasing base points, sorted and
+    distinct.  The exponent of T_j runs below its order on the base point's
+    orbit, in the order of its images (_ranked_table), so the kernel emits
+    each base's rows in order.  The bases of a system that is not minimal
+    are enumerated in groups of equal orders, whose blocks are interleaved
+    back by base point.  A minimal system has one orbit, on which these are
+    the whole-system orders; taking those skips the per-orbit table, whose
     build and grouping cost about 7 % of a verify_d2 pass."""
     _check_range(sys, dirs)
     if is_minimal(sys).ok:
@@ -528,10 +578,23 @@ def _enumerate_rows(sys: FiniteZdSystem, dirs: tuple[int, ...],
         raise InputError(
             f"enumeration would produce {total} rows (limit {MAX_ENUM_ROWS}); "
             "restrict the directions or the system size")
-    blocks = [kernels.enumerate_blocks(
-        [_pow_table(sys.perms[j - 1], L) for j, L in zip(dirs, limits)], b)
-        for limits, b in groups]
-    return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    blocks = []
+    for limits, b in groups:
+        tables, ranked = zip(*(_ranked_table(sys, j, L)
+                               for j, L in zip(dirs, limits)))
+        blocks.append(kernels.enumerate_blocks(list(tables), b,
+                                               [r[b] for r in ranked]))
+    if len(blocks) == 1:
+        return blocks[0]
+    # a base's rows are one run of its group's block; gather the runs in
+    # base order
+    sizes = np.concatenate([np.full(len(b), math.prod(L), dtype=np.int64)
+                            for L, b in groups])
+    starts = np.cumsum(sizes) - sizes
+    back = np.argsort(sort)
+    sizes = sizes[back]
+    runs = np.repeat(starts[back] - (np.cumsum(sizes) - sizes), sizes)
+    return np.concatenate(blocks)[runs + np.arange(total)]
 
 
 def _check_dirs(dirs: tuple[int, ...]) -> None:
@@ -541,25 +604,11 @@ def _check_dirs(dirs: tuple[int, ...]) -> None:
         raise InputError(f"directions must be distinct, got {dirs}")
 
 
-def held_order(dirs: tuple[int, ...]) -> bool:
-    """Whether dirs is a direction j followed by the others in increasing
-    order, whose cube sets _stored holds for a second request."""
-    return list(dirs[1:]) == sorted(dirs[1:])
-
-
 def _stored(sys: FiniteZdSystem, key: tuple, dirs: tuple[int, ...], build):
-    """build() through the system's memo when dirs increase.  A set over
-    (j, the other directions in increasing order) is read twice per verify,
-    by the digit-permutation check and by the reordered relation R_j, so a
-    first request holds it on the memo and the next one takes it off; a
-    set over any other order is built afresh, as only the digit-permutation
-    check asks for one.  Holding every order would keep d! - 1 sets."""
-    if list(dirs) == sorted(dirs):
-        return sys.memo(key, build)
-    if held_order(dirs):
-        held = sys.memo(("held",), dict)
-        return held.pop(key) if key in held else held.setdefault(key, build())
-    return build()
+    """build() through the system's memo when dirs increase; a set over any
+    other order is built afresh, as only the digit-permutation check asks
+    for one."""
+    return sys.memo(key, build) if list(dirs) == sorted(dirs) else build()
 
 
 def enumerate_Q(sys: FiniteZdSystem, dirs: tuple[int, ...] | list[int]) -> CubeSet:
@@ -618,15 +667,27 @@ def _ucpp_scan(cubes: CubeSet) -> UcppResult:
     multiply-subtract: keys - (column v) * n^(width-1-v) is exactly the key
     of each row with column v set to 0, so it compares and orders as the
     rows with column v deleted do.  Wider sets key the deleted rows
-    afresh."""
+    afresh.
+
+    When the rows are distinct on vertex 0 and the single-direction
+    vertices e_i (the positions of e_i alone in a based set), as every
+    enumerated set is, two rows that agree off any other vertex agree
+    everywhere, so only those vertices can hold a clash and only they are
+    scanned, in order.  The keys of the rows on those vertices settle it:
+    they increase in the rows of an enumerated set, which are ordered as
+    their exponents' images are, and otherwise one sort finds a repeat."""
     rows, n, width = cubes.rows, cubes._n, cubes.width
     keys = cubes.index.keys
-    for v in range(width):
+    vertex = [0] + [1 << i for i in range(cubes.k)]  # 0 and the e_i
+    single = [m - 1 for m in vertex[1:]] if cubes.based else vertex
+    vertices = single if len(single) < width and _distinct_on(cubes, single) \
+        else range(width)
+    for v in vertices:
         if keys.dtype == np.int64:
             digit = rows[:, v].astype(np.int64) - cubes._lo
             rest = keys - digit * n ** (width - 1 - v)
         else:
-            rest = row_keys(cubes._shifted(np.delete(rows, v, axis=1)), n)
+            rest = _row_keys(cubes._shifted(np.delete(rows, v, axis=1)), n)
         clash = _first_repeat(rest)
         if clash is not None:
             pair = (tuple(rows[clash[0]].tolist()), tuple(rows[clash[1]].tolist()))
@@ -634,15 +695,42 @@ def _ucpp_scan(cubes: CubeSet) -> UcppResult:
     return UcppResult(ok=True)
 
 
+def _distinct_on(cubes: CubeSet, cols: list[int]) -> bool:
+    """Whether the rows of cubes are distinct on the columns cols: their
+    keys there increase, or one sort finds no repeat."""
+    keys = _row_keys(cubes._shifted(cubes.rows[:, cols]), cubes._n)
+    return _increasing(keys) or not _has_repeat(keys)
+
+
+def _increasing(keys: np.ndarray) -> bool:
+    """Whether row keys (as row_keys gives them) strictly increase.  int64
+    keys compare directly; a structured view, which comparison operators
+    do not order, compares each pair of adjacent rows at the first column
+    where they differ."""
+    if keys.dtype == np.int64:
+        return bool((keys[1:] > keys[:-1]).all())
+    rows = keys.view(keys.dtype[0]).reshape(len(keys), -1)
+    differ = rows[1:] != rows[:-1]
+    first = differ.argmax(axis=1)
+    at = np.arange(len(first))
+    return bool(differ.any(axis=1).all()
+                and (rows[1:][at, first] > rows[:-1][at, first]).all())
+
+
+def _has_repeat(keys: np.ndarray) -> bool:
+    """Whether some key occurs twice, by a plain sort (numpy's SIMD sort on
+    int64 keys) and its adjacent pairs."""
+    ordered = np.sort(keys)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
 def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
     """(i, t) for the first index t whose key occurred before, i being the
     first index with that key; None when the keys are distinct.
 
-    Distinct keys are the common answer, and a plain sort (numpy's SIMD
-    sort on int64 keys) settles it by its adjacent pairs; only a repeat pays
-    for the stable argsort that finds the first one."""
-    ordered = np.sort(keys)
-    if not (ordered[1:] == ordered[:-1]).any():
+    Distinct keys are the common answer, and _has_repeat settles it; only a
+    repeat pays for the stable argsort that finds the first one."""
+    if not _has_repeat(keys):
         return None
     order = np.argsort(keys, kind="stable")
     keys = keys[order]

@@ -42,10 +42,10 @@ def _full_dirs(sys: FiniteZdSystem) -> tuple[int, ...]:
     return tuple(range(1, sys.d + 1))
 
 
-def _scan(sys: FiniteZdSystem, dirs: tuple[int, ...], slot: int) -> PairRelation:
+def _scan(Q: CubeSet, slot: int) -> PairRelation:
     """The pairs witnessed by the template for the direction in position
-    slot of dirs, inside the cube set over dirs."""
-    Q = enumerate_Q(sys, dirs)
+    slot of Q.dirs, inside the full cube set Q of its base system."""
+    sys = Q.base
     pairs, x_pos, y_pos = template_positions(sys.d, slot)
     eq = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2)
     hits = kernels.template_scan(Q.to_array(), eq, x_pos, y_pos)
@@ -54,7 +54,8 @@ def _scan(sys: FiniteZdSystem, dirs: tuple[int, ...], slot: int) -> PairRelation
 
 def compute_R_j(sys: FiniteZdSystem, j: int) -> PairRelation:
     """All pairs witnessed by a direction-j template inside the full cube set."""
-    return sys.memo(("R_j", j), lambda: _scan(sys, _full_dirs(sys), j))
+    return sys.memo(("R_j", j),
+                    lambda: _scan(enumerate_Q(sys, _full_dirs(sys)), j))
 
 
 def compute_R(sys: FiniteZdSystem) -> PairRelation:
@@ -66,11 +67,27 @@ def compute_R(sys: FiniteZdSystem) -> PairRelation:
     return sys.memo(("R",), build)
 
 
+def _reordered_dirs(sys: FiniteZdSystem, j: int) -> tuple[int, ...]:
+    return (j,) + tuple(i for i in _full_dirs(sys) if i != j)
+
+
 def compute_R_j_reordered(sys: FiniteZdSystem, j: int) -> PairRelation:
-    """Same relation extracted from the cube set listing direction j first;
-    a cross-check that the template does not depend on direction order."""
-    dirs = (j,) + tuple(i for i in _full_dirs(sys) if i != j)
-    return _scan(sys, dirs, 1)
+    """Same relation extracted from the cube set listing direction j first,
+    then the others in increasing order; a cross-check that the template
+    does not depend on direction order.  It is kept on the system memo,
+    where keep_reordered_relation may have put it already."""
+    return sys.memo(("R_j_reordered", j),
+                    lambda: _scan(enumerate_Q(sys, _reordered_dirs(sys, j)), 1))
+
+
+def keep_reordered_relation(Q: CubeSet) -> None:
+    """When Q is the full cube set over (j, the other directions in
+    increasing order), put compute_R_j_reordered(Q.base, j), read off Q,
+    on the memo; the digit-permutation check builds these sets anyway, and
+    the relation is far smaller than the set."""
+    sys, j = Q.base, Q.dirs[0]
+    if Q.dirs == _reordered_dirs(sys, j):
+        sys.memo(("R_j_reordered", j), lambda: _scan(Q, 1))
 
 
 def sections(Q: CubeSet) -> dict[int, range]:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from scalar_affine import closed_form_affine, mat_mul, mat_vec, mod1, word_affine
@@ -102,6 +103,28 @@ def test_matcond_oracle(affines):
     assert m83.all_ok
     mj = matcond_check(affines["jordan3"])
     assert not mj.all_ok
+
+
+@pytest.mark.parametrize("name", ["example83", "jordan3", "rot6"])
+def test_affine_verify_builds_its_checks_once(fixture_dir, monkeypatch, name):
+    # the battery and the formula test share the matrix conditions, and the
+    # formula test and the discretization share one power table
+    from zdcubes import affine, battery
+
+    calls = []
+    for fn in ("_matrix_conditions", "_build_power_table"):
+        real = getattr(affine, fn)
+        monkeypatch.setattr(affine, fn, lambda *args, _fn=fn, _real=real:
+                            calls.append(_fn) or _real(*args))
+    asys = affine.load_affine(str(fixture_dir / f"{name}.affine"))
+    battery.affine_battery(asys)
+    assert sorted(calls) == ["_build_power_table", "_matrix_conditions"]
+    q = asys.lattice_denominator()
+    for lo, hi in ((-1, 1), (0, 1), (-3, 3), (0, 5)):
+        for got, want in zip(affine._power_table(asys, q, lo, hi),
+                             affine._build_power_table(asys, q, lo, hi)):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert matcond_check(asys) == affine._matrix_conditions(asys)
 
 
 def test_closed_form_matches_iteration_when_conditions_hold(affines):

@@ -117,8 +117,8 @@ def test_surgery_battery_matches_scalar_loops(systems, name):
                                     ((3, 1, 2), (3, 2, 1))])
 def test_digit_permutation_witness_is_the_first_failing_order(
         systems, monkeypatch, broken):
-    # the held orders are checked after the others, yet the witness is the
-    # first failing order in permutation order
+    # the witness is the first failing order in permutation order, though
+    # every order is built
     real = enumerate_Q
 
     def corrupted(sys, dirs):

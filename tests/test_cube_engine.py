@@ -1,6 +1,8 @@
 import itertools
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 from scalar_batteries import (FaceSelector, digit_permute_point, duplicate,
                               glue, insert, project, reflect_point)
 from test_relations import BRUTE_BUDGET, SETTINGS, brute, commuting_systems
-from zdcubes import cube_engine
+from zdcubes import cube_engine, kernels
 from zdcubes.cli import cmd_verify
 from zdcubes.cube_engine import (
     CubeSet,
+    UcppResult,
     enumerate_K,
     enumerate_Q,
     face_group_orbit,
@@ -106,6 +109,78 @@ def test_ucpp_witness_on_raw_set():
 
 def test_ucpp_holds_on_rot6(systems):
     assert ucpp_check(enumerate_Q(systems["rot6"], (1, 2))).ok
+
+
+def _all_vertex_scan(cubes):
+    """The unique-completion verdict by a dict per vertex over every vertex
+    in order: the first vertex where a row's rest occurred before, with the
+    first row holding that rest."""
+    rows = [tuple(r) for r in cubes.rows.tolist()]
+    for v in range(cubes.width):
+        first = {}
+        for row in rows:
+            rest = row[:v] + row[v + 1:]
+            if rest in first:
+                return UcppResult(ok=False, pair=(first[rest], row), vertex=v)
+            first[rest] = row
+    return UcppResult(ok=True)
+
+
+@st.composite
+def clashing_sets(draw):
+    """Raw full or based sets with k = 2..4 over a few values, so rows
+    often agree on vertex 0 and the single-direction vertices, plus copies
+    of drawn rows changed at one drawn vertex: a clash there, at a
+    single-direction vertex or at one of several bits."""
+    k, based = draw(st.integers(2, 4)), draw(st.booleans())
+    width = (1 << k) - based
+    value = st.integers(-2, 3)
+    row = st.lists(value, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        copy = list(draw(st.sampled_from(rows)))
+        copy[draw(st.integers(0, width - 1))] = draw(value)
+        rows.append(copy)
+    return CubeSet(tuple(range(1, k + 1)), rows, based=based)
+
+
+@SETTINGS
+@given(clashing_sets())
+def test_ucpp_matches_the_all_vertex_scan_on_raw_sets(cubes):
+    assert ucpp_check(cubes) == _all_vertex_scan(cubes)
+
+
+@pytest.mark.parametrize("rows,based,vertex", [
+    # a clash at vertex 0 alone, with the single-direction vertices distinct
+    ([[0, 1, 2, 3, 4, 5, 6, 7], [1, 1, 2, 3, 4, 5, 6, 7]], False, 0),
+    # a clash at the multi-bit vertex 3 (the same rows on 0, e_1, e_2, e_3)
+    ([[0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 0, 4, 5, 6, 7]], False, 3),
+    # rows equal on 0, e_1, e_2, e_3 that clash nowhere
+    ([[0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 0, 4, 0, 6, 7]], False, None),
+    # based: a clash at position 6, the vertex (1, 1, 1)
+    ([[1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 0]], True, 6),
+    # based: at position 0, the vertex e_1
+    ([[1, 2, 3, 4, 5, 6, 7], [0, 2, 3, 4, 5, 6, 7]], True, 0),
+])
+def test_ucpp_scan_examples(rows, based, vertex):
+    cubes = CubeSet((1, 2, 3), rows, based=based)
+    res = ucpp_check(cubes)
+    assert res == _all_vertex_scan(cubes)
+    assert res.vertex == vertex
+
+
+def _d4_systems():
+    return commuting_systems(d=4, max_parts=3, max_modulus=2)
+
+
+@SETTINGS
+@given(st.one_of(commuting_systems(), _d4_systems()), st.data())
+def test_ucpp_matches_the_all_vertex_scan_on_enumerated_sets(sys_, data):
+    dirs = tuple(range(1, sys_.d + 1))
+    x0 = data.draw(st.integers(0, sys_.n_points - 1))
+    for cubes in (enumerate_Q(sys_, dirs), enumerate_K(sys_, dirs, x0)):
+        if cubes.width >= 2:
+            assert ucpp_check(cubes) == _all_vertex_scan(cubes)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +369,99 @@ def test_enumeration_cap_counts_rows_by_orbit(monkeypatch):
     assert Q.points == tuple(brute.brute_Q(perms, 12, [35, 35]))
     assert enumerate_K(sys_, (1, 2), 11).points == \
         tuple(brute.brute_K(perms, 12, [35, 35], 11))
+
+
+def _sorted_product_order(sys_, dirs, bases):
+    """The cube tuples over dirs of the bases, each under the orders on its
+    own orbit, with the exponents in the kernel's product order
+    (exponents=None), then sorted and deduped."""
+    orders = cube_engine._orbit_orders(sys_)
+    blocks = [kernels.enumerate_blocks(
+        [cube_engine._pow_table(sys_.perms[j - 1], int(orders[j - 1, x]))
+         for j in dirs], np.array([x], dtype=np.int32)) for x in bases]
+    return np.unique(np.concatenate(blocks), axis=0)
+
+
+@SETTINGS
+@given(st.one_of(commuting_systems(), _d4_systems()), st.data())
+def test_enumeration_is_the_sorted_product_order_enumeration(sys_, data):
+    # unions of parts with unequal orders, at d = 1..4, over every
+    # direction order
+    dirs = tuple(data.draw(st.permutations(range(1, sys_.d + 1))))
+    x0 = data.draw(st.integers(0, sys_.n_points - 1))
+    every = range(sys_.n_points)
+    assert enumerate_Q(sys_, dirs).rows.tolist() == \
+        _sorted_product_order(sys_, dirs, every).tolist()
+    assert enumerate_K(sys_, dirs, x0).rows.tolist() == \
+        _sorted_product_order(sys_, dirs, [x0])[:, 1:].tolist()
+
+
+def _counting_sorts(build):
+    """build() and the number of np.argsort and np.lexsort calls it made."""
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
+            mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        result = build()
+    return result, argsort.call_count + lexsort.call_count
+
+
+@SETTINGS
+@given(st.one_of(commuting_systems(), _d4_systems()), st.data())
+def test_enumerated_sets_take_the_certified_path(sys_, data):
+    # the kernel's rows are sorted and distinct, so CubeSet keeps them
+    # without a sort; the same rows shuffled, or repeated next to each
+    # other, are sorted and deduped to the same set
+    dirs = tuple(data.draw(st.permutations(range(1, sys_.d + 1))))
+    x0 = data.draw(st.integers(0, sys_.n_points - 1))
+    for bases, based in ((np.arange(sys_.n_points, dtype=np.int32), False),
+                         (np.array([x0], dtype=np.int32), True)):
+        rows = cube_engine._enumerate_rows(sys_, dirs, bases)[:, int(based):]
+        cubes, sorts = _counting_sorts(
+            lambda: CubeSet(dirs, rows, based=based, base=sys_))
+        assert sorts == 0
+        assert cubes.rows.flags.c_contiguous and not cubes.rows.flags.writeable
+        assert cubes.rows.tolist() == np.unique(rows, axis=0).tolist()
+        rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        order = rng.permutation(len(rows))
+        repeat = data.draw(st.integers(0, len(rows) - 1))
+        for other, want in (
+                (rows[order], int((order != np.arange(len(rows))).any())),
+                (np.insert(rows, repeat, rows[repeat], axis=0), 1)):
+            again, sorts = _counting_sorts(
+                lambda: CubeSet(dirs, other, based=based, base=sys_))
+            assert again.rows.tolist() == cubes.rows.tolist()
+            assert np.array_equal(again.index.keys, cubes.index.keys)
+            assert sorts == want
+
+
+@pytest.mark.parametrize("rows,certified", [
+    ([[0, 5, 9, 9], [0, 6, 0, 0], [1, 0, 0, 0]], True),
+    ([[0, 5, 9, 9], [0, 5, 9, 9], [1, 0, 0, 0]], False),  # a repeat
+    ([[0, 6, 0, 0], [0, 5, 9, 9], [1, 0, 0, 0]], False),  # out of order
+    ([[0, 5, 9, 9], [1, 0, 0, 0], [0, 6, 0, 0]], False),
+    ([[-7, 0, 1, 1]], True),
+])
+def test_rows_past_int64_keys_are_certified_in_order(rows, certified):
+    # values 2^18 apart over four columns pass the int64 keys, so the rows
+    # are keyed by a structured view; sorted, distinct rows skip the sort
+    # there too
+    rows = np.array(rows, dtype=np.int64) * (1 << 18)
+    cubes, sorts = _counting_sorts(lambda: CubeSet((1, 2), rows))
+    assert cubes.index.keys.dtype != np.int64
+    assert sorts == (not certified)
+    assert cubes.rows.tolist() == np.unique(rows, axis=0).tolist()
+
+
+def test_sorted_raw_rows_with_repeats_are_deduped():
+    # raw rows with negative values, sorted, with a row repeated at the end
+    rows = np.array([[-3, 0, 1, 2], [-1, 5, 5, 5], [2, 2, 2, 2], [2, 2, 2, 2]])
+    cubes = CubeSet((1, 2), rows)
+    assert cubes.rows.tolist() == rows[:3].tolist()
+    assert len(cubes.index.keys) == 3
+    # sorted rows are kept through a read-only view of the caller's array
+    distinct = rows[:3].astype(np.int32)
+    cubes = CubeSet((1, 2), distinct)
+    assert cubes.rows.tolist() == distinct.tolist()
+    assert not cubes.rows.flags.writeable and distinct.flags.writeable
 
 
 # ---------------------------------------------------------------------------

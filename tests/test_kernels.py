@@ -2,6 +2,7 @@ from itertools import product
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,14 +20,19 @@ def _rotation(n, steps):
         tuple((x + s) % n for x in range(n)) for s in steps))
 
 
+def _word_row(sys_, e, x):
+    """The cube tuple of base x and exponents e, one apply_word per
+    coordinate: vertex m applies the exponent of every direction whose bit
+    is set in m."""
+    return [apply_word(sys_, tuple(e[i] if m >> i & 1 else 0
+                                   for i in range(len(e))), x)
+            for m in range(1 << len(e))]
+
+
 def _word_rows(sys_, limits, bases):
-    """The cube tuples enumerate_blocks should give, one apply_word per
-    coordinate: bases outermost, then the exponent vectors in
-    itertools.product order, and vertex m applying the exponent of every
-    direction whose bit is set in m."""
-    return [[apply_word(sys_, tuple(e[i] if m >> i & 1 else 0
-                                    for i in range(len(limits))), x)
-             for m in range(1 << len(limits))]
+    """The cube tuples enumerate_blocks should give: bases outermost, then
+    the exponent vectors in itertools.product order."""
+    return [_word_row(sys_, e, x)
             for x in bases for e in product(*map(range, limits))]
 
 
@@ -76,6 +82,26 @@ def test_enumerate_blocks_matches_word_action_on_random_systems(data):
             _word_rows(sys_, limits, bases)
 
 
+@SETTINGS
+@given(st.data())
+def test_enumerate_blocks_takes_each_base_its_own_exponent_order(data):
+    # row b of exponents[i] is the order in which base b takes the
+    # exponents of direction i; the rows follow it in product order
+    sys_ = data.draw(commuting_systems(max_parts=2))
+    limits = data.draw(st.lists(st.integers(1, 4), min_size=sys_.d,
+                                max_size=sys_.d))
+    bases = data.draw(st.lists(st.integers(0, sys_.n_points - 1), min_size=1,
+                               max_size=3))
+    exponents = [[data.draw(st.permutations(range(L))) for _ in bases]
+                 for L in limits]
+    tables = [_pow_table(p, L) for p, L in zip(sys_.perms, limits)]
+    rows = kernels.enumerate_blocks(tables, np.array(bases, dtype=np.int32),
+                                    [np.array(e, dtype=np.int32) for e in exponents])
+    assert rows.tolist() == [
+        _word_row(sys_, e, x) for b, x in enumerate(bases)
+        for e in product(*(order[b] for order in exponents))]
+
+
 def test_enumerate_blocks_matches_word_action_with_d4():
     sys_ = _rotation(6, (1, 2, 3, 5))
     limits = [perm_order(p) for p in sys_.perms]
@@ -109,6 +135,16 @@ def test_rows_text_matches_joined_rows(rows, chunk):
     with mock.patch.object(cube_engine, "TEXT_CHUNK", chunk):
         assert cube_engine._rows_text("rows", rows) == \
             _joined("rows", rows.tolist())
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 9), (-9, 9), (100, 999), (0, 999),
+                                   (0, 9999), (-999999, 0), (0, 10 ** 7)])
+def test_rows_text_cell_widths(lo, hi):
+    # cells of 2, 4 and 8 bytes, with and without padding, and wider ones,
+    # from dense and sparse tables
+    rows = np.random.default_rng(hi).integers(lo, hi + 1, size=(4000, 3))
+    rows[0, 0], rows[-1, -1] = lo, hi
+    assert cube_engine._rows_text("rows", rows) == _joined("rows", rows.tolist())
 
 
 def test_rows_text_sparse_range():
