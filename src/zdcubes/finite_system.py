@@ -139,11 +139,6 @@ class FiniteZdSystem:
             value = self._memo[key] = build()
             return value
 
-    def generator(self, i: int) -> Perm:
-        if not 1 <= i <= self.d:
-            raise InputError(f"generator index {i} out of range 1..{self.d}")
-        return self.perms[i - 1]
-
     def word_perm(self, n_vec: Sequence[int]) -> Perm:
         if len(n_vec) != self.d:
             raise InputError(f"word length {len(n_vec)} != d = {self.d}")

@@ -267,14 +267,9 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
     rest = tuple(i for i in dirs if i != j)
     dec = decompose(sys, x0)
     q_sys, kappa = maximal_trivial_H_factor(dec.Y, SubgroupSpec(dirs=(j,)))
-    if len(rest) == 1:
-        low = enumerate_Q(sys, rest).rows
-        rest_rows = np.unique(low[low[:, 0] == x0, 1]).reshape(-1, 1)
-        Y_rest = None
-    else:
-        K_rest = enumerate_K(sys, rest, x0)
-        rest_rows = K_rest.rows
-        Y_rest = face_system(K_rest)
+    K_rest = section_of(enumerate_Q(sys, rest), x0)
+    rest_rows = K_rest.rows
+    Y_rest = face_system(K_rest)
     proj = np.asarray(dec.side_projections[j - 1].from_face.mapping)
     cls = np.asarray(kappa.mapping)
     first = np.unique(cls, return_index=True)[1]  # classes are 0..m-1
@@ -299,11 +294,8 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
             if i_dir == j:
                 continue
             lhs = image[np.asarray(q_sys.perms[gi])]
-            if Y_rest is None:
-                rhs = np.asarray(sys.perms[i_dir - 1])[image]
-            else:
-                step = np.asarray(Y_rest.perms[rest.index(i_dir)])
-                rhs = rest_rows[step[here]]
+            step = np.asarray(Y_rest.perms[rest.index(i_dir)])
+            rhs = rest_rows[step[here]]
             bad = (lhs != rhs).any(axis=1)
             if bad.any():
                 equivariant = False

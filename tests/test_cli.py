@@ -1,12 +1,15 @@
+import inspect
 import json
 import sys
 from time import perf_counter
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from conftest import ALL_FSYS
-from zdcubes.cli import cmd_verify, detect_kind, main
+from zdcubes import cli
+from zdcubes.cli import cmd_analyze, cmd_verify, detect_kind, main
 from zdcubes.errors import InputError
 from zdcubes.return_times import JOIN_CAP
 
@@ -373,6 +376,78 @@ def test_joining_rejects_wrong_kind(fixture_dir):
 
 
 # ---------------------------------------------------------------------------
+# one function per command
+
+
+ANALYSES = [
+    ("cubes", "rot6.fsys", ["--basepoint", "0", "--dump"],
+     {"basepoint": 0, "dump": True}),
+    ("ucpp", "rot8_d3.fsys", [], {}),
+    ("rpp", "nonmin_z4z2.fsys", [], {}),
+    ("quotient", "rot6.fsys", ["--relation", "qh", "--gens", "2"],
+     {"relation": "qh", "gens": (2,)}),
+    ("structure", "rot6.fsys", ["--basepoint", "3"], {"basepoint": 3}),
+    ("affine-check", "jordan3.affine", [], {}),
+    ("formula-test", "jordan3.affine", ["--range", "2"], {"range": 2}),
+    ("discretize", "example83.affine", ["--mode", "full"], {"mode": "full"}),
+    ("return-times", "rot6.fsys", ["--point", "2", "--target", "0,1"],
+     {"point": 2, "target": (0, 1)}),
+]
+
+
+@pytest.mark.parametrize("command,name,args,flags", ANALYSES,
+                         ids=[a[0] for a in ANALYSES])
+def test_click_command_prints_the_cmd_analyze_report(fixture_dir, command,
+                                                     name, args, flags):
+    path = _path(fixture_dir, name)
+    res = runner.invoke(main, [command, path, *args])
+    report, code = cmd_analyze(path, command, {"threads": 1, **flags})
+    assert res.exit_code == code
+    assert res.output == json.dumps(report, indent=2, sort_keys=True,
+                                    default=cli._json_default) + "\n"
+
+
+def test_cmd_analyze_runs_exactly_the_analysis_commands(fixture_dir):
+    assert {a[0] for a in ANALYSES} == \
+        set(main.commands) - {"validate", "joining", "verify"}
+    with pytest.raises(InputError, match="unknown subcommand 'verify'"):
+        cmd_analyze(_path(fixture_dir, "rot6.fsys"), "verify", {})
+
+
+def test_click_option_defaults_are_the_command_function_defaults():
+    for name, command in main.commands.items():
+        fn = getattr(cli, "cmd_" + name.replace("-", "_"))
+        path, *keywords = inspect.signature(fn).parameters.values()
+        options = {p.name: p.default for p in command.params
+                   if isinstance(p, click.Option) and p.expose_value
+                   and p.name not in ("human", "timings")}
+        # cmd_verify's threads is never exposed, as --threads has no effect
+        assert options == {k.name: k.default for k in keywords
+                           if k.name != "threads"}, name
+        assert [p.name for p in command.params
+                if isinstance(p, click.Argument)] == [path.name], name
+
+
+@pytest.mark.parametrize("args,message", [
+    (["cubes", "parityB1.pset"],
+     "expected a finite-system file, found periodic-set"),
+    (["ucpp", "parityB1.pset"],
+     "expected a finite-system file, found periodic-set"),
+    (["affine-check", "rot6.fsys"],
+     "expected an affine-system file, found finite-system"),
+    (["joining", "parityB1.pset", "rot6.fsys"],
+     "expected a periodic-set file, found finite-system"),
+])
+def test_a_file_of_the_wrong_kind_exits_3(fixture_dir, args, message):
+    command, *names = args
+    paths = [_path(fixture_dir, n) for n in names]
+    code, rep, _ = _invoke([command, *paths])
+    assert code == 3
+    assert rep == {"error": f"{paths[-1]}: {message}",
+                   "status": "input-error"}
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 
@@ -476,7 +551,7 @@ def test_verify_enumerates_each_cube_set_once(fixture_dir, monkeypatch, name):
         {k[1:]: v for k, v in calls.items() if v > 1}
 
 
-@pytest.mark.parametrize("name,count", [("rot6", 6), ("rot8_d3", 17)])
+@pytest.mark.parametrize("name,count", [("rot6", 6), ("rot8_d3", 14)])
 def test_verify_shares_the_reordered_cube_sets(fixture_dir, monkeypatch, name,
                                                count):
     # the digit-permutation check and the reordered relations read the sets

@@ -5,10 +5,13 @@ report.
 
     python3 tools/ladder.py --out BENCH.json [--workdir DIR] TREE [TREE]
 
-A TREE is a source checkout holding src/zdcubes.  Given two trees (the
-parent first, then the change), every rung runs on both, and which one
-goes first alternates from rung to rung, since a shared machine drifts in
-speed.  Each rung writes its input into the work directory and runs there
+A TREE is a source checkout holding src/zdcubes.  Every rung runs twice
+on each tree.  Given two trees (the parent first, then the change), a rung
+runs them in both orders, parent then change and change then parent, since
+on a shared machine the second of two back-to-back processes can read
+slower; every run is recorded.  A tree's two runs of a rung must give the
+same report hash: the tool lists the rungs where they do not and exits 1.
+Each rung writes its input into the work directory and runs there
 as the recorded command, so the report's "input" field is the bare file
 name: a report hash is comparable only together with that command line.
 A run longer than TIMEOUT_S is killed and recorded as a timeout; a child
@@ -152,25 +155,34 @@ def main() -> int:
         ap.error("give one or two trees")
     labels = ["parent", "change"] if len(args.trees) == 2 else ["change"]
     workdir = args.workdir or tempfile.mkdtemp(prefix="ladder-")
-    records = []
-    for i, (name, (suffix, params)) in enumerate(RUNGS.items()):
+    pairs = list(zip(labels, args.trees))
+    orders = [pairs, pairs[::-1]]
+    records, unstable = [], []
+    for name, (suffix, params) in RUNGS.items():
         infile = f"{name}.{suffix}"
         WRITERS[suffix](os.path.join(workdir, infile), *params)
-        order = list(zip(labels, args.trees))
-        order = order[::-1] if i % 2 else order
-        runs = {}
-        for label, tree in order:
-            runs[label] = run(tree, workdir, name, infile)
-            print(name, label, json.dumps(runs[label]), flush=True)
+        runs = {label: [] for label in labels}
+        for order in orders:
+            for label, tree in order:
+                runs[label].append(run(tree, workdir, name, infile))
+                print(name, label, json.dumps(runs[label][-1]), flush=True)
+        unstable += [f"{name} {label}" for label in labels
+                     if len({r.get("report_sha256") for r in runs[label]}) > 1]
         records.append({"name": name, "params": params, "input": infile,
                         "command": f"zdcubes verify {infile}",
-                        "order": [label for label, _ in order], "runs": runs})
+                        "orders": [[label for label, _ in order]
+                                   for order in orders],
+                        "runs": runs})
     record = {"nproc": os.cpu_count(), "python": platform.python_version(),
               "numpy": np.__version__, "timeout_s": TIMEOUT_S,
               "rungs": records}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
+    if unstable:
+        print("report hash differs between a tree's runs:", ", ".join(unstable),
+              file=sys.stderr)
+        return 1
     return 0
 
 
