@@ -43,11 +43,12 @@ import numpy as np
 
 from .cube_engine import RowIndex, orbit_rows, row_keys
 from .errors import InputError
-from .finite_system import FiniteZdSystem, _parse_header_int
+from .finite_system import FiniteZdSystem, _read_keys
 
 Matrix = tuple[tuple[int, ...], ...]
 TorusPoint = tuple[Fraction, ...]
 
+# points of a discretized lattice or orbit; read where it is checked
 LATTICE_CAP = 200_000
 
 
@@ -491,8 +492,7 @@ class FormulaTestResult:
 
 
 def formula_equivalence_test(sys: AffineZdSystem, *, n_range: int = 3,
-                             q: int | None = None,
-                             cap: int = LATTICE_CAP) -> FormulaTestResult:
+                             q: int | None = None) -> FormulaTestResult:
     """Compare direct iteration with the closed form on the full (1/q)Z^r
     lattice for every exponent vector in [-n_range, n_range]^d.
 
@@ -501,9 +501,9 @@ def formula_equivalence_test(sys: AffineZdSystem, *, n_range: int = 3,
     and t = (t_L - t_R) mod q, every lattice point agrees iff D = 0 and
     t = 0.  The first disagreeing point in the lattice's row order
     (coordinate 0 most significant) is 0 when t != 0, and otherwise e_j
-    for the last column j of D that is not 0.  The cap on q^r keeps
-    r*q^2 < 2^63, so the arithmetic is exact in int64 (a larger cap that
-    lets q past that runs on Python integers).  A witness is re-checked by
+    for the last column j of D that is not 0.  No lattice point is
+    evaluated, so the lattice has no size cap; the arithmetic is int64
+    while r*q^2 < 2^63 and Python integers past it.  A witness is re-checked by
     iterate_word and closed_form, which step its numerators one generator
     step at a time and share no table with the lattice test."""
     if n_range < 0:
@@ -516,9 +516,6 @@ def formula_equivalence_test(sys: AffineZdSystem, *, n_range: int = 3,
     elif q % base_q:
         raise InputError(
             f"q = {q} is not a multiple of the translation denominator {base_q}")
-    if q ** sys.r > cap:
-        raise InputError(
-            f"lattice has {q ** sys.r} points, over the cap {cap}")
     conds = matcond_check(sys)
     tables = _power_table(sys, q, -n_range, n_range)
     width = 2 * n_range + 1
@@ -572,8 +569,7 @@ def formula_equivalence_test(sys: AffineZdSystem, *, n_range: int = 3,
 
 
 def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
-               base: TorusPoint | None = None,
-               cap: int = LATTICE_CAP) -> FiniteZdSystem:
+               base: TorusPoint | None = None) -> FiniteZdSystem:
     """Restrict to the (1/q)Z^r lattice, which every T_i preserves when q is
     a multiple of the translation denominator.
 
@@ -581,8 +577,9 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
     breadth-first search over forward and backward steps; mode="full"
     takes the entire lattice.  Points are rows of numerators mod q; point
     ids follow their lexicographic order, which is the order of the lattice
-    vectors, and labels record the vectors.  The arithmetic is int64 while
-    r*q^2 < 2^63 and Python integers past that, so it is exact for every q."""
+    vectors, and labels record the vectors.  Either set is refused past
+    LATTICE_CAP points.  The arithmetic is int64 while r*q^2 < 2^63 and
+    Python integers past that, so it is exact for every q."""
     base_q = sys.lattice_denominator()
     if q < 1 or q % base_q:
         raise InputError(
@@ -601,8 +598,9 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
 
     dtype = _ring(sys.r, q)
     if mode == "full":
-        if q ** sys.r > cap:
-            raise InputError(f"full lattice has {q ** sys.r} points, over {cap}")
+        if q ** sys.r > LATTICE_CAP:
+            raise InputError(
+                f"full lattice has {q ** sys.r} points, over {LATTICE_CAP}")
         tables = _power_table(sys, q, 0, 1)
         points = np.indices((q,) * sys.r).reshape(sys.r, -1).T.astype(dtype)
     else:
@@ -614,9 +612,9 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
         points = orbit_rows(
             start, lambda rows: np.concatenate(
                 [_apply(m, t, rows, q) for m, t in maps]),
-            lambda rows: row_keys(*_keyable(rows, q)), cap)
+            lambda rows: row_keys(*_keyable(rows, q)), LATTICE_CAP)
         if points is None:
-            raise InputError(f"orbit exceeds the size cap {cap}")
+            raise InputError(f"orbit exceeds the size cap {LATTICE_CAP}")
     index = RowIndex(*_keyable(points, q))
     perms = []
     for mats, trans in tables:  # the last entry of a table is T_i itself
@@ -669,44 +667,19 @@ def _parse_vector(text: str, lineno: int, path: str | None) -> TorusPoint:
 
 
 def parse_affine(text: str, path: str | None = None) -> AffineZdSystem:
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line))
-    if not rows or rows[0][1] != "affine-system":
-        raise InputError("expected 'affine-system' header", path=path,
-                         line=rows[0][0] if rows else 1)
-    r = None
-    d = None
-    mats: dict[int, Matrix] = {}
-    alphas: dict[int, TorusPoint] = {}
-    for lineno, line in rows[1:]:
-        if "=" not in line:
-            raise InputError(f"expected 'key = value', got {line!r}",
-                             path=path, line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "r":
-            r = _parse_header_int(key, value, lineno, path)
-        elif key == "d":
-            d = _parse_header_int(key, value, lineno, path)
-        elif key.startswith("A") and key[1:].isdigit():
-            mats[int(key[1:])] = _parse_matrix(value, lineno, path)
-        elif key.startswith("alpha") and key[5:].isdigit():
-            alphas[int(key[5:])] = _parse_vector(value, lineno, path)
-        else:
-            raise InputError(f"unknown directive {key!r}", path=path, line=lineno)
-    if r is None or d is None:
-        raise InputError("missing 'r = ..' or 'd = ..'", path=path)
+    missing = "missing 'r = ..' or 'd = ..'"
+    values, rows = _read_keys(text, path, "affine-system",
+                              {"r": missing, "d": missing},
+                              {"A": _parse_matrix, "alpha": _parse_vector})
+    r, d = values["r"], values["d"]
+    mats, alphas = rows["A"], rows["alpha"]
     if sorted(mats) != list(range(1, d + 1)) or sorted(alphas) != list(range(1, d + 1)):
         raise InputError(f"expected A1..A{d} and alpha1..alpha{d}", path=path)
     try:
         return AffineZdSystem(
             r=r, d=d,
-            mats=tuple(mats[i] for i in range(1, d + 1)),
-            alphas=tuple(alphas[i] for i in range(1, d + 1)),
+            mats=tuple(mats[i][1] for i in range(1, d + 1)),
+            alphas=tuple(alphas[i][1] for i in range(1, d + 1)),
             name=path.rsplit("/", 1)[-1] if path else "",
         )
     except InputError as exc:

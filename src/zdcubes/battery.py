@@ -466,7 +466,7 @@ def proximal_battery(sys: FiniteZdSystem) -> list[dict]:
 # structure: trivial-action quotients and the joining decomposition
 
 
-def structure_battery(sys: FiniteZdSystem, x0: int = 0) -> list[dict]:
+def structure_battery(sys: FiniteZdSystem) -> list[dict]:
     d = sys.d
     minimal = is_minimal(sys).ok
     items = []
@@ -490,7 +490,7 @@ def structure_battery(sys: FiniteZdSystem, x0: int = 0) -> list[dict]:
         items.append(_pass_fail("iterated_quotient", res.ok, None,
                                 classes=len(res.one_step_classes)))
 
-    dec = decompose(sys, x0)
+    dec = decompose(sys, 0)
     if dec.hypotheses_met:
         items.append(_pass_fail(
             "decompose_injective", bool(dec.injective),
@@ -500,7 +500,7 @@ def structure_battery(sys: FiniteZdSystem, x0: int = 0) -> list[dict]:
             side_sizes=[len(p.values) for p in dec.side_projections]))
         witness = None
         for j in _full_dirs(sys):
-            r = factor_isomorphism_check(sys, x0, j)
+            r = factor_isomorphism_check(sys, 0, j)
             if not r.ok:
                 witness = [j, r.witness]
                 break
@@ -598,7 +598,7 @@ def system_battery(sys: FiniteZdSystem) -> list[dict]:
 # affine systems and periodic sets
 
 
-def affine_battery(asys: AffineZdSystem, *, n_range: int = 3) -> list[dict]:
+def affine_battery(asys: AffineZdSystem) -> list[dict]:
     v = validate_affine(asys)
     items = [_pass_fail(
         "affine_valid", v.ok,
@@ -613,7 +613,7 @@ def affine_battery(asys: AffineZdSystem, *, n_range: int = 3) -> list[dict]:
                        product_zero=m.product_zero,
                        translation_zero=list(m.translation_zero),
                        all_ok=m.all_ok))
-    ft = formula_equivalence_test(asys, n_range=n_range)
+    ft = formula_equivalence_test(asys, n_range=3)
     detail = {"q": ft.q, "n_count": ft.n_count, "x_count": ft.x_count}
     if ft.status == "pass":
         items.append(_item("closed_form_agreement", "pass", None, **detail))

@@ -417,7 +417,8 @@ def cmd_discretize(path: str, q: int | None = None, out: str | None = None,
                    mode: str = "orbit") -> tuple[dict, int]:
     """Restrict an affine system to a finite rational lattice."""
     _, asys = _load(path, "affine-system")
-    q = q or asys.lattice_denominator()
+    if q is None:
+        q = asys.lattice_denominator()
     fs = discretize(asys, q, mode=mode)
     text = to_text(fs)
     if out:

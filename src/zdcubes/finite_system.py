@@ -90,10 +90,7 @@ class FiniteZdSystem:
     are computed once and kept on the instance by memo(); the store takes
     no part in equality, hashing or repr.  Stored values may name and point
     to the system that built them (a cube set's base, a relation's system,
-    the joining decomposition's sys and the name of its Y).  The quotient by a discrete partition, which has the same
-    points and generators, shares its parent's store; that is sound only
-    for checks that read n_points and perms of what they get back, which
-    are the ones that run on such a quotient.
+    the joining decomposition's sys and the name of its Y).
     """
 
     n_points: int
@@ -465,12 +462,9 @@ def _label_quotient(sys: FiniteZdSystem, labels: np.ndarray
     numbered by least member; the first InvarianceError pair is (least
     member, x) for the first generator, class and member x, in that order,
     whose image leaves the image class of the least member.  The quotient
-    by the discrete partition is a copy of sys that shares its memo."""
-    name = f"{sys.name}/~" if sys.name else ""
+    by the discrete partition is sys itself."""
     if (np.asarray(labels) == np.arange(sys.n_points)).all():
-        q_sys = FiniteZdSystem(sys.n_points, sys.d, sys.perms, name=name)
-        object.__setattr__(q_sys, "_memo", sys._memo)
-        return q_sys, FactorMap(sys, q_sys, tuple(range(sys.n_points)))
+        return sys, FactorMap.identity(sys)
     reps, class_of = np.unique(labels, return_inverse=True)
     perms = [np.asarray(p) for p in sys.perms]
     for i, p in enumerate(perms, start=1):
@@ -480,7 +474,8 @@ def _label_quotient(sys: FiniteZdSystem, labels: np.ndarray
             x = int(bad[np.lexsort((bad, class_of[bad]))[0]])
             raise InvarianceError((int(reps[class_of[x]]), x), i)
     new_perms = tuple(tuple(class_of[p[reps]].tolist()) for p in perms)
-    q_sys = FiniteZdSystem(len(reps), sys.d, new_perms, name=name)
+    q_sys = FiniteZdSystem(len(reps), sys.d, new_perms,
+                           name=f"{sys.name}/~" if sys.name else "")
     pi = FactorMap(sys, q_sys, tuple(class_of.tolist()))
     return q_sys, pi
 
@@ -538,6 +533,50 @@ def _parse_header_int(key: str, value: str, lineno: int, path: str | None) -> in
                          path=path, line=lineno)
 
 
+# an indexed key: a name and an index in ASCII digits, as T1 or alpha2
+_INDEXED_KEY = re.compile(r"([A-Za-z]+?)([0-9]+)")
+
+
+def _read_keys(text: str, path: str | None, header: str,
+               scalars: dict[str, str], indexed: dict[str, Callable]
+               ) -> tuple[dict[str, int], dict[str, dict[int, tuple[int, Any]]]]:
+    """The `key = value` lines of a system file below its header line.
+
+    A key is an integer scalar, named in scalars with the message that
+    refuses its absence, or a name in indexed followed by an index, whose
+    value that name's parser (value, line, path) reads.  Returns the
+    scalars by name and, per indexed name, the (line, value) of each index.
+    A wrong header, a line that is not `key = value`, an unknown key and a
+    repeated key are input errors at their line."""
+    body = _content_lines(text)
+    if not body or body[0][1] != header:
+        raise InputError(f"expected '{header}' header", path=path,
+                         line=body[0][0] if body else 1)
+    values: dict[str, int] = {}
+    rows: dict[str, dict[int, tuple[int, Any]]] = {name: {} for name in indexed}
+    for lineno, line in body[1:]:
+        if "=" not in line:
+            raise InputError(f"expected 'key = value', got {line!r}", path=path, line=lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key in scalars:
+            if key in values:
+                raise InputError(f"duplicate row {key}", path=path, line=lineno)
+            values[key] = _parse_header_int(key, value, lineno, path)
+        elif (match := _INDEXED_KEY.fullmatch(key)) and match[1] in indexed:
+            name, i = match[1], int(match[2])
+            if i in rows[name]:
+                raise InputError(f"duplicate row {name}{i}", path=path, line=lineno)
+            rows[name][i] = (lineno, indexed[name](value, lineno, path))
+        else:
+            raise InputError(f"unknown directive {key!r}", path=path, line=lineno)
+    for key, missing in scalars.items():
+        if key not in values:
+            raise InputError(missing, path=path)
+    return values, rows
+
+
 def parse_finite_system(text: str, path: str | None = None,
                         strict: bool = True) -> FiniteZdSystem:
     """Parse the finite-system text format.
@@ -547,34 +586,11 @@ def parse_finite_system(text: str, path: str | None = None,
     stops at well-formedness, letting a caller run validate() and report the
     commutation witness itself.
     """
-    body = _content_lines(text)
-    if not body or body[0][1] != "finite-system":
-        raise InputError("expected 'finite-system' header", path=path,
-                         line=body[0][0] if body else 1)
-    n_points = None
-    d = None
-    rows: dict[int, tuple[int, list[int]]] = {}
-    for lineno, line in body[1:]:
-        if "=" not in line:
-            raise InputError(f"expected 'key = value', got {line!r}", path=path, line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "points":
-            n_points = _parse_header_int(key, value, lineno, path)
-        elif key == "d":
-            d = _parse_header_int(key, value, lineno, path)
-        elif key.startswith("T") and key[1:].isdigit():
-            i = int(key[1:])
-            if i in rows:
-                raise InputError(f"duplicate row T{i}", path=path, line=lineno)
-            rows[i] = (lineno, _parse_int_list(value, lineno, path))
-        else:
-            raise InputError(f"unknown directive {key!r}", path=path, line=lineno)
-    if n_points is None:
-        raise InputError("missing 'points = N'", path=path)
-    if d is None:
-        raise InputError("missing 'd = D'", path=path)
+    values, rows = _read_keys(
+        text, path, "finite-system",
+        {"points": "missing 'points = N'", "d": "missing 'd = D'"},
+        {"T": _parse_int_list})
+    n_points, d, rows = values["points"], values["d"], rows["T"]
     if sorted(rows) != list(range(1, d + 1)):
         raise InputError(f"expected rows T1..T{d}, got {sorted(rows)}", path=path)
     perms = []

@@ -25,6 +25,7 @@ from .cube_engine import (RowIndex, _read_int_rows, _rows_text, enumerate_Q,
 from .errors import InputError
 from .finite_system import FiniteZdSystem, _first_content_line
 
+# rows of a derived periodic set or product orbit; read where it is checked
 JOIN_CAP = 1_000_000
 # moduli stay below 2^62, so that sums of two residues fit in int64
 MODULUS_LIMIT = 1 << 62
@@ -113,9 +114,11 @@ class PeriodicSet:
     def density(self) -> tuple[int, int]:
         return len(self.rows), math.prod(self.moduli)
 
-    def lift_to(self, moduli: tuple[int, ...], cap: int = JOIN_CAP) -> "PeriodicSet":
+    def lift_to(self, moduli: tuple[int, ...], cap: int | None = None
+                ) -> "PeriodicSet":
         """The same subset of Z^k with the given moduli, multiples of the
-        set's own; refused when it would hold more than cap rows."""
+        set's own; refused when it would hold more than cap rows (JOIN_CAP
+        when cap is None)."""
         if len(moduli) != self.k:
             raise InputError("lift arity mismatch")
         if tuple(moduli) == self.moduli:
@@ -125,7 +128,8 @@ class PeriodicSet:
             if m_new % m_old:
                 raise InputError(f"{m_new} is not a multiple of {m_old}")
             factors.append(m_new // m_old)
-        if math.prod(factors) * max(1, len(self.rows)) > cap:
+        if math.prod(factors) * max(1, len(self.rows)) > (
+                JOIN_CAP if cap is None else cap):
             raise InputError("lift would exceed the size cap")
         shifts = np.indices(factors).reshape(self.k, -1).T * np.array(self.moduli)
         rows = (self.rows[:, None, :] + shifts[None]).reshape(-1, self.k)
@@ -164,13 +168,13 @@ class PeriodicSet:
             return self
         return PeriodicSet(self.k, moduli, rows)
 
-    def _common(self, other: "PeriodicSet", cap: int = JOIN_CAP
+    def _common(self, other: "PeriodicSet"
                 ) -> tuple["PeriodicSet", "PeriodicSet"]:
         if self.k != other.k:
             raise InputError("dimension mismatch")
         moduli = tuple(math.lcm(a, b) for a, b in zip(self.moduli, other.moduli))
         # a lift no larger than an input is not a derived object to refuse
-        cap = max(cap, len(self.rows), len(other.rows))
+        cap = max(JOIN_CAP, len(self.rows), len(other.rows))
         return self.lift_to(moduli, cap), other.lift_to(moduli, cap)
 
     def equals(self, other: "PeriodicSet") -> bool:
@@ -216,19 +220,19 @@ def contains_zero_vector(ps: PeriodicSet) -> bool:
     return (0,) * ps.k in ps
 
 
-def return_set(sys: FiniteZdSystem, x: int, U: frozenset[int] | set[int],
-               cap: int = JOIN_CAP) -> PeriodicSet:
+def return_set(sys: FiniteZdSystem, x: int, U: frozenset[int] | set[int]
+               ) -> PeriodicSet:
     """N(x, U) = {n : T^n x in U}, periodic modulo the generator orders.
 
     The set is kept on the system, so each (x, U) is built once; the ids
-    and the cap are checked on every call."""
+    and JOIN_CAP are checked on every call."""
     if not 0 <= x < sys.n_points:
         raise InputError(f"point id {x} out of range")
     U = frozenset(U)
     for u in U:
         if not 0 <= u < sys.n_points:
             raise InputError(f"target id {u} out of range")
-    if math.prod(sys.orders) > cap:
+    if math.prod(sys.orders) > JOIN_CAP:
         raise InputError("order box exceeds the size cap")
     return sys.memo(("return_set", x, U), lambda: _return_set(sys, x, U))
 
@@ -250,8 +254,8 @@ def _return_set(sys: FiniteZdSystem, x: int, U: frozenset[int]) -> PeriodicSet:
     return PeriodicSet(sys.d, orders, np.argwhere(inside[images]))
 
 
-def d_joining(sets: list[PeriodicSet] | tuple[PeriodicSet, ...],
-              cap: int = JOIN_CAP) -> PeriodicSet:
+def d_joining(sets: list[PeriodicSet] | tuple[PeriodicSet, ...]
+              ) -> PeriodicSet:
     """The set of n in Z^d whose i-th drop-one projection lies in sets[i-1].
 
     Input i constrains the coordinates other than i, so its moduli line up
@@ -274,7 +278,7 @@ def d_joining(sets: list[PeriodicSet] | tuple[PeriodicSet, ...],
             pos = c if c < i - 1 else c - 1
             m = math.lcm(m, sets[i - 1].moduli[pos])
         moduli.append(m)
-    if math.prod(moduli) > cap:
+    if math.prod(moduli) > JOIN_CAP:
         raise InputError("joining residue box exceeds the size cap")
     box = np.indices(moduli).reshape(d, -1).T
     keep = np.ones(len(box), dtype=bool)
@@ -399,7 +403,6 @@ def insert_identity_generator(sys: FiniteZdSystem, j: int) -> FiniteZdSystem:
 
 def product_system_realization(
     factors: list[tuple[FiniteZdSystem, int, frozenset[int] | set[int]]],
-    *, cap: int = JOIN_CAP,
 ) -> ProductRealization:
     """Realize a d-joining as an honest return set.
 
@@ -435,7 +438,7 @@ def product_system_realization(
     start = np.array([[y for _, y, _ in factors]])
     points = orbit_rows(
         start, lambda s: np.concatenate([act(s, m) for m in forward + backward]),
-        lambda s: row_keys(s, radix), cap)
+        lambda s: row_keys(s, radix), JOIN_CAP)
     if points is None:
         raise InputError("orbit closure exceeds the size cap")
     index = RowIndex(points, radix)
@@ -450,11 +453,10 @@ def product_system_realization(
         inside &= member[points[:, j]]
     nbhd = frozenset(np.flatnonzero(inside).tolist())
     point = int(index.find(start)[0][0])
-    N = return_set(prod_sys, point, nbhd, cap=cap)
+    N = return_set(prod_sys, point, nbhd)
     joined = d_joining(
-        [return_set(drop_generator(f, i), y, frozenset(Uf), cap=cap)
-         for i, (f, y, Uf) in enumerate(factors, start=1)],
-        cap=cap)
+        [return_set(drop_generator(f, i), y, frozenset(Uf))
+         for i, (f, y, Uf) in enumerate(factors, start=1)])
     return ProductRealization(
         system=prod_sys, point=point, nbhd=nbhd, return_set=N,
         joining=joined, equal=N.equals(joined), ucpp_ok=u.ok,

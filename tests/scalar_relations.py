@@ -98,8 +98,12 @@ def quotient(sys: FiniteZdSystem, rel: PairRelation
         tuple(class_of[sys.perms[i][members[0]]] for members in cls)
         for i in range(sys.d)
     )
+    # the quotient by the discrete partition is the system itself, name
+    # included
+    discrete = len(cls) == sys.n_points
     q_sys = FiniteZdSystem(len(cls), sys.d, new_perms,
-                           name=f"{sys.name}/~" if sys.name else "")
+                           name=f"{sys.name}/~" if sys.name and not discrete
+                           else sys.name)
     return q_sys, FactorMap(sys, q_sys, tuple(class_of))
 
 

@@ -201,6 +201,21 @@ def test_discretize_matches_shipped_fixture(affines, systems):
     assert f.perms == shipped.perms
 
 
+def test_lattice_cap_is_read_when_it_is_checked(affines, monkeypatch):
+    from zdcubes import affine
+
+    asys = affines["example83"]
+    q = asys.lattice_denominator()
+    assert discretize(asys, q, mode="orbit").n_points == 25
+    monkeypatch.setattr(affine, "LATTICE_CAP", 24)
+    with pytest.raises(InputError, match="orbit exceeds the size cap 24$"):
+        discretize(asys, q, mode="orbit")
+    with pytest.raises(InputError, match="full lattice has 15625 points, over 24$"):
+        discretize(asys, q, mode="full")
+    # the formula test evaluates no lattice point, so no cap applies to it
+    assert formula_equivalence_test(asys, n_range=0).x_count == 15625
+
+
 def test_discretize_rejects_bad_q(affines):
     with pytest.raises(InputError):
         discretize(affines["example83"], 7)

@@ -27,6 +27,11 @@ def _outcome(fn, *args, **kwargs):
 
 def _same(fn_name, *args, **kwargs):
     got = _outcome(getattr(affine, fn_name), *args, **kwargs)
+    if fn_name == "formula_equivalence_test":
+        # the library evaluates no lattice point and has no lattice cap; the
+        # reference evaluates every one, under a cap
+        asys, q = args[0], kwargs.get("q")
+        kwargs["cap"] = (asys.lattice_denominator() if q is None else q) ** asys.r
     want = _outcome(getattr(ref, fn_name), *args, **kwargs)
     assert got == want, (fn_name, args, kwargs)
     return got
@@ -60,8 +65,10 @@ def _random_system(rng, commuting, big=False):
 def test_formula_test_matches_reference_on_fixtures(affines, name):
     asys = affines[name]
     base = asys.lattice_denominator()
-    for n_range in range(5):
-        for q in (base, 2 * base):
+    for q in (base, 2 * base):
+        # the reference evaluates every lattice point: on example83's 10^6
+        # points at q = 10, it is run on the two smallest ranges only
+        for n_range in range(5 if q ** asys.r <= ref.LATTICE_CAP else 2):
             _same("formula_equivalence_test", asys, n_range=n_range, q=q)
 
 
@@ -95,7 +102,7 @@ def test_random_unitriangular_systems_match_reference():
             _same("discretize", asys, 2 * base, mode="orbit", base=start)
 
 
-def test_orbit_from_nonzero_base_points(affines):
+def test_orbit_from_nonzero_base_points(affines, monkeypatch):
     # the first three coordinates of example83 and the first of jordan3
     # are fixed by the matrices, so these orbits are translates of the
     # orbit of 0
@@ -103,10 +110,13 @@ def test_orbit_from_nonzero_base_points(affines):
     for start in ((Fraction(1, 5), Fraction(3, 5), Fraction(4, 5), 0, 0, 0),
                   (Fraction(2, 5),) * 6):
         _same("discretize", asys, 5, mode="orbit", base=start)
-    _same("discretize", asys, 5, mode="orbit", cap=10)
     jordan = affines["jordan3"]
     for start in ((Fraction(1, 8), 0, 0), (Fraction(3, 8), Fraction(1, 4), 0)):
         _same("discretize", jordan, 8, mode="orbit", base=start)
+    # the cap is read when discretize checks it
+    monkeypatch.setattr(affine, "LATTICE_CAP", 10)
+    assert _outcome(affine.discretize, asys, 5, mode="orbit") == \
+        _outcome(ref.discretize, asys, 5, mode="orbit", cap=10)
 
 
 @pytest.mark.parametrize("q", [10 ** 18, 5 * 10 ** 19])
@@ -135,17 +145,17 @@ def test_python_integer_arithmetic_matches_reference(affines, monkeypatch):
     _same("discretize", affines["jordan3"], 8, mode="full")
 
 
-def test_formula_test_with_a_cap_past_the_int64_bound():
-    # at q = 2^32 a larger cap is needed and r*q^2 passes 2^63; a witness
-    # is re-checked in Fraction arithmetic inside the test itself
+def test_formula_test_past_the_int64_bound():
+    # at q = 2^32, r*q^2 passes 2^63; a witness is re-checked in Fraction
+    # arithmetic inside the test itself
     q = 1 << 32
     rot = AffineZdSystem(r=1, d=2, mats=(((1,),), ((1,),)),
                          alphas=((Fraction(3, q),), (Fraction(5, q),)))
-    res = affine.formula_equivalence_test(rot, n_range=1, q=q, cap=q)
+    res = affine.formula_equivalence_test(rot, n_range=1, q=q)
     assert (res.status, res.n_count, res.x_count) == ("pass", 9, q)
     shear = AffineZdSystem(r=2, d=2, mats=(((1, 1), (0, 1)),) * 2,
                            alphas=((Fraction(0), Fraction(1, q)),) * 2)
-    res = affine.formula_equivalence_test(shear, n_range=1, q=q, cap=q * q)
+    res = affine.formula_equivalence_test(shear, n_range=1, q=q)
     assert res.status == "witness" and res.lhs != res.rhs
     assert res.witness_n == (-1, -1)
 

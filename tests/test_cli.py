@@ -150,6 +150,87 @@ def test_verify_malformed_header_number_exits_3(tmp_path, text, line):
     assert rep["error"].startswith(f"{bad}:{line}: ")
 
 
+_F = "finite-system\npoints = 2\nd = 1\n"
+_A = "affine-system\nr = 1\nd = 1\n"
+_A_ROWS = "A1 = [[1]]\nalpha1 = [0]\n"
+
+
+# every refusal of the `key = value` reader and of what each format's
+# parser checks after it; line None: the message names the file only
+@pytest.mark.parametrize("kind,text,line,message", [
+    ("fsys", "# c\nfinite-system x\npoints = 2\nd = 1\nT1 = [1, 0]\n", 2,
+     "expected 'finite-system' header"),
+    ("fsys", _F + "T1 [1, 0]\n", 4, "expected 'key = value', got 'T1 [1, 0]'"),
+    ("fsys", "finite-system\npoints = two\nd = 1\nT1 = [1, 0]\n", 2,
+     "'points' must be an integer, got 'two'"),
+    ("fsys", _F + "S1 = [1, 0]\n", 4, "unknown directive 'S1'"),
+    ("fsys", _F + "T1 = [1, 0]\n\n# again\nT1 = [1, 0]\n", 7,
+     "duplicate row T1"),
+    ("fsys", "finite-system\nd = 1\nT1 = [1, 0]\n", None,
+     "missing 'points = N'"),
+    ("fsys", "finite-system\npoints = 2\nT1 = [1, 0]\n", None,
+     "missing 'd = D'"),
+    ("fsys", "finite-system\npoints = 2\nd = 2\nT1 = [1, 0]\n", None,
+     "expected rows T1..T2, got [1]"),
+    ("fsys", _F + "T1 = [0, 0]\n", 4, "T1 is not a permutation of 0..1"),
+    ("fsys", _F + "T1 = [1, x]\n", 4, "non-integer entry in '[1, x]'"),
+    ("fsys", _F + "T1 = 1, 0\n", 4, "expected a [..] list, got '1, 0'"),
+    ("affine", "# c\naffine-system x\nr = 1\nd = 1\n" + _A_ROWS, 2,
+     "expected 'affine-system' header"),
+    ("affine", _A + "A1 [[1]]\nalpha1 = [0]\n", 4,
+     "expected 'key = value', got 'A1 [[1]]'"),
+    ("affine", "affine-system\nr = one\nd = 1\n" + _A_ROWS, 2,
+     "'r' must be an integer, got 'one'"),
+    ("affine", _A + "B1 = [[1]]\nalpha1 = [0]\n", 4, "unknown directive 'B1'"),
+    ("affine", "affine-system\nd = 1\n" + _A_ROWS, None,
+     "missing 'r = ..' or 'd = ..'"),
+    ("affine", _A + "A1 = [[1]]\n", None, "expected A1..A1 and alpha1..alpha1"),
+    ("affine", _A + "A1 = [1]\nalpha1 = [0]\n", 4,
+     "expected [[..],[..]] matrix, got '[1]'"),
+    ("affine", _A + "A1 = [[x]]\nalpha1 = [0]\n", 4,
+     "non-integer matrix entry in 'x'"),
+    ("affine", _A + "A1 = [[1]]\nalpha1 = 0\n", 5,
+     "expected [..] vector, got '0'"),
+    ("affine", _A + "A1 = [[1]]\nalpha1 = [1/0]\n", 5, "bad rational '1/0'"),
+], ids=["fsys-header", "fsys-key-value", "fsys-scalar", "fsys-unknown",
+        "fsys-repeated-T", "fsys-no-points", "fsys-no-d", "fsys-rows",
+        "fsys-permutation", "fsys-entry", "fsys-list", "affine-header",
+        "affine-key-value", "affine-scalar", "affine-unknown",
+        "affine-missing", "affine-rows", "affine-matrix", "affine-entry",
+        "affine-vector", "affine-rational"])
+def test_system_file_refusals_name_the_file_and_line(tmp_path, kind, text,
+                                                     line, message):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(text, encoding="utf-8")
+    code, rep, _ = _invoke(["validate", str(bad)])
+    assert code == 3
+    where = str(bad) if line is None else f"{bad}:{line}"
+    assert rep == {"error": f"{where}: {message}", "status": "input-error"}
+
+
+@pytest.mark.parametrize("kind,text,line,message", [
+    ("affine", _A + _A_ROWS + "alpha1 = [1/2]\n", 6, "duplicate row alpha1"),
+    ("affine", "affine-system\nr = 1\nd = 2\nA1 = [[1]]\nA2 = [[1]]\n"
+     "A2 = [[1]]\nalpha1 = [0]\nalpha2 = [0]\n", 6, "duplicate row A2"),
+    ("affine", _A + "r = 1\n" + _A_ROWS, 4, "duplicate row r"),
+    ("fsys", _F + "d = 1\nT1 = [1, 0]\n", 4, "duplicate row d"),
+    # superscript digits are not an index
+    ("fsys", _F + "T\u00b2 = [1, 0]\n", 4, "unknown directive 'T\u00b2'"),
+    ("affine", _A + "A\u00b9 = [[1]]\nalpha1 = [0]\n", 4,
+     "unknown directive 'A\u00b9'"),
+], ids=["repeated-alpha1", "repeated-A2", "repeated-r", "repeated-d",
+        "superscript-T", "superscript-A"])
+def test_repeated_keys_and_non_ascii_indices_exit_3(tmp_path, kind, text,
+                                                    line, message):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(text, encoding="utf-8")
+    for command in ("validate", "verify"):
+        code, rep, _ = _invoke([command, str(bad)])
+        assert code == 3
+        assert rep == {"error": f"{bad}:{line}: {message}",
+                       "status": "input-error"}
+
+
 # ---------------------------------------------------------------------------
 # analysis subcommands
 
@@ -306,6 +387,34 @@ def test_formula_test_invalid_arguments_exit_3(fixture_dir, args, option):
     assert code == 3
     assert rep["status"] == "input-error"
     assert rep["error"].startswith(option + " ")
+
+
+# a valid r=3 system with translations in (1/100)Z^3: its lattice has
+# 1,000,000 points and the orbit of 0 has 20,000
+R3_Q100 = ("affine-system\nr = 3\nd = 2\n"
+           "A1 = [[1,1,0],[0,1,1],[0,0,1]]\nalpha1 = [0,0,1/100]\n"
+           "A2 = [[1,0,0],[0,1,0],[0,0,1]]\nalpha2 = [1/100,0,0]\n")
+
+
+def test_formula_test_and_verify_have_no_lattice_cap(tmp_path):
+    path = tmp_path / "r3_q100.affine"
+    path.write_text(R3_Q100)
+    code, rep, out = _invoke(["formula-test", str(path)])
+    assert code == 0, out
+    assert (rep["result"], rep["q"], rep["x_count"]) == ("pass", 100, 1_000_000)
+    code, rep, out = _invoke(["verify", str(path)])
+    assert code == 0, out
+    assert rep["counts"] == {"pass": 6, "fail": 0, "skipped": 0}
+    item = next(c for c in rep["checks"] if c["check"] == "closed_form_agreement")
+    assert item["detail"]["x_count"] == 1_000_000
+
+
+def test_discretize_q_zero_exits_3(fixture_dir):
+    code, rep, _ = _invoke(["discretize", _path(fixture_dir, "example83.affine"),
+                            "--q", "0"])
+    assert code == 3
+    assert rep == {"error": "q = 0 is not a positive multiple of the "
+                   "translation denominator 5", "status": "input-error"}
 
 
 def test_discretize_writes_valid_system(fixture_dir, tmp_path):

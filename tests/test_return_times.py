@@ -5,7 +5,7 @@ import pytest
 
 import scalar_batteries as ref
 from scalar_return_times import apply_word
-from zdcubes import battery
+from zdcubes import battery, return_times
 from zdcubes.errors import InputError
 from zdcubes.finite_system import parse_finite_system
 from zdcubes.structure import decompose
@@ -161,18 +161,22 @@ def test_pset_lift_and_equality():
     assert not a.equals(_pset((4,), {(0,)}))
 
 
-def test_pset_lifts_no_larger_than_an_input_are_never_refused():
+def test_pset_lifts_no_larger_than_an_input_are_never_refused(monkeypatch):
     full = _pset((10,), {(i,) for i in range(10)})
     assert full.lift_to((10,), cap=1) is full
     one = _pset((1,), {(0,)})
     with pytest.raises(InputError, match="size cap"):
         one.lift_to((10,), cap=5)
+    monkeypatch.setattr(return_times, "JOIN_CAP", 5)
+    with pytest.raises(InputError, match="size cap"):
+        one.lift_to((10,))
     # lifted to 10, one holds as many rows as full
-    la, lb = one._common(full, cap=5)
+    la, lb = one._common(full)
     assert la.moduli == (10,) and len(la.rows) == 10 and lb is full
     # lifted to 6, the sets hold 3 and 2 rows: more than either and the cap
+    monkeypatch.setattr(return_times, "JOIN_CAP", 2)
     with pytest.raises(InputError, match="size cap"):
-        _pset((2,), {(0,)})._common(_pset((3,), {(0,)}), cap=2)
+        _pset((2,), {(0,)})._common(_pset((3,), {(0,)}))
 
 
 def test_pset_density():
@@ -400,6 +404,27 @@ def test_product_system_realization_round_trip():
     assert real.ucpp_ok
     assert real.system.n_points == 18
     assert real.return_set.equals(real.joining)
+
+
+def test_join_cap_is_read_when_it_is_checked(systems, monkeypatch):
+    # rot6's order box has 18 vectors, the product orbit below 9 points and
+    # the joining of sets mod 2 and mod 3 a box of 6 vectors
+    rot3 = parse_finite_system(
+        "finite-system\npoints = 3\nd = 1\nT1 = [1, 2, 0]\n")
+    factors = [(insert_identity_generator(rot3, 1), 0, frozenset({0})),
+               (insert_identity_generator(rot3, 2), 0, frozenset({0}))]
+    sets = [_pset((2,), {(0,)}), _pset((3,), {(0,)})]
+    monkeypatch.setattr(return_times, "JOIN_CAP", 5)
+    with pytest.raises(InputError, match="order box exceeds the size cap"):
+        return_set(systems["rot6"], 0, {0})
+    with pytest.raises(InputError, match="residue box exceeds the size cap"):
+        d_joining(sets)
+    with pytest.raises(InputError, match="orbit closure exceeds the size cap"):
+        product_system_realization(factors)
+    monkeypatch.setattr(return_times, "JOIN_CAP", 18)
+    assert return_set(systems["rot6"], 0, {0}).moduli == (6, 3)
+    assert d_joining(sets).moduli == (3, 2)
+    assert product_system_realization(factors).equal
 
 
 def test_product_system_realization_rejects_wrong_slot():
