@@ -622,12 +622,12 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
             _keyable(_apply(mats[-1], trans[-1], points, q), q)[0])
         if not found.all():
             raise AssertionError("lattice is not invariant; bug")
-        perms.append(tuple(pos.tolist()))
+        perms.append(pos)
     values = np.unique(points)
     names = [str(Fraction(int(k), q)) for k in values]
     labels = tuple(",".join(names[j] for j in row)
                    for row in np.searchsorted(values, points).tolist())
-    return FiniteZdSystem(len(points), sys.d, tuple(perms),
+    return FiniteZdSystem(len(points), sys.d, np.stack(perms),
                           name=f"{sys.name}@1/{q}" if sys.name else f"lattice 1/{q}",
                           labels=labels)
 
@@ -671,7 +671,7 @@ def parse_affine(text: str, path: str | None = None) -> AffineZdSystem:
     values, rows = _read_keys(text, path, "affine-system",
                               {"r": missing, "d": missing},
                               {"A": _parse_matrix, "alpha": _parse_vector})
-    r, d = values["r"], values["d"]
+    (_, r), (_, d) = values["r"], values["d"]
     mats, alphas = rows["A"], rows["alpha"]
     if sorted(mats) != list(range(1, d + 1)) or sorted(alphas) != list(range(1, d + 1)):
         raise InputError(f"expected A1..A{d} and alpha1..alpha{d}", path=path)

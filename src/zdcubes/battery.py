@@ -14,21 +14,20 @@ byte-identical from run to run.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
 
 from .affine import (AffineZdSystem, discretize, formula_equivalence_test,
                      matcond_check, validate_affine)
-from .cube_engine import (RowIndex, _chunked_ranks, _find_keys, enumerate_K,
-                          enumerate_Q, face_group_orbit, row_keys,
-                          section_of, ucpp_check)
+from .cube_engine import (RowIndex, enumerate_K, enumerate_Q,
+                          face_group_orbit, row_keys, section_of, ucpp_check)
 from .errors import InputError
-from .finite_system import (FiniteZdSystem, check_factor_map, is_minimal,
+from .finite_system import (FiniteZdSystem, _chunked_ranks, _distinct,
+                            _find_keys, _same, check_factor_map, is_minimal,
                             partition, validate)
 from .hypercube import Vertex, digit_permute
-from .proximal import (_constant_tail_keys, check_equivalence, compute_R,
+from .proximal import (_R_equivalence, _constant_tail_keys, compute_R,
                        compute_R_j, compute_R_j_reordered,
                        keep_reordered_relation, maximal_ucpp_factor,
                        pushforward_check, sections)
@@ -323,12 +322,6 @@ def cube_battery(sys: FiniteZdSystem) -> list[dict]:
 # proximality relations
 
 
-def _pair_keys(pairs, n: int) -> np.ndarray:
-    """Sorted keys x*n + y of a set of pairs on n points."""
-    xy = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-    return np.sort(xy[:, 0] * n + xy[:, 1])
-
-
 def _section_classes(Q, sec: dict[int, range], n: int
                      ) -> tuple[np.ndarray, np.ndarray, int]:
     """(ids, shared, m) for the sections of a full cube set over n points:
@@ -385,9 +378,9 @@ def five_way_battery(sys: FiniteZdSystem) -> tuple[bool, int, list | None]:
     n = sys.n_points
     dirs = _full_dirs(sys)
     Q = enumerate_Q(sys, dirs)
-    rels = [_pair_keys(compute_R_j(sys, j).pairs, n) for j in dirs]
-    every = reduce(np.intersect1d, rels)
-    some = reduce(np.union1d, rels)
+    rels = [compute_R_j(sys, j).keys for j in dirs]
+    every = compute_R(sys).keys
+    some = _distinct(np.concatenate(rels))
     tails = _constant_tail_keys(Q, n)
     ids, shared, m = _section_classes(Q, sections(Q), n)
     step = max(1, PAIR_CHUNK // n)
@@ -414,13 +407,13 @@ def proximal_battery(sys: FiniteZdSystem) -> list[dict]:
     minimal = is_minimal(sys).ok
     items = []
 
-    witness = next((j for j in dirs if compute_R_j(sys, j).pairs
-                    != compute_R_j_reordered(sys, j).pairs), None)
+    witness = next((j for j in dirs if not _same(
+        compute_R_j(sys, j).keys, compute_R_j_reordered(sys, j).keys)), None)
     items.append(_pass_fail("relation_order_independence", witness is None,
                             witness))
 
     R = compute_R(sys)
-    eq = check_equivalence(R)
+    eq = _R_equivalence(sys)
     if minimal:
         items.append(_pass_fail(
             "r_equivalence_invariance", eq.ok,

@@ -26,10 +26,10 @@ from .affine import (affine_to_text, discretize, formula_equivalence_test,
                      matcond_check, parse_affine, validate_affine)
 from .cube_engine import CubeSet, enumerate_K, enumerate_Q, ucpp_check
 from .errors import HypothesisError, InputError
-from .finite_system import (PairRelation, _first_content_line,
+from .finite_system import (PairRelation, _first_content_line, _same,
                             check_factor_map, is_minimal, parse_finite_system,
                             to_text, validate)
-from .proximal import (check_equivalence, compute_R, compute_R_j,
+from .proximal import (_R_equivalence, compute_R, compute_R_j,
                        maximal_ucpp_factor)
 from .return_times import PeriodicSet, d_joining, phi_image, return_set
 from .structure import (SubgroupSpec, decompose, factor_isomorphism_check,
@@ -225,7 +225,7 @@ def cmd_validate(path: str) -> tuple[dict, int]:
     elif kind == "cube-set":
         fields = {"k": obj.k, "size": len(obj)}
     else:
-        fields = {"pairs": len(obj.pairs)}
+        fields = {"pairs": len(obj)}
     return {"command": "validate", "input": path, "kind": kind, "valid": ok,
             **fields, "status": "pass" if ok else "fail"}, 0 if ok else 1
 
@@ -277,7 +277,7 @@ def cmd_rpp(path: str) -> tuple[dict, int]:
     _, sys_ = _load(path, "finite-system")
     rels = [compute_R_j(sys_, j) for j in range(1, sys_.d + 1)]
     R = compute_R(sys_)
-    eq = check_equivalence(R)
+    eq = _R_equivalence(sys_)
     report = {"command": "rpp", "input": path,
               "relation_sizes": [len(r) for r in rels],
               "intersection_size": len(R),
@@ -324,7 +324,7 @@ def cmd_quotient(path: str, relation: str = "rpp",
               "gens": list(gens or []) or None,
               "classes": q_sys.n_points,
               "factor_map_ok": rep.ok,
-              "mapping": list(pi.mapping),
+              "mapping": pi.array.tolist(),
               "quotient_text": to_text(q_sys),
               "status": "pass" if rep.ok else "fail"}
     return report, 0 if rep.ok else 1
@@ -477,7 +477,7 @@ def cmd_verify(path: str, threads: int = 1) -> tuple[dict, int]:
     items: list[dict] = []
     if kind == "finite-system":
         rt = parse_finite_system(to_text(obj), strict=False)
-        items.append(battery._pass_fail("roundtrip", rt.perms == obj.perms))
+        items.append(battery._pass_fail("roundtrip", _same(rt.table, obj.table)))
         items += battery.system_battery(obj)
     elif kind == "affine-system":
         rt = parse_affine(affine_to_text(obj))
@@ -497,7 +497,7 @@ def cmd_verify(path: str, threads: int = 1) -> tuple[dict, int]:
             sha256=hashlib.sha256(cs_text.encode("ascii")).hexdigest()))
     else:
         rt = PairRelation.from_text(obj.to_text())
-        items.append(battery._pass_fail("roundtrip", rt.pairs == obj.pairs))
+        items.append(battery._pass_fail("roundtrip", _same(rt.keys, obj.keys)))
     code = _items_code(items)
     report = {"command": "verify", "input": path, "kind": kind,
               "checks": items,

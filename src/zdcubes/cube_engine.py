@@ -60,9 +60,9 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .finite_system import (FiniteZdSystem, _content_lines, _first_content_line,
-                            _orbits, is_minimal, orbit_labels, partition,
-                            perm_power)
+from .finite_system import (FiniteZdSystem, _content_lines, _distinct,
+                            _find_keys, _first_content_line, _orbits,
+                            is_minimal, orbit_labels, partition, perm_power)
 from .hypercube import MAX_DIM
 
 CubePoint = tuple[int, ...]
@@ -375,15 +375,6 @@ def _range_cells(lo: int, hi: int) -> tuple[np.ndarray, bool]:
     return _cells(np.arange(lo, hi + 1))
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """np.unique(values) by a sort and an adjacent compare: numpy 2.4 hashes
-    integers in a plain np.unique call, 20-31 times slower."""
-    values = np.sort(values, axis=None)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
-
-
 # ---------------------------------------------------------------------------
 # row keys and membership
 
@@ -449,29 +440,7 @@ class RowIndex:
         return bool(hit.all())
 
 
-def _find_keys(keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position, found) of each query key in the sorted keys."""
-    pos = np.searchsorted(keys, q)
-    found = np.zeros(len(q), dtype=bool)
-    inside = pos < len(keys)
-    found[inside] = keys[pos[inside]] == q[inside]
-    return pos, found
-
-
-def _chunked_ranks(counts: np.ndarray, chunk: int):
-    """Owner i holds counts[i] consecutive items; yields (owner, rank) index
-    arrays for the items in order, chunk at a time."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    starts = ends - counts
-    for t0 in range(0, total, chunk):
-        t = np.arange(t0, min(t0 + chunk, total))
-        owner = np.searchsorted(ends, t, side="right")
-        yield owner, t - starts[owner]
-
-
-def orbit_rows(start: np.ndarray, step, key, cap: int | None = None
-               ) -> np.ndarray | None:
+def orbit_rows(start: np.ndarray, step, key, cap: int) -> np.ndarray | None:
     """The distinct rows reachable from the start rows, sorted by key, or
     None once more than cap of them are found.
 
@@ -496,7 +465,7 @@ def orbit_rows(start: np.ndarray, step, key, cap: int | None = None
         frontier, keys = images[~found], image_keys[~found]
         levels.append(frontier)
         total += len(frontier)
-        if cap is not None and total > cap:
+        if total > cap:
             return None
     return distinct(np.concatenate(levels))[0]
 
@@ -523,7 +492,7 @@ def _ranked_table(sys: FiniteZdSystem, j: int, L: int
     whose row x lists the exponents e < L ordered by the image T_j^e x (an
     argsort of the table's column x).  Both are kept on the system memo."""
     def build() -> tuple[np.ndarray, np.ndarray]:
-        table = _pow_table(sys.perms[j - 1], L)
+        table = _pow_table(sys.table[j - 1], L)
         ranked = np.argsort(table.T, axis=1).astype(np.int32)
         return table, ranked
 
@@ -539,7 +508,7 @@ def _orbit_orders(sys: FiniteZdSystem) -> np.ndarray:
         n = sys.n_points
         orbit = _orbits(sys)
         orders = np.empty((sys.d, n), dtype=np.int64)
-        for i, p in enumerate(sys.perms):
+        for i, p in enumerate(sys.table):
             cycle = orbit_labels(n, [p])
             pairs = _distinct(orbit * (n + 1) + np.bincount(cycle)[cycle])
             owner, length = np.divmod(pairs, n + 1)
@@ -765,7 +734,7 @@ class FaceGroupElement:
         k = len(dirs)
         if len(self.face) != k or len(self.diag) != sys.d:
             raise InputError("exponent vectors do not match dimensions")
-        perms = [np.asarray(p, dtype=np.int32) for p in sys.perms]
+        perms = sys.table
         faces = [perm_power(perms[j - 1], e) for j, e in zip(dirs, self.face)]
         diag = np.arange(sys.n_points, dtype=np.int32)
         for p, e in zip(perms, self.diag):

@@ -1,9 +1,9 @@
 """Finite Z^d-systems: d commuting permutations of a finite point set.
 
-Points are ids 0..n-1.  Generator i (1-based) is a permutation stored as a
-tuple perm with perm[x] = T_i(x).  A word n = (n_1..n_d) acts by
-T_1^{n_1} ... T_d^{n_d}; negative exponents are taken through the inverse
-permutation.
+Points are ids 0..n-1.  A system is stored as table, a read-only int32
+array of shape (d, n) whose row i-1 is generator i: table[i-1, x] =
+T_i(x).  A word n = (n_1..n_d) acts by T_1^{n_1} ... T_d^{n_d}; negative
+exponents are taken through the inverse permutation.
 
 The text format::
 
@@ -19,7 +19,10 @@ diagnostics.
 
 Equivalence relations (orbits, the closure of a pair relation, the classes
 of a quotient) are int label arrays from partition(): each point carries the
-least member of its class.
+least member of its class.  A pair relation is stored as the sorted,
+distinct int64 keys x*n + y of its pairs, and a factor map as the int64
+image of each point.  The tuple forms of all three objects (perms and
+inverses, pairs, mapping) are views built on first use.
 """
 
 from __future__ import annotations
@@ -36,12 +39,13 @@ from .errors import InputError
 
 Perm = tuple[int, ...]
 
+VALIDATE_CHUNK = 1 << 22  # composed entries per chunk of the commutation check
+JOIN_CHUNK = 1 << 20  # composed pairs per chunk of the transitivity join
 
-def _invert(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for x, y in enumerate(p):
-        inv[y] = x
-    return tuple(inv)
+
+def _invert(table: np.ndarray) -> np.ndarray:
+    """The inverse of each row of a permutation table, by one argsort."""
+    return np.argsort(table, axis=1)
 
 
 def perm_order(p: Perm) -> int:
@@ -74,13 +78,102 @@ def perm_power(perm: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# sorted keys
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) by a sort and an adjacent compare: numpy 2.4 hashes
+    integers in a plain np.unique call, 20-31 times slower."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _find_keys(keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position, found) of each query key in the sorted keys."""
+    pos = np.searchsorted(keys, q)
+    found = np.zeros(len(q), dtype=bool)
+    inside = pos < len(keys)
+    found[inside] = keys[pos[inside]] == q[inside]
+    return pos, found
+
+
+def _chunked_ranks(counts: np.ndarray, chunk: int):
+    """Owner i holds counts[i] consecutive items; yields (owner, rank) index
+    arrays for the items in order, chunk at a time."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    starts = ends - counts
+    for t0 in range(0, total, chunk):
+        t = np.arange(t0, min(t0 + chunk, total))
+        owner = np.searchsorted(ends, t, side="right")
+        yield owner, t - starts[owner]
+
+
+def _first(mask: np.ndarray) -> int | None:
+    return int(mask.argmax()) if mask.any() else None
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays of one dtype are equal: the same shape and the
+    same bytes, a cheaper test than np.array_equal on small arrays."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# ---------------------------------------------------------------------------
+# systems
+
+
+class FieldError(InputError):
+    """An InputError of the FiniteZdSystem constructor that names the field
+    at fault ('points', 'd' or a generator 'T<i>'), so that the parser can
+    point at that field's line."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        super().__init__(message)
+
+
+def _bijection_table(perms, n: int) -> np.ndarray:
+    """perms as a read-only int32[len(perms), n] table, refusing the first
+    generator that is not a bijection of 0..n-1.  An array is checked by
+    one sort of its rows against 0..n-1; sequences, and an array that fails,
+    are checked row by row in order, which on the few points of a system
+    file is also the cheaper check.  Either way there is one conversion."""
+    if isinstance(perms, np.ndarray):
+        if (perms.ndim == 2 and perms.shape[1] == n
+                and np.sort(perms, axis=1).tobytes()
+                == np.arange(n, dtype=perms.dtype).tobytes() * len(perms)):
+            return _frozen(perms.astype(np.int32))
+        perms = perms.tolist()
+    ident = list(range(n))
+    for i, p in enumerate(perms, start=1):
+        if len(p) != n:
+            raise FieldError(f"T{i}", f"T{i} has {len(p)} entries, expected {n}")
+        if sorted(p) != ident:
+            raise FieldError(f"T{i}", f"T{i} is not a bijection of 0..{n - 1}")
+    return _frozen(np.array(perms, dtype=np.int32))
+
+
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class FiniteZdSystem:
     """d commuting permutations of {0..n-1}.
 
-    The constructor checks shapes and bijectivity; commutation is checked by
-    validate() and enforced by the parser, not here, so that broken inputs
-    can still be built and reported on.
+    The constructor takes the generators as d sequences or as a (d, n) int
+    array and stores them as table, read-only int32, after one conversion
+    and one check of the rows, which refuses a non-bijection.  perms and
+    inverses are tuple views of the table and of its inverse, built on
+    first use; equality, hashing and repr read the system as (n_points, d,
+    perms, name, labels).  Commutation is checked by validate() and enforced by
+    the parser, not here, so that broken inputs can still be built and
+    reported on.
 
     labels optionally names the points (used by affine discretization to
     remember which torus point each id stands for).
@@ -95,36 +188,51 @@ class FiniteZdSystem:
 
     n_points: int
     d: int
-    perms: tuple[Perm, ...]
-    name: str = ""
-    labels: tuple[str, ...] | None = None
-    _memo: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+    table: np.ndarray
+    name: str
+    labels: tuple[str, ...] | None
+    _memo: dict = field(compare=False)
 
-    def __post_init__(self) -> None:
-        if self.n_points < 1:
-            raise InputError(f"need at least one point, got {self.n_points}")
-        if not 1 <= self.d <= 10:
-            raise InputError(f"d must be in 1..10, got {self.d}")
-        if len(self.perms) != self.d:
-            raise InputError(f"expected {self.d} generators, got {len(self.perms)}")
-        perms = tuple(tuple(p) for p in self.perms)
-        object.__setattr__(self, "perms", perms)
-        for i, p in enumerate(perms, start=1):
-            if len(p) != self.n_points:
-                raise InputError(f"T{i} has {len(p)} entries, expected {self.n_points}")
-            if sorted(p) != list(range(self.n_points)):
-                raise InputError(f"T{i} is not a bijection of 0..{self.n_points - 1}")
-        if self.labels is not None and len(self.labels) != self.n_points:
+    def __init__(self, n_points: int, d: int, perms, name: str = "",
+                 labels: tuple[str, ...] | None = None) -> None:
+        if n_points < 1:
+            raise FieldError("points", f"need at least one point, got {n_points}")
+        if not 1 <= d <= 10:
+            raise FieldError("d", f"d must be in 1..10, got {d}")
+        if len(perms) != d:
+            raise InputError(f"expected {d} generators, got {len(perms)}")
+        table = _bijection_table(perms, n_points)
+        if labels is not None and len(labels) != n_points:
             raise InputError("labels length does not match point count")
+        self.__dict__.update(n_points=n_points, d=d, table=table, name=name,
+                             labels=labels, _memo={})
 
     @cached_property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(perm_order(p) for p in self.perms)
+    def perms(self) -> tuple[Perm, ...]:
+        return tuple(map(tuple, self.table.tolist()))
 
     @cached_property
     def inverses(self) -> tuple[Perm, ...]:
-        return tuple(_invert(p) for p in self.perms)
+        return tuple(map(tuple, _invert(self.table).tolist()))
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        return tuple(perm_order(p) for p in self.table.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n_points == other.n_points and self.d == other.d
+                and _same(self.table, other.table)
+                and self.name == other.name and self.labels == other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.n_points, self.d, self.perms, self.name, self.labels))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(n_points={self.n_points!r}, "
+                f"d={self.d!r}, perms={self.perms!r}, name={self.name!r}, "
+                f"labels={self.labels!r})")
 
     def memo(self, key: tuple, build: Callable[[], Any]) -> Any:
         """The derived object stored under key, built by build() on first
@@ -136,13 +244,14 @@ class FiniteZdSystem:
             value = self._memo[key] = build()
             return value
 
-    def word_perm(self, n_vec: Sequence[int]) -> Perm:
+    def word_perm(self, n_vec: Sequence[int]) -> np.ndarray:
+        """The permutation of the word n_vec as an int32 index array."""
         if len(n_vec) != self.d:
             raise InputError(f"word length {len(n_vec)} != d = {self.d}")
-        out = np.arange(self.n_points)
-        for p, e in zip(self.perms, n_vec):
-            out = perm_power(np.asarray(p), e)[out]
-        return tuple(out.tolist())
+        out = np.arange(self.n_points, dtype=np.int32)
+        for p, e in zip(self.table, n_vec):
+            out = perm_power(p, e)[out]
+        return out
 
 
 @dataclass(frozen=True)
@@ -157,29 +266,32 @@ class ValidationReport:
 
 
 def validate(sys: FiniteZdSystem) -> ValidationReport:
-    """Full invariant report: bijectivity per generator, pairwise commutation."""
-    bij = tuple(sorted(p) == list(range(sys.n_points)) for p in sys.perms)
+    """Full invariant report: bijectivity per generator (the constructor
+    refuses non-bijections, so every generator of a system has it) and
+    pairwise commutation.  The table of compositions t[:, t] (taken as
+    np.take(t, t, axis=1)), whose entry (i, j, x) is T_i T_j x, is compared
+    with its transpose, VALIDATE_CHUNK entries at a time; the witness is
+    the least (i, j, x), i < j, where the two disagree."""
+    t, n, d = sys.table, sys.n_points, sys.d
     witness = None
-    for i in range(sys.d):
-        for j in range(i + 1, sys.d):
-            p, q = sys.perms[i], sys.perms[j]
-            for x in range(sys.n_points):
-                if p[q[x]] != q[p[x]]:
-                    witness = (i + 1, j + 1, x)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    ok = all(bij) and witness is None
+    step = max(1, VALIDATE_CHUNK // (d * d))
+    for x0 in range(0, n, step):
+        both = np.take(t, t[:, x0:x0 + step], axis=1)
+        swapped = both.transpose(1, 0, 2)
+        if both.tobytes() != swapped.tobytes():
+            # the first disagreement in (i, j, x) order has i < j
+            split = both != swapped
+            i, j, x = np.unravel_index(np.argmax(split), split.shape)
+            found = (int(i) + 1, int(j) + 1, x0 + int(x))
+            witness = found if witness is None else min(witness, found)
     return ValidationReport(
-        ok=ok,
-        n_points=sys.n_points,
-        d=sys.d,
-        bijective=bij,
+        ok=witness is None,
+        n_points=n,
+        d=d,
+        bijective=(True,) * d,
         commuting=witness is None,
         commute_witness=witness,
-        orders=sys.orders if ok else None,
+        orders=sys.orders if witness is None else None,
     )
 
 
@@ -191,7 +303,7 @@ class MinimalityResult:
 
 
 def _orbits(sys: FiniteZdSystem) -> np.ndarray:
-    return sys.memo(("orbits",), lambda: orbit_labels(sys.n_points, sys.perms))
+    return sys.memo(("orbits",), lambda: orbit_labels(sys.n_points, sys.table))
 
 
 def is_minimal(sys: FiniteZdSystem) -> MinimalityResult:
@@ -239,11 +351,12 @@ def partition(n: int, u, v) -> np.ndarray:
             lab = jumped
 
 
-def orbit_labels(n: int, perms: Sequence[Perm]) -> np.ndarray:
-    """Labels of the orbits of the group generated by perms, from the edges
-    (x, g x) of each generator; the group is never listed."""
+def orbit_labels(n: int, perms) -> np.ndarray:
+    """Labels of the orbits of the group generated by perms (a table or a
+    list of index arrays), from the edges (x, g x) of each generator; the
+    group is never listed."""
     images = np.asarray(perms, dtype=np.int64).reshape(len(perms), n)
-    return partition(n, np.tile(np.arange(n), len(perms)), images)
+    return partition(n, np.arange(images.size) % n, images)
 
 
 def label_classes(labels) -> tuple[tuple[int, ...], ...]:
@@ -257,84 +370,170 @@ def label_classes(labels) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups))
 
 
-def _first(mask: np.ndarray) -> int | None:
-    return int(mask.argmax()) if mask.any() else None
-
-
 # ---------------------------------------------------------------------------
 # pair relations
 
 
-@dataclass(frozen=True)
-class PairRelation:
-    """A set of ordered pairs on {0..n-1}.
+def _out_of_range(x: int, y: int, n: int) -> InputError:
+    return InputError(f"pair ({x},{y}) out of range for n = {n}")
 
-    base optionally references the system the relation lives on, which lets
+
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class PairRelation:
+    """A set of ordered pairs on {0..n-1}, stored as keys: the sorted,
+    distinct int64 keys x*n + y of its pairs, read-only.
+
+    The constructor takes the pairs as a collection of (x, y) or as a
+    one-dimensional int array of keys, in any order and with repeats.
+    pairs is the frozenset view, built on first use; equality, hashing and
+    repr read the relation as (n_points, pairs, base).  base optionally
+    references the system the relation lives on, which lets
     check_equivalence test invariance without extra arguments.  The
     equivalence closure is read from labels(), the partition of the pairs
-    taken as undirected edges.
+    taken as undirected edges.  Every check returns the first witness in
+    the order of sorted pairs, which is the order of the keys.
     """
 
     n_points: int
-    pairs: frozenset[tuple[int, int]]
-    base: FiniteZdSystem | None = None
+    keys: np.ndarray
+    base: FiniteZdSystem | None
 
-    def __post_init__(self) -> None:
-        for x, y in self.pairs:
-            if not (0 <= x < self.n_points and 0 <= y < self.n_points):
-                raise InputError(f"pair ({x},{y}) out of range for n = {self.n_points}")
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
+    def __init__(self, n_points: int, pairs, base: FiniteZdSystem | None = None
+                 ) -> None:
+        n = n_points
+        if isinstance(pairs, np.ndarray) and pairs.ndim == 1:
+            given = np.asarray(pairs, dtype=np.int64)
+            keys = _distinct(given)
+            if len(keys) and (keys[0] < 0 or keys[-1] >= n * n):
+                k = given[_first((given < 0) | (given >= n * n))]
+                raise _out_of_range(*divmod(int(k), n), n)
+        else:
+            xy = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+            if len(xy) and (xy.min() < 0 or xy.max() >= n):
+                raise _out_of_range(*xy[_first(((xy < 0) | (xy >= n)).any(axis=1))]
+                                    .tolist(), n)
+            keys = _distinct(xy[:, 0] * n + xy[:, 1])
+        self.__dict__.update(n_points=n, keys=_frozen(keys), base=base)
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        x, y = self._xy
+        return frozenset(zip(x.tolist(), y.tolist()))
+
+    @cached_property
+    def _xy(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.divmod(self.keys, self.n_points)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n_points == other.n_points
+                and _same(self.keys, other.keys)
+                and self.base == other.base)
+
+    def __hash__(self) -> int:
+        return hash((self.n_points, self.pairs, self.base))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(n_points={self.n_points!r}, "
+                f"pairs={self.pairs!r}, base={self.base!r})")
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return pair in self.pairs
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.keys)
 
     @classmethod
     def diagonal(cls, n: int, base: FiniteZdSystem | None = None) -> "PairRelation":
-        return cls(n, frozenset((x, x) for x in range(n)), base)
+        return cls(n, np.arange(n, dtype=np.int64) * (n + 1), base)
 
     def is_diagonal(self) -> bool:
-        return self.pairs == frozenset((x, x) for x in range(self.n_points))
+        n = self.n_points
+        return len(self.keys) == n and bool(
+            (self.keys == np.arange(n, dtype=np.int64) * (n + 1)).all())
+
+    @cached_property
+    def _closed(self) -> bool:
+        """Whether the relation is its equivalence closure, and so an
+        equivalence.  It lies inside the closure, so it is the closure when
+        it holds at least as many pairs: the sum of the squared class
+        sizes.  Each check below passes at once on a closed relation."""
+        sizes = np.bincount(self.labels())
+        return int(np.dot(sizes, sizes)) <= len(self.keys)
 
     def is_reflexive(self) -> tuple[bool, int | None]:
-        for x in range(self.n_points):
-            if (x, x) not in self.pairs:
-                return False, x
-        return True, None
+        """The pairs (x, x) are the keys on the diagonal, so the relation is
+        reflexive when it holds n of them; otherwise the first missing x is
+        the first gap in their sorted x."""
+        if self._closed:
+            return True, None
+        x, y = self._xy
+        on = x[x == y]
+        if len(on) == self.n_points:
+            return True, None
+        gap = _first(on != np.arange(len(on)))
+        return False, len(on) if gap is None else gap
 
     def is_symmetric(self) -> tuple[bool, tuple[int, int] | None]:
-        for x, y in sorted(self.pairs):
-            if (y, x) not in self.pairs:
-                return False, (x, y)
-        return True, None
+        """The reversed keys, sorted, are the keys exactly when the relation
+        is symmetric; otherwise each reversed key is looked up."""
+        if self._closed:
+            return True, None
+        x, y = self._xy
+        flipped = y * self.n_points + x
+        if np.sort(flipped).tobytes() == self.keys.tobytes():
+            return True, None
+        k = _first(~_find_keys(self.keys, flipped)[1])
+        return False, (int(x[k]), int(y[k]))
 
     def is_transitive(self) -> tuple[bool, tuple[int, int, int] | None]:
-        succ: dict[int, set[int]] = {}
-        for x, y in self.pairs:
-            succ.setdefault(x, set()).add(y)
-        for x, y in sorted(self.pairs):
-            for z in sorted(succ.get(y, ())):
-                if (x, z) not in self.pairs:
-                    return False, (x, y, z)
+        """A closed relation is transitive.  Otherwise each pair (x, y), in
+        order, is joined with the pairs (y, z), which are one key range, in
+        order of z; the witness is the first (x, y, z) with (x, z)
+        missing."""
+        if self._closed:
+            return True, None
+        n, keys = self.n_points, self.keys
+        x, y = self._xy
+        start = np.searchsorted(keys, y * n)
+        stop = np.searchsorted(keys, (y + 1) * n)
+        for owner, rank in _chunked_ranks(stop - start, JOIN_CHUNK):
+            z = keys[start[owner] + rank] % n
+            k = _first(~_find_keys(keys, x[owner] * n + z)[1])
+            if k is not None:
+                i = owner[k]
+                return False, (int(x[i]), int(y[i]), int(z[k]))
         return True, None
 
     def is_invariant(self) -> tuple[bool, tuple[tuple[int, int], int] | None]:
-        """Does (T_i x, T_i y) stay in the relation for every generator?"""
+        """Does (T_i x, T_i y) stay in the relation for every generator?
+        A closed relation does when T_i x falls in the class of the image
+        of x's least member, for every x.  Otherwise, as T_i is a bijection
+        of the pairs, it does exactly when the sorted image keys are the
+        keys.  The witness comes from looking the image keys up."""
         if self.base is None:
             raise InputError("relation has no base system to test invariance against")
-        for i, p in enumerate(self.base.perms, start=1):
-            for x, y in sorted(self.pairs):
-                if (p[x], p[y]) not in self.pairs:
-                    return False, ((x, y), i)
-        return True, None
+        t = self.base.table
+        if self._closed:
+            image = self.labels()[t]
+            if (image == image[:, self.labels()]).all():
+                return True, None
+        x, y = self._xy
+        image = t[:, x].astype(np.int64) * self.n_points + t[:, y]
+        if np.sort(image, axis=1).tobytes() == self.keys.tobytes() * len(t):
+            return True, None
+        i, k = divmod(_first(~_find_keys(self.keys, image.ravel())[1]), len(x))
+        return False, ((int(x[k]), int(y[k])), i + 1)
 
     def labels(self) -> np.ndarray:
-        """Least-member labels of the classes of the equivalence closure."""
-        flat = np.fromiter((v for pair in self.pairs for v in pair),
-                           dtype=np.int64, count=2 * len(self.pairs))
-        return partition(self.n_points, flat[0::2], flat[1::2])
+        """Least-member labels of the classes of the equivalence closure,
+        read-only."""
+        return self._labels
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        return _frozen(partition(self.n_points, *self._xy))
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Partition classes of the equivalence closure, sorted by least member."""
@@ -342,7 +541,8 @@ class PairRelation:
 
     def to_text(self) -> str:
         lines = [f"pair-relation n={self.n_points}"]
-        lines.extend(f"{x},{y}" for x, y in sorted(self.pairs))
+        x, y = self._xy
+        lines.extend(f"{a},{b}" for a, b in zip(x.tolist(), y.tolist()))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -359,7 +559,7 @@ class PairRelation:
         if n < 1:
             raise InputError(f"need at least one point, got n = {n}", path=path,
                              line=header_line)
-        pairs = set()
+        pairs = []
         for lineno, line in body[1:]:
             parts = line.split(",")
             if len(parts) != 2:
@@ -371,35 +571,58 @@ class PairRelation:
             if not (0 <= x < n and 0 <= y < n):
                 raise InputError(f"pair ({x},{y}) out of range for n = {n}",
                                  path=path, line=lineno)
-            pairs.add((x, y))
-        return cls(n, frozenset(pairs))
+            pairs.append((x, y))
+        return cls(n, pairs)
 
 
 # ---------------------------------------------------------------------------
 # quotients and factor maps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class FactorMap:
-    """A surjection pi: source -> target carrying each generator to its image."""
+    """A surjection pi: source -> target carrying each generator to its
+    image, stored as array, the read-only int64 image of each point;
+    mapping is its tuple view, built on first use.  Equality, hashing and
+    repr read the map as (source, target, mapping)."""
 
     source: FiniteZdSystem
     target: FiniteZdSystem
-    mapping: tuple[int, ...]
+    array: np.ndarray
 
-    def __post_init__(self) -> None:
-        if len(self.mapping) != self.source.n_points:
+    def __init__(self, source: FiniteZdSystem, target: FiniteZdSystem,
+                 mapping) -> None:
+        array = np.array(mapping, dtype=np.int64)
+        if array.shape != (source.n_points,):
             raise InputError("factor map length does not match source size")
-        for v in self.mapping:
-            if not 0 <= v < self.target.n_points:
-                raise InputError(f"factor map value {v} out of target range")
+        if array.min() < 0 or array.max() >= target.n_points:
+            v = array[_first((array < 0) | (array >= target.n_points))]
+            raise InputError(f"factor map value {v} out of target range")
+        self.__dict__.update(source=source, target=target, array=_frozen(array))
+
+    @cached_property
+    def mapping(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source == other.source and self.target == other.target
+                and _same(self.array, other.array))
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.mapping))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(source={self.source!r}, "
+                f"target={self.target!r}, mapping={self.mapping!r})")
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
     @classmethod
     def identity(cls, sys: FiniteZdSystem) -> "FactorMap":
-        return cls(sys, sys, tuple(range(sys.n_points)))
+        return cls(sys, sys, np.arange(sys.n_points))
 
 
 @dataclass(frozen=True)
@@ -412,18 +635,18 @@ class FactorMapReport:
 
 
 def check_factor_map(pi: FactorMap) -> FactorMapReport:
-    m = np.asarray(pi.mapping, dtype=np.int64)
+    m = pi.array
     hit = np.zeros(pi.target.n_points, dtype=bool)
     hit[m] = True
     missed = _first(~hit)
     if pi.source.d != pi.target.d:
         raise InputError("source and target have different d")
+    # entry (i, x) compares pi(T_i x) with T_i pi(x)
+    first = _first((m[pi.source.table] != pi.target.table[:, m]).ravel())
     witness = None
-    for i, (p, q) in enumerate(zip(pi.source.perms, pi.target.perms), start=1):
-        x = _first(m[np.asarray(p)] != np.asarray(q)[m])
-        if x is not None:
-            witness = (x, i)
-            break
+    if first is not None:
+        i, x = divmod(first, pi.source.n_points)
+        witness = (x, i + 1)
     return FactorMapReport(
         ok=missed is None and witness is None,
         surjective=missed is None,
@@ -466,18 +689,17 @@ def _label_quotient(sys: FiniteZdSystem, labels: np.ndarray
     if (np.asarray(labels) == np.arange(sys.n_points)).all():
         return sys, FactorMap.identity(sys)
     reps, class_of = np.unique(labels, return_inverse=True)
-    perms = [np.asarray(p) for p in sys.perms]
-    for i, p in enumerate(perms, start=1):
-        image = class_of[p]
-        bad = np.flatnonzero(image != image[reps][class_of])
-        if len(bad):
-            x = int(bad[np.lexsort((bad, class_of[bad]))[0]])
-            raise InvarianceError((int(reps[class_of[x]]), x), i)
-    new_perms = tuple(tuple(class_of[p[reps]].tolist()) for p in perms)
-    q_sys = FiniteZdSystem(len(reps), sys.d, new_perms,
+    image = class_of[sys.table]
+    table = image[:, reps]
+    split = image != table[:, class_of]
+    i = _first(split.any(axis=1))
+    if i is not None:
+        bad = np.flatnonzero(split[i])
+        x = int(bad[np.lexsort((bad, class_of[bad]))[0]])
+        raise InvarianceError((int(reps[class_of[x]]), x), i + 1)
+    q_sys = FiniteZdSystem(len(reps), sys.d, table,
                            name=f"{sys.name}/~" if sys.name else "")
-    pi = FactorMap(sys, q_sys, tuple(class_of.tolist()))
-    return q_sys, pi
+    return q_sys, FactorMap(sys, q_sys, class_of)
 
 
 # ---------------------------------------------------------------------------
@@ -539,20 +761,21 @@ _INDEXED_KEY = re.compile(r"([A-Za-z]+?)([0-9]+)")
 
 def _read_keys(text: str, path: str | None, header: str,
                scalars: dict[str, str], indexed: dict[str, Callable]
-               ) -> tuple[dict[str, int], dict[str, dict[int, tuple[int, Any]]]]:
+               ) -> tuple[dict[str, tuple[int, int]],
+                          dict[str, dict[int, tuple[int, Any]]]]:
     """The `key = value` lines of a system file below its header line.
 
     A key is an integer scalar, named in scalars with the message that
     refuses its absence, or a name in indexed followed by an index, whose
-    value that name's parser (value, line, path) reads.  Returns the
-    scalars by name and, per indexed name, the (line, value) of each index.
+    value that name's parser (value, line, path) reads.  Returns the (line,
+    value) of each scalar by name and, per indexed name, of each index.
     A wrong header, a line that is not `key = value`, an unknown key and a
     repeated key are input errors at their line."""
     body = _content_lines(text)
     if not body or body[0][1] != header:
         raise InputError(f"expected '{header}' header", path=path,
                          line=body[0][0] if body else 1)
-    values: dict[str, int] = {}
+    values: dict[str, tuple[int, int]] = {}
     rows: dict[str, dict[int, tuple[int, Any]]] = {name: {} for name in indexed}
     for lineno, line in body[1:]:
         if "=" not in line:
@@ -563,7 +786,7 @@ def _read_keys(text: str, path: str | None, header: str,
         if key in scalars:
             if key in values:
                 raise InputError(f"duplicate row {key}", path=path, line=lineno)
-            values[key] = _parse_header_int(key, value, lineno, path)
+            values[key] = (lineno, _parse_header_int(key, value, lineno, path))
         elif (match := _INDEXED_KEY.fullmatch(key)) and match[1] in indexed:
             name, i = match[1], int(match[2])
             if i in rows[name]:
@@ -584,25 +807,24 @@ def parse_finite_system(text: str, path: str | None = None,
     strict=True (the default) additionally rejects non-commuting generator
     pairs so downstream analysis can rely on a valid system.  strict=False
     stops at well-formedness, letting a caller run validate() and report the
-    commutation witness itself.
+    commutation witness itself.  The rows are checked once, by the
+    constructor; its refusals are given the line of the field at fault.
     """
     values, rows = _read_keys(
         text, path, "finite-system",
         {"points": "missing 'points = N'", "d": "missing 'd = D'"},
         {"T": _parse_int_list})
-    n_points, d, rows = values["points"], values["d"], rows["T"]
+    (_, n_points), (_, d), rows = values["points"], values["d"], rows["T"]
     if sorted(rows) != list(range(1, d + 1)):
         raise InputError(f"expected rows T1..T{d}, got {sorted(rows)}", path=path)
-    perms = []
-    for i in range(1, d + 1):
-        lineno, row = rows[i]
-        if sorted(row) != list(range(n_points)):
-            raise InputError(
-                f"T{i} is not a permutation of 0..{n_points - 1}", path=path, line=lineno
-            )
-        perms.append(tuple(row))
-    sys = FiniteZdSystem(n_points, d, tuple(perms),
-                         name=path.rsplit("/", 1)[-1] if path else "")
+    try:
+        sys = FiniteZdSystem(n_points, d, [rows[i][1] for i in range(1, d + 1)],
+                             name=path.rsplit("/", 1)[-1] if path else "")
+    except FieldError as exc:
+        if exc.key in values:
+            raise InputError(str(exc), path=path, line=values[exc.key][0])
+        raise InputError(f"{exc.key} is not a permutation of 0..{n_points - 1}",
+                         path=path, line=rows[int(exc.key[1:])][0])
     if strict:
         report = validate(sys)
         if not report.commuting:
@@ -617,8 +839,8 @@ def parse_finite_system(text: str, path: str | None = None,
 
 def to_text(sys: FiniteZdSystem) -> str:
     lines = ["finite-system", f"points = {sys.n_points}", f"d = {sys.d}"]
-    for i, p in enumerate(sys.perms, start=1):
-        lines.append(f"T{i} = [{', '.join(str(v) for v in p)}]")
+    for i, p in enumerate(sys.table.tolist(), start=1):
+        lines.append(f"T{i} = [{', '.join(map(str, p))}]")
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,10 @@ tuple z witnesses it in the shape
 where (eta,b)_j embeds a (d-1)-vertex by inserting bit b at slot j.  The
 intersection over all directions, when it is an invariant equivalence,
 produces the maximal factor with unique cube completion.
+
+Relations are PairRelations, stored as sorted int64 keys x*n + y: the
+template hits become keys, the intersection is read off the sorted keys of
+all directions, and the pushforward and the five-way battery compare keys.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from . import kernels
 from .cube_engine import CubeSet, enumerate_Q, ucpp_check
 from .errors import HypothesisError, InputError
 from .finite_system import (FactorMap, FiniteZdSystem, PairRelation,
-                            is_minimal, quotient)
+                            _distinct, _same, is_minimal, quotient)
 from .hypercube import Vertex, embed_face
 
 
@@ -49,7 +53,8 @@ def _scan(Q: CubeSet, slot: int) -> PairRelation:
     pairs, x_pos, y_pos = template_positions(sys.d, slot)
     eq = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2)
     hits = kernels.template_scan(Q.to_array(), eq, x_pos, y_pos)
-    return PairRelation(sys.n_points, frozenset(map(tuple, hits.tolist())), sys)
+    keys = hits[:, 0].astype(np.int64) * sys.n_points + hits[:, 1]
+    return PairRelation(sys.n_points, keys, sys)
 
 
 def compute_R_j(sys: FiniteZdSystem, j: int) -> PairRelation:
@@ -59,10 +64,14 @@ def compute_R_j(sys: FiniteZdSystem, j: int) -> PairRelation:
 
 
 def compute_R(sys: FiniteZdSystem) -> PairRelation:
-    """Intersection of the per-direction relations."""
+    """Intersection of the per-direction relations: in the sorted keys of
+    all d of them, a key held by every one is d equal keys in a row."""
     def build() -> PairRelation:
-        rels = [compute_R_j(sys, j).pairs for j in _full_dirs(sys)]
-        return PairRelation(sys.n_points, frozenset.intersection(*rels), sys)
+        d = sys.d
+        held = np.sort(np.concatenate([compute_R_j(sys, j).keys
+                                       for j in _full_dirs(sys)]))
+        every = held[d - 1:][held[d - 1:] == held[:len(held) - d + 1]]
+        return PairRelation(sys.n_points, every, sys)
 
     return sys.memo(("R",), build)
 
@@ -140,6 +149,12 @@ def check_equivalence(rel: PairRelation) -> EquivalenceReport:
                              invariant=inv, inv_witness=iw)
 
 
+def _R_equivalence(sys: FiniteZdSystem) -> EquivalenceReport:
+    """check_equivalence(compute_R(sys)), kept on the system memo."""
+    return sys.memo(("R_equivalence",),
+                    lambda: check_equivalence(compute_R(sys)))
+
+
 @dataclass(frozen=True)
 class PushforwardReport:
     equal: bool
@@ -153,18 +168,18 @@ class PushforwardReport:
 
 def pushforward_check(pi: FactorMap) -> PushforwardReport:
     """Does the source relation push forward exactly onto the target relation?
-    The forward inclusion holds for any factor map; equality needs minimality."""
+    The forward inclusion holds for any factor map; equality needs minimality.
+    The image is a set of keys; the witnesses are the least keys of the two
+    differences, which are formed only when the key sets differ."""
     R_src = compute_R(pi.source)
     R_tgt = compute_R(pi.target)
-    image = frozenset((pi(x), pi(y)) for x, y in R_src.pairs)
-    escaped = None
-    for p in sorted(image - R_tgt.pairs):
-        escaped = p
-        break
-    missing = None
-    for p in sorted(R_tgt.pairs - image):
-        missing = p
-        break
+    n, m = pi.target.n_points, pi.array
+    x, y = np.divmod(R_src.keys, pi.source.n_points)
+    image = _distinct(m[x] * n + m[y])
+    escaped = missing = None
+    if not _same(image, R_tgt.keys):
+        escaped = _least_pair(np.setdiff1d(image, R_tgt.keys, assume_unique=True), n)
+        missing = _least_pair(np.setdiff1d(R_tgt.keys, image, assume_unique=True), n)
     return PushforwardReport(
         equal=escaped is None and missing is None,
         easy_inclusion=escaped is None,
@@ -176,12 +191,16 @@ def pushforward_check(pi: FactorMap) -> PushforwardReport:
     )
 
 
+def _least_pair(keys: np.ndarray, n: int) -> tuple[int, int] | None:
+    """The pair of the least of some sorted keys on n points, or None."""
+    return divmod(int(keys[0]), n) if len(keys) else None
+
+
 def maximal_ucpp_factor(sys: FiniteZdSystem) -> tuple[FiniteZdSystem, FactorMap]:
     """Quotient by the intersection relation and verify the result has unique
     cube completion with a trivial intersection relation of its own."""
     R = compute_R(sys)
-    eq = check_equivalence(R)
-    if not eq.ok:
+    if not _R_equivalence(sys).ok:
         raise HypothesisError(
             "the intersection relation is not an invariant equivalence here, "
             "so the quotient is undefined (expected only on non-minimal input)")

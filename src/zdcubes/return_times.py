@@ -23,7 +23,7 @@ import numpy as np
 from .cube_engine import (RowIndex, _read_int_rows, _rows_text, enumerate_Q,
                           orbit_rows, row_keys, ucpp_check)
 from .errors import InputError
-from .finite_system import FiniteZdSystem, _first_content_line
+from .finite_system import FiniteZdSystem, _first_content_line, _invert
 
 # rows of a derived periodic set or product orbit; read where it is checked
 JOIN_CAP = 1_000_000
@@ -244,7 +244,7 @@ def _return_set(sys: FiniteZdSystem, x: int, U: frozenset[int]) -> PeriodicSet:
     orders = sys.orders
     images = np.array(x)
     for i in reversed(range(sys.d)):
-        step = np.asarray(sys.perms[i])
+        step = sys.table[i]
         layers = [images]
         for _ in range(orders[i] - 1):
             layers.append(step[layers[-1]])
@@ -385,7 +385,7 @@ def drop_generator(sys: FiniteZdSystem, j: int) -> FiniteZdSystem:
     if not 1 <= j <= sys.d:
         raise InputError(f"generator {j} out of range 1..{sys.d}")
     return sys.memo(("drop", j), lambda: FiniteZdSystem(
-        sys.n_points, sys.d - 1, sys.perms[:j - 1] + sys.perms[j:],
+        sys.n_points, sys.d - 1, np.concatenate((sys.table[:j - 1], sys.table[j:])),
         name=f"{sys.name}/drop{j}" if sys.name else "", labels=sys.labels))
 
 
@@ -394,8 +394,8 @@ def insert_identity_generator(sys: FiniteZdSystem, j: int) -> FiniteZdSystem:
     identity."""
     if not 1 <= j <= sys.d + 1:
         raise InputError(f"slot {j} out of range 1..{sys.d + 1}")
-    ident = tuple(range(sys.n_points))
-    perms = sys.perms[:j - 1] + (ident,) + sys.perms[j - 1:]
+    ident = np.arange(sys.n_points, dtype=np.int32)[None]
+    perms = np.concatenate((sys.table[:j - 1], ident, sys.table[j - 1:]))
     return FiniteZdSystem(sys.n_points, sys.d + 1, perms,
                           name=f"{sys.name}+id{j}" if sys.name else "",
                           labels=sys.labels)
@@ -419,7 +419,7 @@ def product_system_realization(
     for i, (f_sys, y, Uf) in enumerate(factors, start=1):
         if f_sys.d != d:
             raise InputError(f"factor {i} must be presented with {d} generators")
-        if f_sys.perms[i - 1] != tuple(range(f_sys.n_points)):
+        if (f_sys.table[i - 1] != np.arange(f_sys.n_points)).any():
             raise InputError(f"generator {i} of factor {i} must be the identity")
         if not 0 <= y < f_sys.n_points:
             raise InputError(f"marked point of factor {i} out of range")
@@ -427,8 +427,9 @@ def product_system_realization(
             if not 0 <= u < f_sys.n_points:
                 raise InputError(f"neighborhood id of factor {i} out of range")
     systems = [f for f, _, _ in factors]
-    forward = [[np.asarray(f.perms[i]) for f in systems] for i in range(d)]
-    backward = [[np.asarray(f.inverses[i]) for f in systems] for i in range(d)]
+    inverses = [_invert(f.table) for f in systems]
+    forward = [[f.table[i] for f in systems] for i in range(d)]
+    backward = [[inv[i] for inv in inverses] for i in range(d)]
 
     def act(states: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
         """Column j of a state is a point of factor j."""
@@ -442,7 +443,7 @@ def product_system_realization(
     if points is None:
         raise InputError("orbit closure exceeds the size cap")
     index = RowIndex(points, radix)
-    perms = tuple(tuple(index.find(act(points, m))[0].tolist()) for m in forward)
+    perms = np.stack([index.find(act(points, m))[0] for m in forward])
     prod_sys = FiniteZdSystem(len(points), d, perms, name="product-orbit")
     # Q first: an over-budget product system then costs only the orbit search
     u = ucpp_check(enumerate_Q(prod_sys, tuple(range(1, d + 1))))

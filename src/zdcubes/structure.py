@@ -12,6 +12,11 @@ face system moves the coordinates whose vertex has eps_j = 1 by T_j.  The
 projections Y_j (coordinates with eps_j = 0) and Y_{i,j} (eps_i = eps_j = 0)
 are factors of Y, and when the underlying system is minimal with unique
 completion, Y embeds into the product of the Y_j.
+
+Generators are int arrays (rows of FiniteZdSystem.table), and the systems
+and factor maps built here (quotients by Q_H, face systems, projections)
+are handed their tables and images as arrays, which their constructors
+store as they are checked.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube_engine import (CubeSet, FaceGroupElement, RowIndex, UcppResult,
-                          _chunked_ranks, _first_repeat, enumerate_K,
-                          enumerate_Q, row_keys, section_of, ucpp_check)
+                          _first_repeat, enumerate_K, enumerate_Q, row_keys,
+                          section_of, ucpp_check)
 from .errors import InputError
-from .finite_system import (FactorMap, FiniteZdSystem, _label_quotient,
-                            is_minimal, label_classes, orbit_labels)
+from .finite_system import (FactorMap, FiniteZdSystem, _chunked_ranks,
+                            _label_quotient, is_minimal, label_classes,
+                            orbit_labels)
 
 COMBO_CHUNK = 1 << 18  # relative-independence candidates per chunk
 
@@ -38,12 +44,14 @@ class SubgroupSpec:
     dirs: tuple[int, ...] = ()
     words: tuple[tuple[int, ...], ...] = ()
 
-    def generator_perms(self, sys: FiniteZdSystem) -> list[tuple[int, ...]]:
+    def generator_perms(self, sys: FiniteZdSystem) -> list[np.ndarray]:
+        """The generators as int32 index arrays: rows of sys.table, then
+        the permutations of the words."""
         gens = []
         for j in self.dirs:
             if not 1 <= j <= sys.d:
                 raise InputError(f"direction {j} out of range 1..{sys.d}")
-            gens.append(sys.perms[j - 1])
+            gens.append(sys.table[j - 1])
         for w in self.words:
             gens.append(sys.word_perm(w))
         return gens
@@ -54,9 +62,9 @@ def maximal_trivial_H_factor(sys: FiniteZdSystem, H: SubgroupSpec
     """Quotient by Q_H: the maximal factor on which H acts trivially."""
     gens = H.generator_perms(sys)
     q_sys, pi = _label_quotient(sys, orbit_labels(sys.n_points, gens))
-    mapping = np.asarray(pi.mapping)
+    mapping = pi.array
     for h in gens:
-        if (mapping[np.asarray(h)] != mapping).any():
+        if (mapping[h] != mapping).any():
             raise AssertionError("H does not act trivially on the quotient; bug")
     return q_sys, pi
 
@@ -77,8 +85,8 @@ def iterated_quotient_check(sys: FiniteZdSystem, H1: SubgroupSpec, H2: SubgroupS
     one_sys, one_pi = maximal_trivial_H_factor(sys, joint)
     mid_sys, mid_pi = maximal_trivial_H_factor(sys, H1)
     end_sys, end_pi = maximal_trivial_H_factor(mid_sys, H2)
-    a = label_classes(one_pi.mapping)
-    b = label_classes(np.asarray(end_pi.mapping)[np.asarray(mid_pi.mapping)])
+    a = label_classes(one_pi.array)
+    b = label_classes(end_pi.array[mid_pi.array])
     return IteratedQuotientResult(ok=a == b, one_step_classes=a, two_step_classes=b)
 
 
@@ -88,10 +96,10 @@ def z0h_universality_check(pi: FactorMap, H: SubgroupSpec
     returns ("pass"/"fail"/"hypotheses-unmet", witness).  The witness is the
     least pair (x, y) of Q_H with pi(x) != pi(y)."""
     for h in H.generator_perms(pi.target):
-        if h != tuple(range(pi.target.n_points)):
+        if (h != np.arange(pi.target.n_points)).any():
             return "hypotheses-unmet", None
     labels = orbit_labels(pi.source.n_points, H.generator_perms(pi.source))
-    mapping = np.asarray(pi.mapping)
+    mapping = pi.array
     # the members pi separates from the least member of their orbit
     split = np.flatnonzero(mapping != mapping[labels])
     if not len(split):
@@ -121,8 +129,8 @@ def face_system(K: CubeSet) -> FiniteZdSystem:
             p = tuple(rows[int(np.argmin(found))].tolist())
             raise AssertionError(
                 f"face action leaves the cube set at {p} (direction {j}); bug")
-        perms.append(tuple(pos.tolist()))
-    return FiniteZdSystem(len(K), K.k, tuple(perms),
+        perms.append(pos)
+    return FiniteZdSystem(len(K), K.k, np.stack(perms),
                           name=(sys.name + ":faces") if sys.name else "faces")
 
 
@@ -141,22 +149,18 @@ class CoordinateProjection:
 def _project_positions(K: CubeSet, Y: FiniteZdSystem, positions: tuple[int, ...],
                        name: str) -> CoordinateProjection:
     """The distinct projected tuples, in sorted order, are the points of the
-    target; each generator's image of a value is read off any tuple over
-    it, and must not depend on the tuple."""
+    target; each generator's image of a value is read off the first tuple
+    over it, and must be the same for every tuple over it."""
     cols = K.rows[:, [p - 1 for p in positions]]
     keys = row_keys(K._shifted(cols), K._n)
     _, first, mapping = np.unique(keys, return_index=True, return_inverse=True)
-    perms = []
-    for p in Y.perms:
-        image = mapping[np.asarray(p)]
-        row = np.empty(len(first), dtype=np.int64)
-        row[mapping] = image
-        if (row[mapping] != image).any():
-            raise AssertionError(
-                f"coordinate projection is not equivariant ({name}); bug")
-        perms.append(tuple(row.tolist()))
-    target = FiniteZdSystem(len(first), Y.d, tuple(perms), name=name)
-    pi = FactorMap(Y, target, tuple(mapping.tolist()))
+    image = mapping[Y.table]
+    table = image[:, first]
+    if (table[:, mapping] != image).any():
+        raise AssertionError(
+            f"coordinate projection is not equivariant ({name}); bug")
+    target = FiniteZdSystem(len(first), Y.d, table, name=name)
+    pi = FactorMap(Y, target, mapping)
     return CoordinateProjection(positions=positions,
                                 values=tuple(map(tuple, cols[first].tolist())),
                                 system=target, from_face=pi)
@@ -228,8 +232,7 @@ def _injectivity(K: CubeSet, sides: tuple[CoordinateProjection, ...]
     """Whether the product of the side projections separates the points of
     K; the witness pairs the first point, in K order, whose side values
     repeat with the first point holding them."""
-    labels = np.stack([np.asarray(side.from_face.mapping) for side in sides],
-                      axis=1)
+    labels = np.stack([side.from_face.array for side in sides], axis=1)
     clash = _first_repeat(row_keys(labels, len(K)))
     if clash is None:
         return True, None
@@ -270,8 +273,8 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
     K_rest = section_of(enumerate_Q(sys, rest), x0)
     rest_rows = K_rest.rows
     Y_rest = face_system(K_rest)
-    proj = np.asarray(dec.side_projections[j - 1].from_face.mapping)
-    cls = np.asarray(kappa.mapping)
+    proj = dec.side_projections[j - 1].from_face.array
+    cls = kappa.array
     first = np.unique(cls, return_index=True)[1]  # classes are 0..m-1
     split = np.flatnonzero(proj != proj[first[cls]])
     constant = not len(split)
@@ -293,8 +296,8 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
         for gi, i_dir in enumerate(dirs):
             if i_dir == j:
                 continue
-            lhs = image[np.asarray(q_sys.perms[gi])]
-            step = np.asarray(Y_rest.perms[rest.index(i_dir)])
+            lhs = image[q_sys.table[gi]]
+            step = Y_rest.table[rest.index(i_dir)]
             rhs = rest_rows[step[here]]
             bad = (lhs != rhs).any(axis=1)
             if bad.any():
@@ -302,8 +305,8 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
                 witness = (f"direction {i_dir} disagrees at class "
                            f"{int(np.argmax(bad))}")
                 break
-    gen_j = q_sys.perms[dirs.index(j)]
-    dropped_trivial = gen_j == tuple(range(q_sys.n_points))
+    dropped_trivial = bool(
+        (q_sys.table[dirs.index(j)] == np.arange(q_sys.n_points)).all())
     ok = constant and bijective and equivariant and dropped_trivial
     return FactorIsoResult(ok=ok, j=j, classes=q_sys.n_points,
                            target_size=len(rest_rows),

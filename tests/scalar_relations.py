@@ -6,6 +6,11 @@ subgroup listed by a BFS over tuple permutations, every pair (x, hx) listed,
 a Python union-find over the pairs, and an orbit BFS per point.  The
 label-array code in zdcubes must give the same classes, quotient systems,
 factor maps and first witnesses; tests/test_relations.py compares them.
+
+The pair-relation checks (reflexive, symmetric, transitive, invariant, the
+text form) and the pushforward check are the loops over frozensets of
+tuples that PairRelation and pushforward_check were first written as;
+tests/test_relations.py compares them with the key-array code.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from zdcubes.finite_system import (FactorMap, FactorMapReport, FiniteZdSystem,
                                    InvarianceError, MinimalityResult,
                                    PairRelation)
+from zdcubes.proximal import PushforwardReport, compute_R
 from zdcubes.structure import IteratedQuotientResult, SubgroupSpec
 
 
@@ -49,10 +55,25 @@ def classes(n: int, pairs) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 
+def generator_perms(H: SubgroupSpec, sys: FiniteZdSystem
+                    ) -> list[tuple[int, ...]]:
+    """H's generators as tuples: the direction generators, then each word
+    applied one step at a time."""
+    gens = [sys.perms[j - 1] for j in H.dirs]
+    for w in H.words:
+        p = list(range(sys.n_points))
+        for i, e in enumerate(w):
+            step = sys.perms[i] if e > 0 else sys.inverses[i]
+            for _ in range(abs(e)):
+                p = [step[v] for v in p]
+        gens.append(tuple(p))
+    return gens
+
+
 def element_perms(H: SubgroupSpec, sys: FiniteZdSystem) -> list[tuple[int, ...]]:
     """All permutations in the generated subgroup, BFS from the identity."""
     ident = tuple(range(sys.n_points))
-    gens = H.generator_perms(sys)
+    gens = generator_perms(H, sys)
     inv = []
     for g in gens:
         v = [0] * len(g)
@@ -110,7 +131,7 @@ def quotient(sys: FiniteZdSystem, rel: PairRelation
 def maximal_trivial_H_factor(sys: FiniteZdSystem, H: SubgroupSpec
                              ) -> tuple[FiniteZdSystem, FactorMap]:
     q_sys, pi = quotient(sys, compute_QH(sys, H))
-    for h in H.generator_perms(sys):
+    for h in generator_perms(H, sys):
         for x in range(sys.n_points):
             if pi(h[x]) != pi(x):
                 raise AssertionError("H does not act trivially on the quotient")
@@ -136,7 +157,7 @@ def iterated_quotient_check(sys: FiniteZdSystem, H1: SubgroupSpec,
 
 
 def z0h_universality_check(pi: FactorMap, H: SubgroupSpec):
-    for h in H.generator_perms(pi.target):
+    for h in generator_perms(H, pi.target):
         if h != tuple(range(pi.target.n_points)):
             return "hypotheses-unmet", None
     rel = compute_QH(pi.source, H)
@@ -194,3 +215,63 @@ def is_minimal(sys: FiniteZdSystem) -> MinimalityResult:
             witness = x
     return MinimalityResult(ok=len(sizes) == 1, witness=witness,
                             orbit_sizes=tuple(sizes))
+
+
+# ---------------------------------------------------------------------------
+# pair relations as frozensets of tuples
+
+
+def is_reflexive(rel: PairRelation):
+    for x in range(rel.n_points):
+        if (x, x) not in rel.pairs:
+            return False, x
+    return True, None
+
+
+def is_symmetric(rel: PairRelation):
+    for x, y in sorted(rel.pairs):
+        if (y, x) not in rel.pairs:
+            return False, (x, y)
+    return True, None
+
+
+def is_transitive(rel: PairRelation):
+    succ: dict[int, set[int]] = {}
+    for x, y in rel.pairs:
+        succ.setdefault(x, set()).add(y)
+    for x, y in sorted(rel.pairs):
+        for z in sorted(succ.get(y, ())):
+            if (x, z) not in rel.pairs:
+                return False, (x, y, z)
+    return True, None
+
+
+def is_invariant(rel: PairRelation):
+    for i, p in enumerate(rel.base.perms, start=1):
+        for x, y in sorted(rel.pairs):
+            if (p[x], p[y]) not in rel.pairs:
+                return False, ((x, y), i)
+    return True, None
+
+
+def to_text(rel: PairRelation) -> str:
+    lines = [f"pair-relation n={rel.n_points}"]
+    lines.extend(f"{x},{y}" for x, y in sorted(rel.pairs))
+    return "\n".join(lines) + "\n"
+
+
+def pushforward_check(pi: FactorMap) -> PushforwardReport:
+    R_src = compute_R(pi.source)
+    R_tgt = compute_R(pi.target)
+    image = frozenset((pi(x), pi(y)) for x, y in R_src.pairs)
+    escaped = min(image - R_tgt.pairs, default=None)
+    missing = min(R_tgt.pairs - image, default=None)
+    return PushforwardReport(
+        equal=escaped is None and missing is None,
+        easy_inclusion=escaped is None,
+        missing=missing,
+        escaped=escaped,
+        source_minimal=is_minimal(pi.source).ok,
+        source_size=len(R_src.pairs),
+        target_size=len(R_tgt.pairs),
+    )

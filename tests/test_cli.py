@@ -175,6 +175,13 @@ _A_ROWS = "A1 = [[1]]\nalpha1 = [0]\n"
     ("fsys", _F + "T1 = [0, 0]\n", 4, "T1 is not a permutation of 0..1"),
     ("fsys", _F + "T1 = [1, x]\n", 4, "non-integer entry in '[1, x]'"),
     ("fsys", _F + "T1 = 1, 0\n", 4, "expected a [..] list, got '1, 0'"),
+    ("fsys", "finite-system\npoints = 2\nd = 0\n", 3,
+     "d must be in 1..10, got 0"),
+    ("fsys", "finite-system\npoints = 1\nd = 11\n"
+     + "".join(f"T{i} = [0]\n" for i in range(1, 12)), 3,
+     "d must be in 1..10, got 11"),
+    ("fsys", "finite-system\npoints = 0\nd = 1\nT1 = []\n", 2,
+     "need at least one point, got 0"),
     ("affine", "# c\naffine-system x\nr = 1\nd = 1\n" + _A_ROWS, 2,
      "expected 'affine-system' header"),
     ("affine", _A + "A1 [[1]]\nalpha1 = [0]\n", 4,
@@ -194,7 +201,8 @@ _A_ROWS = "A1 = [[1]]\nalpha1 = [0]\n"
     ("affine", _A + "A1 = [[1]]\nalpha1 = [1/0]\n", 5, "bad rational '1/0'"),
 ], ids=["fsys-header", "fsys-key-value", "fsys-scalar", "fsys-unknown",
         "fsys-repeated-T", "fsys-no-points", "fsys-no-d", "fsys-rows",
-        "fsys-permutation", "fsys-entry", "fsys-list", "affine-header",
+        "fsys-permutation", "fsys-entry", "fsys-list", "fsys-d-0", "fsys-d-11",
+        "fsys-points-0", "affine-header",
         "affine-key-value", "affine-scalar", "affine-unknown",
         "affine-missing", "affine-rows", "affine-matrix", "affine-entry",
         "affine-vector", "affine-rational"])

@@ -229,3 +229,60 @@ def test_bad_system_constructor():
         FiniteZdSystem(2, 1, ((0, 0),))
     with pytest.raises(InputError):
         FiniteZdSystem(2, 2, ((1, 0),))  # wrong number of generators
+
+
+def test_systems_from_tuples_and_from_their_table_are_one_object(systems):
+    for name, sys_ in systems.items():
+        again = FiniteZdSystem(sys_.n_points, sys_.d, sys_.table, name=sys_.name)
+        assert again == sys_ and hash(again) == hash(sys_)
+        assert repr(again) == repr(sys_)
+        # perfbench/tracing.py hashes perms: a tuple of int tuples
+        assert type(again.perms) is tuple and hash(again.perms) == hash(sys_.perms)
+        assert all(type(p) is tuple and all(type(v) is int for v in p)
+                   for p in again.perms)
+        assert again.perms == tuple(map(tuple, sys_.table.tolist()))
+        assert again.inverses == sys_.inverses
+        assert all(p[q[x]] == x for p, q in zip(again.perms, again.inverses)
+                   for x in range(again.n_points))
+        # the table is a read-only int32 copy
+        assert again.table.dtype == np.int32 and not again.table.flags.writeable
+        assert again.table is not sys_.table
+
+
+def test_table_refusals_match_the_row_by_row_messages():
+    table = np.array([[1, 0, 2], [0, 0, 1]])
+    for perms in (table, table.tolist()):
+        with pytest.raises(InputError, match=r"^T2 is not a bijection of 0\.\.2$"):
+            FiniteZdSystem(3, 2, perms)
+    with pytest.raises(InputError, match=r"^T1 has 2 entries, expected 3$"):
+        FiniteZdSystem(3, 2, ((1, 0), (0, 1, 2)))
+    with pytest.raises(InputError, match=r"^T1 is not a bijection of 0\.\.2$"):
+        FiniteZdSystem(3, 2, np.array([[1, 0, 2 ** 32 + 2], [0, 1, 2]]))
+
+
+def test_factor_maps_and_relations_from_arrays_or_sequences_agree(systems):
+    sys_ = systems["rot6"]
+    rot2 = parse_finite_system(
+        "finite-system\npoints = 2\nd = 2\nT1 = [1, 0]\nT2 = [0, 1]\n")
+    seq = (0, 1, 0, 1, 0, 1)
+    for mapping in (np.array(seq), np.array(seq, dtype=np.int32), list(seq)):
+        pi = FactorMap(sys_, rot2, mapping)
+        assert pi.mapping == seq and pi.array.dtype == np.int64
+        assert pi == FactorMap(sys_, rot2, seq)
+        assert hash(pi) == hash(FactorMap(sys_, rot2, seq))
+        assert [pi(x) for x in range(6)] == list(seq)
+    with pytest.raises(InputError, match=r"^factor map value 2 out of target range$"):
+        FactorMap(sys_, rot2, (0, 1, 2, 3, 0, 1))
+    with pytest.raises(InputError, match=r"^factor map length"):
+        FactorMap(sys_, rot2, (0, 1))
+    pairs = {(0, 0), (1, 2), (2, 1), (5, 3)}
+    forms = [pairs, sorted(pairs), np.array(sorted(pairs)),
+             np.array([x * 6 + y for x, y in pairs] * 2)]
+    rels = [PairRelation(6, form, sys_) for form in forms]
+    for rel in rels:
+        assert rel == rels[0] and hash(rel) == hash(rels[0])
+        assert rel.pairs == pairs and len(rel) == 4 and (5, 3) in rel
+        assert rel.keys.tolist() == [0, 8, 13, 33]
+    for bad in ({(0, 6)}, np.array([[0, 1], [-1, 0]]), np.array([36])):
+        with pytest.raises(InputError, match=r"out of range for n = 6$"):
+            PairRelation(6, bad)

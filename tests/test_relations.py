@@ -29,7 +29,7 @@ from zdcubes.finite_system import (FactorMap, FiniteZdSystem,
                                    check_factor_map, is_minimal,
                                    label_classes, orbit_labels, partition,
                                    perm_order, quotient)
-from zdcubes.proximal import compute_R, compute_R_j
+from zdcubes.proximal import compute_R, compute_R_j, pushforward_check
 from zdcubes.return_times import (PeriodicSet, d_joining, drop_generator,
                                   insert_identity_generator,
                                   product_system_realization, return_set)
@@ -160,6 +160,92 @@ def test_factor_map_and_z0h_witnesses_match_reference(data):
     pi = FactorMap(sys_, moving, mapping)
     assert check_factor_map(pi) == ref.check_factor_map(pi)
     assert z0h_universality_check(pi, H) == ref.z0h_universality_check(pi, H)
+
+
+@st.composite
+def pair_relations(draw, sys_):
+    """A relation on the points of sys_ with sys_ as its base: empty, full,
+    random, an equivalence, an equivalence with one pair added or removed,
+    a strict order (transitive, neither reflexive nor symmetric), or random
+    pairs closed under the generators (invariant)."""
+    n = sys_.n_points
+    point = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["empty", "full", "random", "equivalence",
+                                 "perturbed", "order", "invariant"]))
+    if kind == "empty":
+        pairs = set()
+    elif kind == "full":
+        pairs = {(x, y) for x in range(n) for y in range(n)}
+    elif kind == "random":
+        pairs = set(draw(st.lists(st.tuples(point, point), max_size=3 * n)))
+    elif kind in ("equivalence", "perturbed"):
+        lab = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        pairs = {(x, y) for x in range(n) for y in range(n) if lab[x] == lab[y]}
+        if kind == "perturbed":
+            pairs ^= {draw(st.tuples(point, point))}
+    elif kind == "order":
+        rank = draw(st.permutations(range(n)))
+        coin = draw(st.randoms(use_true_random=False))
+        pairs = {(x, y) for x in range(n) for y in range(n)
+                 if rank[x] < rank[y] and coin.random() < 0.5}
+        # the transitive closure of the drawn order pairs
+        for z in range(n):
+            pairs |= {(x, w) for x, y in pairs if y == z
+                      for v, w in pairs if v == z}
+    else:
+        pairs = set(draw(st.lists(st.tuples(point, point), max_size=3)))
+        frontier = set(pairs)
+        while frontier:
+            frontier = {(p[x], p[y]) for x, y in frontier
+                        for p in sys_.perms} - pairs
+            pairs |= frontier
+    return PairRelation(n, frozenset(pairs), sys_)
+
+
+@SETTINGS
+@given(st.data())
+def test_pair_relation_checks_match_scalar_loops(data):
+    sys_ = data.draw(commuting_systems())
+    rel = data.draw(pair_relations(sys_))
+    n = rel.n_points
+    assert rel.is_reflexive() == ref.is_reflexive(rel)
+    assert rel.is_symmetric() == ref.is_symmetric(rel)
+    assert rel.is_transitive() == ref.is_transitive(rel)
+    assert rel.is_invariant() == ref.is_invariant(rel)
+    assert rel.classes() == ref.classes(n, rel.pairs)
+    assert rel.to_text() == ref.to_text(rel)
+    assert rel.is_diagonal() == (rel.pairs == {(x, x) for x in range(n)})
+    # the same relation from an (m, 2) array and from keys, shuffled and
+    # with repeats, has the same keys and views
+    order = data.draw(st.permutations(sorted(rel.pairs)))
+    xy = np.array(list(order) * 2, dtype=np.int64).reshape(-1, 2)
+    for other in (PairRelation(n, xy, sys_),
+                  PairRelation(n, xy[:, 0] * n + xy[:, 1], sys_)):
+        assert other == rel and hash(other) == hash(rel)
+        assert repr(other) == repr(rel)
+        assert np.array_equal(other.keys, rel.keys)
+        assert other.pairs == rel.pairs and len(other) == len(rel)
+
+
+@SETTINGS
+@given(st.data())
+def test_pushforward_and_factor_maps_match_scalar_loops(data):
+    """Quotient maps, which push R forward, and maps drawn at random onto
+    another system, which mostly do not."""
+    sys_ = data.draw(commuting_systems(max_modulus=4))
+    H = data.draw(subgroups(sys_.d))
+    _, pi = maximal_trivial_H_factor(sys_, H)
+    target = data.draw(commuting_systems(d=sys_.d, max_modulus=4))
+    mapping = data.draw(st.lists(st.integers(0, target.n_points - 1),
+                                 min_size=sys_.n_points,
+                                 max_size=sys_.n_points))
+    for f in (pi, FactorMap(sys_, target, mapping)):
+        assert check_factor_map(f) == ref.check_factor_map(f)
+        assert pushforward_check(f) == ref.pushforward_check(f)
+        again = FactorMap(f.source, f.target, np.array(f.mapping))
+        assert again == f and hash(again) == hash(f) and repr(again) == repr(f)
+        assert again.mapping == f.mapping
+        assert np.array_equal(again.array, f.array)
 
 
 @SETTINGS
