@@ -1,0 +1,128 @@
+"""Array primitives on sorted int rows and their keys (row_keys in
+cube_engine is the range-checked public form of _row_keys): keying rows,
+sorting them by key with repeats dropped, looking keys up, finding a
+repeat, and walking ranks in chunks.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def _invert(table: np.ndarray) -> np.ndarray:
+    """The inverse of each row of a permutation table, by one argsort."""
+    return np.argsort(table, axis=1)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) by a sort and an adjacent compare: numpy 2.4 hashes
+    integers in a plain np.unique call, 20-31 times slower."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """row_keys without its range check, for rows known to lie in 0..n-1."""
+    width = rows.shape[1]
+    if n ** width < 1 << 63:
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for c in range(width):
+            keys *= n
+            keys += rows[:, c]
+        return keys
+    dtype = np.int32 if n <= 1 << 31 else np.int64
+    view = np.dtype([(f"c{c}", dtype) for c in range(width)])
+    return np.ascontiguousarray(rows, dtype=dtype).view(view).ravel()
+
+
+def _distinct_rows(rows: np.ndarray, keys: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, keys) sorted by their row keys with repeats dropped; rows whose
+    keys already increase come back as they are.  Structured keys are sorted
+    by their columns with lexsort, which orders them as they compare, and
+    faster."""
+    if _increasing(keys):
+        return rows, keys
+    order = (np.argsort(keys, kind="stable") if keys.dtype == np.int64 else
+             np.lexsort(keys.view(keys.dtype[0]).reshape(len(keys), -1).T[::-1]))
+    keys = keys[order]
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return rows[order[keep]], keys[keep]
+
+
+def _increasing(keys: np.ndarray) -> bool:
+    """Whether row keys (as _row_keys gives them) strictly increase.  int64
+    keys compare directly; a structured view, which comparison operators
+    do not order, compares each pair of adjacent rows at the first column
+    where they differ."""
+    if keys.dtype == np.int64:
+        return bool((keys[1:] > keys[:-1]).all())
+    rows = keys.view(keys.dtype[0]).reshape(len(keys), len(keys.dtype))
+    differ = rows[1:] != rows[:-1]
+    first = differ.argmax(axis=1)
+    at = np.arange(len(first))
+    return bool(differ.any(axis=1).all()
+                and (rows[1:][at, first] > rows[:-1][at, first]).all())
+
+
+def _has_repeat(keys: np.ndarray) -> bool:
+    """Whether some key occurs twice, by a plain sort (numpy's SIMD sort on
+    int64 keys) and its adjacent pairs."""
+    ordered = np.sort(keys)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
+    """(i, t) for the first index t whose key occurred before, i being the
+    first index with that key; None when the keys are distinct.
+
+    Distinct keys are the common answer, and _has_repeat settles it; only a
+    repeat pays for the stable argsort that finds the first one."""
+    if not _has_repeat(keys):
+        return None
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeat = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    # the stable sort keeps each key's indices in order, so the earliest
+    # repeat is the second holder of its key and follows the first
+    t = repeat[np.argmin(order[repeat])]
+    return int(order[t - 1]), int(order[t])
+
+
+def _find_keys(keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position, found) of each query key in the sorted keys."""
+    pos = np.searchsorted(keys, q)
+    found = np.zeros(len(q), dtype=bool)
+    inside = pos < len(keys)
+    found[inside] = keys[pos[inside]] == q[inside]
+    return pos, found
+
+
+def _chunked_ranks(counts: np.ndarray, chunk: int):
+    """Owner i holds counts[i] consecutive items; yields (owner, rank) index
+    arrays for the items in order, chunk at a time."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    starts = ends - counts
+    for t0 in range(0, total, chunk):
+        t = np.arange(t0, min(t0 + chunk, total))
+        owner = np.searchsorted(ends, t, side="right")
+        yield owner, t - starts[owner]
+
+
+def _first(mask: np.ndarray) -> int | None:
+    return int(mask.argmax()) if mask.any() else None
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays of one dtype are equal: the same shape and the
+    same bytes, a cheaper test than np.array_equal on small arrays."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a

@@ -41,9 +41,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._arrays import _distinct
+from ._text import _read_keys
 from .cube_engine import RowIndex, orbit_rows, row_keys
 from .errors import InputError
-from .finite_system import FiniteZdSystem, _read_keys
+from .finite_system import FiniteZdSystem
 
 Matrix = tuple[tuple[int, ...], ...]
 TorusPoint = tuple[Fraction, ...]
@@ -623,7 +625,7 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
         if not found.all():
             raise AssertionError("lattice is not invariant; bug")
         perms.append(pos)
-    values = np.unique(points)
+    values = _distinct(points)
     names = [str(Fraction(int(k), q)) for k in values]
     labels = tuple(",".join(names[j] for j in row)
                    for row in np.searchsorted(values, points).tolist())

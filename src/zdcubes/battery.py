@@ -20,17 +20,16 @@ import numpy as np
 
 from .affine import (AffineZdSystem, discretize, formula_equivalence_test,
                      matcond_check, validate_affine)
+from ._arrays import _chunked_ranks, _distinct, _find_keys, _first, _same
 from .cube_engine import (RowIndex, enumerate_K, enumerate_Q,
                           face_group_orbit, row_keys, section_of, ucpp_check)
 from .errors import InputError
-from .finite_system import (FiniteZdSystem, _chunked_ranks, _distinct,
-                            _find_keys, _same, check_factor_map, is_minimal,
+from .finite_system import (FiniteZdSystem, check_factor_map, is_minimal,
                             partition, validate)
 from .hypercube import Vertex, digit_permute
-from .proximal import (_R_equivalence, _constant_tail_keys, compute_R,
-                       compute_R_j, compute_R_j_reordered,
-                       keep_reordered_relation, maximal_ucpp_factor,
-                       pushforward_check, sections)
+from .proximal import (_R_equivalence, compute_R, compute_R_j,
+                       compute_R_j_reordered, keep_reordered_relation,
+                       maximal_ucpp_factor, pushforward_check, sections)
 from .return_times import (PeriodicSet, contains_zero_vector,
                            joining_containment_check, phi_image,
                            product_system_realization, return_set)
@@ -47,10 +46,6 @@ def _item(check: str, status: str, witness=None, **detail) -> dict:
 def _pass_fail(check: str, ok: bool, witness=None, **detail) -> dict:
     return _item(check, "pass" if ok else "fail",
                  witness if not ok else None, **detail)
-
-
-def _full_dirs(sys: FiniteZdSystem) -> tuple[int, ...]:
-    return tuple(range(1, sys.d + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +101,7 @@ def _pair_gather(rows: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def _first_missing(index: RowIndex, rows: np.ndarray) -> int | None:
-    _, found = index.find(rows)
-    return None if found.all() else int(np.argmin(found))
+    return _first(~index.find(rows)[1])
 
 
 def _glue_witness(rows: np.ndarray, index: RowIndex, j: int,
@@ -173,7 +167,7 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     map every row."""
     d = sys.d
     n = sys.n_points
-    dirs = _full_dirs(sys)
+    dirs = sys.dirs
     width = 1 << d
     Q = enumerate_Q(sys, dirs)
     rows, index = Q.to_array(), Q.index
@@ -265,7 +259,7 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
 
 def cube_battery(sys: FiniteZdSystem) -> list[dict]:
     d = sys.d
-    dirs = _full_dirs(sys)
+    dirs = sys.dirs
     Q = enumerate_Q(sys, dirs)
     minimal = is_minimal(sys).ok
     items = [_item("census", "pass", None,
@@ -322,6 +316,14 @@ def cube_battery(sys: FiniteZdSystem) -> list[dict]:
 # proximality relations
 
 
+def _constant_tail_keys(Q, n: int) -> np.ndarray:
+    """Sorted keys x*n + y of the pairs with (x, y, .., y) in the full cube
+    set Q over a system on n points."""
+    rows = Q.rows
+    constant = (rows[:, 1:] == rows[:, 1:2]).all(axis=1)
+    return rows[constant, 0].astype(np.int64) * n + rows[constant, 1]
+
+
 def _section_classes(Q, sec: dict[int, range], n: int
                      ) -> tuple[np.ndarray, np.ndarray, int]:
     """(ids, shared, m) for the sections of a full cube set over n points:
@@ -340,7 +342,7 @@ def _section_classes(Q, sec: dict[int, range], n: int
     lengths = np.array([len(r) for r in sec.values()], dtype=np.int64)
     ids = np.full(n, -1, dtype=np.int64)
     m = 0
-    for length in np.unique(lengths).tolist():
+    for length in _distinct(lengths).tolist():
         pick = np.flatnonzero(lengths == length)
         block = tails[starts[pick, None] + np.arange(length)]
         rank = np.unique(block.view(f"V{block.itemsize * length}").ravel(),
@@ -361,8 +363,8 @@ def _section_classes(Q, sec: dict[int, range], n: int
     for g, r in _chunked_ranks(sizes * sizes, PAIR_CHUNK):
         a = owner[head[g] + r // sizes[g]]
         b = owner[head[g] + r % sizes[g]]
-        shared.append(np.unique(a * m + b))
-    return ids, np.unique(np.concatenate(shared)), m
+        shared.append(_distinct(a * m + b))
+    return ids, _distinct(np.concatenate(shared)), m
 
 
 def five_way_battery(sys: FiniteZdSystem) -> tuple[bool, int, list | None]:
@@ -376,9 +378,8 @@ def five_way_battery(sys: FiniteZdSystem) -> tuple[bool, int, list | None]:
     sections that meet are a lookup of the class pair among those sharing
     a tail."""
     n = sys.n_points
-    dirs = _full_dirs(sys)
-    Q = enumerate_Q(sys, dirs)
-    rels = [compute_R_j(sys, j).keys for j in dirs]
+    Q = enumerate_Q(sys, sys.dirs)
+    rels = [compute_R_j(sys, j).keys for j in sys.dirs]
     every = compute_R(sys).keys
     some = _distinct(np.concatenate(rels))
     tails = _constant_tail_keys(Q, n)
@@ -403,11 +404,10 @@ def five_way_battery(sys: FiniteZdSystem) -> tuple[bool, int, list | None]:
 
 
 def proximal_battery(sys: FiniteZdSystem) -> list[dict]:
-    dirs = _full_dirs(sys)
     minimal = is_minimal(sys).ok
     items = []
 
-    witness = next((j for j in dirs if not _same(
+    witness = next((j for j in sys.dirs if not _same(
         compute_R_j(sys, j).keys, compute_R_j_reordered(sys, j).keys)), None)
     items.append(_pass_fail("relation_order_independence", witness is None,
                             witness))
@@ -434,7 +434,7 @@ def proximal_battery(sys: FiniteZdSystem) -> list[dict]:
                                 pairs=checked))
         q_sys, pi = maximal_ucpp_factor(sys)
         rep = check_factor_map(pi)
-        uq = ucpp_check(enumerate_Q(q_sys, dirs)) if q_sys.d >= 2 else None
+        uq = ucpp_check(enumerate_Q(q_sys, q_sys.dirs)) if q_sys.d >= 2 else None
         Rq = compute_R(q_sys)
         items.append(_pass_fail(
             "ucpp_quotient", rep.ok and (uq is None or uq.ok) and Rq.is_diagonal(),
@@ -467,7 +467,7 @@ def structure_battery(sys: FiniteZdSystem) -> list[dict]:
         return [_item("decompose_injective", "skipped", None,
                       reason="needs d >= 2")]
 
-    for j in _full_dirs(sys):
+    for j in sys.dirs:
         H = SubgroupSpec(dirs=(j,), words=())
         q_sys, pi = maximal_trivial_H_factor(sys, H)
         rep = check_factor_map(pi)
@@ -492,7 +492,7 @@ def structure_battery(sys: FiniteZdSystem) -> list[dict]:
             K_size=len(dec.K),
             side_sizes=[len(p.values) for p in dec.side_projections]))
         witness = None
-        for j in _full_dirs(sys):
+        for j in sys.dirs:
             r = factor_isomorphism_check(sys, 0, j)
             if not r.ok:
                 witness = [j, r.witness]
@@ -552,7 +552,7 @@ def return_battery(sys: FiniteZdSystem) -> list[dict]:
 
     dec = decompose(sys, 0)
     factors = []
-    for j in range(1, sys.d + 1):
+    for j in sys.dirs:
         proj = dec.side_projections[j - 1]
         diag = (0,) * len(proj.positions)
         yj = proj.values.index(diag)
@@ -652,6 +652,6 @@ def pset_battery(ps: PeriodicSet) -> list[dict]:
     for column in ps.rows.T:
         sums = (sums + column) % g
     items.append(_pass_fail("sum_image_consistency",
-                            np.array_equal(np.unique(sums), img.rows[:, 0]),
+                            np.array_equal(_distinct(sums), img.rows[:, 0]),
                             None, image_modulus=g))
     return items

@@ -22,13 +22,14 @@ import click
 import numpy as np
 
 from . import battery
+from ._arrays import _same
+from ._text import _first_content_line
 from .affine import (affine_to_text, discretize, formula_equivalence_test,
                      matcond_check, parse_affine, validate_affine)
 from .cube_engine import CubeSet, enumerate_K, enumerate_Q, ucpp_check
 from .errors import HypothesisError, InputError
-from .finite_system import (PairRelation, _first_content_line, _same,
-                            check_factor_map, is_minimal, parse_finite_system,
-                            to_text, validate)
+from .finite_system import (PairRelation, check_factor_map, is_minimal,
+                            parse_finite_system, to_text, validate)
 from .proximal import (_R_equivalence, compute_R, compute_R_j,
                        maximal_ucpp_factor)
 from .return_times import PeriodicSet, d_joining, phi_image, return_set
@@ -238,13 +239,12 @@ def cmd_cubes(path: str, basepoint: int | None = None,
               dump: bool = False) -> tuple[dict, int]:
     """Cube-set census over the full direction list."""
     _, sys_ = _load(path, "finite-system")
-    dirs = tuple(range(1, sys_.d + 1))
-    Q = enumerate_Q(sys_, dirs)
+    Q = enumerate_Q(sys_, sys_.dirs)
     report = {"command": "cubes", "input": path,
-              "dirs": list(dirs), "Q_size": len(Q),
+              "dirs": list(sys_.dirs), "Q_size": len(Q),
               "Q_sha256": Q.text_sha256(), "status": "pass"}
     if basepoint is not None:
-        K = enumerate_K(sys_, dirs, basepoint)
+        K = enumerate_K(sys_, sys_.dirs, basepoint)
         report["basepoint"] = basepoint
         report["K_size"] = len(K)
         report["K_sha256"] = K.text_sha256()
@@ -259,8 +259,7 @@ def cmd_cubes(path: str, basepoint: int | None = None,
 def cmd_ucpp(path: str) -> tuple[dict, int]:
     """Unique-completion verdict for a system or a raw cube-set file."""
     kind, obj = _load(path, "finite-system", "cube-set")
-    cubes = obj if kind == "cube-set" else enumerate_Q(
-        obj, tuple(range(1, obj.d + 1)))
+    cubes = obj if kind == "cube-set" else enumerate_Q(obj, obj.dirs)
     verdict = ucpp_check(cubes)
     report = {"command": "ucpp", "input": path, "ucpp": verdict.ok,
               "Q_size": len(cubes),
@@ -275,7 +274,7 @@ def cmd_ucpp(path: str) -> tuple[dict, int]:
 def cmd_rpp(path: str) -> tuple[dict, int]:
     """Directional relations, their intersection, and the five-way battery."""
     _, sys_ = _load(path, "finite-system")
-    rels = [compute_R_j(sys_, j) for j in range(1, sys_.d + 1)]
+    rels = [compute_R_j(sys_, j) for j in sys_.dirs]
     R = compute_R(sys_)
     eq = _R_equivalence(sys_)
     report = {"command": "rpp", "input": path,
@@ -347,8 +346,7 @@ def cmd_structure(path: str, basepoint: int = 0) -> tuple[dict, int]:
         report["reason"] = ("cube completion is not unique"
                             if not dec.ucpp.ok else "system is not minimal")
         return report, 2
-    iso = [factor_isomorphism_check(sys_, basepoint, j)
-           for j in range(1, sys_.d + 1)]
+    iso = [factor_isomorphism_check(sys_, basepoint, j) for j in sys_.dirs]
     ri = relative_independence_check(dec)
     ok = bool(dec.injective) and all(r.ok for r in iso) \
         and ri.status == "pass"

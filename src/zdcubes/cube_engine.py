@@ -10,68 +10,41 @@ vertex order (hypercube.py).  K^{x0} is the restriction to base point x0
 with the eps = 0 coordinate dropped, so its tuples have width 2^k - 1 and
 position p corresponds to vertex mask p.
 
-A CubeSet holds its tuples as one sorted, duplicate-free int32 array and
-owns the RowIndex of its row keys, keyed with radix n_points of its base
-system (raw sets keep their value range); rows whose keys already increase
-are kept as they are, others are sorted and deduped by their keys.
-Enumeration runs the numpy kernel over every base point, each exponent
-below the generator's order on the base point's orbit, taken in the order
-of its images; the kernel gathers each column once per distinct choice of
-the exponents it depends on, and its rows come out sorted and distinct.
-The sets over increasing directions are kept on the system
-(FiniteZdSystem.memo), so each is enumerated once, and each keeps its
-unique-completion verdict, which scans vertex 0 and the single-direction
-vertices only when the rows are distinct on those.  Whole-set checks work
-on that array: the index looks rows up by sorted row keys, and a
-face-group element acts as one permutation per coordinate, so its image of
-an array is a column gather.
-A face-group orbit is a class of the partition of a set's rows by the
-images of the forward generators; the same pass reports the first image
-that leaves the set, which decides face-group invariance, so each image
-is computed once.  orbit_rows is the breadth-first orbit search over int rows that
-affine discretization and product realizations share, where no enclosing
-set exists in advance.  The surgery closures (glue, insert, duplicate,
-project, digit permutation, reflection) are column gathers over whole
-cube sets in battery.surgery_battery, where glue and insert in each
-direction are first decided by whether the rows, read as pairs (lower
-face, upper face), are an equivalence relation, a count over the rows;
-the per-point operations they were first written as are the test
-reference.
-
-Cube sets and periodic sets (return_times.py) share one text codec of int
-rows.  The reader hands the text after the header line to numpy's C text
-reader in one pass; the line-at-a-time loop of str.splitlines and int()
-reads it only where that reader refuses it or could read it otherwise,
-and names the first bad line.  The writer formats each distinct value once
-into a table of 2-, 4- or 8-byte cells and reads the cells of the rows off
-it with one flat gather of unsigned integers.
+A CubeSet holds its tuples as one sorted, duplicate-free int32 array with
+the RowIndex of their row keys.  Enumeration runs the numpy kernel over
+every base point, each exponent below the generator's order on the base
+point's orbit, taken in the order of its images, so its rows come out
+sorted and distinct.  The sets over increasing directions are kept on the
+system (FiniteZdSystem.memo), so each is enumerated once, and each keeps
+its unique-completion verdict.  A face-group element acts as one
+permutation per coordinate, so its image of an array is a column gather,
+and a face-group orbit is a class of the partition of a set's rows by the
+images of the forward generators.  orbit_rows is the breadth-first orbit
+search over int rows that affine discretization and product realizations
+share.  Cube sets are read and written by the int-row codec of _text.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import math
-import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
+from ._arrays import (_distinct, _distinct_rows, _find_keys, _first_repeat,
+                      _frozen, _has_repeat, _increasing, _row_keys)
+from ._text import _read_header, _read_int_rows, _rows_text, _text_chunks
 from .errors import InputError
-from .finite_system import (FiniteZdSystem, _content_lines, _distinct,
-                            _find_keys, _first_content_line, _orbits,
-                            is_minimal, orbit_labels, partition, perm_power)
+from .finite_system import (FiniteZdSystem, _orbits, is_minimal, orbit_labels,
+                            partition, perm_power)
 from .hypercube import MAX_DIM
 
 CubePoint = tuple[int, ...]
 
 MAX_ENUM_ROWS = 5_000_000
-TEXT_CHUNK = 1 << 22  # bytes of cell buffer per chunk of the text form
-CACHED_RANGE = 1 << 16  # widest value range whose text cells are kept
-# tab, line feed, carriage return and printable ASCII
-_PLAIN = bytes([9, 10, 13, *range(32, 127)])
 INT32 = np.iinfo(np.int32)
 
 
@@ -136,23 +109,11 @@ class CubeSet:
         lo = min(lo, 0)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_n", hi - lo + 1)
-        shifted = self._shifted(rows)
-        keys = _row_keys(shifted, self._n)
-        if _increasing(keys):
-            # already sorted and distinct, as enumerated sets are: kept as
-            # they are, through a read-only view
-            rows = np.ascontiguousarray(rows, dtype=np.int32).view()
-        else:
-            # lexsort orders rows as their structured keys compare, and faster
-            order = (np.argsort(keys) if keys.dtype == np.int64
-                     else np.lexsort(shifted.T[::-1]))
-            keys = keys[order]
-            keep = np.ones(len(keys), dtype=bool)
-            keep[1:] = keys[1:] != keys[:-1]
-            keys = keys[keep]
-            rows = rows[order[keep]].astype(np.int32, copy=False)
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        rows, keys = _distinct_rows(rows, _row_keys(self._shifted(rows), self._n))
+        # rows already sorted and distinct, as enumerated sets are, are kept
+        # as they are, through a read-only view
+        object.__setattr__(self, "rows", _frozen(
+            np.ascontiguousarray(rows, dtype=np.int32).view()))
         object.__setattr__(self, "index", RowIndex.of_keys(keys, self._n))
 
     def _shifted(self, rows: np.ndarray) -> np.ndarray:
@@ -208,17 +169,8 @@ class CubeSet:
 
     @classmethod
     def from_text(cls, text: str, path: str | None = None) -> "CubeSet":
-        first = _first_content_line(text)
-        if first is None or not first[1].startswith("cube-set"):
-            raise InputError("expected 'cube-set d=<k> dirs=<...>' header",
-                             path=path, line=first[0] if first else 1)
-        header_line, header, body = first
-        fields = dict(tok.split("=", 1) for tok in header.split()[1:] if "=" in tok)
-        try:
-            k = int(fields["d"])
-            dirs = tuple(int(t) for t in fields["dirs"].split(","))
-        except (KeyError, ValueError):
-            raise InputError("malformed cube-set header", path=path, line=header_line)
+        header_line, fields, body = _read_header(text, "cube-set d=<k> dirs=<...>", path)
+        k, dirs = fields["d"], fields["dirs"]
         if len(dirs) != k:
             raise InputError(f"header says d={k} but lists {len(dirs)} dirs",
                              path=path, line=header_line)
@@ -237,145 +189,6 @@ class CubeSet:
 
 
 # ---------------------------------------------------------------------------
-# int rows as text
-
-
-def _read_int_rows(body: str, header_line: int, noun: str, width_error,
-                   path: str | None, bounds: np.iinfo | None = None
-                   ) -> np.ndarray | list[tuple[int, ...]]:
-    """The rows of comma-separated integers in body, the text after the
-    header on line header_line, as an int64 array of shape (lines, width),
-    or as a list of int tuples: an empty one when there are no content
-    lines, and the rows themselves when int() reads a value that numpy's C
-    text reader does not, such as one beyond int64 (for the caller to
-    reduce exactly).
-
-    width_error(width, first) is the message for a line of width values
-    when the first line holds first values, or None when the line is fine.
-    Values must lie within bounds when given.
-
-    The body is parsed by _c_rows in one pass.  Where that gives None, or
-    rows of a width or range the caller refuses, _read_lines reads it again
-    one line at a time and raises at the first bad line."""
-    rows = _c_rows(body)
-    if rows is not None and not len(rows):
-        return []
-    if (rows is not None and width_error(rows.shape[1], rows.shape[1]) is None
-            and (bounds is None
-                 or bounds.min <= rows.min() and rows.max() <= bounds.max)):
-        return rows
-    return _read_lines(_content_lines(body, header_line + 1), noun, width_error,
-                       path, bounds)
-
-
-def _c_rows(body: str) -> np.ndarray | None:
-    """The rows of body read by numpy's C text reader, or None when it
-    refuses them or body holds what the reader could split or strip
-    otherwise than str.splitlines and int() do: a character that is neither
-    printable ASCII nor a tab or line break, or a carriage return outside
-    a CR LF pair (a comment runs on past it).  Where it reads rows, it
-    reads the values int() reads."""
-    if (not body.isascii() or body.encode("ascii").translate(None, _PLAIN)
-            or body.count("\r") != body.count("\r\n")):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a body without rows
-        # older numpy reads "1.5" as an int with a DeprecationWarning
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            return np.loadtxt(io.StringIO(body), dtype=np.int64, comments="#",
-                              delimiter=",", ndmin=2)
-        except (ValueError, OverflowError, DeprecationWarning):
-            return None
-
-
-def _read_lines(body: list[tuple[int, str]], noun: str, width_error,
-                path: str | None, bounds: np.iinfo | None
-                ) -> list[tuple[int, ...]]:
-    """The content lines body (as _content_lines gives them) parsed by int()
-    one at a time; the first bad line raises with its message and number."""
-    rows = []
-    for lineno, line in body:
-        try:
-            row = tuple(int(t) for t in line.split(","))
-        except ValueError:
-            raise InputError(f"non-integer {noun} in {line!r}", path=path, line=lineno)
-        message = width_error(len(row), len(rows[0]) if rows else len(row))
-        if message is not None:
-            raise InputError(message, path=path, line=lineno)
-        if bounds is not None and not bounds.min <= min(row) <= max(row) <= bounds.max:
-            raise InputError(f"{noun} outside the {bounds.dtype} range in {line!r}",
-                             path=path, line=lineno)
-        rows.append(row)
-    return rows
-
-
-def _rows_text(header: str, rows: np.ndarray) -> str:
-    return b"".join(_text_chunks(header, rows)).decode("ascii")
-
-
-def _text_chunks(header: str, rows: np.ndarray):
-    """The ASCII bytes of a header line followed by the rows of an int
-    array as comma-separated decimals, one line each, TEXT_CHUNK buffer
-    bytes at a time.
-
-    Each distinct value is formatted once, into a cell of 2, 4 or 8 bytes
-    (or wider for long values) holding its digits followed by a ',' (or,
-    for the last column, a newline) and padded with NUL bytes; a chunk of
-    rows gathers its cells from the table as unsigned integers of the cell
-    width and drops the padding with bytes.translate, which is exact
-    because no digit, sign or separator is NUL, and is skipped when no
-    cell is padded.  The table spans the value range, or only the values
-    that occur when the range exceeds the cell count (as with large
-    moduli)."""
-    yield f"{header}\n".encode()
-    if not len(rows):
-        return
-    lo, hi = int(rows.min()), int(rows.max())
-    if hi - lo < rows.size:
-        table, padded = (_range_cells(lo, hi) if hi - lo < CACHED_RANGE
-                         else _cells(np.arange(lo, hi + 1)))
-
-        def codes(c):
-            return c - lo if lo else c
-    else:
-        values = _distinct(rows)
-        table, padded = _cells(values)
-        codes = partial(np.searchsorted, values)
-    width = rows.shape[1]
-    # the last column reads the newline cells, in the second half
-    last = (np.arange(width) == width - 1) * (len(table) // 2)
-    step = max(1, TEXT_CHUNK // (width * table.itemsize))
-    for start in range(0, len(rows), step):
-        data = table[codes(rows[start:start + step]) + last].tobytes()
-        yield data.translate(None, b"\0") if padded else data
-
-
-def _cells(values: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(table, padded) for the sorted values: table is the read-only 2V
-    cells of _text_chunks, V of them for the values followed by a ',' and
-    V followed by a newline, and padded tells whether any cell ends in NUL
-    bytes."""
-    cell = max(len(str(values[0])), len(str(values[-1]))) + 1
-    cell = next((c for c in (2, 4, 8) if c >= cell), cell)
-    digits = values.astype(f"S{cell}").view(np.uint8).reshape(-1, cell)
-    size = (digits != 0).sum(axis=1) + 1  # digits and separator
-    table = np.repeat(digits[None], 2, axis=0)
-    table[0, np.arange(len(values)), size - 1] = ord(",")
-    table[1, np.arange(len(values)), size - 1] = ord("\n")
-    table = table.view(f"u{cell}" if cell <= 8 else f"V{cell}").ravel()
-    table.flags.writeable = False
-    return table, bool((size < cell).any())
-
-
-@lru_cache(maxsize=4)
-def _range_cells(lo: int, hi: int) -> tuple[np.ndarray, bool]:
-    """_cells of lo..hi, built once per range: a system's cube sets share
-    the range of its point ids."""
-    return _cells(np.arange(lo, hi + 1))
-
-
-# ---------------------------------------------------------------------------
 # row keys and membership
 
 
@@ -388,20 +201,6 @@ def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         raise ValueError(f"row entries must lie in 0..{n - 1}")
     return _row_keys(rows, n)
-
-
-def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """row_keys without its range check, for rows known to lie in 0..n-1."""
-    width = rows.shape[1]
-    if n ** width < 1 << 63:
-        keys = np.zeros(len(rows), dtype=np.int64)
-        for c in range(width):
-            keys *= n
-            keys += rows[:, c]
-        return keys
-    dtype = np.int32 if n <= 1 << 31 else np.int64
-    view = np.dtype([(f"c{c}", dtype) for c in range(width)])
-    return np.ascontiguousarray(rows, dtype=dtype).view(view).ravel()
 
 
 class RowIndex:
@@ -451,8 +250,7 @@ def orbit_rows(start: np.ndarray, step, key, cap: int) -> np.ndarray | None:
     images of a level lie in the level before it, in it or in the next, so
     only those two levels are searched for them."""
     def distinct(rows):
-        keys, first = np.unique(key(rows), return_index=True)
-        return rows[first], keys
+        return _distinct_rows(rows, key(rows))
 
     frontier, keys = distinct(start)
     levels, previous = [frontier], keys[:0]
@@ -669,45 +467,6 @@ def _distinct_on(cubes: CubeSet, cols: list[int]) -> bool:
     keys there increase, or one sort finds no repeat."""
     keys = _row_keys(cubes._shifted(cubes.rows[:, cols]), cubes._n)
     return _increasing(keys) or not _has_repeat(keys)
-
-
-def _increasing(keys: np.ndarray) -> bool:
-    """Whether row keys (as row_keys gives them) strictly increase.  int64
-    keys compare directly; a structured view, which comparison operators
-    do not order, compares each pair of adjacent rows at the first column
-    where they differ."""
-    if keys.dtype == np.int64:
-        return bool((keys[1:] > keys[:-1]).all())
-    rows = keys.view(keys.dtype[0]).reshape(len(keys), -1)
-    differ = rows[1:] != rows[:-1]
-    first = differ.argmax(axis=1)
-    at = np.arange(len(first))
-    return bool(differ.any(axis=1).all()
-                and (rows[1:][at, first] > rows[:-1][at, first]).all())
-
-
-def _has_repeat(keys: np.ndarray) -> bool:
-    """Whether some key occurs twice, by a plain sort (numpy's SIMD sort on
-    int64 keys) and its adjacent pairs."""
-    ordered = np.sort(keys)
-    return bool((ordered[1:] == ordered[:-1]).any())
-
-
-def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
-    """(i, t) for the first index t whose key occurred before, i being the
-    first index with that key; None when the keys are distinct.
-
-    Distinct keys are the common answer, and _has_repeat settles it; only a
-    repeat pays for the stable argsort that finds the first one."""
-    if not _has_repeat(keys):
-        return None
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    repeat = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-    # the stable sort keeps each key's indices in order, so the earliest
-    # repeat is the second holder of its key and follows the first
-    t = repeat[np.argmin(order[repeat])]
-    return int(order[t - 1]), int(order[t])
 
 
 # ---------------------------------------------------------------------------

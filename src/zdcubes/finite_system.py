@@ -28,24 +28,22 @@ inverses, pairs, mapping) are views built on first use.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from ._arrays import (_chunked_ranks, _distinct, _find_keys, _first, _frozen,
+                      _invert, _same)
+from ._text import (_content_lines, _parse_int_list, _read_header, _read_keys,
+                    _rows_text)
 from .errors import InputError
 
 Perm = tuple[int, ...]
 
 VALIDATE_CHUNK = 1 << 22  # composed entries per chunk of the commutation check
 JOIN_CHUNK = 1 << 20  # composed pairs per chunk of the transitivity join
-
-
-def _invert(table: np.ndarray) -> np.ndarray:
-    """The inverse of each row of a permutation table, by one argsort."""
-    return np.argsort(table, axis=1)
 
 
 def perm_order(p: Perm) -> int:
@@ -76,55 +74,6 @@ def perm_power(perm: np.ndarray, e: int) -> np.ndarray:
         perm = perm[perm]
         e >>= 1
     return out
-
-
-# ---------------------------------------------------------------------------
-# sorted keys
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """np.unique(values) by a sort and an adjacent compare: numpy 2.4 hashes
-    integers in a plain np.unique call, 20-31 times slower."""
-    values = np.sort(values, axis=None)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
-
-
-def _find_keys(keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position, found) of each query key in the sorted keys."""
-    pos = np.searchsorted(keys, q)
-    found = np.zeros(len(q), dtype=bool)
-    inside = pos < len(keys)
-    found[inside] = keys[pos[inside]] == q[inside]
-    return pos, found
-
-
-def _chunked_ranks(counts: np.ndarray, chunk: int):
-    """Owner i holds counts[i] consecutive items; yields (owner, rank) index
-    arrays for the items in order, chunk at a time."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    starts = ends - counts
-    for t0 in range(0, total, chunk):
-        t = np.arange(t0, min(t0 + chunk, total))
-        owner = np.searchsorted(ends, t, side="right")
-        yield owner, t - starts[owner]
-
-
-def _first(mask: np.ndarray) -> int | None:
-    return int(mask.argmax()) if mask.any() else None
-
-
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two arrays of one dtype are equal: the same shape and the
-    same bytes, a cheaper test than np.array_equal on small arrays."""
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +167,11 @@ class FiniteZdSystem:
     @cached_property
     def orders(self) -> tuple[int, ...]:
         return tuple(perm_order(p) for p in self.table.tolist())
+
+    @cached_property
+    def dirs(self) -> tuple[int, ...]:
+        """Every direction, (1, .., d): the directions of the full cube set."""
+        return tuple(range(1, self.d + 1))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -540,27 +494,18 @@ class PairRelation:
         return label_classes(self.labels())
 
     def to_text(self) -> str:
-        lines = [f"pair-relation n={self.n_points}"]
-        x, y = self._xy
-        lines.extend(f"{a},{b}" for a, b in zip(x.tolist(), y.tolist()))
-        return "\n".join(lines) + "\n"
+        return _rows_text(f"pair-relation n={self.n_points}",
+                          np.stack(self._xy, axis=1))
 
     @classmethod
     def from_text(cls, text: str, path: str | None = None) -> "PairRelation":
-        body = _content_lines(text)
-        if not body or not body[0][1].startswith("pair-relation"):
-            raise InputError("expected 'pair-relation n=<N>' header", path=path,
-                             line=body[0][0] if body else 1)
-        header_line, header = body[0]
-        try:
-            n = int(header.split("n=", 1)[1].strip())
-        except (IndexError, ValueError):
-            raise InputError("malformed pair-relation header", path=path, line=header_line)
+        header_line, fields, body = _read_header(text, "pair-relation n=<N>", path)
+        n = fields["n"]
         if n < 1:
             raise InputError(f"need at least one point, got n = {n}", path=path,
                              line=header_line)
         pairs = []
-        for lineno, line in body[1:]:
+        for lineno, line in _content_lines(body, header_line + 1):
             parts = line.split(",")
             if len(parts) != 2:
                 raise InputError(f"expected 'x,y', got {line!r}", path=path, line=lineno)
@@ -704,100 +649,6 @@ def _label_quotient(sys: FiniteZdSystem, labels: np.ndarray
 
 # ---------------------------------------------------------------------------
 # text format
-
-
-def _content_lines(text: str, start: int = 1) -> list[tuple[int, str]]:
-    """(lineno, stripped) for lines that are not blank or comments, the
-    first line of text numbered start."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] if "#" in line else line for line in lines]
-    return [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start)
-            if line]
-
-
-# the line boundaries of str.splitlines
-_LINE_BREAK = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
-
-
-def _first_content_line(text: str) -> tuple[int, str, str] | None:
-    """The first entry of _content_lines(text) followed by the text after
-    that line, or None when there is no such line.  Lines are split off one
-    at a time, so the rest of the text is never split."""
-    start = lineno = 0
-    for lineno, brk in enumerate(_LINE_BREAK.finditer(text), 1):
-        line = text[start:brk.start()].split("#", 1)[0].strip()
-        if line:
-            return lineno, line, text[brk.end():]
-        start = brk.end()
-    line = text[start:].split("#", 1)[0].strip()
-    return (lineno + 1, line, "") if line else None
-
-
-def _parse_int_list(text: str, lineno: int, path: str | None) -> list[int]:
-    inner = text.strip()
-    if not (inner.startswith("[") and inner.endswith("]")):
-        raise InputError(f"expected a [..] list, got {text!r}", path=path, line=lineno)
-    inner = inner[1:-1].strip()
-    if not inner:
-        return []
-    try:
-        return [int(tok) for tok in inner.split(",")]
-    except ValueError:
-        raise InputError(f"non-integer entry in {text!r}", path=path, line=lineno)
-
-
-def _parse_header_int(key: str, value: str, lineno: int, path: str | None) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise InputError(f"'{key}' must be an integer, got {value!r}",
-                         path=path, line=lineno)
-
-
-# an indexed key: a name and an index in ASCII digits, as T1 or alpha2
-_INDEXED_KEY = re.compile(r"([A-Za-z]+?)([0-9]+)")
-
-
-def _read_keys(text: str, path: str | None, header: str,
-               scalars: dict[str, str], indexed: dict[str, Callable]
-               ) -> tuple[dict[str, tuple[int, int]],
-                          dict[str, dict[int, tuple[int, Any]]]]:
-    """The `key = value` lines of a system file below its header line.
-
-    A key is an integer scalar, named in scalars with the message that
-    refuses its absence, or a name in indexed followed by an index, whose
-    value that name's parser (value, line, path) reads.  Returns the (line,
-    value) of each scalar by name and, per indexed name, of each index.
-    A wrong header, a line that is not `key = value`, an unknown key and a
-    repeated key are input errors at their line."""
-    body = _content_lines(text)
-    if not body or body[0][1] != header:
-        raise InputError(f"expected '{header}' header", path=path,
-                         line=body[0][0] if body else 1)
-    values: dict[str, tuple[int, int]] = {}
-    rows: dict[str, dict[int, tuple[int, Any]]] = {name: {} for name in indexed}
-    for lineno, line in body[1:]:
-        if "=" not in line:
-            raise InputError(f"expected 'key = value', got {line!r}", path=path, line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in scalars:
-            if key in values:
-                raise InputError(f"duplicate row {key}", path=path, line=lineno)
-            values[key] = (lineno, _parse_header_int(key, value, lineno, path))
-        elif (match := _INDEXED_KEY.fullmatch(key)) and match[1] in indexed:
-            name, i = match[1], int(match[2])
-            if i in rows[name]:
-                raise InputError(f"duplicate row {name}{i}", path=path, line=lineno)
-            rows[name][i] = (lineno, indexed[name](value, lineno, path))
-        else:
-            raise InputError(f"unknown directive {key!r}", path=path, line=lineno)
-    for key, missing in scalars.items():
-        if key not in values:
-            raise InputError(missing, path=path)
-    return values, rows
 
 
 def parse_finite_system(text: str, path: str | None = None,

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._arrays import _distinct, _same
 from .cube_engine import CubeSet, enumerate_Q, ucpp_check
 from .errors import HypothesisError, InputError
 from .finite_system import (FactorMap, FiniteZdSystem, PairRelation,
-                            _distinct, _same, is_minimal, quotient)
+                            is_minimal, quotient)
 from .hypercube import Vertex, embed_face
 
 
@@ -42,10 +43,6 @@ def template_positions(d: int, j: int) -> tuple[list[tuple[int, int]], int, int]
     return pairs, x_pos, y_pos
 
 
-def _full_dirs(sys: FiniteZdSystem) -> tuple[int, ...]:
-    return tuple(range(1, sys.d + 1))
-
-
 def _scan(Q: CubeSet, slot: int) -> PairRelation:
     """The pairs witnessed by the template for the direction in position
     slot of Q.dirs, inside the full cube set Q of its base system."""
@@ -60,7 +57,7 @@ def _scan(Q: CubeSet, slot: int) -> PairRelation:
 def compute_R_j(sys: FiniteZdSystem, j: int) -> PairRelation:
     """All pairs witnessed by a direction-j template inside the full cube set."""
     return sys.memo(("R_j", j),
-                    lambda: _scan(enumerate_Q(sys, _full_dirs(sys)), j))
+                    lambda: _scan(enumerate_Q(sys, sys.dirs), j))
 
 
 def compute_R(sys: FiniteZdSystem) -> PairRelation:
@@ -68,8 +65,7 @@ def compute_R(sys: FiniteZdSystem) -> PairRelation:
     all d of them, a key held by every one is d equal keys in a row."""
     def build() -> PairRelation:
         d = sys.d
-        held = np.sort(np.concatenate([compute_R_j(sys, j).keys
-                                       for j in _full_dirs(sys)]))
+        held = np.sort(np.concatenate([compute_R_j(sys, j).keys for j in sys.dirs]))
         every = held[d - 1:][held[d - 1:] == held[:len(held) - d + 1]]
         return PairRelation(sys.n_points, every, sys)
 
@@ -77,7 +73,7 @@ def compute_R(sys: FiniteZdSystem) -> PairRelation:
 
 
 def _reordered_dirs(sys: FiniteZdSystem, j: int) -> tuple[int, ...]:
-    return (j,) + tuple(i for i in _full_dirs(sys) if i != j)
+    return (j,) + tuple(i for i in sys.dirs if i != j)
 
 
 def compute_R_j_reordered(sys: FiniteZdSystem, j: int) -> PairRelation:
@@ -113,14 +109,6 @@ def sections(Q: CubeSet) -> dict[int, range]:
     stops = np.append(starts[1:], len(col))
     return {x: range(a, b) for x, a, b in
             zip(col[starts].tolist(), starts.tolist(), stops.tolist())}
-
-
-def _constant_tail_keys(Q: CubeSet, n: int) -> np.ndarray:
-    """Sorted keys x*n + y of the pairs with (x, y, .., y) in the full cube
-    set Q over a system on n points."""
-    rows = Q.rows
-    constant = (rows[:, 1:] == rows[:, 1:2]).all(axis=1)
-    return rows[constant, 0].astype(np.int64) * n + rows[constant, 1]
 
 
 @dataclass(frozen=True)
@@ -205,7 +193,7 @@ def maximal_ucpp_factor(sys: FiniteZdSystem) -> tuple[FiniteZdSystem, FactorMap]
             "the intersection relation is not an invariant equivalence here, "
             "so the quotient is undefined (expected only on non-minimal input)")
     q_sys, pi = quotient(sys, R)
-    res = ucpp_check(enumerate_Q(q_sys, _full_dirs(q_sys)))
+    res = ucpp_check(enumerate_Q(q_sys, q_sys.dirs))
     if not res.ok:
         raise AssertionError(
             f"quotient failed unique completion at {res.pair}; this is a bug")

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube_engine import (RowIndex, _read_int_rows, _rows_text, enumerate_Q,
-                          orbit_rows, row_keys, ucpp_check)
+from ._arrays import _distinct_rows, _frozen, _invert
+from ._text import _read_header, _read_int_rows, _rows_text
+from .cube_engine import RowIndex, enumerate_Q, orbit_rows, row_keys, ucpp_check
 from .errors import InputError
-from .finite_system import FiniteZdSystem, _first_content_line, _invert
+from .finite_system import FiniteZdSystem, is_minimal
 
 # rows of a derived periodic set or product orbit; read where it is checked
 JOIN_CAP = 1_000_000
@@ -84,10 +85,8 @@ class PeriodicSet:
         if residues.ndim != 2 or residues.shape[1] != k:
             raise InputError("residue arity does not match k")
         rows = residues % np.array(moduli, dtype=np.int64)
-        keys, first = np.unique(row_keys(rows, max(moduli)), return_index=True)
-        rows = rows[first]
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        rows, keys = _distinct_rows(rows, row_keys(rows, max(moduli)))
+        object.__setattr__(self, "rows", _frozen(rows))
         object.__setattr__(self, "index", RowIndex.of_keys(keys, max(moduli)))
 
     @classmethod
@@ -192,28 +191,18 @@ class PeriodicSet:
 
     @classmethod
     def from_text(cls, text: str, path: str | None = None) -> "PeriodicSet":
-        first = _first_content_line(text)
-        if first is None or not first[1].startswith("periodic-set"):
-            raise InputError("expected 'periodic-set k=<K> moduli=<...>' header",
-                             path=path, line=first[0] if first else 1)
-        header_line, header, body = first
-        fields = dict(tok.split("=", 1) for tok in header.split()[1:] if "=" in tok)
-        try:
-            k = int(fields["k"])
-            moduli = tuple(int(t) for t in fields["moduli"].split(","))
-        except (KeyError, ValueError):
-            raise InputError("malformed periodic-set header", path=path,
-                             line=header_line)
+        line, fields, body = _read_header(text, "periodic-set k=<K> moduli=<...>", path)
+        k, moduli = fields["k"], fields["moduli"]
 
         def width_error(width: int, first: int) -> str | None:
             return f"residue arity {width} != k = {k}" if width != k else None
 
-        residues = _read_int_rows(body, header_line, "residue", width_error, path)
+        residues = _read_int_rows(body, line, "residue", width_error, path)
         try:
             return cls(k, moduli, residues)
         except InputError as exc:
             # every check left to the constructor is about the header
-            raise InputError(str(exc), path=path, line=header_line)
+            raise InputError(str(exc), path=path, line=line)
 
 
 def contains_zero_vector(ps: PeriodicSet) -> bool:
@@ -331,7 +320,6 @@ def joining_containment_check(sys: FiniteZdSystem, x: int,
     if sys.d < 2:
         return JoiningContainment("hypotheses-unmet", "need d >= 2",
                                   None, None, None, None)
-    from .finite_system import is_minimal
     if not is_minimal(sys).ok:
         return JoiningContainment("hypotheses-unmet", "system is not minimal",
                                   None, None, None, None)
@@ -446,7 +434,7 @@ def product_system_realization(
     perms = np.stack([index.find(act(points, m))[0] for m in forward])
     prod_sys = FiniteZdSystem(len(points), d, perms, name="product-orbit")
     # Q first: an over-budget product system then costs only the orbit search
-    u = ucpp_check(enumerate_Q(prod_sys, tuple(range(1, d + 1))))
+    u = ucpp_check(enumerate_Q(prod_sys, prod_sys.dirs))
     inside = np.ones(len(points), dtype=bool)
     for j, (f, _, Uf) in enumerate(factors):
         member = np.zeros(f.n_points, dtype=bool)

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import _chunked_ranks, _distinct, _first_repeat
 from .cube_engine import (CubeSet, FaceGroupElement, RowIndex, UcppResult,
-                          _first_repeat, enumerate_K, enumerate_Q, row_keys,
-                          section_of, ucpp_check)
+                          enumerate_K, enumerate_Q, row_keys, section_of,
+                          ucpp_check)
 from .errors import InputError
-from .finite_system import (FactorMap, FiniteZdSystem, _chunked_ranks,
-                            _label_quotient, is_minimal, label_classes,
-                            orbit_labels)
+from .finite_system import (FactorMap, FiniteZdSystem, _label_quotient,
+                            is_minimal, label_classes, orbit_labels)
 
 COMBO_CHUNK = 1 << 18  # relative-independence candidates per chunk
 
@@ -202,18 +202,15 @@ def decompose(sys: FiniteZdSystem, x0: int) -> JoiningDecomposition:
 
 
 def _decompose(sys: FiniteZdSystem, x0: int) -> JoiningDecomposition:
-    dirs = tuple(range(1, sys.d + 1))
-    Q = enumerate_Q(sys, dirs)
-    K = enumerate_K(sys, dirs, x0)
+    Q = enumerate_Q(sys, sys.dirs)
+    K = enumerate_K(sys, sys.dirs, x0)
     if not np.array_equal(section_of(Q, x0).to_array(), K.to_array()):
         raise AssertionError("base-point restriction disagrees with the section; bug")
     u = ucpp_check(Q)
     minimal = is_minimal(sys).ok
     Y = face_system(K)
-    sides = tuple(
-        _project_positions(K, Y, _side_positions(sys.d, j), f"Y_{j}")
-        for j in range(1, sys.d + 1)
-    )
+    sides = tuple(_project_positions(K, Y, _side_positions(sys.d, j), f"Y_{j}")
+                  for j in sys.dirs)
     corners = {}
     for i in range(1, sys.d + 1):
         for j in range(i + 1, sys.d + 1):
@@ -266,8 +263,7 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
         raise InputError(f"direction {j} out of range 1..{sys.d}")
     if sys.d < 2:
         raise InputError("need d >= 2")
-    dirs = tuple(range(1, sys.d + 1))
-    rest = tuple(i for i in dirs if i != j)
+    rest = tuple(i for i in sys.dirs if i != j)
     dec = decompose(sys, x0)
     q_sys, kappa = maximal_trivial_H_factor(dec.Y, SubgroupSpec(dirs=(j,)))
     K_rest = section_of(enumerate_Q(sys, rest), x0)
@@ -284,7 +280,7 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
         labels = proj[first]
         image = dec.K.rows[first][:, [p - 1 for p in _side_positions(sys.d, j)]]
         here, found = RowIndex(rest_rows, sys.n_points).find(image)
-        distinct = len(np.unique(labels))
+        distinct = len(_distinct(labels))
         bijective = (len(first) == q_sys.n_points == len(rest_rows)
                      and bool(found.all()) and distinct == len(rest_rows)
                      and distinct == len(first))
@@ -293,7 +289,7 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
                        "restricted tuples")
     equivariant = True
     if constant and bijective:
-        for gi, i_dir in enumerate(dirs):
+        for gi, i_dir in enumerate(sys.dirs):
             if i_dir == j:
                 continue
             lhs = image[q_sys.table[gi]]
@@ -306,7 +302,7 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
                            f"{int(np.argmax(bad))}")
                 break
     dropped_trivial = bool(
-        (q_sys.table[dirs.index(j)] == np.arange(q_sys.n_points)).all())
+        (q_sys.table[j - 1] == np.arange(q_sys.n_points)).all())
     ok = constant and bijective and equivariant and dropped_trivial
     return FactorIsoResult(ok=ok, j=j, classes=q_sys.n_points,
                            target_size=len(rest_rows),
@@ -353,7 +349,7 @@ def relative_independence_check(dec: JoiningDecomposition
     for j in range(1, d + 1):
         pins = [p - 1 for p in _side_positions(d, j) if p - 1 != free[j - 1]]
         part = np.unique(row_keys(rows[:, pins], n), return_inverse=True)[1]
-        pairs = np.unique(part * n + rows[:, free[j - 1]])
+        pairs = _distinct(part * n + rows[:, free[j - 1]])
         bucket = pairs // n
         starts.append(np.searchsorted(bucket, part))
         sizes.append(np.searchsorted(bucket, part, side="right") - starts[-1])

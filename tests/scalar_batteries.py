@@ -32,7 +32,8 @@ from zdcubes.structure import (FactorIsoResult, RelativeIndependenceResult,
                                SubgroupSpec, _side_positions, face_system,
                                maximal_trivial_H_factor)
 from zdcubes.errors import InputError
-from zdcubes.finite_system import _content_lines, perm_order
+from zdcubes._text import _content_lines
+from zdcubes.finite_system import perm_order
 from zdcubes.hypercube import MAX_DIM, Vertex, _check_dim, digit_permute
 from zdcubes.return_times import phi_image
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from zdcubes.errors import InputError
-from zdcubes.finite_system import _content_lines
+from zdcubes._text import _content_lines
 from zdcubes.return_times import PeriodicSet
 
 

@@ -20,7 +20,7 @@ import scalar_batteries as ref
 from conftest import ALL_FSYS
 from test_array_batteries import _join_spy, _surgery, _z2_power
 from test_relations import BRUTE_BUDGET, SETTINGS, brute, commuting_systems
-from zdcubes import battery, cube_engine, structure
+from zdcubes import _text, battery, structure
 from zdcubes.cube_engine import (INT32, CubeSet, UcppResult, enumerate_K,
                                  enumerate_Q, row_keys)
 from zdcubes.finite_system import FactorMap, FiniteZdSystem
@@ -107,7 +107,7 @@ def test_wide_rows_match_scalar_loops():
 def test_small_chunks_do_not_change_witnesses(systems, monkeypatch):
     monkeypatch.setattr(battery, "PAIR_CHUNK", 7)
     monkeypatch.setattr(structure, "COMBO_CHUNK", 5)
-    monkeypatch.setattr(cube_engine, "TEXT_CHUNK", 7)
+    monkeypatch.setattr(_text, "TEXT_CHUNK", 7)
     for name in ("rot6", "z4xz3", "rot8_d3", "nonmin_z4z2"):
         _same_everywhere(systems[name])
     dec = decompose(systems["rot6"], 0)
@@ -344,9 +344,9 @@ def test_injectivity_witness_on_merged_sides(systems, name):
 # the text form
 
 
-@pytest.mark.parametrize("chunk", [7, 64, cube_engine.TEXT_CHUNK])
+@pytest.mark.parametrize("chunk", [7, 64, _text.TEXT_CHUNK])
 def test_text_matches_join(monkeypatch, chunk):
-    monkeypatch.setattr(cube_engine, "TEXT_CHUNK", chunk)
+    monkeypatch.setattr(_text, "TEXT_CHUNK", chunk)
     rng = np.random.default_rng(11)
     i32 = np.iinfo(np.int32)
     sets = [
@@ -355,6 +355,9 @@ def test_text_matches_join(monkeypatch, chunk):
         CubeSet((2,), [[i32.min, i32.max], [-1, 0], [7, i32.min]]),
         CubeSet((1, 2, 3), np.empty((0, 8), dtype=np.int32)),
         CubeSet((3, 1), [[5] * 4]),
+        # no rows, keyed by a structured view: 300^8 passes int64
+        CubeSet((1, 2, 3), np.empty((0, 8), dtype=np.int32),
+                base=FiniteZdSystem(300, 3, np.tile(np.arange(300), (3, 1)))),
     ]
     for cs in sets:
         text = ref.to_text(cs)
@@ -396,8 +399,8 @@ def int_rows(draw):
 
 
 @settings(SETTINGS, max_examples=200)
-@given(int_rows(), st.sampled_from([1, 7, 64, cube_engine.TEXT_CHUNK]))
+@given(int_rows(), st.sampled_from([1, 7, 64, _text.TEXT_CHUNK]))
 def test_text_chunks_match_a_plain_join(rows, chunk):
     want = "".join(["h\n", *(",".join(map(str, r)) + "\n" for r in rows.tolist())])
-    with mock.patch.object(cube_engine, "TEXT_CHUNK", chunk):
-        assert b"".join(cube_engine._text_chunks("h", rows)) == want.encode()
+    with mock.patch.object(_text, "TEXT_CHUNK", chunk):
+        assert b"".join(_text._text_chunks("h", rows)) == want.encode()

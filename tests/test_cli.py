@@ -107,6 +107,9 @@ def test_validate_malformed_exits_3(tmp_path):
 @pytest.mark.parametrize("text,line", [
     ("pair-relation n=-3\n", 1),
     ("# three points\npair-relation n=3\n0,1\n\n5,1\n", 5),
+    ("pair-relation nn=3\n", 1),
+    ("# n twice\npair-relation n=3 n=3\n0,1\n", 2),
+    ("pair-relation n=3 junk\n0,1\n", 1),
 ])
 def test_validate_malformed_pair_relation_exits_3(tmp_path, text, line):
     bad = tmp_path / "bad.rel"
@@ -124,6 +127,10 @@ def test_validate_malformed_pair_relation_exits_3(tmp_path, text, line):
      "expected 2 moduli, got 1"),
     ("# int64 rows\nperiodic-set k=1 moduli=4611686018427387904\n0\n",
      "modulus 4611686018427387904 must be below 2^62"),
+    ("# k twice\nperiodic-set k=1 k=2 moduli=2,2\n0\n",
+     "malformed periodic-set header"),
+    ("# unknown field\nperiodic-set k=1 moduli=2 m=3\n0\n",
+     "malformed periodic-set header"),
 ])
 def test_validate_periodic_set_header_errors_name_the_line(tmp_path, text,
                                                            message):
@@ -635,6 +642,12 @@ def test_verify_pset_above_the_join_cap(tmp_path):
     ("pset", "periodic-set k=2 moduli=4,6\n0,0\n1,2,3\n", 3,
      "residue arity 3 != k = 2"),
     ("cubes", "cube-set d=1 dirs=1\n0,1\n0,1,2\n", 3, "row width 3 != 2"),
+    ("cubes", "cube-set d=2 d=1 dirs=1\n0,1\n", 1, "malformed cube-set header"),
+    ("cubes", "# c\ncube-set d=1 dirs=1 junk\n0,1\n", 2,
+     "malformed cube-set header"),
+    ("cubes", "cube-set d=2 dirs=1\n0,1\n", 1, "header says d=2 but lists 1 dirs"),
+    ("rel", "pair-relation nn=3\n0,1\n", 1, "malformed pair-relation header"),
+    ("rel", "pair-relation n=3\n0,1\n1,x\n", 3, "non-integer pair '1,x'"),
 ])
 def test_malformed_rows_exit_3_with_file_and_line(tmp_path, kind, text, line,
                                                    message):

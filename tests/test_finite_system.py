@@ -144,6 +144,8 @@ def test_pair_relation_text_round_trip():
 def test_pair_relation_from_text_rejects_bad_header():
     with pytest.raises(InputError):
         PairRelation.from_text("cube-set d=1 dirs=1\n0\n")
+    with pytest.raises(InputError, match="^line 1: malformed pair-relation header$"):
+        PairRelation.from_text("pair-relationX n=3\n")
 
 
 def test_quotient_by_invariant_relation(systems):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zdcubes import cube_engine, kernels
+from zdcubes import _text, kernels
 from zdcubes.cube_engine import _pow_table
 from zdcubes.finite_system import FiniteZdSystem, perm_order
 from zdcubes.kernels import backend_name
@@ -130,10 +130,10 @@ def raw_rows(draw):
 
 
 @SETTINGS
-@given(raw_rows(), st.sampled_from([cube_engine.TEXT_CHUNK, 7, 64]))
+@given(raw_rows(), st.sampled_from([_text.TEXT_CHUNK, 7, 64]))
 def test_rows_text_matches_joined_rows(rows, chunk):
-    with mock.patch.object(cube_engine, "TEXT_CHUNK", chunk):
-        assert cube_engine._rows_text("rows", rows) == \
+    with mock.patch.object(_text, "TEXT_CHUNK", chunk):
+        assert _text._rows_text("rows", rows) == \
             _joined("rows", rows.tolist())
 
 
@@ -144,11 +144,11 @@ def test_rows_text_cell_widths(lo, hi):
     # from dense and sparse tables
     rows = np.random.default_rng(hi).integers(lo, hi + 1, size=(4000, 3))
     rows[0, 0], rows[-1, -1] = lo, hi
-    assert cube_engine._rows_text("rows", rows) == _joined("rows", rows.tolist())
+    assert _text._rows_text("rows", rows) == _joined("rows", rows.tolist())
 
 
 def test_rows_text_sparse_range():
     # two values further apart than there are cells: the sparse table
     rows = np.array([[-(1 << 31), 7, 7], [0, -7, (1 << 31) - 1]], dtype=np.int64)
-    assert cube_engine._rows_text("rows", rows) == _joined("rows", rows.tolist())
-    assert cube_engine._rows_text("rows", rows[:0]) == "rows\n"
+    assert _text._rows_text("rows", rows) == _joined("rows", rows.tolist())
+    assert _text._rows_text("rows", rows[:0]) == "rows\n"

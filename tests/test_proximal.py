@@ -1,7 +1,6 @@
-from zdcubes.battery import proximal_battery
+from zdcubes.battery import _constant_tail_keys, proximal_battery
 from zdcubes.cube_engine import enumerate_Q
 from zdcubes.proximal import (
-    _constant_tail_keys,
     check_equivalence,
     compute_R,
     compute_R_j,

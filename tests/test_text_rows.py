@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 import scalar_batteries as cube_ref
 import scalar_return_times as pset_ref
-from zdcubes import cube_engine
+from zdcubes import _text, cube_engine
+from zdcubes._text import _content_lines, _first_content_line
 from zdcubes.cube_engine import CubeSet
 from zdcubes.errors import InputError
-from zdcubes.finite_system import _content_lines, _first_content_line
 from zdcubes.return_times import MODULUS_LIMIT, PeriodicSet
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
@@ -243,8 +243,8 @@ def _may_refuse(body):
 
 def _falls_back(parse, text):
     """parse(text) with a spy on the line path: whether it ran."""
-    with mock.patch.object(cube_engine, "_read_lines",
-                           wraps=cube_engine._read_lines) as spy:
+    with mock.patch.object(_text, "_read_lines",
+                           wraps=_text._read_lines) as spy:
         _outcome(parse, text)
     return spy.called
 
@@ -341,8 +341,8 @@ def test_verify_reads_a_workload_pset_without_the_line_path(tmp_path):
     from zdcubes.cli import cmd_verify
     path = tmp_path / "pset0.pset"
     path.write_text(_workload_pset((12, 10), (96, 100), 60))
-    with mock.patch.object(cube_engine, "_read_lines",
-                           wraps=cube_engine._read_lines) as spy:
+    with mock.patch.object(_text, "_read_lines",
+                           wraps=_text._read_lines) as spy:
         report, code = cmd_verify(str(path))
     assert code == 0 and report["counts"]["fail"] == 0
     assert not spy.called
@@ -405,7 +405,7 @@ def test_pset_writer_edge_cases(ps):
 
 
 def test_pset_writer_across_chunks(monkeypatch):
-    monkeypatch.setattr(cube_engine, "TEXT_CHUNK", 7)
+    monkeypatch.setattr(_text, "TEXT_CHUNK", 7)
     rows = [(i, 3 * i, -i) for i in range(40)]
     for moduli in ((50, 150, 60), (50, 1 << 40, 60)):
         ps = PeriodicSet(3, moduli, rows)
@@ -417,9 +417,9 @@ def test_pset_writer_across_chunks(monkeypatch):
     [(5, 6, 7, 8), (6, 6, 6, 6)],  # dense table from 5 up
     [(-(1 << 31), 0, 7, (1 << 31) - 1)],  # sparse table
 ])
-@pytest.mark.parametrize("chunk", [cube_engine.TEXT_CHUNK, 7])
+@pytest.mark.parametrize("chunk", [_text.TEXT_CHUNK, 7])
 def test_cube_writer_matches_joined_rows(monkeypatch, rows, chunk):
-    monkeypatch.setattr(cube_engine, "TEXT_CHUNK", chunk)
+    monkeypatch.setattr(_text, "TEXT_CHUNK", chunk)
     cs = CubeSet((1, 2), rows)
     text = cube_ref.to_text(cs)
     assert cs.to_text() == text
@@ -430,7 +430,7 @@ def test_readers_across_chunks():
     # numpy's C reader takes a file in chunks of 50,000 lines; a bad line
     # past the first chunk is still named by the line path
     body = "".join(f"{i},{-i}\n" for i in range(60_000))
-    rows = cube_engine._read_int_rows(body, 1, "residue", lambda w, first: None, None)
+    rows = _text._read_int_rows(body, 1, "residue", lambda w, first: None, None)
     assert isinstance(rows, np.ndarray)
     assert rows.tolist() == [[i, -i] for i in range(60_000)]
     for text in ("".join(f"{i},{i + 1}\n" for i in range(5)), body):
