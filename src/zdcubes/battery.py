@@ -21,12 +21,12 @@ import numpy as np
 from .affine import (AffineZdSystem, discretize, formula_equivalence_test,
                      matcond_check, validate_affine)
 from ._arrays import _chunked_ranks, _distinct, _find_keys, _first, _same
-from .cube_engine import (RowIndex, enumerate_K, enumerate_Q,
-                          face_group_orbit, row_keys, section_of, ucpp_check)
+from .cube_engine import (CubeSet, RowIndex, enumerate_K, enumerate_Q,
+                          face_group_orbit, section_of, ucpp_check)
 from .errors import InputError
 from .finite_system import (FiniteZdSystem, check_factor_map, is_minimal,
                             partition, validate)
-from .hypercube import Vertex, digit_permute
+from .hypercube import face, flip, restrict
 from .proximal import (_R_equivalence, compute_R, compute_R_j,
                        compute_R_j_reordered, keep_reordered_relation,
                        maximal_ucpp_factor, pushforward_check, sections)
@@ -62,17 +62,14 @@ def _pass_fail(check: str, ok: bool, witness=None, **detail) -> dict:
 PAIR_CHUNK = 1 << 20
 
 
-def _face_cols(d: int, j: int, b: int) -> list[int]:
-    return [m for m in range(1 << d) if (m >> (j - 1)) & 1 == b]
-
-
-def _face_ids(rows: np.ndarray, d: int, j: int, n: int
+def _face_ids(Q: CubeSet, faces: tuple[list[int], list[int]]
               ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(lower, upper, faces): the ids of each row's lower and upper j-face,
-    numbered 0..faces-1 in the order of their row keys."""
-    keys = [row_keys(rows[:, _face_cols(d, j, b)], n) for b in (0, 1)]
+    """(lower, upper, count): the ids of each row's lower and upper face
+    (the vertex lists faces), numbered 0..count-1 in the order of their row
+    keys."""
+    keys = [Q.column_keys(f) for f in faces]
     distinct, ids = np.unique(np.concatenate(keys), return_inverse=True)
-    return ids[:len(rows)], ids[len(rows):], len(distinct)
+    return ids[:len(Q)], ids[len(Q):], len(distinct)
 
 
 def _faces_equivalent(lower: np.ndarray, upper: np.ndarray, faces: int) -> bool:
@@ -90,13 +87,15 @@ def _faces_equivalent(lower: np.ndarray, upper: np.ndarray, faces: int) -> bool:
     return len(lower) == int((sizes * sizes).sum())
 
 
-def _pair_gather(rows: np.ndarray, a: np.ndarray, b: np.ndarray,
-                 take_b: list[bool], cols: list[int]) -> np.ndarray:
-    """Result coordinate m reads rows[b, cols[m]] if take_b[m], else
-    rows[a, cols[m]]."""
-    out = np.empty((len(a), len(cols)), dtype=rows.dtype)
-    for m, (from_b, c) in enumerate(zip(take_b, cols)):
-        out[:, m] = rows[b if from_b else a, c]
+def _pair_gather(rows: np.ndarray, faces: tuple[list[int], list[int]],
+                 a: np.ndarray, a_cols: list[int],
+                 b: np.ndarray, b_cols: list[int]) -> np.ndarray:
+    """The tuples whose lower face (faces[0]) reads rows a at a_cols and
+    whose upper face (faces[1]) reads rows b at b_cols, vertex by vertex."""
+    out = np.empty((len(a), rows.shape[1]), dtype=rows.dtype)
+    for ids, dest, cols in ((a, faces[0], a_cols), (b, faces[1], b_cols)):
+        for m, c in zip(dest, cols):
+            out[:, m] = rows[ids, c]
     return out
 
 
@@ -105,33 +104,31 @@ def _first_missing(index: RowIndex, rows: np.ndarray) -> int | None:
 
 
 def _glue_witness(rows: np.ndarray, index: RowIndex, j: int,
-                  lower: np.ndarray, upper: np.ndarray, below: np.ndarray
-                  ) -> list | None:
+                  faces: tuple[list[int], list[int]], lower: np.ndarray,
+                  upper: np.ndarray, below: np.ndarray) -> list | None:
     """The first pair (a, b) of rows, a then b in Q order, with a's upper
     j-face equal to b's lower one whose glue leaves Q, as [j, a, b].  below
     counts the rows over each lower face id."""
-    width = rows.shape[1]
-    bit = 1 << (j - 1)
     order = np.argsort(lower, kind="stable")
     first = (np.cumsum(below) - below)[upper]
-    take_b = [bool(m & bit) for m in range(width)]
     for a, rank in _chunked_ranks(below[upper], PAIR_CHUNK):
         b = order[first[a] + rank]
-        miss = _first_missing(index, _pair_gather(rows, a, b, take_b,
-                                                  list(range(width))))
+        miss = _first_missing(index, _pair_gather(rows, faces, a, faces[0],
+                                                  b, faces[1]))
         if miss is not None:
             return [j, rows[a[miss]].tolist(), rows[b[miss]].tolist()]
     return None
 
 
 def _insert_witness(rows: np.ndarray, index: RowIndex, j: int,
-                    upper: np.ndarray) -> list | None:
+                    faces: tuple[list[int], list[int]], upper: np.ndarray
+                    ) -> list | None:
     """The first pair (a, b) of rows coinciding in the upper j-face whose
-    insertion leaves Q on either side, as [j, side, a, b].  Buckets of
-    equal upper faces go in order of first appearance, members in Q
+    insertion leaves Q on either side, as [j, side, a, b]: a's upper face
+    on both sides of b's, or b's lower face on both sides of a's.  Buckets
+    of equal upper faces go in order of first appearance, members in Q
     order."""
-    width = rows.shape[1]
-    bit = 1 << (j - 1)
+    low, high = faces
     _, first, inverse, sizes = np.unique(
         upper, return_index=True, return_inverse=True, return_counts=True)
     by_first = np.argsort(first)
@@ -140,21 +137,15 @@ def _insert_witness(rows: np.ndarray, index: RowIndex, j: int,
     members = np.argsort(rank[inverse], kind="stable")
     sizes = sizes[by_first]
     starts = np.cumsum(sizes) - sizes
-    sides = []
-    for side in ("upper", "lower"):
-        keep = bit if side == "upper" else 0
-        take_b = [(m & bit) == keep for m in range(width)]
-        sides.append((side, take_b,
-                      [m if t else m ^ bit for m, t in enumerate(take_b)]))
     for g, r in _chunked_ranks(sizes * sizes, PAIR_CHUNK):
         a = members[starts[g] + r // sizes[g]]
         b = members[starts[g] + r % sizes[g]]
-        found = [index.find(_pair_gather(rows, a, b, take_b, cols))[1]
-                 for _, take_b, cols in sides]
+        found = [index.find(_pair_gather(rows, faces, a, high, b, high))[1],
+                 index.find(_pair_gather(rows, faces, b, low, a, low))[1]]
         bad = ~(found[0] & found[1])
         if bad.any():
             i = int(np.argmax(bad))
-            side = sides[0][0] if not found[0][i] else sides[1][0]
+            side = "upper" if not found[0][i] else "lower"
             return [j, side, rows[a[i]].tolist(), rows[b[i]].tolist()]
     return None
 
@@ -166,11 +157,9 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     where that fails, by trying every eligible pair; the other surgeries
     map every row."""
     d = sys.d
-    n = sys.n_points
     dirs = sys.dirs
-    width = 1 << d
     Q = enumerate_Q(sys, dirs)
-    rows, index = Q.to_array(), Q.index
+    rows, index = Q.rows, Q.index
     items = []
 
     # glue and insert, direction by direction; the pair counts are closed
@@ -178,16 +167,18 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     glued = inserted = 0
     glue_witness = insert_witness = None
     for j in dirs:
-        lower, upper, faces = _face_ids(rows, d, j, n)
-        below = np.bincount(lower, minlength=faces)
+        faces = face(d, j, 0), face(d, j, 1)
+        lower, upper, count = _face_ids(Q, faces)
+        below = np.bincount(lower, minlength=count)
         glued += int(below[upper].sum())
         inserted += 2 * int((np.bincount(upper) ** 2).sum())
-        if _faces_equivalent(lower, upper, faces):
+        if _faces_equivalent(lower, upper, count):
             continue
         if glue_witness is None:
-            glue_witness = _glue_witness(rows, index, j, lower, upper, below)
+            glue_witness = _glue_witness(rows, index, j, faces, lower, upper,
+                                         below)
         if insert_witness is None:
-            insert_witness = _insert_witness(rows, index, j, upper)
+            insert_witness = _insert_witness(rows, index, j, faces, upper)
     items.append(_pass_fail("glue_closure", glue_witness is None, glue_witness,
                             pairs=glued))
     items.append(_pass_fail("insert_closure", insert_witness is None,
@@ -202,12 +193,9 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
             checked += len(Qs)
             if witness is not None:
                 continue
-            slots = [dirs.index(j) for j in sub]
-            cols = [sum(((m >> s) & 1) << ell for ell, s in enumerate(slots))
-                    for m in range(width)]
-            miss = _first_missing(index, Qs.to_array()[:, cols])
+            miss = _first_missing(index, Qs.rows[:, restrict(d, sub)])
             if miss is not None:
-                witness = [list(sub), Qs.to_array()[miss].tolist()]
+                witness = [list(sub), Qs.rows[miss].tolist()]
     items.append(_pass_fail("duplicate_closure", witness is None, witness,
                             points=checked))
 
@@ -222,8 +210,7 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
                 checked += len(Q)
                 if witness is not None:
                     continue
-                miss = _first_missing(rest_index[j],
-                                      rows[:, _face_cols(d, j, b)])
+                miss = _first_missing(rest_index[j], rows[:, face(d, j, b)])
                 if miss is not None:
                     witness = [j, b, rows[miss].tolist()]
     items.append(_pass_fail("project_closure", witness is None, witness,
@@ -236,8 +223,8 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     for sigma in sigmas:
         src = enumerate_Q(sys, sigma)
         keep_reordered_relation(src)
-        cols = [digit_permute(sigma, Vertex(m, d)).mask for m in range(width)]
-        if witness is None and not index.same_set(src.to_array()[:, cols]):
+        cols = restrict(d, sigma)
+        if witness is None and not index.same_set(src.rows[:, cols]):
             witness = list(sigma)
     items.append(_pass_fail("digit_permute_bijection", witness is None, witness,
                             permutations=len(sigmas)))
@@ -245,8 +232,7 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     # reflection: flipping any digit permutes the set
     witness = None
     for j in dirs:
-        flipped = [m ^ (1 << (j - 1)) for m in range(width)]
-        if witness is None and not index.same_set(rows[:, flipped]):
+        if witness is None and not index.same_set(rows[:, flip(d, j)]):
             witness = j
     items.append(_pass_fail("reflect_invariance", witness is None, witness,
                             directions=d))
@@ -274,7 +260,7 @@ def cube_battery(sys: FiniteZdSystem) -> list[dict]:
     else:
         items.append(_item("ucpp", "skipped", None, reason="needs d >= 2"))
 
-    rows, index = Q.to_array(), Q.index
+    rows, index = Q.rows, Q.index
     diagonal = np.repeat(np.arange(sys.n_points), Q.width).reshape(-1, Q.width)
     witness = _first_missing(index, diagonal)
     items.append(_pass_fail("diagonal_membership", witness is None, witness,
@@ -283,9 +269,9 @@ def cube_battery(sys: FiniteZdSystem) -> list[dict]:
     witness = None
     for j in dirs:
         pairs = enumerate_Q(sys, (j,))
-        miss = _first_missing(pairs.index, pairs.to_array()[:, ::-1])
+        miss = _first_missing(pairs.index, pairs.rows[:, ::-1])
         if miss is not None:
-            witness = [j] + pairs.to_array()[miss].tolist()
+            witness = [j] + pairs.rows[miss].tolist()
             break
     items.append(_pass_fail("single_direction_symmetry", witness is None, witness))
 
@@ -307,7 +293,7 @@ def cube_battery(sys: FiniteZdSystem) -> list[dict]:
     K = enumerate_K(sys, dirs, 0)
     sec = section_of(Q, 0)
     items.append(_pass_fail("section_consistency",
-                            np.array_equal(K.to_array(), sec.to_array()), None,
+                            np.array_equal(K.rows, sec.rows), None,
                             K_size=len(K), K_sha256=K.text_sha256()))
     return items
 
@@ -336,7 +322,7 @@ def _section_classes(Q, sec: dict[int, range], n: int
     ids and equal sections are equal slices, ranked by their bytes within
     each length.  Shared tails are a join on tail ids over one section per
     class."""
-    tails = np.unique(row_keys(Q.rows[:, 1:], n), return_inverse=True)[1]
+    tails = np.unique(Q.column_keys(slice(1, None)), return_inverse=True)[1]
     xs = np.array(list(sec), dtype=np.int64)
     starts = np.array([r.start for r in sec.values()], dtype=np.int64)
     lengths = np.array([len(r) for r in sec.values()], dtype=np.int64)

@@ -7,8 +7,8 @@ For directions (j_1..j_k) the cube set Q collects all tuples
 
 with x a point and 0 <= n_i < order(T_{j_i}); coordinates sit in canonical
 vertex order (hypercube.py).  K^{x0} is the restriction to base point x0
-with the eps = 0 coordinate dropped, so its tuples have width 2^k - 1 and
-position p corresponds to vertex mask p.
+with the eps = 0 coordinate dropped, so its tuples have width 2^k - 1
+and vertex m sits in column m - 1 (CubeSet.columns).
 
 A CubeSet holds its tuples as one sorted, duplicate-free int32 array with
 the RowIndex of their row keys.  Enumeration runs the numpy kernel over
@@ -40,7 +40,7 @@ from ._text import _read_header, _read_int_rows, _rows_text, _text_chunks
 from .errors import InputError
 from .finite_system import (FiniteZdSystem, _orbits, is_minimal, orbit_labels,
                             partition, perm_power)
-from .hypercube import MAX_DIM
+from .hypercube import MAX_DIM, face
 
 CubePoint = tuple[int, ...]
 
@@ -66,7 +66,7 @@ class CubeSet:
     index is the RowIndex of the rows: keyed with radix base.n_points, so
     that images of rows under the system's maps can be looked up, or over
     the value range of a raw set, whose queries are moved like its rows
-    (_shifted).
+    (_shifted), as column_keys keys some of their columns.
     """
 
     dirs: tuple[int, ...]
@@ -151,9 +151,18 @@ class CubeSet:
             return False
         return bool(self.index.find(self._shifted(q))[1][0])
 
-    def to_array(self) -> np.ndarray:
-        """The stored rows (read-only)."""
-        return self.rows
+    def columns(self, vertices) -> list[int]:
+        """The columns holding the given vertices of the cube, in their
+        order; a based set holds no vertex 0, which is skipped."""
+        if self.based:
+            return [v - 1 for v in vertices if v]
+        return list(vertices)
+
+    def column_keys(self, cols) -> np.ndarray:
+        """The row keys of the rows restricted to the columns cols, over
+        the set's own shift and radix: ordered as the restricted rows are,
+        with no range check, as stored rows lie in range."""
+        return _row_keys(self._shifted(self.rows[:, cols]), self._n)
 
     def to_text(self) -> str:
         return _rows_text(self._header(), self.rows)
@@ -445,8 +454,8 @@ def _ucpp_scan(cubes: CubeSet) -> UcppResult:
     their exponents' images are, and otherwise one sort finds a repeat."""
     rows, n, width = cubes.rows, cubes._n, cubes.width
     keys = cubes.index.keys
-    vertex = [0] + [1 << i for i in range(cubes.k)]  # 0 and the e_i
-    single = [m - 1 for m in vertex[1:]] if cubes.based else vertex
+    k = cubes.k  # vertex 0 and each e_i, the first vertex of the upper i-face
+    single = cubes.columns([0] + [face(k, i, 1)[0] for i in range(1, k + 1)])
     vertices = single if len(single) < width and _distinct_on(cubes, single) \
         else range(width)
     for v in vertices:
@@ -454,7 +463,7 @@ def _ucpp_scan(cubes: CubeSet) -> UcppResult:
             digit = rows[:, v].astype(np.int64) - cubes._lo
             rest = keys - digit * n ** (width - 1 - v)
         else:
-            rest = _row_keys(cubes._shifted(np.delete(rows, v, axis=1)), n)
+            rest = cubes.column_keys([c for c in range(width) if c != v])
         clash = _first_repeat(rest)
         if clash is not None:
             pair = (tuple(rows[clash[0]].tolist()), tuple(rows[clash[1]].tolist()))
@@ -465,7 +474,7 @@ def _ucpp_scan(cubes: CubeSet) -> UcppResult:
 def _distinct_on(cubes: CubeSet, cols: list[int]) -> bool:
     """Whether the rows of cubes are distinct on the columns cols: their
     keys there increase, or one sort finds no repeat."""
-    keys = _row_keys(cubes._shifted(cubes.rows[:, cols]), cubes._n)
+    keys = cubes.column_keys(cols)
     return _increasing(keys) or not _has_repeat(keys)
 
 
@@ -493,20 +502,13 @@ class FaceGroupElement:
         k = len(dirs)
         if len(self.face) != k or len(self.diag) != sys.d:
             raise InputError("exponent vectors do not match dimensions")
-        perms = sys.table
-        faces = [perm_power(perms[j - 1], e) for j, e in zip(dirs, self.face)]
-        diag = np.arange(sys.n_points, dtype=np.int32)
-        for p, e in zip(perms, self.diag):
-            diag = perm_power(p, e)[diag]
-        offset = 1 if based else 0
-        maps = np.empty(((1 << k) - offset, sys.n_points), dtype=np.int32)
-        for c in range(len(maps)):
-            m = np.arange(sys.n_points, dtype=np.int32)
-            for i in range(k):
-                if (c + offset) >> i & 1:
-                    m = faces[i][m]
-            maps[c] = diag[m]
-        return maps
+        maps = np.empty((1 << k, sys.n_points), dtype=np.int32)
+        maps[:] = np.arange(sys.n_points, dtype=np.int32)
+        for i, (j, e) in enumerate(zip(dirs, self.face), 1):
+            upper = face(k, i, 1)
+            maps[upper] = perm_power(sys.table[j - 1], e)[maps[upper]]
+        maps = sys.word_perm(self.diag)[maps]
+        return maps[1:] if based else maps
 
     def apply_rows(self, sys: FiniteZdSystem, dirs: tuple[int, ...],
                    rows: np.ndarray, based: bool = False) -> np.ndarray:

@@ -7,7 +7,8 @@ i in 1..d.  The canonical position of a vertex inside a cube tuple is
 
 so direction 1 varies fastest: for d=2 the order is 00, 10, 01, 11 (written
 as eps_1 eps_2 strings).  Every module that serializes 2^d-tuples relies on
-this single convention.
+this single convention and reads vertex lists from here: the j-faces
+(face), eps_j flipped (flip) and the vertices of a sub-cube (restrict).
 """
 
 from __future__ import annotations
@@ -76,3 +77,22 @@ def embed_face(j: int, b: int, w: Vertex) -> Vertex:
     low = w.mask & ((1 << (j - 1)) - 1)
     high = w.mask >> (j - 1)
     return Vertex(low | (b << (j - 1)) | (high << j), d)
+
+
+def face(d: int, j: int, b: int) -> list[int]:
+    """The vertices of {0,1}^d with eps_j = b, ascending: the lower (b=0)
+    or upper (b=1) j-face, whose w-th vertex is embed_face(j, b, w)."""
+    return [m for m in range(1 << d) if (m >> (j - 1)) & 1 == b]
+
+
+def flip(d: int, j: int) -> list[int]:
+    """Each vertex of {0,1}^d, in order, with eps_j flipped."""
+    return [m ^ (1 << (j - 1)) for m in range(1 << d)]
+
+
+def restrict(d: int, dirs: Sequence[int]) -> list[int]:
+    """Each vertex eps of {0,1}^d, in order, read on the directions dirs:
+    the vertex eps' of {0,1}^len(dirs) with eps'_l = eps_{dirs[l]}, which
+    is digit_permute(dirs, eps) when dirs is a permutation of 1..d."""
+    return [sum(((m >> (j - 1)) & 1) << ell for ell, j in enumerate(dirs))
+            for m in range(1 << d)]

@@ -26,7 +26,7 @@ from .cube_engine import CubeSet, enumerate_Q, ucpp_check
 from .errors import HypothesisError, InputError
 from .finite_system import (FactorMap, FiniteZdSystem, PairRelation,
                             is_minimal, quotient)
-from .hypercube import Vertex, embed_face
+from .hypercube import face
 
 
 def template_positions(d: int, j: int) -> tuple[list[tuple[int, int]], int, int]:
@@ -34,13 +34,9 @@ def template_positions(d: int, j: int) -> tuple[list[tuple[int, int]], int, int]
     direction-j template on a d-cube."""
     if not 1 <= j <= d:
         raise InputError(f"direction {j} out of range 1..{d}")
-    pairs = []
-    for eta in range(1, 1 << (d - 1)):
-        w = Vertex(eta, d - 1)
-        pairs.append((embed_face(j, 0, w).mask, embed_face(j, 1, w).mask))
-    x_pos = 0
-    y_pos = 1 << (j - 1)
-    return pairs, x_pos, y_pos
+    # (eta,b)_j is the eta-th vertex of the j-face at b; x is at 0, y at e_j
+    low, high = face(d, j, 0), face(d, j, 1)
+    return list(zip(low[1:], high[1:])), low[0], high[0]
 
 
 def _scan(Q: CubeSet, slot: int) -> PairRelation:
@@ -49,7 +45,7 @@ def _scan(Q: CubeSet, slot: int) -> PairRelation:
     sys = Q.base
     pairs, x_pos, y_pos = template_positions(sys.d, slot)
     eq = np.array(pairs, dtype=np.int32).reshape(len(pairs), 2)
-    hits = kernels.template_scan(Q.to_array(), eq, x_pos, y_pos)
+    hits = kernels.template_scan(Q.rows, eq, x_pos, y_pos)
     keys = hits[:, 0].astype(np.int64) * sys.n_points + hits[:, 1]
     return PairRelation(sys.n_points, keys, sys)
 

@@ -32,6 +32,7 @@ from .cube_engine import (CubeSet, FaceGroupElement, RowIndex, UcppResult,
 from .errors import InputError
 from .finite_system import (FactorMap, FiniteZdSystem, _label_quotient,
                             is_minimal, label_classes, orbit_labels)
+from .hypercube import face
 
 COMBO_CHUNK = 1 << 18  # relative-independence candidates per chunk
 
@@ -119,7 +120,7 @@ def face_system(K: CubeSet) -> FiniteZdSystem:
         raise InputError("face systems are built on based cube sets")
     if K.base is None:
         raise InputError("cube set carries no base system")
-    sys, rows = K.base, K.to_array()
+    sys, rows = K.base, K.rows
     perms = []
     for i, j in enumerate(K.dirs):
         g = FaceGroupElement(tuple(1 if t == i else 0 for t in range(K.k)),
@@ -146,14 +147,14 @@ class CoordinateProjection:
     from_face: FactorMap
 
 
-def _project_positions(K: CubeSet, Y: FiniteZdSystem, positions: tuple[int, ...],
+def _project_positions(K: CubeSet, Y: FiniteZdSystem, positions: list[int],
                        name: str) -> CoordinateProjection:
     """The distinct projected tuples, in sorted order, are the points of the
     target; each generator's image of a value is read off the first tuple
     over it, and must be the same for every tuple over it."""
-    cols = K.rows[:, [p - 1 for p in positions]]
-    keys = row_keys(K._shifted(cols), K._n)
-    _, first, mapping = np.unique(keys, return_index=True, return_inverse=True)
+    cols = K.columns(positions)
+    _, first, mapping = np.unique(K.column_keys(cols), return_index=True,
+                                  return_inverse=True)
     image = mapping[Y.table]
     table = image[:, first]
     if (table[:, mapping] != image).any():
@@ -161,8 +162,8 @@ def _project_positions(K: CubeSet, Y: FiniteZdSystem, positions: tuple[int, ...]
             f"coordinate projection is not equivariant ({name}); bug")
     target = FiniteZdSystem(len(first), Y.d, table, name=name)
     pi = FactorMap(Y, target, mapping)
-    return CoordinateProjection(positions=positions,
-                                values=tuple(map(tuple, cols[first].tolist())),
+    values = tuple(map(tuple, K.rows[first][:, cols].tolist()))
+    return CoordinateProjection(positions=tuple(positions), values=values,
                                 system=target, from_face=pi)
 
 
@@ -184,15 +185,6 @@ class JoiningDecomposition:
         return bool(self.ucpp.ok and self.minimal)
 
 
-def _side_positions(d: int, j: int) -> tuple[int, ...]:
-    return tuple(m for m in range(1, 1 << d) if not (m >> (j - 1)) & 1)
-
-
-def _corner_positions(d: int, i: int, j: int) -> tuple[int, ...]:
-    return tuple(m for m in range(1, 1 << d)
-                 if not (m >> (i - 1)) & 1 and not (m >> (j - 1)) & 1)
-
-
 def decompose(sys: FiniteZdSystem, x0: int) -> JoiningDecomposition:
     """Build Y = K^{x0} with the face action, its side and corner coordinate
     projections, and test injectivity of the product of side projections."""
@@ -204,18 +196,21 @@ def decompose(sys: FiniteZdSystem, x0: int) -> JoiningDecomposition:
 def _decompose(sys: FiniteZdSystem, x0: int) -> JoiningDecomposition:
     Q = enumerate_Q(sys, sys.dirs)
     K = enumerate_K(sys, sys.dirs, x0)
-    if not np.array_equal(section_of(Q, x0).to_array(), K.to_array()):
+    if not np.array_equal(section_of(Q, x0).rows, K.rows):
         raise AssertionError("base-point restriction disagrees with the section; bug")
     u = ucpp_check(Q)
     minimal = is_minimal(sys).ok
     Y = face_system(K)
-    sides = tuple(_project_positions(K, Y, _side_positions(sys.d, j), f"Y_{j}")
+    # the side j and corner (i, j) positions: the vertices but 0 with
+    # eps_j = 0, and with eps_i = eps_j = 0
+    lower = [face(sys.d, j, 0) for j in sys.dirs]
+    sides = tuple(_project_positions(K, Y, lower[j - 1][1:], f"Y_{j}")
                   for j in sys.dirs)
     corners = {}
     for i in range(1, sys.d + 1):
         for j in range(i + 1, sys.d + 1):
-            corners[(i, j)] = _project_positions(
-                K, Y, _corner_positions(sys.d, i, j), f"Y_{i},{j}")
+            corner = [m for m in lower[i - 1][1:] if m in lower[j - 1]]
+            corners[(i, j)] = _project_positions(K, Y, corner, f"Y_{i},{j}")
     injective, witness = _injectivity(K, sides)
     return JoiningDecomposition(
         sys=sys, x0=x0, K=K, ucpp=u, minimal=minimal, Y=Y,
@@ -278,8 +273,8 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
     bijective = False
     if constant:
         labels = proj[first]
-        image = dec.K.rows[first][:, [p - 1 for p in _side_positions(sys.d, j)]]
-        here, found = RowIndex(rest_rows, sys.n_points).find(image)
+        image = dec.K.rows[first][:, dec.K.columns(face(sys.d, j, 0))]
+        here, found = K_rest.index.find(image)
         distinct = len(_distinct(labels))
         bijective = (len(first) == q_sys.n_points == len(rest_rows)
                      and bool(found.all()) and distinct == len(rest_rows)
@@ -341,14 +336,14 @@ def relative_independence_check(dec: JoiningDecomposition
         return RelativeIndependenceResult(status="hypotheses-unmet", checked=0,
                                           witness=None)
     K = dec.K
-    rows, n = K.rows, K._n  # a based set of a system: coordinates 0..n-1
-    d = K.k
-    full = (1 << d) - 1
-    free = [(full ^ (1 << (j - 1))) - 1 for j in range(1, d + 1)]  # columns
+    rows, n, d = K.rows, K.base.n_points, K.k
+    # side j's free vertex is its last, all ones but eps_j; the rest but
+    # vertex 0 are its pins
+    free = K.columns([face(d, j, 0)[-1] for j in range(1, d + 1)])
     starts, sizes, values = [], [], []
     for j in range(1, d + 1):
-        pins = [p - 1 for p in _side_positions(d, j) if p - 1 != free[j - 1]]
-        part = np.unique(row_keys(rows[:, pins], n), return_inverse=True)[1]
+        pins = K.columns(face(d, j, 0)[:-1])
+        part = np.unique(K.column_keys(pins), return_inverse=True)[1]
         pairs = _distinct(part * n + rows[:, free[j - 1]])
         bucket = pairs // n
         starts.append(np.searchsorted(bucket, part))
@@ -357,7 +352,7 @@ def relative_independence_check(dec: JoiningDecomposition
     head = np.ones(len(rows), dtype=bool)
     head[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
     total = np.prod(np.stack(sizes, axis=1), axis=1)
-    if _complete_once(rows, free, head, total, n):
+    if _complete_once(K, free, head, total):
         return RelativeIndependenceResult(status="pass", checked=len(K),
                                           witness=None)
     prefixes = RowIndex(rows[head, :-1], n)
@@ -384,10 +379,10 @@ def relative_independence_check(dec: JoiningDecomposition
     return RelativeIndependenceResult(status="pass", checked=len(K), witness=None)
 
 
-def _complete_once(rows: np.ndarray, free: list[int], head: np.ndarray,
-                   total: np.ndarray, n: int) -> bool:
-    """Whether every candidate of every point of K (its rows) completes
-    exactly once, by counting; head marks the first row of each prefix
+def _complete_once(K: CubeSet, free: list[int], head: np.ndarray,
+                   total: np.ndarray) -> bool:
+    """Whether every candidate of every point of K completes exactly once,
+    by counting; head marks the first row of each prefix
     (row without its last column) and total the number of candidates of
     each point.
 
@@ -399,6 +394,6 @@ def _complete_once(rows: np.ndarray, free: list[int], head: np.ndarray,
     candidates.  At d = 2 the core is empty: one class."""
     if not head.all():
         return False
-    core = np.setdiff1d(np.arange(rows.shape[1] - 1), free)
-    ids = np.unique(row_keys(rows[:, core], n), return_inverse=True)[1]
+    core = np.setdiff1d(np.arange(K.width - 1), free)
+    ids = np.unique(K.column_keys(core), return_inverse=True)[1]
     return bool((np.bincount(ids)[ids] == total).all())

@@ -29,15 +29,15 @@ from zdcubes.cube_engine import (INT32, CubePoint, CubeSet, FaceGroupElement,
                                  face_group_generators)
 from zdcubes.proximal import compute_R_j
 from zdcubes.structure import (FactorIsoResult, RelativeIndependenceResult,
-                               SubgroupSpec, _side_positions, face_system,
+                               SubgroupSpec, face_system,
                                maximal_trivial_H_factor)
 from zdcubes.errors import InputError
 from zdcubes._text import _content_lines
 from zdcubes.finite_system import perm_order
-from zdcubes.hypercube import MAX_DIM, Vertex, _check_dim, digit_permute
+from zdcubes.hypercube import MAX_DIM, Vertex, _check_dim, digit_permute, face
 from zdcubes.return_times import phi_image
 
-from scalar_return_times import perm_pow
+from scalar_return_times import header_fields, perm_pow
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +498,7 @@ def factor_isomorphism_check(sys, x0, j):
         rest_values = K_rest.points
         Y_rest = face_system(K_rest)
     rest_index = {v: i for i, v in enumerate(rest_values)}
-    idx = [p - 1 for p in _side_positions(sys.d, j)]
+    idx = [p - 1 for p in face(sys.d, j, 0)[1:]]
     proj = [tuple(pt[i] for i in idx) for pt in K.points]
     cls_val = {}
     constant = True
@@ -556,7 +556,7 @@ def relative_independence_check(dec):
     d = K.k
     full = (1 << d) - 1
     free_pos = [full ^ (1 << (j - 1)) for j in range(1, d + 1)]
-    side_pos = [_side_positions(d, j) for j in range(1, d + 1)]
+    side_pos = [face(d, j, 0)[1:] for j in range(1, d + 1)]
     side_sets = []
     for j in range(1, d + 1):
         pins = [p for p in side_pos[j - 1] if p != free_pos[j - 1]]
@@ -607,11 +607,11 @@ def cube_set_from_text(text, path=None):
         raise InputError("expected 'cube-set d=<k> dirs=<...>' header",
                          path=path, line=rows[0][0] if rows else 1)
     header_line, header = rows[0]
-    fields = dict(tok.split("=", 1) for tok in header.split()[1:] if "=" in tok)
+    fields = header_fields(header, "cube-set", ("d", "dirs"), path, header_line)
     try:
         k = int(fields["d"])
         dirs = tuple(int(t) for t in fields["dirs"].split(","))
-    except (KeyError, ValueError):
+    except ValueError:
         raise InputError("malformed cube-set header", path=path, line=header_line)
     if len(dirs) != k:
         raise InputError(f"header says d={k} but lists {len(dirs)} dirs",

@@ -215,17 +215,35 @@ def pset_to_text(ps):
     return "\n".join(lines) + "\n"
 
 
+def header_fields(header, kind, names, path, line):
+    """The values, as strings by name, of a header line `<kind> name=value
+    ...` that names each of names once and nothing else; any other line is
+    a malformed header."""
+    head, *tokens = header.split()
+    fields = {}
+    for tok in tokens:
+        name, eq, value = tok.partition("=")
+        if not eq or name not in names or name in fields:
+            break
+        fields[name] = value
+    else:
+        if head == kind and len(fields) == len(names):
+            return fields
+    raise InputError(f"malformed {kind} header", path=path, line=line)
+
+
 def pset_from_text(text, path=None):
     rows = _content_lines(text)
     if not rows or not rows[0][1].startswith("periodic-set"):
         raise InputError("expected 'periodic-set k=<K> moduli=<...>' header",
                          path=path, line=rows[0][0] if rows else 1)
     header_line, header = rows[0]
-    fields = dict(tok.split("=", 1) for tok in header.split()[1:] if "=" in tok)
+    fields = header_fields(header, "periodic-set", ("k", "moduli"), path,
+                           header_line)
     try:
         k = int(fields["k"])
         moduli = tuple(int(t) for t in fields["moduli"].split(","))
-    except (KeyError, ValueError):
+    except ValueError:
         raise InputError("malformed periodic-set header", path=path,
                          line=header_line)
     residues = []

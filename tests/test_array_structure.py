@@ -24,6 +24,7 @@ from zdcubes import _text, battery, structure
 from zdcubes.cube_engine import (INT32, CubeSet, UcppResult, enumerate_K,
                                  enumerate_Q, row_keys)
 from zdcubes.finite_system import FactorMap, FiniteZdSystem
+from zdcubes.hypercube import face
 from zdcubes.proximal import sections
 from zdcubes.structure import (_injectivity, decompose,
                                factor_isomorphism_check,
@@ -224,7 +225,7 @@ def _face_variants(Q):
     the rows whose lower 1-face is related to its first row's, which keeps
     direction 1 an equivalence where Q's was one."""
     rows, n = Q.rows, Q.base.n_points
-    low, high = (battery._face_cols(Q.k, 1, b) for b in (0, 1))
+    low, high = (face(Q.k, 1, b) for b in (0, 1))
     changed = rows[::3].copy()
     changed[:, -1] = (changed[:, -1] + 1) % n
     shared = rows[:-1:2].copy()

@@ -1,11 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ALL_FSYS
 from scalar_batteries import FaceSelector, face_vertices
-from zdcubes.hypercube import Vertex, digit_permute, embed_face
+from zdcubes.cube_engine import CubeSet, enumerate_K, enumerate_Q, row_keys
+from zdcubes.hypercube import (MAX_DIM, Vertex, digit_permute, embed_face, face,
+                               flip, restrict)
 
 
 def test_canonical_order_d2():
@@ -90,3 +94,102 @@ def test_face_selector_and_vertices():
 def test_face_selector_rejects_duplicates():
     with pytest.raises(ValueError):
         FaceSelector(3, ((1, 0), (1, 1)))
+
+
+def _faces_by_definition(face_fn, d):
+    """Whether face_fn(d, j, b) lists the vertices with bit j equal to b,
+    ascending, the w-th of them being embed_face(j, b, w), for every j, b."""
+    for j in range(1, d + 1):
+        for b in (0, 1):
+            want = [m for m in range(1 << d) if Vertex(m, d).bit(j) == b]
+            if d > 1 and want != [embed_face(j, b, Vertex(w, d - 1)).mask
+                                  for w in range(1 << (d - 1))]:
+                return False
+            if face_fn(d, j, b) != want:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("d", range(1, MAX_DIM + 1))
+def test_face_and_flip_follow_the_vertex_bits(d):
+    assert _faces_by_definition(face, d)
+    for j in range(1, d + 1):
+        flipped = flip(d, j)
+        for m in range(1 << d):
+            bits = Vertex(m, d).bits
+            assert Vertex(flipped[m], d).bits == tuple(
+                e ^ (i == j) for i, e in enumerate(bits, 1))
+
+
+def test_a_face_off_by_one_is_caught():
+    shifted = lambda d, j, b: [m for m in range(1 << d) if (m >> j) & 1 == b]
+    no_zero = lambda d, j, b: [m for m in range(1, 1 << d)
+                               if (m >> (j - 1)) & 1 == b]
+    for mutant in (shifted, no_zero):
+        assert not all(_faces_by_definition(mutant, d)
+                       for d in range(1, MAX_DIM + 1))
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_restrict_reads_the_chosen_bits(d):
+    for k in range(1, d + 1):
+        for dirs in itertools.permutations(range(1, d + 1), k):
+            got = restrict(d, dirs)
+            for m in range(1 << d):
+                assert Vertex(got[m], k).bits == tuple(Vertex(m, d).bit(j)
+                                                       for j in dirs)
+            if k == d:
+                assert got == [digit_permute(dirs, Vertex(m, d)).mask
+                               for m in range(1 << d)]
+
+
+def _raw_sets():
+    rng = np.random.default_rng(7)
+    return [
+        CubeSet((1, 2), [[-3, 5, 0, -1], [2, 2, -7, 4], [0, 0, 0, 0]]),
+        CubeSet((2, 1), [[5, 0, -1], [2, -7, 4], [-2, 9, 9]], based=True),
+        CubeSet((1, 2), [[3, 5, 0, 1], [2, 2, 7, 4]]),
+        # coordinates up to 999 at d = 3: whole rows have structured keys
+        CubeSet((1, 2, 3), rng.integers(0, 1000, (40, 8))),
+        CubeSet((1, 2, 3), rng.integers(-999, 1000, (40, 7)), based=True),
+        CubeSet((1, 2, 3), np.empty((0, 8), dtype=np.int64)),
+    ]
+
+
+def _check_column_keys(cs, lo, n):
+    """column_keys against row_keys of the columns moved into 0..n-1."""
+    rows = cs.rows.astype(np.int64) - lo
+    d = cs.k
+    every = list(range(cs.width))
+    cases = [every, every[::-1], every[1:], [every[-1]], slice(1, None)]
+    cases += [cs.columns(face(d, j, b)) for j in range(1, d + 1) for b in (0, 1)]
+    for cols in cases:
+        got, want = cs.column_keys(cols), row_keys(rows[:, cols], n)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+    return cs.column_keys(every).dtype
+
+
+def test_column_keys_of_raw_sets():
+    dtypes = []
+    for cs in _raw_sets():
+        lo = min(int(cs.rows.min()), 0) if len(cs) else 0
+        n = int(cs.rows.max()) - lo + 1 if len(cs) else 1
+        dtypes.append(_check_column_keys(cs, lo, n))
+    assert dtypes[0] == np.int64 and dtypes[3] != np.int64
+
+
+@pytest.mark.parametrize("name", ALL_FSYS)
+def test_columns_and_column_keys_of_enumerated_sets(systems, name):
+    sys_ = systems[name]
+    Q = enumerate_Q(sys_, sys_.dirs)
+    K = enumerate_K(sys_, sys_.dirs, 0)
+    section = Q.rows[Q.rows[:, 0] == 0]
+    for j in sys_.dirs:
+        for b in (0, 1):
+            vertices = face(sys_.d, j, b)
+            assert Q.columns(vertices) == vertices
+            assert np.array_equal(K.rows[:, K.columns(vertices)],
+                                  section[:, [v for v in vertices if v]])
+    for cs in (Q, K):
+        _check_column_keys(cs, 0, sys_.n_points)

@@ -186,10 +186,31 @@ def test_pset_reader_accepts_what_the_loop_accepts(body):
     CUBES + "0,1,2,3\x0c4,5,6,7\n\t\n8,9,10,11\n",
     CUBES + "0,1,2,１\n0,1_0,2,3\n",
     "cube-set d=1 dirs=1\n\xa05,6\n",
+    "cube-set dirs=2,1 d=2\n0,1,2,3\n",
 ])
 def test_cube_reader_accepts_what_the_loop_accepts(text):
     cs = _same_cubes(text)
     assert cs.rows.dtype == np.int32
+
+
+# a repeated field, an unknown field, a bare token, a wrong first token, a
+# missing field and a value int() refuses
+@pytest.mark.parametrize("kind,header", [
+    *(("cube-set", h) for h in [
+        "cube-set d=2 d=1 dirs=1", "cube-set d=1 dirs=1 dirs=1",
+        "cube-set d=1 dirs=1 junk", "cube-set d=1 dirs=1 k=1",
+        "cube-set d=1 dirs=1 =1", "cube-setX d=1 dirs=1", "cube-set d=1",
+        "cube-set d= dirs=1", "cube-set d=1 dirs=1,"]),
+    *(("periodic-set", h) for h in [
+        "periodic-set k=1 k=2 moduli=2,2", "periodic-set k=1 moduli=2 moduli=2",
+        "periodic-set k=1 moduli=2 junk", "periodic-set k=1 moduli=2 d=1",
+        "periodic-set: k=1 moduli=2", "periodic-set moduli=2",
+        "periodic-set k=x moduli=2"]),
+])
+def test_readers_refuse_a_malformed_header_as_the_loops_do(kind, header):
+    same = _same_cubes if kind == "cube-set" else _same_pset
+    assert same(f"# c\n{header}\n1\n") == (
+        "error", f"in.txt:2: malformed {kind} header", "in.txt", 2)
 
 
 TOKENS = ["0", "1", "2", "7", "-3", "-40", " 5", "6 ", "+8", "1_1", "", "x",
