@@ -16,12 +16,14 @@ every base point, each exponent below the generator's order on the base
 point's orbit, taken in the order of its images, so its rows come out
 sorted and distinct.  The sets over increasing directions are kept on the
 system (FiniteZdSystem.memo), so each is enumerated once, and each keeps
-its unique-completion verdict.  A face-group element acts as one
-permutation per coordinate, so its image of an array is a column gather,
-and a face-group orbit is a class of the partition of a set's rows by the
-images of the forward generators.  orbit_rows is the breadth-first orbit
-search over int rows that affine discretization and product realizations
-share.  Cube sets are read and written by the int-row codec of _text.
+its unique-completion verdict.  A face-group element moves the columns
+of each upper face through a power of that face's generator, then every
+column through its diagonal word, skipping zero exponents; only this
+module builds elements.  A face-group orbit is a class of the partition
+of a set's rows by the images of the forward generators.  orbit_rows is
+the breadth-first orbit search over int rows that affine discretization
+and product realizations share.  Cube sets are read and written by the
+int-row codec of _text.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ CubePoint = tuple[int, ...]
 
 MAX_ENUM_ROWS = 5_000_000
 INT32 = np.iinfo(np.int32)
+
+
+def _columns(vertices, based: bool) -> list[int]:
+    """The columns holding the given vertices of a cube tuple, in their
+    order: vertex m sits in column m, or in column m - 1 of a based tuple,
+    which holds no vertex 0 (skipped)."""
+    return [v - 1 for v in vertices if v] if based else list(vertices)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -152,11 +161,8 @@ class CubeSet:
         return bool(self.index.find(self._shifted(q))[1][0])
 
     def columns(self, vertices) -> list[int]:
-        """The columns holding the given vertices of the cube, in their
-        order; a based set holds no vertex 0, which is skipped."""
-        if self.based:
-            return [v - 1 for v in vertices if v]
-        return list(vertices)
+        """The columns holding the given vertices, in their order."""
+        return _columns(vertices, self.based)
 
     def column_keys(self, cols) -> np.ndarray:
         """The row keys of the rows restricted to the columns cols, over
@@ -485,39 +491,37 @@ def _distinct_on(cubes: CubeSet, cols: list[int]) -> bool:
 @dataclass(frozen=True)
 class FaceGroupElement:
     """A face-group element for a k-cube over a d-system: exponent face[i]
-    of T_{dirs[i]} on the coordinates with eps_i = 1, then the diagonal word
-    diag applied to every coordinate.
-
-    The element acts coordinate by coordinate, so it is one permutation of
-    the points per cube coordinate (column_maps); the image of a whole array
-    of cube tuples is a column gather."""
+    of T_{dirs[i]} on the coordinates with eps_i = 1, in direction order,
+    then the diagonal word diag applied to every coordinate.  Zero
+    exponents are skipped, so a generator moves its rows once."""
 
     face: tuple[int, ...]
     diag: tuple[int, ...]
 
-    def column_maps(self, sys: FiniteZdSystem, dirs: tuple[int, ...],
-                    based: bool = False) -> np.ndarray:
-        """int32[width, n] whose row c is the permutation applied to
-        coordinate c (vertex c, or c + 1 when based)."""
+    def apply_rows(self, sys: FiniteZdSystem, dirs: tuple[int, ...],
+                   rows: np.ndarray, based: bool = False) -> np.ndarray:
+        """The image of every row of an int array of cube tuples, whose
+        coordinates are point ids of sys (vertex m in column m - 1 when
+        based): each upper face's columns are gathered through a power of
+        its generator, then every column through the diagonal word."""
         k = len(dirs)
         if len(self.face) != k or len(self.diag) != sys.d:
             raise InputError("exponent vectors do not match dimensions")
-        maps = np.empty((1 << k, sys.n_points), dtype=np.int32)
-        maps[:] = np.arange(sys.n_points, dtype=np.int32)
-        for i, (j, e) in enumerate(zip(dirs, self.face), 1):
-            upper = face(k, i, 1)
-            maps[upper] = perm_power(sys.table[j - 1], e)[maps[upper]]
-        maps = sys.word_perm(self.diag)[maps]
-        return maps[1:] if based else maps
-
-    def apply_rows(self, sys: FiniteZdSystem, dirs: tuple[int, ...],
-                   rows: np.ndarray, based: bool = False) -> np.ndarray:
-        """The image of every row of an int array of cube tuples."""
-        maps = self.column_maps(sys, dirs, based)
+        width = (1 << k) - 1 if based else 1 << k
         rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[1] != len(maps):
-            raise InputError(f"cube tuples must have width {len(maps)}")
-        return maps[np.arange(len(maps)), rows]
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise InputError(f"cube tuples must have width {width}")
+        if rows.size and (not np.issubdtype(rows.dtype, np.integer)
+                          or rows.min() < 0 or rows.max() >= sys.n_points):
+            raise InputError("cube coordinates must be point ids of the system")
+        # the diagonal gather gives a new array, so the rows are copied only
+        # for a face to write into or when no gather follows
+        out = rows.astype(np.int32, copy=any(self.face) or not any(self.diag))
+        for i, (j, e) in enumerate(zip(dirs, self.face), 1):
+            if e:
+                cols = _columns(face(k, i, 1), based)
+                out[:, cols] = perm_power(sys.table[j - 1], e)[out[:, cols]]
+        return sys.word_perm(self.diag)[out] if any(self.diag) else out
 
     def apply(self, sys: FiniteZdSystem, dirs: tuple[int, ...], p: CubePoint,
               based: bool = False) -> CubePoint:
@@ -527,20 +531,12 @@ class FaceGroupElement:
 def face_group_generators(sys: FiniteZdSystem, dirs: tuple[int, ...]
                           ) -> list[FaceGroupElement]:
     """One face generator (and inverse) per cube direction plus one diagonal
-    generator (and inverse) per system direction."""
-    k = len(dirs)
-    gens = []
-    for i in range(k):
-        for e in (1, -1):
-            face = [0] * k
-            face[i] = e
-            gens.append(FaceGroupElement(tuple(face), (0,) * sys.d))
-    for j in range(sys.d):
-        for e in (1, -1):
-            diag = [0] * sys.d
-            diag[j] = e
-            gens.append(FaceGroupElement((0,) * k, tuple(diag)))
-    return gens
+    generator (and inverse) per system direction, the forward one first."""
+    k, d = len(dirs), sys.d
+    units = [[tuple(e if t == i else 0 for t in range(n)) for i in range(n)
+              for e in (1, -1)] for n in (k, d)]
+    return ([FaceGroupElement(f, (0,) * d) for f in units[0]]
+            + [FaceGroupElement((0,) * k, w) for w in units[1]])
 
 
 def face_group_orbit(cubes: CubeSet, start: CubePoint

@@ -44,6 +44,7 @@ Perm = tuple[int, ...]
 
 VALIDATE_CHUNK = 1 << 22  # composed entries per chunk of the commutation check
 JOIN_CHUNK = 1 << 20  # composed pairs per chunk of the transitivity join
+MAX_PAIR_POINTS = math.isqrt(1 << 63)  # the largest n whose keys x*n + y fit int64
 
 
 def perm_order(p: Perm) -> int:
@@ -199,12 +200,14 @@ class FiniteZdSystem:
             return value
 
     def word_perm(self, n_vec: Sequence[int]) -> np.ndarray:
-        """The permutation of the word n_vec as an int32 index array."""
+        """The permutation of the word n_vec as an int32 index array,
+        T_1^{n_1} first; zero exponents are skipped."""
         if len(n_vec) != self.d:
             raise InputError(f"word length {len(n_vec)} != d = {self.d}")
         out = np.arange(self.n_points, dtype=np.int32)
         for p, e in zip(self.table, n_vec):
-            out = perm_power(p, e)[out]
+            if e:
+                out = perm_power(p, e)[out]
         return out
 
 
@@ -332,10 +335,16 @@ def _out_of_range(x: int, y: int, n: int) -> InputError:
     return InputError(f"pair ({x},{y}) out of range for n = {n}")
 
 
+def _too_many_points(n: int, **where) -> InputError:
+    return InputError(f"n = {n} exceeds {MAX_PAIR_POINTS}, beyond which pair "
+                      "keys x*n + y overflow int64", **where)
+
+
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class PairRelation:
     """A set of ordered pairs on {0..n-1}, stored as keys: the sorted,
-    distinct int64 keys x*n + y of its pairs, read-only.
+    distinct int64 keys x*n + y of its pairs, read-only, so n is at most
+    MAX_PAIR_POINTS.
 
     The constructor takes the pairs as a collection of (x, y) or as a
     one-dimensional int array of keys, in any order and with repeats.
@@ -355,6 +364,8 @@ class PairRelation:
     def __init__(self, n_points: int, pairs, base: FiniteZdSystem | None = None
                  ) -> None:
         n = n_points
+        if n > MAX_PAIR_POINTS:
+            raise _too_many_points(n)
         if isinstance(pairs, np.ndarray) and pairs.ndim == 1:
             given = np.asarray(pairs, dtype=np.int64)
             keys = _distinct(given)
@@ -504,6 +515,8 @@ class PairRelation:
         if n < 1:
             raise InputError(f"need at least one point, got n = {n}", path=path,
                              line=header_line)
+        if n > MAX_PAIR_POINTS:
+            raise _too_many_points(n, path=path, line=header_line)
         pairs = []
         for lineno, line in _content_lines(body, header_line + 1):
             parts = line.split(",")

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import _chunked_ranks, _distinct, _first_repeat
-from .cube_engine import (CubeSet, FaceGroupElement, RowIndex, UcppResult,
-                          enumerate_K, enumerate_Q, row_keys, section_of,
-                          ucpp_check)
+from .cube_engine import (CubeSet, RowIndex, UcppResult, enumerate_K,
+                          enumerate_Q, face_group_generators, row_keys,
+                          section_of, ucpp_check)
 from .errors import InputError
 from .finite_system import (FactorMap, FiniteZdSystem, _label_quotient,
                             is_minimal, label_classes, orbit_labels)
@@ -122,9 +122,8 @@ def face_system(K: CubeSet) -> FiniteZdSystem:
         raise InputError("cube set carries no base system")
     sys, rows = K.base, K.rows
     perms = []
-    for i, j in enumerate(K.dirs):
-        g = FaceGroupElement(tuple(1 if t == i else 0 for t in range(K.k)),
-                             (0,) * sys.d)
+    # the forward face generators, one per direction of K
+    for j, g in zip(K.dirs, face_group_generators(sys, K.dirs)[::2]):
         pos, found = K.index.find(g.apply_rows(sys, K.dirs, rows, based=True))
         if not found.all():
             p = tuple(rows[int(np.argmin(found))].tolist())

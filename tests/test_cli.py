@@ -110,6 +110,8 @@ def test_validate_malformed_exits_3(tmp_path):
     ("pair-relation nn=3\n", 1),
     ("# n twice\npair-relation n=3 n=3\n0,1\n", 2),
     ("pair-relation n=3 junk\n0,1\n", 1),
+    # keys x*n + y past int64
+    ("pair-relation n=3037000500\n3037000499,3037000499\n", 1),
 ])
 def test_validate_malformed_pair_relation_exits_3(tmp_path, text, line):
     bad = tmp_path / "bad.rel"
@@ -118,6 +120,17 @@ def test_validate_malformed_pair_relation_exits_3(tmp_path, text, line):
     assert code == 3
     assert rep["status"] == "input-error"
     assert rep["error"].startswith(f"{bad}:{line}: ")
+
+
+def test_verify_refuses_a_pair_relation_whose_keys_pass_int64(tmp_path):
+    rel = tmp_path / "big.rel"
+    rel.write_text("pair-relation n=3037000500\n3037000499,3037000499\n")
+    code, rep, _ = _invoke(["verify", str(rel)])
+    assert code == 3
+    assert rep["error"].startswith(f"{rel}:1: n = 3037000500 exceeds")
+    rel.write_text("pair-relation n=3037000499\n3037000498,3037000498\n")
+    code, rep, _ = _invoke(["verify", str(rel)])
+    assert code == 0 and rep["status"] == "pass"
 
 
 @pytest.mark.parametrize("text,message", [

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from scalar_batteries import (FaceSelector, digit_permute_point, duplicate,
                               glue, insert, project, reflect_point)
+from scalar_batteries import apply as ref_apply
 from test_relations import BRUTE_BUDGET, SETTINGS, brute, commuting_systems
 from zdcubes import cube_engine, kernels
 from zdcubes.cli import cmd_verify
 from zdcubes.cube_engine import (
     CubeSet,
+    FaceGroupElement,
     UcppResult,
     enumerate_K,
     enumerate_Q,
@@ -293,6 +295,65 @@ def test_face_group_orbit_proper_on_nonminimal(systems):
     Q = enumerate_Q(sys_, (1, 2))
     orb, _ = face_group_orbit(Q, Q.points[0])
     assert len(orb) < len(Q)
+
+
+@st.composite
+def non_commuting_systems(draw):
+    """Random generator tables, which need not commute."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    return FiniteZdSystem(n, d, tuple(tuple(draw(st.permutations(range(n))))
+                                      for _ in range(d)))
+
+
+@st.composite
+def three_factor_systems(draw):
+    """Translations of (Z/2)^3 or Z/2 x Z/4 x Z/2 at d = 3, which
+    commuting_systems never draws."""
+    moduli = draw(st.sampled_from([(2, 2, 2), (2, 4, 2)]))
+    elems = list(itertools.product(*(range(m) for m in moduli)))
+    index = {e: k for k, e in enumerate(elems)}
+    perms = []
+    for _ in range(3):
+        step = [draw(st.integers(0, m - 1)) for m in moduli]
+        perms.append(tuple(index[tuple((a + s) % m for a, s, m in
+                                       zip(e, step, moduli))] for e in elems))
+    return FiniteZdSystem(len(elems), 3, tuple(perms))
+
+
+@SETTINGS
+@given(st.one_of(commuting_systems(), non_commuting_systems(),
+                 three_factor_systems()), st.data())
+def test_apply_rows_matches_the_scalar_loop(sys_, data):
+    # face powers then the diagonal word, in the order of a non-commuting
+    # table too, on full rows and on based rows (vertex m in column m - 1)
+    dirs = tuple(data.draw(st.lists(st.integers(1, sys_.d), min_size=1,
+                                    unique=True)))
+    def vector(n):  # exponents in -3..3, the zero vector among them
+        return st.one_of(st.just((0,) * n),
+                         st.tuples(*[st.integers(-3, 3)] * n))
+
+    for based in (False, True):
+        g = FaceGroupElement(data.draw(vector(len(dirs))),
+                             data.draw(vector(sys_.d)))
+        width = (1 << len(dirs)) - based
+        rows = data.draw(st.lists(st.lists(
+            st.integers(0, sys_.n_points - 1), min_size=width,
+            max_size=width), min_size=1, max_size=6))
+        got = g.apply_rows(sys_, dirs, np.array(rows, dtype=np.int32), based)
+        assert got.dtype == np.int32
+        assert [tuple(r) for r in got.tolist()] == \
+            [ref_apply(g, sys_, dirs, r, based) for r in rows]
+
+
+def test_apply_rows_refuses_coordinates_that_are_not_point_ids(systems):
+    sys_ = systems["rot6"]
+    g = FaceGroupElement((1, 0), (0, 0))
+    assert g.apply(sys_, (1, 2), (0, 5, 2, 3)) == (0, 0, 2, 4)
+    for p in [(0, -1, 2, 3), (0, 6, 2, 3), (0.0, 1.0, 2.0, 3.0)]:
+        with pytest.raises(InputError, match="must be point ids"):
+            g.apply(sys_, (1, 2), p)
+    with pytest.raises(InputError, match="must be point ids"):
+        g.apply_rows(sys_, (1, 2), np.array([[0, 1, 2]]) - 1, based=True)
 
 
 def test_section_consistency(systems, oracle):

@@ -288,3 +288,18 @@ def test_factor_maps_and_relations_from_arrays_or_sequences_agree(systems):
     for bad in ({(0, 6)}, np.array([[0, 1], [-1, 0]]), np.array([36])):
         with pytest.raises(InputError, match=r"out of range for n = 6$"):
             PairRelation(6, bad)
+
+
+def test_pair_relations_whose_keys_pass_int64_are_refused():
+    # n^2 <= 2^63 exactly up to n = 3,037,000,499, so its last key x*n + y
+    # still fits int64 and reads back
+    n = 3_037_000_499
+    rel = PairRelation(n, {(n - 1, n - 1)})
+    assert rel.keys.tolist() == [n * n - 1] and rel.pairs == {(n - 1, n - 1)}
+    assert PairRelation.from_text(rel.to_text()) == rel
+    for pairs in ({(n, n)}, np.array([0])):
+        with pytest.raises(InputError, match=r"^n = 3037000500 exceeds"):
+            PairRelation(n + 1, pairs)
+    with pytest.raises(InputError, match=r"^x\.rel:2: n = 3037000500 exceeds"):
+        PairRelation.from_text(f"# past int64\npair-relation n={n + 1}\n"
+                               f"{n},{n}\n", path="x.rel")

@@ -2,8 +2,9 @@
 click: every absolute import in src/zdcubes/*.py names one of them or the
 package itself.  Underscored names cross between library modules only from
 the array primitives (_arrays) and the text codecs (_text), which import
-nothing from the package but errors.  The names the benchmark harness looks
-up in the library exist."""
+nothing from the package but errors.  Only cube_engine builds face-group
+elements.  The names the benchmark harness looks up in the library
+exist."""
 
 import ast
 import importlib
@@ -75,6 +76,13 @@ def test_library_imports_only_stdlib_numpy_and_click():
                if name.split(".")[0] not in ALLOWED
                and name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_only_the_cube_engine_builds_face_group_elements():
+    # other modules take their elements from face_group_generators
+    builders = [path.name for path in sorted(SRC.glob("*.py"))
+                if "FaceGroupElement(" in path.read_text()]
+    assert builders == ["cube_engine.py"]
 
 
 def test_names_the_benchmark_harness_looks_up_exist():
