@@ -19,8 +19,10 @@ system (FiniteZdSystem.memo), so each is enumerated once, and each keeps
 its unique-completion verdict.  A face-group element moves the columns
 of each upper face through a power of that face's generator, then every
 column through its diagonal word, skipping zero exponents; only this
-module builds elements.  A face-group orbit is a class of the partition
-of a set's rows by the images of the forward generators.  orbit_rows is
+module builds elements.  A face-group orbit is the closure of its start
+under the forward generators' maps of a set's rows, by doubling, or, when
+a generator leaves the set, a class of the partition of the rows by those
+maps' edges.  orbit_rows is
 the breadth-first orbit search over int rows that affine discretization
 and product realizations share.  Cube sets are read and written by the
 int-row codec of _text.
@@ -507,6 +509,7 @@ class FaceGroupElement:
         k = len(dirs)
         if len(self.face) != k or len(self.diag) != sys.d:
             raise InputError("exponent vectors do not match dimensions")
+        _check_range(sys, dirs)
         width = (1 << k) - 1 if based else 1 << k
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != width:
@@ -549,31 +552,72 @@ def face_group_orbit(cubes: CubeSet, start: CubePoint
 
     For an injective g and a finite set, g(cubes) within cubes gives
     g(cubes) = cubes, so an inverse generator never leaves the set first
-    and the escape decides face-group invariance.  The orbit is the class
-    of start in the partition of the rows by the edges (row, g row) of each
-    forward generator g whose image is a member; the inverse of g gives the
-    same edges read backwards.  One generator's edges are hooked at a time,
-    together with the edges (row, label so far) that carry the classes
-    found before, so the edge arrays stay at twice the size of the set."""
+    and the escape decides face-group invariance.  Each forward generator
+    maps the rows once, to the int32 positions of their images.  With no
+    escape these maps permute the rows, and the orbit is the closure of
+    {start} under them (_closure), by doubling.  After an escape, the
+    orbit is the class of start in the partition of the rows by the edges
+    (row, g row) of each forward generator g whose image is a member; the
+    inverse of g gives the same edges read backwards.  One generator's
+    edges are hooked at a time, together with the edges (row, label so
+    far) that carry the classes found before, so the edge arrays stay at
+    twice the size of the set."""
     if cubes.base is None:
         raise InputError("cube set carries no base system")
     if start not in cubes:
         raise InputError("start point is not in the cube set")
     sys, rows = cubes.base, cubes.rows
-    every = np.arange(len(rows))
-    labels = every
-    escape = None
+    maps, escape = [], None
     for g in face_group_generators(sys, cubes.dirs)[::2]:  # no inverses
         images = g.apply_rows(sys, cubes.dirs, rows, cubes.based)
         pos, found = cubes.index.find(images)
         if escape is None and not found.all():
             escape = (g, rows[int(np.argmin(found))])
-        labels = partition(len(rows), np.concatenate([every[found], every]),
-                           np.concatenate([pos[found], labels]))
-    here = cubes.index.find(np.asarray(start).reshape(1, -1))[0][0]
-    orbit = CubeSet(dirs=cubes.dirs, points=rows[labels == labels[here]],
-                    based=cubes.based, base=sys)
+        maps.append((pos.astype(np.int32), found))
+    here = int(cubes.index.find(np.asarray(start).reshape(1, -1))[0][0])
+    if escape is None:
+        inside = _closure([pos for pos, _ in maps], here)
+    else:
+        every = np.arange(len(rows))
+        labels = every
+        for pos, found in maps:
+            labels = partition(len(rows), np.concatenate([every[found], every]),
+                               np.concatenate([pos[found], labels]))
+        inside = labels == labels[here]
+    orbit = CubeSet(dirs=cubes.dirs, points=rows[inside], based=cubes.based,
+                    base=sys)
     return orbit, escape
+
+
+def _closure(maps: list[np.ndarray], start: int) -> np.ndarray:
+    """The mask of the orbit of position start under the group generated
+    by the permutations maps (int32 position arrays).
+
+    The set S is closed under each map p in turn by doubling: while p(S)
+    is not within S, S grows by p(S) and p becomes p∘p.  After m steps S
+    holds the images of the set it started from under p^0..p^(2^m - 1), so
+    once p^(2^m)(S) lies within S, S is closed under p; a cycle of length
+    L takes about log2(L) steps.  Passes over the maps repeat until none
+    adds a row, which for commuting maps is one pass and a pass of subset
+    checks; a set that holds every position is closed at once."""
+    n = len(maps[0])
+    inside = np.zeros(n, dtype=bool)
+    inside[start] = True
+    members = np.array([start], dtype=np.int32)
+    grew = True
+    while grew and len(members) < n:
+        grew = False
+        for p in maps:
+            while len(members) < n:
+                image = p[members]
+                new = image[~inside[image]]
+                if not len(new):
+                    break
+                inside[new] = True
+                members = np.concatenate([members, new])
+                p = p[p]
+                grew = True
+    return inside
 
 
 def section_of(cubes: CubeSet, x0: int) -> CubeSet:

@@ -31,7 +31,7 @@ from .cube_engine import (CubeSet, RowIndex, UcppResult, enumerate_K,
                           section_of, ucpp_check)
 from .errors import InputError
 from .finite_system import (FactorMap, FiniteZdSystem, _label_quotient,
-                            is_minimal, label_classes, orbit_labels)
+                            _orbits, is_minimal, label_classes, orbit_labels)
 from .hypercube import face
 
 COMBO_CHUNK = 1 << 18  # relative-independence candidates per chunk
@@ -58,16 +58,33 @@ class SubgroupSpec:
         return gens
 
 
+def _spec_key(H: SubgroupSpec) -> tuple:
+    return tuple(H.dirs), tuple(map(tuple, H.words))
+
+
+def _H_labels(sys: FiniteZdSystem, H: SubgroupSpec) -> np.ndarray:
+    """The least-member labels of the H-orbits, kept on the system memo;
+    H generated by every direction has the system's orbits."""
+    if sorted(H.dirs) == list(sys.dirs) and not H.words:
+        return _orbits(sys)
+    return sys.memo(("H_labels", _spec_key(H)),
+                    lambda: orbit_labels(sys.n_points, H.generator_perms(sys)))
+
+
 def maximal_trivial_H_factor(sys: FiniteZdSystem, H: SubgroupSpec
                              ) -> tuple[FiniteZdSystem, FactorMap]:
-    """Quotient by Q_H: the maximal factor on which H acts trivially."""
-    gens = H.generator_perms(sys)
-    q_sys, pi = _label_quotient(sys, orbit_labels(sys.n_points, gens))
-    mapping = pi.array
-    for h in gens:
-        if (mapping[h] != mapping).any():
-            raise AssertionError("H does not act trivially on the quotient; bug")
-    return q_sys, pi
+    """Quotient by Q_H: the maximal factor on which H acts trivially, kept
+    on the system memo."""
+    def build() -> tuple[FiniteZdSystem, FactorMap]:
+        gens = H.generator_perms(sys)
+        q_sys, pi = _label_quotient(sys, _H_labels(sys, H))
+        mapping = pi.array
+        for h in gens:
+            if (mapping[h] != mapping).any():
+                raise AssertionError("H does not act trivially on the quotient; bug")
+        return q_sys, pi
+
+    return sys.memo(("H_quotient", _spec_key(H)), build)
 
 
 @dataclass(frozen=True)
@@ -99,7 +116,7 @@ def z0h_universality_check(pi: FactorMap, H: SubgroupSpec
     for h in H.generator_perms(pi.target):
         if (h != np.arange(pi.target.n_points)).any():
             return "hypotheses-unmet", None
-    labels = orbit_labels(pi.source.n_points, H.generator_perms(pi.source))
+    labels = _H_labels(pi.source, H)
     mapping = pi.array
     # the members pi separates from the least member of their orbit
     split = np.flatnonzero(mapping != mapping[labels])
@@ -393,6 +410,6 @@ def _complete_once(K: CubeSet, free: list[int], head: np.ndarray,
     candidates.  At d = 2 the core is empty: one class."""
     if not head.all():
         return False
-    core = np.setdiff1d(np.arange(K.width - 1), free)
+    core = [c for c in range(K.width - 1) if c not in free]
     ids = np.unique(K.column_keys(core), return_inverse=True)[1]
     return bool((np.bincount(ids)[ids] == total).all())

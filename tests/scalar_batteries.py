@@ -365,6 +365,18 @@ def face_group_orbit(cubes, start):
                    based=cubes.based, base=sys)
 
 
+def face_group_escape(cubes):
+    """The first forward generator, in face_group_generators order, with
+    the first point of cubes whose image under it is not a member, or None."""
+    sys = cubes.base
+    members = set(cubes.points)
+    for g in face_group_generators(sys, cubes.dirs)[::2]:
+        for p in cubes.points:
+            if apply(g, sys, cubes.dirs, p, based=cubes.based) not in members:
+                return g, p
+    return None
+
+
 def face_system_perms(K):
     """The generator permutations of structure.face_system(K)."""
     index = {p: i for i, p in enumerate(K.points)}

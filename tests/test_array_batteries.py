@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import scalar_batteries as ref
 from conftest import ALL_FSYS
@@ -192,6 +193,93 @@ def test_orbit_cases_hold_a_proper_class_and_a_short_based_set(systems):
     sys_ = systems["nonmin_z4z2"]
     assert any(K.based and int(K.rows.max()) < sys_.n_points - 1
                for K, _ in _orbit_cases(sys_))
+
+
+def _rotation_union(parts, relabel=None) -> FiniteZdSystem:
+    """The disjoint union of Z/m rotated by steps (one step per direction)
+    for each (m, steps) in parts, point x of a part numbered after the
+    earlier parts, then renamed relabel[x] when a relabelling is given."""
+    d = len(parts[0][1])
+    perms, offset = [[] for _ in range(d)], 0
+    for m, steps in parts:
+        for p, s in zip(perms, steps):
+            p.extend(offset + (x + s) % m for x in range(m))
+        offset += m
+    sigma = range(offset) if relabel is None else relabel
+    table = [[0] * offset for _ in range(d)]
+    for p, q in zip(perms, table):
+        for x, y in enumerate(p):
+            q[sigma[x]] = sigma[y]
+    return FiniteZdSystem(offset, d, tuple(map(tuple, table)), name="rotations")
+
+
+def _same_orbit_and_escape(cubes, start):
+    orbit, escape = face_group_orbit(cubes, start)
+    assert orbit.points == ref.face_group_orbit(cubes, start).points
+    want = ref.face_group_escape(cubes)
+    assert (escape is None) == (want is None)
+    if escape is not None:
+        assert escape[0] == want[0]
+        assert tuple(escape[1].tolist()) == want[1]
+    return orbit, escape
+
+
+@pytest.mark.parametrize("parts", [
+    [(16, (1,)), (8, (3,))],
+    [(16, (1, 3)), (8, (1, 1))],
+    [(12, (5, 1)), (5, (2, 1))],
+    [(9, (1, 2)), (3, (1, 0))],
+])
+def test_face_group_orbit_on_unions_with_long_cycles(parts):
+    # a face generator's cycles on Q have the length of its rotation's
+    # order, up to 16, so the closure takes up to four doublings; Q is
+    # face-group invariant, and the orbit of a row over one part is that
+    # part's rows, a proper subset
+    sys_ = _rotation_union(parts)
+    Q = enumerate_Q(sys_, tuple(range(1, sys_.d + 1)))
+    for start, (m, steps) in ((Q.rows[0], parts[0]), (Q.rows[-1], parts[-1])):
+        orbit, escape = _same_orbit_and_escape(Q, start)
+        assert escape is None
+        orders = [m // math.gcd(m, s) for s in steps]
+        assert len(orbit) == m * math.prod(orders) < len(Q)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(1, 16), st.integers(0, 15),
+                          st.integers(0, 15)), min_size=1, max_size=3),
+       st.integers(1, 2), st.randoms(use_true_random=False))
+def test_face_group_orbit_matches_scalar_loop_on_rotation_unions(parts, d,
+                                                                  rng):
+    # relabelled unions of rotations by up to 16 points, so unlike
+    # commuting_systems (moduli up to 4) a cycle can need four doublings
+    parts = [(m, (a % m, b % m)[:d]) for m, a, b in parts]
+    n = sum(m for m, _ in parts)
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    sys_ = _rotation_union(parts, sigma)
+    Q = enumerate_Q(sys_, tuple(range(1, d + 1)))
+    if len(Q) > 800:
+        return
+    for start in (Q.rows[0], Q.rows[-1]):
+        _same_orbit_and_escape(Q, start)
+
+
+@pytest.mark.parametrize("parts", [
+    [(16, (1, 3)), (8, (1, 1))],
+    [(12, (5, 1)), (5, (2, 1))],
+])
+def test_face_group_orbit_with_planted_escapes(parts):
+    # Q without its middle row, and with a row across the two parts that no
+    # generator reaches: the escape and the orbits under the partial maps
+    # match the scalar loops
+    sys_ = _rotation_union(parts)
+    Q = enumerate_Q(sys_, (1, 2))
+    across = np.array([[0, parts[0][0], 0, parts[0][0]]], dtype=np.int32)
+    rows = np.concatenate([np.delete(Q.rows, len(Q) // 2, axis=0), across])
+    planted = CubeSet(Q.dirs, rows, base=sys_)
+    for start in (planted.rows[0], planted.rows[-1]):
+        assert _same_orbit_and_escape(planted, start)[1] is not None
+    assert len(_same_orbit_and_escape(planted, across[0])[0]) == 1
 
 
 @pytest.mark.parametrize("name,where", [(n, "middle") for n in ALL_FSYS]

@@ -717,6 +717,35 @@ def test_verify_shares_the_reordered_cube_sets(fixture_dir, monkeypatch, name,
     assert len(reordered) == len(set(reordered))
 
 
+@pytest.mark.parametrize("name,labels,quotients", [("rot6", 5, 6),
+                                                   ("rot8_d3", 8, 8)])
+def test_verify_builds_each_subgroup_quotient_once(fixture_dir, monkeypatch,
+                                                   name, labels, quotients):
+    # the orbits and the quotient of each (system, subgroup) are kept on the
+    # system: one per direction j of the system (T_j quotients, read again
+    # by the universality check and as the first step of the iterated
+    # quotient), the joint (1, 2) quotient, whose orbits at d = 2 are the
+    # system's own, the T_2 quotient of the T_1 quotient, and one per j of
+    # the face system Y
+    from zdcubes import structure
+
+    calls = {"labels": 0, "quotients": 0}
+
+    def counting(key, real):
+        def run(*args):
+            calls[key] += 1
+            return real(*args)
+        return run
+
+    monkeypatch.setattr(structure, "orbit_labels",
+                        counting("labels", structure.orbit_labels))
+    monkeypatch.setattr(structure, "_label_quotient",
+                        counting("quotients", structure._label_quotient))
+    _, code = cmd_verify(_path(fixture_dir, f"{name}.fsys"))
+    assert code == 0
+    assert calls == {"labels": labels, "quotients": quotients}
+
+
 @pytest.mark.parametrize("broken", [(), (2,), (2, 3)])
 def test_verify_leaves_no_held_cube_set(fixture_dir, monkeypatch, broken):
     # the reordered relations are read off the sets the digit permutations

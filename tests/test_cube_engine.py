@@ -356,6 +356,15 @@ def test_apply_rows_refuses_coordinates_that_are_not_point_ids(systems):
         g.apply_rows(sys_, (1, 2), np.array([[0, 1, 2]]) - 1, based=True)
 
 
+def test_apply_rows_refuses_directions_out_of_range(systems):
+    # direction 0 would read the last generator's row, and d + 1 none
+    sys_ = systems["rot6"]
+    g = FaceGroupElement((1, 0), (0, 0))
+    for dirs in [(0, 1), (1, 3)]:
+        with pytest.raises(InputError, match="out of range 1..2"):
+            g.apply_rows(sys_, dirs, np.array([[0, 1, 2, 3]]))
+
+
 def test_section_consistency(systems, oracle):
     Q = enumerate_Q(systems["rot6"], (1, 2))
     K = enumerate_K(systems["rot6"], (1, 2), 0)

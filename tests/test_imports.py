@@ -4,13 +4,15 @@ package itself.  Underscored names cross between library modules only from
 the array primitives (_arrays) and the text codecs (_text), which import
 nothing from the package but errors.  Only cube_engine builds face-group
 elements.  The names the benchmark harness looks up in the library
-exist."""
+exist.  A run of the commands never imports numpy.ma."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
+import subprocess
 import sys
 
 from zdcubes import cli, kernels
@@ -101,3 +103,30 @@ def test_names_the_benchmark_harness_looks_up_exist():
     inspect.signature(cli.cmd_analyze).bind("x.fsys", "cubes", {"threads": 1})
     inspect.signature(cli.cmd_joining).bind(("a.pset", "b.pset"))
     assert callable(cli._json_default) and kernels.backend_name()
+
+
+NO_MASKED_ARRAYS = """
+import pathlib, sys
+from zdcubes import cli
+fixtures = pathlib.Path(sys.argv[1])
+for path in sorted(fixtures.iterdir()):
+    cli.cmd_verify(str(path))
+z = str(fixtures / "z2z2z3_d3.fsys")
+cli.cmd_cubes(z, basepoint=0)
+cli.cmd_ucpp(z)
+cli.cmd_rpp(z)
+cli.cmd_structure(z)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_commands_never_import_masked_arrays():
+    # numpy 2.4's plain np.unique asks numpy.ma whether its input is masked,
+    # which imports numpy.ma (about 1.2 MB resident) on first use; a fresh
+    # interpreter shows whether any command path reaches such a call
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, str(SRC.parent.parent / "fixtures")],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.split() == ["False"]
