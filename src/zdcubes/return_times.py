@@ -10,7 +10,11 @@ of x over the exponent box, built by one gather per exponent and direction,
 and kept on the system (FiniteZdSystem.memo), as are the systems
 drop_generator derives from it, so each is built once.  The
 d-joining glues d sets of dimension d-1: a vector belongs when every
-drop-one-coordinate projection lands in the corresponding input set.
+drop-one-coordinate projection lands in the corresponding input set.  It
+is a broadcast AND of dense bool masks over the output residue box, one
+byte per vector: under JOIN_CAP a mask takes at most 1 MB, and
+coordinates of modulus 1 are left out, so any number of inputs fits
+numpy's 64 axes.
 """
 
 from __future__ import annotations
@@ -249,8 +253,14 @@ def d_joining(sets: list[PeriodicSet] | tuple[PeriodicSet, ...]
 
     Input i constrains the coordinates other than i, so its moduli line up
     with (1..d) minus i; output modulus at coordinate c is the lcm of the
-    matching input moduli.  Every vector of the output box is tested at
-    once, one membership lookup per input."""
+    matching input moduli.  The output box is one bool array: each input's
+    rows are scattered into a mask of its own moduli box, which is tiled
+    to the output moduli (each input modulus divides the output one) by
+    a gather of arange(M) % m per axis and ANDed in, broadcast along
+    coordinate i.  The rows are read back with np.argwhere, in C order,
+    which is lexicographic, so the constructor does not sort them.  The box
+    is refused past JOIN_CAP vectors before anything is built; no mask
+    is larger than the box, so each takes at most JOIN_CAP bytes."""
     d = len(sets)
     if d < 2:
         raise InputError("joining needs at least 2 sets")
@@ -269,11 +279,25 @@ def d_joining(sets: list[PeriodicSet] | tuple[PeriodicSet, ...]
         moduli.append(m)
     if math.prod(moduli) > JOIN_CAP:
         raise InputError("joining residue box exceeds the size cap")
-    box = np.indices(moduli).reshape(d, -1).T
-    keep = np.ones(len(box), dtype=bool)
+    # a coordinate of modulus 1 holds only 0, so the masks leave it out:
+    # under JOIN_CAP at most 19 coordinates remain, within numpy's 64 axes
+    axes = [c for c in range(d) if moduli[c] > 1]
+    keep = np.ones([moduli[c] for c in axes], dtype=bool)
     for i, s in enumerate(sets):
-        keep &= s.index.find(np.delete(box, i, axis=1) % np.array(s.moduli))[1]
-    return PeriodicSet(d, moduli, box[keep])
+        own = [c for c in axes if c != i]
+        pos = [c if c < i else c - 1 for c in own]
+        mask = np.zeros([s.moduli[p] for p in pos], dtype=bool)
+        if len(s.rows):  # with no axis left, () would index the whole mask
+            mask[tuple(s.rows[:, pos].T)] = True
+        tiled = mask[np.ix_(*(np.arange(moduli[c]) % s.moduli[p]
+                              for c, p in zip(own, pos)))]
+        keep &= tiled.reshape([1 if c == i else moduli[c] for c in axes])
+    rows = np.argwhere(keep)
+    if len(axes) < d:  # the coordinates of modulus 1 come back as zeros
+        full = np.zeros((len(rows), d), dtype=rows.dtype)
+        full[:, axes] = rows
+        rows = full
+    return PeriodicSet(d, moduli, rows)
 
 
 def phi_image(ps: PeriodicSet) -> PeriodicSet:

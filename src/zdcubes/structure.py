@@ -74,10 +74,14 @@ def _H_labels(sys: FiniteZdSystem, H: SubgroupSpec) -> np.ndarray:
 def maximal_trivial_H_factor(sys: FiniteZdSystem, H: SubgroupSpec
                              ) -> tuple[FiniteZdSystem, FactorMap]:
     """Quotient by Q_H: the maximal factor on which H acts trivially, kept
-    on the system memo."""
+    on the system memo.  The quotient itself is kept by its orbit labels,
+    so subgroups with the same orbits share one; that H acts trivially on
+    it is checked for each subgroup."""
     def build() -> tuple[FiniteZdSystem, FactorMap]:
         gens = H.generator_perms(sys)
-        q_sys, pi = _label_quotient(sys, _H_labels(sys, H))
+        labels = _H_labels(sys, H)
+        q_sys, pi = sys.memo(("label_quotient", labels.tobytes()),
+                             lambda: _label_quotient(sys, labels))
         mapping = pi.array
         for h in gens:
             if (mapping[h] != mapping).any():

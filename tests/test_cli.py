@@ -496,6 +496,19 @@ def test_joining_command(tmp_path):
     assert rep["set_text"] == d_joining([b1, b2]).to_text()
 
 
+def test_joining_of_64_inputs(tmp_path):
+    # 64 inputs of k = 63 with every modulus 1: the joining is the full set
+    paths = []
+    for i in range(64):
+        paths.append(tmp_path / f"b{i}.pset")
+        paths[-1].write_text(f"periodic-set k=63 moduli={','.join(['1'] * 63)}\n"
+                             f"{','.join(['0'] * 63)}\n")
+    code, rep, _ = _invoke(["joining", *map(str, paths)])
+    assert code == 0, rep
+    assert (rep["d"], rep["moduli"], rep["residues"]) == (64, [1] * 64,
+                                                          [[0] * 64])
+
+
 def test_joining_parity_files_is_empty(fixture_dir, tmp_path, oracle):
     b3 = tmp_path / "b3.pset"
     b3.write_text("periodic-set k=2 moduli=2,2\n0,0\n1,1\n")
@@ -717,16 +730,17 @@ def test_verify_shares_the_reordered_cube_sets(fixture_dir, monkeypatch, name,
     assert len(reordered) == len(set(reordered))
 
 
-@pytest.mark.parametrize("name,labels,quotients", [("rot6", 5, 6),
-                                                   ("rot8_d3", 8, 8)])
+@pytest.mark.parametrize("name,labels,quotients", [("rot6", 5, 5),
+                                                   ("rot8_d3", 8, 7)])
 def test_verify_builds_each_subgroup_quotient_once(fixture_dir, monkeypatch,
                                                    name, labels, quotients):
-    # the orbits and the quotient of each (system, subgroup) are kept on the
-    # system: one per direction j of the system (T_j quotients, read again
-    # by the universality check and as the first step of the iterated
-    # quotient), the joint (1, 2) quotient, whose orbits at d = 2 are the
-    # system's own, the T_2 quotient of the T_1 quotient, and one per j of
-    # the face system Y
+    # the orbits of each (system, subgroup) are kept on the system: one per
+    # direction j of the system (T_j orbits, read again by the universality
+    # check and as the first step of the iterated quotient), the T_2 orbits
+    # of the T_1 quotient, and one per j of the face system Y; the joint
+    # (1, 2) orbits at d = 2 are the system's own.  A quotient is kept by
+    # its labels, so subgroups with the same orbits share one: on both
+    # rotations some T_j has a single orbit, as the joint subgroup does
     from zdcubes import structure
 
     calls = {"labels": 0, "quotients": 0}

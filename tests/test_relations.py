@@ -17,8 +17,10 @@ import importlib.util
 import itertools
 import math
 import pathlib
+import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +31,8 @@ from zdcubes.finite_system import (FactorMap, FiniteZdSystem,
                                    check_factor_map, is_minimal,
                                    label_classes, orbit_labels, partition,
                                    perm_order, quotient)
+from zdcubes import return_times
+from zdcubes.errors import InputError
 from zdcubes.proximal import compute_R, compute_R_j, pushforward_check
 from zdcubes.return_times import (PeriodicSet, d_joining, drop_generator,
                                   insert_identity_generator,
@@ -335,9 +339,87 @@ def test_periodic_sets_match_reference(data):
 def test_d_joining_matches_reference(data):
     d = data.draw(st.integers(2, 3))
     inputs = [data.draw(residue_lists(d - 1)) for _ in range(d)]
-    got = d_joining([PeriodicSet(d - 1, m, r) for m, r in inputs])
-    _same(got, rt.d_joining([rt.PSet(d - 1, m, frozenset(r))
-                             for m, r in inputs]))
+    _same(*_joinings(inputs))
+
+
+def _joinings(inputs):
+    """The library's and the scalar d-joining of (moduli, residues) inputs."""
+    k = len(inputs) - 1
+    return (d_joining([PeriodicSet(k, m, r) for m, r in inputs]),
+            rt.d_joining([rt.PSet(k, m, frozenset(r)) for m, r in inputs]))
+
+
+@st.composite
+def small_sets(draw, k):
+    """(moduli, residues) with moduli 1..3 and any subset of their box."""
+    moduli = tuple(draw(st.integers(1, 3)) for _ in range(k))
+    box = list(itertools.product(*(range(m) for m in moduli)))
+    return moduli, draw(st.lists(st.sampled_from(box), max_size=len(box)))
+
+
+@SETTINGS
+@given(st.data())
+def test_d_joining_matches_reference_at_d4(data):
+    # moduli of 1..3 keep the scalar box at most 6^4 vectors
+    inputs = [data.draw(small_sets(3)) for _ in range(4)]
+    _same(*_joinings(inputs))
+
+
+@pytest.mark.parametrize("inputs", [
+    [((2, 3), []), ((2, 2), [(0, 0), (1, 1)]), ((3, 2), [(0, 0)])],
+    [((2, 3), []), ((2, 2), []), ((3, 2), [])],
+    # every output modulus is 1: the masks have no axis left
+    [((1,), []), ((1,), [(0,)])],
+    [((1, 1), [(0, 0)]), ((1, 1), []), ((1, 1), [(0, 0)])],
+])
+def test_d_joining_of_empty_inputs(inputs):
+    got, want = _joinings(inputs)
+    _same(got, want)
+    assert got.is_empty()
+
+
+def _tiled_inputs():
+    """Inputs of d = 3 whose output moduli (12, 10, 15) repeat each input
+    mask at least twice along every axis: input i constrains the output
+    coordinates other than i."""
+    rng = random.Random(25)
+    inputs = []
+    for moduli in ((2, 3), (4, 5), (3, 5)):
+        box = list(itertools.product(*(range(m) for m in moduli)))
+        inputs.append((moduli, rng.sample(box, len(box) * 2 // 3)))
+    return inputs
+
+
+def test_d_joining_tiles_each_input():
+    got, want = _joinings(_tiled_inputs())
+    assert got.moduli == (12, 10, 15)
+    assert not got.is_empty()
+    _same(got, want)
+
+
+def test_d_joining_at_and_over_the_cap(monkeypatch):
+    monkeypatch.setattr(return_times, "JOIN_CAP", 12 * 10 * 15)
+    _same(*_joinings(_tiled_inputs()))
+    monkeypatch.setattr(return_times, "JOIN_CAP", 12 * 10 * 15 - 1)
+    with pytest.raises(InputError,
+                       match="^joining residue box exceeds the size cap$"):
+        _joinings(_tiled_inputs())
+
+
+@pytest.mark.parametrize("d", [64, 65, 100])
+def test_d_joining_past_numpy_axis_limit(d):
+    # numpy arrays have at most 64 axes; the coordinates of output modulus
+    # 1 are left out of the masks, so only the three that reach 2 are axes
+    rng = random.Random(d)
+    inputs = []
+    for i in range(d):
+        moduli = tuple(2 if c in (0, 5, d - 1) and rng.random() < 0.7 else 1
+                       for c in range(d) if c != i)
+        box = list(itertools.product(*(range(m) for m in moduli)))
+        inputs.append((moduli, rng.sample(box, len(box) // 2) + [box[0]]))
+    got, want = _joinings(inputs)
+    _same(got, want)
+    assert got.moduli.count(2) == 3 and (0,) * d in got.residues
 
 
 @SETTINGS

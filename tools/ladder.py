@@ -1,7 +1,7 @@
 """Scale ladder: `zdcubes verify` on large synthetic rotations, a large
-periodic set and a large raw cube set, each run in a fresh interpreter,
-recording wall time, peak RSS, seconds per battery and the SHA-256 of the
-report.
+periodic set and a large raw cube set, and `zdcubes joining` at the size
+cap of its residue box, each run in a fresh interpreter, recording wall
+time, peak RSS, seconds per battery and the SHA-256 of the report.
 
     python3 tools/ladder.py --out BENCH.json [--workdir DIR] TREE [TREE]
 
@@ -11,9 +11,9 @@ runs them in both orders, parent then change and change then parent, since
 on a shared machine the second of two back-to-back processes can read
 slower; every run is recorded.  A tree's two runs of a rung must give the
 same report hash: the tool lists the rungs where they do not and exits 1.
-Each rung writes its input into the work directory and runs there
-as the recorded command, so the report's "input" field is the bare file
-name: a report hash is comparable only together with that command line.
+Each rung writes its inputs into the work directory and runs there
+as the recorded command, so the report's input fields hold the bare file
+names: a report hash is comparable only together with that command line.
 A run longer than TIMEOUT_S is killed and recorded as a timeout; a child
 that dies before writing its stats is recorded with its return code.
 
@@ -38,15 +38,18 @@ import time
 import numpy as np
 
 TIMEOUT_S = 300
-# name: (input suffix, arguments of the suffix's writer after the path)
+# name: (subcommand, input suffix, arguments of the suffix's writer after
+# the path); the "join" writer takes a stem and writes one input per
+# coordinate of the joining
 RUNGS = {
-    "z48_d2": ("fsys", (48, (1, 5))),
-    "rot32_d3": ("fsys", (32, (1, 3, 5))),
-    "z12_d4": ("fsys", (12, (1, 5, 7, 11))),
-    "z100_d2": ("fsys", (100, (1, 7))),
-    "z160_d2": ("fsys", (160, (1, 7))),
-    "pset900k_k2": ("pset", ((100, 90), (1000, 1800), 4500)),
-    "cubes400k_d3": ("cubes", (3, 400_000, 13)),
+    "z48_d2": ("verify", "fsys", (48, (1, 5))),
+    "rot32_d3": ("verify", "fsys", (32, (1, 3, 5))),
+    "z12_d4": ("verify", "fsys", (12, (1, 5, 7, 11))),
+    "z100_d2": ("verify", "fsys", (100, (1, 7))),
+    "z160_d2": ("verify", "fsys", (160, (1, 7))),
+    "pset900k_k2": ("verify", "pset", ((100, 90), (1000, 1800), 4500)),
+    "cubes400k_d3": ("verify", "cubes", (3, 400_000, 13)),
+    "join1m_d3": ("joining", "join", ((100, 100, 100), 10)),
 }
 BATTERIES = ("cube_battery", "surgery_battery", "proximal_battery",
              "structure_battery", "return_battery", "pset_battery")
@@ -69,10 +72,10 @@ for name in %r:
     setattr(battery, name, timed(name, getattr(battery, name)))
 code = 0
 try:
-    cli.main(["verify", sys.argv[1]])
+    cli.main(sys.argv[2:])
 except SystemExit as exc:
     code = exc.code
-with open(sys.argv[2], "w") as fh:
+with open(sys.argv[1], "w") as fh:
     json.dump({"exit": code, "battery_s": spent, "peak_rss_mb":
                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}, fh)
 """ % (BATTERIES,)
@@ -114,11 +117,40 @@ def write_cube_set(path: str, d: int, rows: int, seed: int) -> None:
         np.savetxt(fh, values, fmt="%d", delimiter=",")
 
 
+def write_join_inputs(stem: str, moduli: tuple[int, ...], q: int
+                      ) -> list[str]:
+    """The inputs of a d-joining with output moduli moduli, d = len(moduli):
+    input j (from 1), written to stem_j.pset, holds the vectors of the box
+    of the moduli other than the j-th whose coordinates sum to 0 mod q.
+    Returns the paths written, in order."""
+    paths = []
+    for j in range(len(moduli)):
+        sub = moduli[:j] + moduli[j + 1:]
+        box = np.indices(sub).reshape(len(sub), -1).T
+        paths.append(f"{stem}_{j + 1}.pset")
+        with open(paths[-1], "w") as fh:
+            fh.write(f"# coordinates summing to 0 mod {q}\n"
+                     f"periodic-set k={len(sub)} moduli={','.join(map(str, sub))}\n")
+            np.savetxt(fh, box[box.sum(axis=1) % q == 0], fmt="%d",
+                       delimiter=",")
+    return paths
+
+
 WRITERS = {"fsys": write_system, "pset": write_pset, "cubes": write_cube_set}
 
 
-def run(tree: str, workdir: str, name: str, infile: str) -> dict:
-    """One `zdcubes verify <infile>` in workdir, importing tree/src."""
+def write_inputs(workdir: str, name: str, suffix: str, params: tuple
+                 ) -> list[str]:
+    """Write a rung's inputs into workdir; their bare file names."""
+    stem = os.path.join(workdir, name)
+    if suffix == "join":
+        return [os.path.basename(p) for p in write_join_inputs(stem, *params)]
+    WRITERS[suffix](f"{stem}.{suffix}", *params)
+    return [f"{name}.{suffix}"]
+
+
+def run(tree: str, workdir: str, name: str, args: list[str]) -> dict:
+    """One `zdcubes <args>` in workdir, importing tree/src."""
     report = os.path.join(workdir, f"{name}.json")
     stats = os.path.join(workdir, f"{name}.stats.json")
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
@@ -128,7 +160,7 @@ def run(tree: str, workdir: str, name: str, infile: str) -> dict:
     with open(report, "wb") as out:
         try:
             child = subprocess.run(
-                [sys.executable, "-c", CHILD, infile, stats],
+                [sys.executable, "-c", CHILD, stats, *args],
                 cwd=workdir, env=env, stdout=out, check=False, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return {"timeout": TIMEOUT_S}
@@ -158,18 +190,17 @@ def main() -> int:
     pairs = list(zip(labels, args.trees))
     orders = [pairs, pairs[::-1]]
     records, unstable = [], []
-    for name, (suffix, params) in RUNGS.items():
-        infile = f"{name}.{suffix}"
-        WRITERS[suffix](os.path.join(workdir, infile), *params)
+    for name, (command, suffix, params) in RUNGS.items():
+        argv = [command, *write_inputs(workdir, name, suffix, params)]
         runs = {label: [] for label in labels}
         for order in orders:
             for label, tree in order:
-                runs[label].append(run(tree, workdir, name, infile))
+                runs[label].append(run(tree, workdir, name, argv))
                 print(name, label, json.dumps(runs[label][-1]), flush=True)
         unstable += [f"{name} {label}" for label in labels
                      if len({r.get("report_sha256") for r in runs[label]}) > 1]
-        records.append({"name": name, "params": params, "input": infile,
-                        "command": f"zdcubes verify {infile}",
+        records.append({"name": name, "params": params, "inputs": argv[1:],
+                        "command": "zdcubes " + " ".join(argv),
                         "orders": [[label for label, _ in order]
                                    for order in orders],
                         "runs": runs})
