@@ -1,12 +1,16 @@
 """Array primitives on sorted int rows and their keys (row_keys in
 cube_engine is the range-checked public form of _row_keys): keying rows,
-sorting them by key with repeats dropped, looking keys up, finding a
-repeat, and walking ranks in chunks.
+sorting them by key with repeats dropped, numbering keys densely, looking
+keys up, finding a repeat, and walking ranks in chunks.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# _dense_ids masks a key space of at most this many slots per key; past
+# it, on random int64 keys, the sort is faster
+DENSE_RATIO = 8
 
 
 def _invert(table: np.ndarray) -> np.ndarray:
@@ -21,6 +25,25 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     keep = np.ones(len(values), dtype=bool)
     keep[1:] = values[1:] != values[:-1]
     return values[keep]
+
+
+def _dense_ids(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, ids) equal to np.unique(keys, return_inverse=True) for
+    keys in 0..space-1: the sorted distinct keys and each key's position
+    among them.
+
+    When the space holds at most DENSE_RATIO slots per key, a bool mask of
+    the space marks the keys, np.flatnonzero lists them in order, and a
+    rank table, written only at those keys, numbers them; no sort runs.
+    A larger space, such as structured keys have, is sorted."""
+    if space > DENSE_RATIO * len(keys):
+        return np.unique(keys, return_inverse=True)
+    seen = np.zeros(space, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    rank = np.empty(space, dtype=np.intp)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct.astype(keys.dtype, copy=False), rank[keys]
 
 
 def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:

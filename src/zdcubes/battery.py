@@ -20,7 +20,8 @@ import numpy as np
 
 from .affine import (AffineZdSystem, discretize, formula_equivalence_test,
                      matcond_check, validate_affine)
-from ._arrays import _chunked_ranks, _distinct, _find_keys, _first, _same
+from ._arrays import (_chunked_ranks, _dense_ids, _distinct, _find_keys,
+                      _first, _same)
 from .cube_engine import (CubeSet, RowIndex, enumerate_K, enumerate_Q,
                           face_group_orbit, section_of, ucpp_check)
 from .errors import InputError
@@ -66,10 +67,38 @@ def _face_ids(Q: CubeSet, faces: tuple[list[int], list[int]]
               ) -> tuple[np.ndarray, np.ndarray, int]:
     """(lower, upper, count): the ids of each row's lower and upper face
     (the vertex lists faces), numbered 0..count-1 in the order of their row
-    keys."""
-    keys = [Q.column_keys(f) for f in faces]
-    distinct, ids = np.unique(np.concatenate(keys), return_inverse=True)
+    keys, over the faces in use.
+
+    The surgery battery reads these ids off its project lookups, as the
+    positions of the faces in Q over the other directions, renumbered over
+    the faces in use; this keys the faces themselves, and runs only at
+    d = 1 and in a direction where some face is missing from that set."""
+    keys = np.concatenate([Q.column_keys(f) for f in faces])
+    distinct, ids = _dense_ids(keys, Q.base.n_points ** len(faces[0]))
     return ids[:len(Q)], ids[len(Q):], len(distinct)
+
+
+def _rest_face_ids(rest: CubeSet, rows: np.ndarray,
+                   faces: tuple[list[int], list[int]]
+                   ) -> tuple[tuple[np.ndarray, np.ndarray, int] | None,
+                              list | None]:
+    """(ids, missing) for the lower and upper faces (the vertex lists
+    faces) of the rows, looked up in rest, the cube set over the other
+    directions.  missing is [b, row] for the first side b, then the first
+    row, whose face b rest lacks, or None.  When every face is found, ids
+    is _face_ids' result: the faces' positions in rest are in the order of
+    their row keys, so numbering the positions in use gives the same ids.
+    Otherwise ids is None."""
+    positions = []
+    for b, f in enumerate(faces):
+        pos, found = rest.index.find(rows[:, f])
+        miss = _first(~found)
+        if miss is not None:
+            return None, [b, rows[miss].tolist()]
+        positions.append(pos)
+    positions = np.concatenate(positions)  # the two lookups are freed
+    distinct, ids = _dense_ids(positions, len(rest))
+    return (ids[:len(rows)], ids[len(rows):], len(distinct)), None
 
 
 def _faces_equivalent(lower: np.ndarray, upper: np.ndarray, faces: int) -> bool:
@@ -163,12 +192,20 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     items = []
 
     # glue and insert, direction by direction; the pair counts are closed
-    # forms over the face ids
-    glued = inserted = 0
-    glue_witness = insert_witness = None
+    # forms over the face ids.  The faces' lookups in Q over the other
+    # directions also decide project closure (direction j pinned to side b)
+    glued = inserted = projected = 0
+    glue_witness = insert_witness = project_witness = None
     for j in dirs:
         faces = face(d, j, 0), face(d, j, 1)
-        lower, upper, count = _face_ids(Q, faces)
+        ids = None
+        if d >= 2:
+            rest = enumerate_Q(sys, tuple(i for i in dirs if i != j))
+            ids, missing = _rest_face_ids(rest, rows, faces)
+            projected += 2 * len(Q)
+            if project_witness is None and missing is not None:
+                project_witness = [j, *missing]
+        lower, upper, count = ids or _face_ids(Q, faces)
         below = np.bincount(lower, minlength=count)
         glued += int(below[upper].sum())
         inserted += 2 * int((np.bincount(upper) ** 2).sum())
@@ -199,22 +236,8 @@ def surgery_battery(sys: FiniteZdSystem) -> list[dict]:
     items.append(_pass_fail("duplicate_closure", witness is None, witness,
                             points=checked))
 
-    # project: pin each direction to each side
-    checked = 0
-    witness = None
-    if d >= 2:
-        rest_index = {j: enumerate_Q(sys, tuple(i for i in dirs if i != j)).index
-                      for j in dirs}
-        for j in dirs:
-            for b in (0, 1):
-                checked += len(Q)
-                if witness is not None:
-                    continue
-                miss = _first_missing(rest_index[j], rows[:, face(d, j, b)])
-                if miss is not None:
-                    witness = [j, b, rows[miss].tolist()]
-    items.append(_pass_fail("project_closure", witness is None, witness,
-                            points=checked))
+    items.append(_pass_fail("project_closure", project_witness is None,
+                            project_witness, points=projected))
 
     # digit permutation: Q over (sigma(1)..sigma(d)) maps onto Q over (1..d).
     # The reordered relations are read off the sets built here.
@@ -322,7 +345,7 @@ def _section_classes(Q, sec: dict[int, range], n: int
     ids and equal sections are equal slices, ranked by their bytes within
     each length.  Shared tails are a join on tail ids over one section per
     class."""
-    tails = np.unique(Q.column_keys(slice(1, None)), return_inverse=True)[1]
+    tails = _dense_ids(Q.column_keys(slice(1, None)), n ** (Q.width - 1))[1]
     xs = np.array(list(sec), dtype=np.int64)
     starts = np.array([r.start for r in sec.values()], dtype=np.int64)
     lengths = np.array([len(r) for r in sec.values()], dtype=np.int64)
@@ -337,7 +360,9 @@ def _section_classes(Q, sec: dict[int, range], n: int
         m += int(rank.max()) + 1
     ids[ids < 0] = m
     m += 1
-    rep = np.unique(ids[xs], return_index=True)[1]
+    # the first section of each class; the sections hold classes 0..m-2
+    rep = np.full(m - 1, len(xs))
+    np.minimum.at(rep, ids[xs], np.arange(len(xs)))
     rows = np.concatenate([np.arange(starts[i], starts[i] + lengths[i])
                            for i in rep.tolist()] or [np.empty(0, np.int64)])
     owner = np.repeat(ids[xs[rep]], lengths[rep])

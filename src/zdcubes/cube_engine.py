@@ -23,9 +23,8 @@ module builds elements.  A face-group orbit is the closure of its start
 under the forward generators' maps of a set's rows, by doubling, or, when
 a generator leaves the set, a class of the partition of the rows by those
 maps' edges.  orbit_rows is
-the breadth-first orbit search over int rows that affine discretization
-and product realizations share.  Cube sets are read and written by the
-int-row codec of _text.
+the breadth-first orbit search over int rows of affine discretization.
+Cube sets are read and written by the int-row codec of _text.
 """
 
 from __future__ import annotations
@@ -260,12 +259,14 @@ def orbit_rows(start: np.ndarray, step, key, cap: int) -> np.ndarray | None:
     """The distinct rows reachable from the start rows, sorted by key, or
     None once more than cap of them are found.
 
-    A breadth-first search with one frontier array per level.  step(rows)
-    gives the images of rows under every generator and its inverse (a
-    caller may drop some, such as those outside a set); key(rows) gives row
-    keys, ordered as the rows.  With the inverses among the steps, the
-    images of a level lie in the level before it, in it or in the next, so
-    only those two levels are searched for them."""
+    A breadth-first search with one frontier array per level, for the
+    orbit mode of affine discretization: its maps are affine steps, not
+    permutation arrays, so they are not squared as product realizations
+    square theirs.  step(rows) gives the images of rows under every
+    generator and its inverse; key(rows) gives row keys, ordered as the
+    rows.  With the inverses among the steps, the images of a level lie in
+    the level before it, in it or in the next, so only those two levels are
+    searched for them."""
     def distinct(rows):
         return _distinct_rows(rows, key(rows))
 

@@ -18,8 +18,9 @@ non-bijective rows and non-commuting generator pairs with line-numbered
 diagnostics.
 
 Equivalence relations (orbits, the closure of a pair relation, the classes
-of a quotient) are int label arrays from partition(): each point carries the
-least member of its class.  A pair relation is stored as the sorted,
+of a quotient) are int label arrays, from partition() for edges and from
+orbit_labels() for generators: each point carries the least member of its
+class.  A pair relation is stored as the sorted,
 distinct int64 keys x*n + y of its pairs, and a factor map as the int64
 image of each point.  The tuple forms of all three objects (perms and
 inverses, pairs, mapping) are views built on first use.
@@ -34,8 +35,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ._arrays import (_chunked_ranks, _distinct, _find_keys, _first, _frozen,
-                      _invert, _same)
+from ._arrays import (_chunked_ranks, _dense_ids, _distinct, _find_keys,
+                      _first, _frozen, _invert, _same)
 from ._text import (_content_lines, _parse_int_list, _read_header, _read_keys,
                     _rows_text)
 from .errors import InputError
@@ -310,10 +311,29 @@ def partition(n: int, u, v) -> np.ndarray:
 
 def orbit_labels(n: int, perms) -> np.ndarray:
     """Labels of the orbits of the group generated by perms (a table or a
-    list of index arrays), from the edges (x, g x) of each generator; the
-    group is never listed."""
-    images = np.asarray(perms, dtype=np.int64).reshape(len(perms), n)
-    return partition(n, np.arange(images.size) % n, images)
+    list of index arrays): each point's label is the least member of its
+    orbit, as partition() gives it for the edges (x, g x); the group is
+    never listed.
+
+    The least label is carried along each generator's cycles by doubling:
+    with q = g^(2^m), lab becomes min(lab, lab[q]) and q becomes q∘q, so
+    after m steps each point holds the least label among its next 2^m
+    images, until a step changes nothing; then lab is constant on g's
+    cycles, about log2 of the cycle length steps later.  Passes over the
+    generators repeat until one changes nothing: a single pass labels the
+    orbits of commuting generators, and the next confirms it."""
+    tables = np.asarray(perms).reshape(len(perms), n)
+    lab = np.arange(n, dtype=np.int64)
+    changed = True
+    while changed:
+        changed = False
+        for q in tables:
+            while True:
+                step = np.minimum(lab, lab[q])
+                if _same(step, lab):
+                    break
+                lab, q, changed = step, q[q], True
+    return lab
 
 
 def label_classes(labels) -> tuple[tuple[int, ...], ...]:
@@ -646,7 +666,7 @@ def _label_quotient(sys: FiniteZdSystem, labels: np.ndarray
     by the discrete partition is sys itself."""
     if (np.asarray(labels) == np.arange(sys.n_points)).all():
         return sys, FactorMap.identity(sys)
-    reps, class_of = np.unique(labels, return_inverse=True)
+    reps, class_of = _dense_ids(labels, sys.n_points)
     image = class_of[sys.table]
     table = image[:, reps]
     split = image != table[:, class_of]

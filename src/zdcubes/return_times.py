@@ -6,15 +6,16 @@ fixed modulus per coordinate, in one sorted, duplicate-free int64 array, as
 a CubeSet stores its tuples, and owns the RowIndex of the row keys it was
 sorted by.  Return sets N(x, U) = {n : T^n x in U} of a finite system are
 periodic with the generator orders as moduli; they are read off the images
-of x over the exponent box, built by one gather per exponent and direction,
-and kept on the system (FiniteZdSystem.memo), as are the systems
+of x over the exponent box, built by doubling in each direction, and kept
+on the system (FiniteZdSystem.memo), as are the systems
 drop_generator derives from it, so each is built once.  The
 d-joining glues d sets of dimension d-1: a vector belongs when every
 drop-one-coordinate projection lands in the corresponding input set.  It
 is a broadcast AND of dense bool masks over the output residue box, one
 byte per vector: under JOIN_CAP a mask takes at most 1 MB, and
 coordinates of modulus 1 are left out, so any number of inputs fits
-numpy's 64 axes.
+numpy's 64 axes.  A product realization closes its marked tuple under the
+product generators by doubling as well.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import _distinct_rows, _frozen, _invert
+from ._arrays import _distinct_rows, _find_keys, _frozen, _row_keys
 from ._text import _read_header, _read_int_rows, _rows_text
-from .cube_engine import RowIndex, enumerate_Q, orbit_rows, row_keys, ucpp_check
+from .cube_engine import RowIndex, enumerate_Q, row_keys, ucpp_check
 from .errors import InputError
 from .finite_system import FiniteZdSystem, is_minimal
 
@@ -88,9 +89,16 @@ class PeriodicSet:
                                  for r in residues], dtype=np.int64).reshape(-1, k)
         if residues.ndim != 2 or residues.shape[1] != k:
             raise InputError("residue arity does not match k")
-        rows = residues % np.array(moduli, dtype=np.int64)
-        rows, keys = _distinct_rows(rows, row_keys(rows, max(moduli)))
-        object.__setattr__(self, "rows", _frozen(rows))
+        # rows already in the box, as the derived sets (d_joining, lift_to,
+        # return sets) give them, are not copied, and are kept through a
+        # read-only view
+        box = np.array(moduli, dtype=np.int64)
+        rows = residues
+        if rows.dtype != np.int64 or len(rows) and not (
+                (rows.min(axis=0) >= 0).all() and (rows.max(axis=0) < box).all()):
+            rows = rows % box
+        rows, keys = _distinct_rows(rows, _row_keys(rows, max(moduli)))
+        object.__setattr__(self, "rows", _frozen(rows.view()))
         object.__setattr__(self, "index", RowIndex.of_keys(keys, max(moduli)))
 
     @classmethod
@@ -232,16 +240,20 @@ def return_set(sys: FiniteZdSystem, x: int, U: frozenset[int] | set[int]
 
 def _return_set(sys: FiniteZdSystem, x: int, U: frozenset[int]) -> PeriodicSet:
     """images[n_1, .., n_d] = T_1^{n_1} .. T_d^{n_d} x is built direction by
-    direction, the last first: each direction stacks order_i successive
-    images of the array so far under T_i, one gather each."""
+    direction, the last first, by doubling: the layers of a direction
+    start as the array so far, and while fewer than order_i, the layers
+    p^0..p^(2^m - 1) gain their images under p^(2^m), p = T_i, which is
+    then squared; about log2(order_i) gathers each."""
     orders = sys.orders
     images = np.array(x)
     for i in reversed(range(sys.d)):
-        step = sys.table[i]
-        layers = [images]
-        for _ in range(orders[i] - 1):
-            layers.append(step[layers[-1]])
-        images = np.stack(layers)
+        order, step = orders[i], sys.table[i]
+        layers = images[None]
+        while len(layers) < order:
+            more = step[layers[:order - len(layers)]]
+            layers = np.concatenate([layers, more])
+            step = step[step]
+        images = layers
     inside = np.zeros(sys.n_points, dtype=bool)
     inside[np.fromiter(U, dtype=np.int64, count=len(U))] = True
     return PeriodicSet(sys.d, orders, np.argwhere(inside[images]))
@@ -413,6 +425,45 @@ def insert_identity_generator(sys: FiniteZdSystem, j: int) -> FiniteZdSystem:
                           labels=sys.labels)
 
 
+def _act(states: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
+    """A product generator, one map per factor, on states: rows whose
+    column j is a point of factor j."""
+    return np.stack([p[states[:, j]] for j, p in enumerate(maps)], axis=1)
+
+
+def _orbit_closure(start: np.ndarray, forward: list[list[np.ndarray]],
+                   radix: int) -> np.ndarray:
+    """The orbit of the start state under the product generators forward,
+    as rows sorted by row key; refused once it passes JOIN_CAP states.
+
+    The set S of states found is closed under each generator g in turn by
+    doubling: while g(S) is not within S, S grows by g(S) and g becomes
+    g∘g on each factor, so a cycle of length L takes about log2(L) steps.
+    Passes over the generators repeat until none adds a state.  The
+    generators permute a finite set, so closing under the forward ones
+    alone gives the orbit, and S always lies within it: the cap refuses
+    exactly the orbits larger than JOIN_CAP."""
+    states = start
+    keys = row_keys(start, radix)
+    grew = True
+    while grew:
+        grew = False
+        for g in forward:
+            while True:
+                images = _act(states, g)
+                image_keys = row_keys(images, radix)
+                new = ~_find_keys(keys, image_keys)[1]
+                if not new.any():
+                    break
+                states = np.concatenate([states, images[new]])
+                if len(states) > JOIN_CAP:
+                    raise InputError("orbit closure exceeds the size cap")
+                keys = np.sort(np.concatenate([keys, image_keys[new]]))
+                g = [p[p] for p in g]
+                grew = True
+    return _distinct_rows(states, row_keys(states, radix))[0]
+
+
 def product_system_realization(
     factors: list[tuple[FiniteZdSystem, int, frozenset[int] | set[int]]],
 ) -> ProductRealization:
@@ -439,23 +490,12 @@ def product_system_realization(
             if not 0 <= u < f_sys.n_points:
                 raise InputError(f"neighborhood id of factor {i} out of range")
     systems = [f for f, _, _ in factors]
-    inverses = [_invert(f.table) for f in systems]
     forward = [[f.table[i] for f in systems] for i in range(d)]
-    backward = [[inv[i] for inv in inverses] for i in range(d)]
-
-    def act(states: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
-        """Column j of a state is a point of factor j."""
-        return np.stack([p[states[:, j]] for j, p in enumerate(maps)], axis=1)
-
     radix = max(f.n_points for f in systems)
     start = np.array([[y for _, y, _ in factors]])
-    points = orbit_rows(
-        start, lambda s: np.concatenate([act(s, m) for m in forward + backward]),
-        lambda s: row_keys(s, radix), JOIN_CAP)
-    if points is None:
-        raise InputError("orbit closure exceeds the size cap")
+    points = _orbit_closure(start, forward, radix)
     index = RowIndex(points, radix)
-    perms = np.stack([index.find(act(points, m))[0] for m in forward])
+    perms = np.stack([index.find(_act(points, m))[0] for m in forward])
     prod_sys = FiniteZdSystem(len(points), d, perms, name="product-orbit")
     # Q first: an over-budget product system then costs only the orbit search
     u = ucpp_check(enumerate_Q(prod_sys, prod_sys.dirs))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import _chunked_ranks, _distinct, _first_repeat
+from ._arrays import _chunked_ranks, _dense_ids, _distinct, _first_repeat
 from .cube_engine import (CubeSet, RowIndex, UcppResult, enumerate_K,
                           enumerate_Q, face_group_generators, row_keys,
                           section_of, ucpp_check)
@@ -173,8 +173,10 @@ def _project_positions(K: CubeSet, Y: FiniteZdSystem, positions: list[int],
     target; each generator's image of a value is read off the first tuple
     over it, and must be the same for every tuple over it."""
     cols = K.columns(positions)
-    _, first, mapping = np.unique(K.column_keys(cols), return_index=True,
-                                  return_inverse=True)
+    distinct, mapping = _dense_ids(K.column_keys(cols),
+                                   K.base.n_points ** len(cols))
+    first = np.full(len(distinct), len(K))
+    np.minimum.at(first, mapping, np.arange(len(K)))
     image = mapping[Y.table]
     table = image[:, first]
     if (table[:, mapping] != image).any():
@@ -286,7 +288,8 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
     Y_rest = face_system(K_rest)
     proj = dec.side_projections[j - 1].from_face.array
     cls = kappa.array
-    first = np.unique(cls, return_index=True)[1]  # classes are 0..m-1
+    first = np.full(q_sys.n_points, len(cls))  # classes are 0..m-1
+    np.minimum.at(first, cls, np.arange(len(cls)))
     split = np.flatnonzero(proj != proj[first[cls]])
     constant = not len(split)
     witness = None if constant else f"class {cls[split[0]]} projects two ways"
@@ -363,7 +366,7 @@ def relative_independence_check(dec: JoiningDecomposition
     starts, sizes, values = [], [], []
     for j in range(1, d + 1):
         pins = K.columns(face(d, j, 0)[:-1])
-        part = np.unique(K.column_keys(pins), return_inverse=True)[1]
+        part = _dense_ids(K.column_keys(pins), n ** len(pins))[1]
         pairs = _distinct(part * n + rows[:, free[j - 1]])
         bucket = pairs // n
         starts.append(np.searchsorted(bucket, part))
@@ -415,5 +418,5 @@ def _complete_once(K: CubeSet, free: list[int], head: np.ndarray,
     if not head.all():
         return False
     core = [c for c in range(K.width - 1) if c not in free]
-    ids = np.unique(K.column_keys(core), return_inverse=True)[1]
+    ids = _dense_ids(K.column_keys(core), K.base.n_points ** len(core))[1]
     return bool((np.bincount(ids)[ids] == total).all())

@@ -303,6 +303,55 @@ def test_batteries_match_scalar_loops_on_corrupted_Q(systems, monkeypatch,
         len(ref.face_group_orbit(Q, Q.points[0]))
 
 
+# per fixture, with the middle row of Q over directions 2..d removed: the
+# project witness, the glue pairs and the duplicate points, as the battery
+# gives them when it keys every face
+MISSING_FACE_ITEMS = {
+    "rot6": ([1, 0, [3, 0, 1, 4]], 972, 53),
+    "z4xz3": ([1, 0, [6, 0, 6, 0]], 1008, 83),
+    "rot8_d3": ([1, 0, [4, 0, 0, 4, 0, 4, 4, 0]], 7168, 559),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_FACE_ITEMS))
+def test_face_ids_fall_back_to_keys_where_a_face_is_missing(
+        systems, monkeypatch, name):
+    # Q itself stays whole, so glue and insert are unchanged; direction 1's
+    # faces are keyed (_face_ids), the others' read off the project lookups
+    sys_ = systems[name]
+    rest = tuple(range(2, sys_.d + 1))
+    real_Q, real_ids = enumerate_Q, battery._face_ids
+
+    def missing_face(sys, dirs, **kw):
+        Q = real_Q(sys, dirs, **kw)
+        if tuple(dirs) != rest:
+            return Q
+        drop = len(Q) // 2
+        return CubeSet(dirs=Q.dirs, points=Q.points[:drop] + Q.points[drop + 1:],
+                       base=Q.base)
+
+    keyed = []
+
+    def face_ids(Q, faces):
+        keyed.append(faces)
+        return real_ids(Q, faces)
+
+    whole = battery.surgery_battery(sys_)
+    for module in (battery, ref):
+        monkeypatch.setattr(module, "enumerate_Q", missing_face)
+    monkeypatch.setattr(battery, "_face_ids", face_ids)
+    got = _surgery(sys_)
+    first = battery.face(sys_.d, 1, 0), battery.face(sys_.d, 1, 1)
+    assert keyed and all(f == first for f in keyed)
+    assert got[:2] == whole[:2]
+    witness, glued, duplicated = MISSING_FACE_ITEMS[name]
+    size = len(enumerate_Q(sys_, sys_.dirs))
+    assert got[3] == battery._item("project_closure", "fail", witness,
+                                   points=2 * sys_.d * size)
+    assert got[0]["detail"]["pairs"] == glued
+    assert got[2]["detail"]["points"] == duplicated
+
+
 def test_surgery_battery_on_wide_rows_matches_scalar_loops(monkeypatch):
     # (Z/2)^4: cube tuples of width 16 over 16 points overflow int64 keys
     sys_ = _z2_power(4)

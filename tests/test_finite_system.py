@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_return_times as ref
+from zdcubes import _arrays
 from zdcubes.errors import InputError
 from zdcubes.finite_system import (
     FactorMap,
@@ -13,6 +14,7 @@ from zdcubes.finite_system import (
     is_minimal,
     orbit_labels,
     parse_finite_system,
+    partition,
     perm_order,
     perm_power,
     quotient,
@@ -107,6 +109,53 @@ def test_minimality(systems):
 
 def test_orbit_of_rot6_is_everything(systems):
     assert (orbit_labels(6, systems["rot6"].perms) == 0).all()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_dense_ids_equal_np_unique_on_both_paths(data):
+    # at DENSE_RATIO slots per key the mask path runs, one slot more sorts
+    size = data.draw(st.integers(1, 300))
+    unique = np.unique
+    for space in (size * _arrays.DENSE_RATIO, size * _arrays.DENSE_RATIO + 1):
+        keys = np.array(data.draw(st.lists(st.integers(0, space - 1),
+                                           min_size=size, max_size=size)),
+                        dtype=np.int64)
+        sorts = []
+
+        def counted(*args, **kwargs):
+            sorts.append(1)
+            return unique(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "unique", counted)
+            distinct, ids = _arrays._dense_ids(keys, space)
+        assert len(sorts) == (space > size * _arrays.DENSE_RATIO)
+        want = unique(keys, return_inverse=True)
+        assert distinct.dtype == want[0].dtype and ids.dtype == want[1].dtype
+        assert np.array_equal(distinct, want[0]) and np.array_equal(ids, want[1])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_labels_match_the_partition_of_the_edges(data):
+    # random permutations rarely commute: the passes must still close
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(0, 4))
+    perms = [data.draw(st.permutations(range(n))) for _ in range(k)]
+    edges = [(x, p[x]) for p in perms for x in range(n)]
+    want = partition(n, [u for u, _ in edges], [v for _, v in edges])
+    assert np.array_equal(orbit_labels(n, perms), want)
+    table = np.array(perms, dtype=np.int32).reshape(k, n)
+    assert np.array_equal(orbit_labels(n, table), want)
+
+
+def test_orbit_labels_of_non_commuting_generators():
+    sys_ = parse_finite_system(NONCOMMUTING, strict=False)
+    assert orbit_labels(3, sys_.table).tolist() == [0, 0, 0]
+    # (1 2)(3 4), then (0 1): one pass leaves 2 labelled 1, the next mends it
+    assert orbit_labels(5, [[0, 2, 1, 4, 3], [1, 0, 2, 3, 4]]).tolist() == \
+        [0, 0, 0, 3, 3]
 
 
 def test_pair_relation_basics():

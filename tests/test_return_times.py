@@ -427,6 +427,22 @@ def test_join_cap_is_read_when_it_is_checked(systems, monkeypatch):
     assert product_system_realization(factors).equal
 
 
+def test_product_orbit_cap_boundary(monkeypatch):
+    # the orbit of 9 states fits a cap of 9, as do its order box and the
+    # joining's residue box (3 x 3), so the realization completes; a cap of
+    # 8 refuses the orbit itself
+    rot3 = parse_finite_system(
+        "finite-system\npoints = 3\nd = 1\nT1 = [1, 2, 0]\n")
+    factors = [(insert_identity_generator(rot3, 1), 0, frozenset({0})),
+               (insert_identity_generator(rot3, 2), 0, frozenset({0}))]
+    monkeypatch.setattr(return_times, "JOIN_CAP", 9)
+    got = product_system_realization(factors)
+    assert got.system.n_points == 9 and got.equal
+    monkeypatch.setattr(return_times, "JOIN_CAP", 8)
+    with pytest.raises(InputError, match="orbit closure exceeds the size cap"):
+        product_system_realization(factors)
+
+
 def test_product_system_realization_rejects_wrong_slot():
     rot3 = parse_finite_system(
         "finite-system\npoints = 3\nd = 1\nT1 = [1, 2, 0]\n")

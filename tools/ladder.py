@@ -3,19 +3,22 @@ periodic set and a large raw cube set, and `zdcubes joining` at the size
 cap of its residue box, each run in a fresh interpreter, recording wall
 time, peak RSS, seconds per battery and the SHA-256 of the report.
 
-    python3 tools/ladder.py --out BENCH.json [--workdir DIR] TREE [TREE]
+    python3 tools/ladder.py --out BENCH.json [--workdir DIR]
+        [--rung NAME ...] TREE [TREE]
 
-A TREE is a source checkout holding src/zdcubes.  Every rung runs twice
-on each tree.  Given two trees (the parent first, then the change), a rung
-runs them in both orders, parent then change and change then parent, since
-on a shared machine the second of two back-to-back processes can read
-slower; every run is recorded.  A tree's two runs of a rung must give the
-same report hash: the tool lists the rungs where they do not and exits 1.
-Each rung writes its inputs into the work directory and runs there
-as the recorded command, so the report's input fields hold the bare file
-names: a report hash is comparable only together with that command line.
-A run longer than TIMEOUT_S is killed and recorded as a timeout; a child
-that dies before writing its stats is recorded with its return code.
+A TREE is a source checkout holding src/zdcubes.  --rung (repeatable)
+runs only the named rungs, in ladder order; by default every rung runs.
+Every rung runs twice on each tree.  Given two trees (the parent first,
+then the change), a rung runs them in both orders, parent then change
+and change then parent, since on a shared machine the second of two
+back-to-back processes can read slower; every run is recorded.  A tree's
+two runs of a rung must give the same report hash: the tool lists the
+rungs where they do not and exits 1.  Each rung writes its inputs into
+the work directory and runs there as the recorded command, so the
+report's input fields hold the bare file names: a report hash is
+comparable only together with that command line.  A run longer than
+TIMEOUT_S is killed and recorded as a timeout; a child that dies before
+writing its stats is recorded with its return code.
 
 Wall time spans the child interpreter from start to exit.  Peak RSS and
 the seconds per battery are measured inside the child, which wraps the
@@ -182,6 +185,8 @@ def main() -> int:
     ap.add_argument("trees", nargs="+", help="parent tree, then change tree")
     ap.add_argument("--out", required=True)
     ap.add_argument("--workdir", help="where inputs and reports go")
+    ap.add_argument("--rung", action="append", choices=list(RUNGS),
+                    help="run only this rung (repeatable; default: all)")
     args = ap.parse_args()
     if len(args.trees) > 2:
         ap.error("give one or two trees")
@@ -191,6 +196,8 @@ def main() -> int:
     orders = [pairs, pairs[::-1]]
     records, unstable = [], []
     for name, (command, suffix, params) in RUNGS.items():
+        if args.rung and name not in args.rung:
+            continue
         argv = [command, *write_inputs(workdir, name, suffix, params)]
         runs = {label: [] for label in labels}
         for order in orders:
