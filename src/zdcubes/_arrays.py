@@ -2,6 +2,10 @@
 cube_engine is the range-checked public form of _row_keys): keying rows,
 sorting them by key with repeats dropped, numbering keys densely, looking
 keys up, finding a repeat, and walking ranks in chunks.
+
+A row key is one int64, ordered as the rows are.  Keys of rows too wide
+for a mixed-radix key rank chunks among the rows keyed, so they compare
+only within one call, or against one RowIndex, which keys queries alike.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ def _dense_ids(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     When the space holds at most DENSE_RATIO slots per key, a bool mask of
     the space marks the keys, np.flatnonzero lists them in order, and a
     rank table, written only at those keys, numbers them; no sort runs.
-    A larger space, such as structured keys have, is sorted."""
+    A larger space, such as wide rows' chunk keys have, is sorted."""
     if space > DENSE_RATIO * len(keys):
         return np.unique(keys, return_inverse=True)
     seen = np.zeros(space, dtype=bool)
@@ -46,30 +50,51 @@ def _dense_ids(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     return distinct.astype(keys.dtype, copy=False), rank[keys]
 
 
-def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """row_keys without its range check, for rows known to lie in 0..n-1."""
-    width = rows.shape[1]
-    if n ** width < 1 << 63:
-        keys = np.zeros(len(rows), dtype=np.int64)
-        for c in range(width):
-            keys *= n
-            keys += rows[:, c]
-        return keys
-    dtype = np.int32 if n <= 1 << 31 else np.int64
-    view = np.dtype([(f"c{c}", dtype) for c in range(width)])
-    return np.ascontiguousarray(rows, dtype=dtype).view(view).ravel()
+def _row_keys(rows: np.ndarray, n: int, tables: list | None = None,
+              lookup: bool = False) -> np.ndarray:
+    """row_keys without its range check, for rows known to lie in 0..n-1.
+
+    Rows too wide for a mixed-radix key are cut into balanced column chunks
+    whose keys fit (a one-column chunk is its values, Python ints too); each
+    chunk key becomes its rank in the chunk's sorted distinct keys, its
+    table, and the rows of ranks are keyed in turn.  tables receives the
+    tables, chunk by chunk; with lookup set, it holds an earlier call's,
+    which rank the chunks instead, and a row with a chunk missing from its
+    table gets a negative key, which no row of that call has."""
+    rounds = iter(tables) if lookup else None
+    while n ** rows.shape[1] >= 1 << 63:
+        ranked, m = [], 0  # m: the radix of the ranks, the largest table
+        for c in np.array_split(np.arange(rows.shape[1]),
+                                -(-rows.shape[1] // max(1, 63 // n.bit_length()))):
+            chunk = rows[:, c[0]] if len(c) == 1 else _row_keys(rows[:, c], n)
+            if lookup:
+                table = next(rounds)
+                ranks, found = _find_keys(table, chunk)
+                ranks[~found] = -1
+            else:
+                table, ranks = _dense_ids(chunk, n ** len(c))
+                if tables is not None:
+                    tables.append(table)
+            ranked.append(ranks)
+            m = max(m, len(table))
+        rows, n = np.stack(ranked, axis=1), m
+        if lookup:  # all -1, so that the key is negative, not another row's
+            rows[(rows < 0).any(axis=1)] = -1
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for c in range(rows.shape[1]):
+        keys *= n
+        keys += rows[:, c]
+    return keys
 
 
 def _distinct_rows(rows: np.ndarray, keys: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, keys) sorted by their row keys with repeats dropped; rows whose
-    keys already increase come back as they are.  Structured keys are sorted
-    by their columns with lexsort, which orders them as they compare, and
-    faster."""
+    """(rows, keys) sorted by their row keys with repeats dropped, each
+    key's first row kept; rows whose keys already increase come back as
+    they are."""
     if _increasing(keys):
         return rows, keys
-    order = (np.argsort(keys, kind="stable") if keys.dtype == np.int64 else
-             np.lexsort(keys.view(keys.dtype[0]).reshape(len(keys), -1).T[::-1]))
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     keep = np.ones(len(keys), dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
@@ -77,18 +102,8 @@ def _distinct_rows(rows: np.ndarray, keys: np.ndarray
 
 
 def _increasing(keys: np.ndarray) -> bool:
-    """Whether row keys (as _row_keys gives them) strictly increase.  int64
-    keys compare directly; a structured view, which comparison operators
-    do not order, compares each pair of adjacent rows at the first column
-    where they differ."""
-    if keys.dtype == np.int64:
-        return bool((keys[1:] > keys[:-1]).all())
-    rows = keys.view(keys.dtype[0]).reshape(len(keys), len(keys.dtype))
-    differ = rows[1:] != rows[:-1]
-    first = differ.argmax(axis=1)
-    at = np.arange(len(first))
-    return bool(differ.any(axis=1).all()
-                and (rows[1:][at, first] > rows[:-1][at, first]).all())
+    """Whether row keys strictly increase."""
+    return bool((keys[1:] > keys[:-1]).all())
 
 
 def _has_repeat(keys: np.ndarray) -> bool:

@@ -312,7 +312,6 @@ def _matrix_conditions(sys: AffineZdSystem) -> MatCondReport:
 # order is the order of the torus vectors.
 
 N_CHUNK = 4096  # exponent vectors per batch of the formula test
-_DIGIT = 32  # bits per digit when numerators pass int64 (q > 2^63)
 
 
 def _step(sys: AffineZdSystem, i: int, sign: int,
@@ -395,18 +394,11 @@ def _apply(m: np.ndarray, t: np.ndarray, rows: np.ndarray, q: int) -> np.ndarray
     return (rows @ m.T + t) % q
 
 
-def _keyable(rows: np.ndarray, q: int) -> tuple[np.ndarray, int]:
-    """Numerator rows as int64 rows with entries below the returned radix,
-    in the same lexicographic order, for row_keys and RowIndex: the
-    numerators themselves while q <= 2^63, otherwise each split into
-    base-2^32 digits, most significant first."""
-    if q <= 1 << 63:
-        return rows.astype(np.int64, copy=False), q
-    digits = -(-(q - 1).bit_length() // _DIGIT)
-    mask = (1 << _DIGIT) - 1
-    cols = [(rows[:, c] >> (_DIGIT * e)) & mask
-            for c in range(rows.shape[1]) for e in reversed(range(digits))]
-    return np.stack(cols, axis=1).astype(np.int64), 1 << _DIGIT
+def _keyable(rows: np.ndarray, q: int) -> np.ndarray:
+    """Numerator rows for row_keys and RowIndex with radix q: cast to int64
+    while q <= 2^63, otherwise Python integers, which row_keys ranks column
+    by column."""
+    return rows.astype(np.int64, copy=False) if q <= 1 << 63 else rows
 
 
 def _numerators(sys: AffineZdSystem, x) -> tuple[np.ndarray, int]:
@@ -614,14 +606,14 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
         points = orbit_rows(
             start, lambda rows: np.concatenate(
                 [_apply(m, t, rows, q) for m, t in maps]),
-            lambda rows: row_keys(*_keyable(rows, q)), LATTICE_CAP)
+            lambda rows: row_keys(_keyable(rows, q), q), LATTICE_CAP)
         if points is None:
             raise InputError(f"orbit exceeds the size cap {LATTICE_CAP}")
-    index = RowIndex(*_keyable(points, q))
+    index = RowIndex(_keyable(points, q), q)
     perms = []
     for mats, trans in tables:  # the last entry of a table is T_i itself
         pos, found = index.find(
-            _keyable(_apply(mats[-1], trans[-1], points, q), q)[0])
+            _keyable(_apply(mats[-1], trans[-1], points, q), q))
         if not found.all():
             raise AssertionError("lattice is not invariant; bug")
         perms.append(pos)

@@ -21,7 +21,7 @@ import numpy as np
 from .affine import (AffineZdSystem, discretize, formula_equivalence_test,
                      matcond_check, validate_affine)
 from ._arrays import (_chunked_ranks, _dense_ids, _distinct, _find_keys,
-                      _first, _same)
+                      _first, _row_keys, _same)
 from .cube_engine import (CubeSet, RowIndex, enumerate_K, enumerate_Q,
                           face_group_orbit, section_of, ucpp_check)
 from .errors import InputError
@@ -71,9 +71,10 @@ def _face_ids(Q: CubeSet, faces: tuple[list[int], list[int]]
 
     The surgery battery reads these ids off its project lookups, as the
     positions of the faces in Q over the other directions, renumbered over
-    the faces in use; this keys the faces themselves, and runs only at
-    d = 1 and in a direction where some face is missing from that set."""
-    keys = np.concatenate([Q.column_keys(f) for f in faces])
+    the faces in use; this keys the faces of both sides in one call, so
+    that their keys compare, and runs only at d = 1 and in a direction
+    where some face is missing from that set."""
+    keys = _row_keys(np.concatenate([Q.rows[:, f] for f in faces]), Q.base.n_points)
     distinct, ids = _dense_ids(keys, Q.base.n_points ** len(faces[0]))
     return ids[:len(Q)], ids[len(Q):], len(distinct)
 

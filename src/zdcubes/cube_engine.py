@@ -116,15 +116,16 @@ class CubeSet:
                 raise InputError("cube coordinates must be point ids of the "
                                  "base system")
             lo, hi = 0, self.base.n_points - 1
+        rows = rows.astype(np.int32, copy=False)  # exact, as checked above
         lo = min(lo, 0)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_n", hi - lo + 1)
-        rows, keys = _distinct_rows(rows, _row_keys(self._shifted(rows), self._n))
+        rows, index = RowIndex.of_rows(rows, self._shifted(rows), self._n)
         # rows already sorted and distinct, as enumerated sets are, are kept
         # as they are, through a read-only view
         object.__setattr__(self, "rows", _frozen(
-            np.ascontiguousarray(rows, dtype=np.int32).view()))
-        object.__setattr__(self, "index", RowIndex.of_keys(keys, self._n))
+            np.ascontiguousarray(rows).view()))
+        object.__setattr__(self, "index", index)
 
     def _shifted(self, rows: np.ndarray) -> np.ndarray:
         """rows (or some of their columns) moved into 0.._n-1, the range
@@ -208,45 +209,50 @@ class CubeSet:
 # row keys and membership
 
 
-def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """One key per row of an int array with entries in 0..n-1, ordered as the
-    rows are lexicographically: int64 mixed-radix keys (first column most
-    significant) while n^width < 2^63, otherwise a structured view of the
-    rows that compares column by column."""
+def row_keys(rows: np.ndarray, n: int, tables: list | None = None,
+             lookup: bool = False) -> np.ndarray:
+    """One int64 key per row of an int array with entries in 0..n-1, ordered
+    as the rows are lexicographically: the mixed-radix key (first column
+    most significant) while n^width < 2^63, otherwise a key of the ranks of
+    the row's column chunks (_row_keys, with tables and lookup), which
+    compares only within one call or against one RowIndex."""
     rows = np.asarray(rows)
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         raise ValueError(f"row entries must lie in 0..{n - 1}")
-    return _row_keys(rows, n)
+    return _row_keys(rows, n, tables, lookup)
 
 
 class RowIndex:
     """Membership in a sorted, duplicate-free set of rows with entries in
-    0..n-1 (such as CubeSet.rows), by binary search over row keys."""
+    0..n-1 (such as CubeSet.rows), by binary search over row keys; queries
+    are keyed through the rank tables of wide rows, tables."""
 
     def __init__(self, rows: np.ndarray, n: int):
-        self.n = n
-        self.keys = row_keys(rows, n)
+        self.n, self.tables = n, []
+        self.keys = row_keys(rows, n, self.tables)
 
     @classmethod
-    def of_keys(cls, keys: np.ndarray, n: int) -> "RowIndex":
-        """The index over rows whose sorted, distinct row_keys(rows, n) are
-        keys."""
+    def of_rows(cls, rows: np.ndarray, keyed: np.ndarray, n: int
+                ) -> tuple[np.ndarray, "RowIndex"]:
+        """(rows, index): rows sorted by the keys of keyed, rows moved into
+        0..n-1, with repeats dropped, and the index over them."""
         index = cls.__new__(cls)
-        index.n, index.keys = n, keys
-        return index
+        index.n, index.tables = n, []
+        rows, index.keys = _distinct_rows(rows, _row_keys(keyed, n, index.tables))
+        return rows, index
 
     def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(position, found) per query row; position is meaningful only
         where found is set."""
-        return _find_keys(self.keys, row_keys(rows, self.n))
+        return _find_keys(self.keys, row_keys(rows, self.n, self.tables, True))
 
     def same_set(self, rows: np.ndarray) -> bool:
         """Whether the query rows, as a set, equal the indexed set.  As many
         rows as the index holds are the set exactly when their sorted keys
         are the index keys, which are distinct; others are looked up."""
         if len(rows) == len(self.keys):
-            return bool(np.array_equal(np.sort(row_keys(rows, self.n)),
-                                       self.keys))
+            keys = row_keys(rows, self.n, self.tables, True)
+            return bool(np.array_equal(np.sort(keys), self.keys))
         pos, found = self.find(rows)
         if not found.all():
             return False
@@ -265,25 +271,22 @@ def orbit_rows(start: np.ndarray, step, key, cap: int) -> np.ndarray | None:
     square theirs.  step(rows) gives the images of rows under every
     generator and its inverse; key(rows) gives row keys, ordered as the
     rows.  With the inverses among the steps, the images of a level lie in
-    the level before it, in it or in the next, so only those two levels are
-    searched for them."""
-    def distinct(rows):
-        return _distinct_rows(rows, key(rows))
-
-    frontier, keys = distinct(start)
-    levels, previous = [frontier], keys[:0]
+    the level before it, in it or in the next: the three are keyed in one
+    call, and the next level is the images whose key first occurs there."""
+    frontier = _distinct_rows(start, key(start))[0]
+    levels, previous = [frontier], frontier[:0]
     total = len(frontier)
     while len(frontier):
-        images, image_keys = distinct(step(frontier))
-        _, found = _find_keys(np.sort(np.concatenate([previous, keys])),
-                              image_keys)
-        previous = keys
-        frontier, keys = images[~found], image_keys[~found]
+        old = len(previous) + len(frontier)
+        rows = np.concatenate([previous, frontier, step(frontier)])
+        first = _distinct_rows(np.arange(len(rows)), key(rows))[0]
+        previous, frontier = frontier, rows[first[first >= old]]
         levels.append(frontier)
         total += len(frontier)
         if total > cap:
             return None
-    return distinct(np.concatenate(levels))[0]
+    rows = np.concatenate(levels)
+    return _distinct_rows(rows, key(rows))[0]
 
 
 def _check_range(sys: FiniteZdSystem, dirs: tuple[int, ...]) -> None:
@@ -447,12 +450,12 @@ def ucpp_check(cubes: CubeSet) -> UcppResult:
 
 
 def _ucpp_scan(cubes: CubeSet) -> UcppResult:
-    """The scan behind ucpp_check.  While the set's row keys are int64
-    mixed-radix keys, the keys off vertex v come from them by one
-    multiply-subtract: keys - (column v) * n^(width-1-v) is exactly the key
-    of each row with column v set to 0, so it compares and orders as the
-    rows with column v deleted do.  Wider sets key the deleted rows
-    afresh.
+    """The scan behind ucpp_check.  While the set's row keys are mixed-radix
+    keys (its index holds no rank tables), the keys off vertex v come from
+    them by one multiply-subtract: keys - (column v) * n^(width-1-v) is
+    exactly the key of each row with column v set to 0, so it compares and
+    orders as the rows with column v deleted do.  Wider sets key the
+    deleted rows afresh.
 
     When the rows are distinct on vertex 0 and the single-direction
     vertices e_i (the positions of e_i alone in a based set), as every
@@ -468,7 +471,7 @@ def _ucpp_scan(cubes: CubeSet) -> UcppResult:
     vertices = single if len(single) < width and _distinct_on(cubes, single) \
         else range(width)
     for v in vertices:
-        if keys.dtype == np.int64:
+        if not cubes.index.tables:
             digit = rows[:, v].astype(np.int64) - cubes._lo
             rest = keys - digit * n ** (width - 1 - v)
         else:

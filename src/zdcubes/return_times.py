@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import _distinct_rows, _find_keys, _frozen, _row_keys
+from ._arrays import _distinct_rows, _frozen
 from ._text import _read_header, _read_int_rows, _rows_text
 from .cube_engine import RowIndex, enumerate_Q, row_keys, ucpp_check
 from .errors import InputError
@@ -89,17 +89,22 @@ class PeriodicSet:
                                  for r in residues], dtype=np.int64).reshape(-1, k)
         if residues.ndim != 2 or residues.shape[1] != k:
             raise InputError("residue arity does not match k")
+        if not np.issubdtype(residues.dtype, np.integer):
+            raise InputError("residues must hold integers")
         # rows already in the box, as the derived sets (d_joining, lift_to,
         # return sets) give them, are not copied, and are kept through a
-        # read-only view
+        # read-only view; uint64 rows are reduced in their own dtype, which
+        # is exact, as mixing them with int64 gives float64
         box = np.array(moduli, dtype=np.int64)
         rows = residues
+        if rows.dtype == np.uint64:
+            rows = (rows % box.astype(np.uint64)).astype(np.int64)
         if rows.dtype != np.int64 or len(rows) and not (
                 (rows.min(axis=0) >= 0).all() and (rows.max(axis=0) < box).all()):
             rows = rows % box
-        rows, keys = _distinct_rows(rows, _row_keys(rows, max(moduli)))
+        rows, index = RowIndex.of_rows(rows, rows, max(moduli))
         object.__setattr__(self, "rows", _frozen(rows.view()))
-        object.__setattr__(self, "index", RowIndex.of_keys(keys, max(moduli)))
+        object.__setattr__(self, "index", index)
 
     @classmethod
     def empty(cls, k: int) -> "PeriodicSet":
@@ -439,29 +444,27 @@ def _orbit_closure(start: np.ndarray, forward: list[list[np.ndarray]],
     The set S of states found is closed under each generator g in turn by
     doubling: while g(S) is not within S, S grows by g(S) and g becomes
     g∘g on each factor, so a cycle of length L takes about log2(L) steps.
+    S and g(S) are keyed in one call, and S becomes their distinct rows.
     Passes over the generators repeat until none adds a state.  The
     generators permute a finite set, so closing under the forward ones
     alone gives the orbit, and S always lies within it: the cap refuses
     exactly the orbits larger than JOIN_CAP."""
     states = start
-    keys = row_keys(start, radix)
     grew = True
     while grew:
         grew = False
         for g in forward:
             while True:
-                images = _act(states, g)
-                image_keys = row_keys(images, radix)
-                new = ~_find_keys(keys, image_keys)[1]
-                if not new.any():
+                rows = np.concatenate([states, _act(states, g)])
+                rows = _distinct_rows(rows, row_keys(rows, radix))[0]
+                if len(rows) == len(states):
                     break
-                states = np.concatenate([states, images[new]])
+                states = rows
                 if len(states) > JOIN_CAP:
                     raise InputError("orbit closure exceeds the size cap")
-                keys = np.sort(np.concatenate([keys, image_keys[new]]))
                 g = [p[p] for p in g]
                 grew = True
-    return _distinct_rows(states, row_keys(states, radix))[0]
+    return states
 
 
 def product_system_realization(

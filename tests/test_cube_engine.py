@@ -516,7 +516,7 @@ def test_rows_past_int64_keys_are_certified_in_order(rows, certified):
     # there too
     rows = np.array(rows, dtype=np.int64) * (1 << 18)
     cubes, sorts = _counting_sorts(lambda: CubeSet((1, 2), rows))
-    assert cubes.index.keys.dtype != np.int64
+    assert cubes.index.keys.dtype == np.int64
     assert sorts == (not certified)
     assert cubes.rows.tolist() == np.unique(rows, axis=0).tolist()
 

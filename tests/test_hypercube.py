@@ -176,7 +176,7 @@ def test_column_keys_of_raw_sets():
         lo = min(int(cs.rows.min()), 0) if len(cs) else 0
         n = int(cs.rows.max()) - lo + 1 if len(cs) else 1
         dtypes.append(_check_column_keys(cs, lo, n))
-    assert dtypes[0] == np.int64 and dtypes[3] != np.int64
+    assert dtypes[0] == np.int64 and dtypes[3] == np.int64
 
 
 @pytest.mark.parametrize("name", ALL_FSYS)

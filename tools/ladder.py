@@ -48,6 +48,8 @@ RUNGS = {
     "z48_d2": ("verify", "fsys", (48, (1, 5))),
     "rot32_d3": ("verify", "fsys", (32, (1, 3, 5))),
     "z12_d4": ("verify", "fsys", (12, (1, 5, 7, 11))),
+    "z16_d4": ("verify", "fsys", (16, (1, 5, 7, 11))),
+    "z6_d5": ("verify", "fsys", (6, (1, 5, 7, 11, 13))),
     "z100_d2": ("verify", "fsys", (100, (1, 7))),
     "z160_d2": ("verify", "fsys", (160, (1, 7))),
     "pset900k_k2": ("verify", "pset", ((100, 90), (1000, 1800), 4500)),
