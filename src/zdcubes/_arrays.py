@@ -1,7 +1,9 @@
 """Array primitives on sorted int rows and their keys (row_keys in
 cube_engine is the range-checked public form of _row_keys): keying rows,
 sorting them by key with repeats dropped, numbering keys densely, looking
-keys up, finding a repeat, and walking ranks in chunks.
+keys up, finding a repeat, walking ranks in chunks, and closing a set of
+rows under maps by doubling (the orbit searches of affine discretization
+and product realization).
 
 A row key is one int64, ordered as the rows are.  Keys of rows too wide
 for a mixed-radix key rank chunks among the rows keyed, so they compare
@@ -99,6 +101,41 @@ def _distinct_rows(rows: np.ndarray, keys: np.ndarray
     keep = np.ones(len(keys), dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
     return rows[order[keep]], keys[keep]
+
+
+def _orbit_closure(start: np.ndarray, generators, apply, square, key,
+                   cap: int) -> np.ndarray | None:
+    """The orbit of the start rows under the generators, as distinct rows
+    sorted by key, or None once more than cap rows are found.
+
+    apply(rows, g) gives the images of rows under a generator, square(g)
+    gives g∘g, and key(rows) gives row keys, ordered as the rows.  The set
+    S of rows found is closed under each generator g in turn by doubling:
+    while g(S) is not within S, S grows by g(S) and g becomes g∘g, so a
+    cycle of length L takes about log2(L) steps; after m steps S holds the
+    images of the set it started from under g^0..g^(2^m - 1), so once
+    g^(2^m)(S) lies within S, S is closed under g.  S and g(S) are keyed
+    in one call, so that keys ranking column chunks compare, and S becomes
+    their distinct rows.  Passes over the generators repeat until none
+    adds a row.  The generators permute a finite set, so closing under
+    them alone gives the orbit, and S always lies within it: the cap
+    refuses exactly the orbits larger than cap."""
+    states = _distinct_rows(start, key(start))[0]
+    grew = True
+    while grew:
+        grew = False
+        for g in generators:
+            while True:
+                rows = np.concatenate([states, apply(states, g)])
+                rows = _distinct_rows(rows, key(rows))[0]
+                if len(rows) == len(states):
+                    break
+                states = rows
+                if len(states) > cap:
+                    return None
+                g = square(g)
+                grew = True
+    return states
 
 
 def _increasing(keys: np.ndarray) -> bool:

@@ -41,9 +41,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._arrays import _distinct
+from ._arrays import _distinct, _orbit_closure
 from ._text import _read_keys
-from .cube_engine import RowIndex, orbit_rows, row_keys
+from .cube_engine import RowIndex, row_keys
 from .errors import InputError
 from .finite_system import FiniteZdSystem
 
@@ -567,13 +567,17 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
     """Restrict to the (1/q)Z^r lattice, which every T_i preserves when q is
     a multiple of the translation denominator.
 
-    mode="orbit" keeps the orbit of the base point (default 0), found by a
-    breadth-first search over forward and backward steps; mode="full"
-    takes the entire lattice.  Points are rows of numerators mod q; point
-    ids follow their lexicographic order, which is the order of the lattice
-    vectors, and labels record the vectors.  Either set is refused past
-    LATTICE_CAP points.  The arithmetic is int64 while r*q^2 < 2^63 and
-    Python integers past that, so it is exact for every q."""
+    mode="orbit" keeps the orbit of the base point (default 0): the closure
+    of the point under the forward steps T_i by doubling, T_i squared to
+    T_i^2, T_i^4, ... (_orbit_closure).  Each T_i with a unipotent matrix
+    permutes the lattice, so that closure is the orbit under the inverse
+    steps too; a non-unipotent matrix has no integer inverse and is refused
+    before the search.  mode="full" takes the entire lattice.  Points are
+    rows of numerators mod q; point ids follow their lexicographic order,
+    which is the order of the lattice vectors, and labels record the
+    vectors.  Either set is refused past LATTICE_CAP points.  The
+    arithmetic is int64 while r*q^2 < 2^63 and Python integers past that,
+    so it is exact for every q."""
     base_q = sys.lattice_denominator()
     if q < 1 or q % base_q:
         raise InputError(
@@ -595,25 +599,24 @@ def discretize(sys: AffineZdSystem, q: int, *, mode: str = "orbit",
         if q ** sys.r > LATTICE_CAP:
             raise InputError(
                 f"full lattice has {q ** sys.r} points, over {LATTICE_CAP}")
-        tables = _power_table(sys, q, 0, 1)
         points = np.indices((q,) * sys.r).reshape(sys.r, -1).T.astype(dtype)
-    else:
-        tables = _power_table(sys, q, -1, 1)
+    elif None in sys.integer_form.nil_index:
+        raise InputError("matrix is not unipotent; no integer inverse")
+    # T_i as (M, t), entry 1 of its table of powers 0..1
+    steps = [(mats[1], trans[1]) for mats, trans in _power_table(sys, q, 0, 1)]
+    if mode == "orbit":
         start = np.array([[v.numerator * (q // v.denominator) for v in base]],
                          dtype=dtype)
-        # entries 0 and 2 of each table are T_i^-1 and T_i
-        maps = [(mats[e], trans[e]) for mats, trans in tables for e in (0, 2)]
-        points = orbit_rows(
-            start, lambda rows: np.concatenate(
-                [_apply(m, t, rows, q) for m, t in maps]),
+        points = _orbit_closure(
+            start, steps, lambda rows, g: _apply(*g, rows, q),
+            lambda g: (g[0] @ g[0] % q, (g[0] @ g[1] + g[1]) % q),
             lambda rows: row_keys(_keyable(rows, q), q), LATTICE_CAP)
         if points is None:
             raise InputError(f"orbit exceeds the size cap {LATTICE_CAP}")
     index = RowIndex(_keyable(points, q), q)
     perms = []
-    for mats, trans in tables:  # the last entry of a table is T_i itself
-        pos, found = index.find(
-            _keyable(_apply(mats[-1], trans[-1], points, q), q))
+    for m, t in steps:
+        pos, found = index.find(_keyable(_apply(m, t, points, q), q))
         if not found.all():
             raise AssertionError("lattice is not invariant; bug")
         perms.append(pos)

@@ -22,9 +22,7 @@ column through its diagonal word, skipping zero exponents; only this
 module builds elements.  A face-group orbit is the closure of its start
 under the forward generators' maps of a set's rows, by doubling, or, when
 a generator leaves the set, a class of the partition of the rows by those
-maps' edges.  orbit_rows is
-the breadth-first orbit search over int rows of affine discretization.
-Cube sets are read and written by the int-row codec of _text.
+maps' edges.  Cube sets are read and written by the int-row codec of _text.
 """
 
 from __future__ import annotations
@@ -156,7 +154,8 @@ class CubeSet:
 
     def __contains__(self, p) -> bool:
         q = np.asarray(p).reshape(1, -1)
-        if q.shape[1] != self.width or not len(self):
+        if (q.shape[1] != self.width or not len(self)
+                or not np.issubdtype(q.dtype, np.integer)):
             return False
         if q.min() < self._lo or q.max() >= self._lo + self._n:
             return False
@@ -259,34 +258,6 @@ class RowIndex:
         hit = np.zeros(len(self.keys), dtype=bool)
         hit[pos] = True
         return bool(hit.all())
-
-
-def orbit_rows(start: np.ndarray, step, key, cap: int) -> np.ndarray | None:
-    """The distinct rows reachable from the start rows, sorted by key, or
-    None once more than cap of them are found.
-
-    A breadth-first search with one frontier array per level, for the
-    orbit mode of affine discretization: its maps are affine steps, not
-    permutation arrays, so they are not squared as product realizations
-    square theirs.  step(rows) gives the images of rows under every
-    generator and its inverse; key(rows) gives row keys, ordered as the
-    rows.  With the inverses among the steps, the images of a level lie in
-    the level before it, in it or in the next: the three are keyed in one
-    call, and the next level is the images whose key first occurs there."""
-    frontier = _distinct_rows(start, key(start))[0]
-    levels, previous = [frontier], frontier[:0]
-    total = len(frontier)
-    while len(frontier):
-        old = len(previous) + len(frontier)
-        rows = np.concatenate([previous, frontier, step(frontier)])
-        first = _distinct_rows(np.arange(len(rows)), key(rows))[0]
-        previous, frontier = frontier, rows[first[first >= old]]
-        levels.append(frontier)
-        total += len(frontier)
-        if total > cap:
-            return None
-    rows = np.concatenate(levels)
-    return _distinct_rows(rows, key(rows))[0]
 
 
 def _check_range(sys: FiniteZdSystem, dirs: tuple[int, ...]) -> None:

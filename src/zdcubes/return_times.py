@@ -15,17 +15,19 @@ is a broadcast AND of dense bool masks over the output residue box, one
 byte per vector: under JOIN_CAP a mask takes at most 1 MB, and
 coordinates of modulus 1 are left out, so any number of inputs fits
 numpy's 64 axes.  A product realization closes its marked tuple under the
-product generators by doubling as well.
+product generators by doubling, in the orbit search (_orbit_closure) that
+affine discretization shares.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import _distinct_rows, _frozen
+from ._arrays import _frozen, _orbit_closure
 from ._text import _read_header, _read_int_rows, _rows_text
 from .cube_engine import RowIndex, enumerate_Q, row_keys, ucpp_check
 from .errors import InputError
@@ -121,6 +123,10 @@ class PeriodicSet:
     def __contains__(self, n: tuple[int, ...]) -> bool:
         if len(n) != self.k:
             raise InputError(f"vector arity {len(n)} != k = {self.k}")
+        try:  # a float would be reduced and then truncated to a residue
+            n = [operator.index(v) for v in n]
+        except TypeError:
+            raise InputError("vector entries must be integers") from None
         q = np.array([[v % m for v, m in zip(n, self.moduli)]], dtype=np.int64)
         return bool(self.index.find(q)[1][0])
 
@@ -436,37 +442,6 @@ def _act(states: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
     return np.stack([p[states[:, j]] for j, p in enumerate(maps)], axis=1)
 
 
-def _orbit_closure(start: np.ndarray, forward: list[list[np.ndarray]],
-                   radix: int) -> np.ndarray:
-    """The orbit of the start state under the product generators forward,
-    as rows sorted by row key; refused once it passes JOIN_CAP states.
-
-    The set S of states found is closed under each generator g in turn by
-    doubling: while g(S) is not within S, S grows by g(S) and g becomes
-    g∘g on each factor, so a cycle of length L takes about log2(L) steps.
-    S and g(S) are keyed in one call, and S becomes their distinct rows.
-    Passes over the generators repeat until none adds a state.  The
-    generators permute a finite set, so closing under the forward ones
-    alone gives the orbit, and S always lies within it: the cap refuses
-    exactly the orbits larger than JOIN_CAP."""
-    states = start
-    grew = True
-    while grew:
-        grew = False
-        for g in forward:
-            while True:
-                rows = np.concatenate([states, _act(states, g)])
-                rows = _distinct_rows(rows, row_keys(rows, radix))[0]
-                if len(rows) == len(states):
-                    break
-                states = rows
-                if len(states) > JOIN_CAP:
-                    raise InputError("orbit closure exceeds the size cap")
-                g = [p[p] for p in g]
-                grew = True
-    return states
-
-
 def product_system_realization(
     factors: list[tuple[FiniteZdSystem, int, frozenset[int] | set[int]]],
 ) -> ProductRealization:
@@ -496,7 +471,10 @@ def product_system_realization(
     forward = [[f.table[i] for f in systems] for i in range(d)]
     radix = max(f.n_points for f in systems)
     start = np.array([[y for _, y, _ in factors]])
-    points = _orbit_closure(start, forward, radix)
+    points = _orbit_closure(start, forward, _act, lambda g: [p[p] for p in g],
+                            lambda rows: row_keys(rows, radix), JOIN_CAP)
+    if points is None:
+        raise InputError("orbit closure exceeds the size cap")
     index = RowIndex(points, radix)
     perms = np.stack([index.find(_act(points, m))[0] for m in forward])
     prod_sys = FiniteZdSystem(len(points), d, perms, name="product-orbit")

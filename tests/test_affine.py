@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import scalar_affine
 from scalar_affine import closed_form_affine, mat_mul, mat_vec, mod1, word_affine
 from zdcubes.affine import (
     AffineZdSystem,
@@ -206,6 +207,8 @@ def test_lattice_cap_is_read_when_it_is_checked(affines, monkeypatch):
 
     asys = affines["example83"]
     q = asys.lattice_denominator()
+    # the orbit of 0 has 25 points: a cap of 25 keeps it, 24 refuses it
+    monkeypatch.setattr(affine, "LATTICE_CAP", 25)
     assert discretize(asys, q, mode="orbit").n_points == 25
     monkeypatch.setattr(affine, "LATTICE_CAP", 24)
     with pytest.raises(InputError, match="orbit exceeds the size cap 24$"):
@@ -214,6 +217,34 @@ def test_lattice_cap_is_read_when_it_is_checked(affines, monkeypatch):
         discretize(asys, q, mode="full")
     # the formula test evaluates no lattice point, so no cap applies to it
     assert formula_equivalence_test(asys, n_range=0).x_count == 15625
+
+
+@pytest.mark.parametrize("shifts", [(1,), (1, 3)], ids=["one", "pair"])
+def test_orbit_of_a_long_single_cycle_matches_the_reference(monkeypatch, shifts):
+    # rotations by k/1009 close one cycle of 1009 points, which the
+    # doubling reaches from 512 points in its last step; a cap of 1009
+    # keeps it and 1008 refuses it, as in the point-by-point reference
+    from zdcubes import affine
+
+    asys = AffineZdSystem(r=1, d=len(shifts), mats=(((1,),),) * len(shifts),
+                          alphas=tuple((Fraction(k, 1009),) for k in shifts))
+    for q, base in ((1009, None), (2018, (Fraction(1, 2018),))):
+        for cap in (1009, 1008):
+            monkeypatch.setattr(affine, "LATTICE_CAP", cap)
+            try:
+                got = discretize(asys, q, mode="orbit", base=base)
+            except InputError as exc:
+                got = str(exc)
+            try:
+                want = scalar_affine.discretize(asys, q, mode="orbit",
+                                                base=base, cap=cap)
+            except InputError as exc:
+                want = str(exc)
+            assert got == want
+            if cap == 1009:
+                assert got.n_points == 1009
+            else:
+                assert got == "orbit exceeds the size cap 1008"
 
 
 def test_discretize_rejects_bad_q(affines):

@@ -532,7 +532,7 @@ def test_template_scan_matches_scalar_loop(systems, name):
 # the membership helper
 
 
-def test_row_index_void_branch_matches_python_set():
+def test_row_index_chunk_rank_branch_matches_python_set():
     rng = np.random.default_rng(5)
     rows = np.unique(rng.integers(0, 16, size=(300, 16)), axis=0)
     keys = row_keys(rows, 16)
@@ -550,7 +550,7 @@ def test_row_index_void_branch_matches_python_set():
 
 
 @pytest.mark.parametrize("n,width", [(7, 3), (16, 16)],
-                         ids=["int64-keys", "structured-keys"])
+                         ids=["int64-keys", "chunk-rank-keys"])
 def test_row_index_same_set_by_sorted_keys(n, width):
     # as many query rows as indexed rows are compared by sorted keys, other
     # counts are looked up; shuffled and repeated queries reach both paths
@@ -573,9 +573,10 @@ def test_row_index_same_set_by_sorted_keys(n, width):
     assert not index.same_set(np.concatenate([shuffled, [outsider]]))
 
 
-def test_raw_set_with_structured_keys_sorts_rows_lexicographically():
+def test_raw_set_with_chunk_rank_keys_sorts_rows_lexicographically():
     # values spread over 2^31 make n^4 overflow int64 keys; the rows are
-    # ordered by lexsort and indexed by the structured keys
+    # keyed by the ranks of their column chunks, which order them
+    # lexicographically, and indexed by those keys
     rng = np.random.default_rng(7)
     rows = rng.integers(-(1 << 30), 1 << 30, size=(300, 4))
     rows[::3, :2] = rows[0, :2]  # long shared prefixes

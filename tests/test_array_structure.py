@@ -230,7 +230,9 @@ def _face_variants(Q):
     changed[:, -1] = (changed[:, -1] + 1) % n
     shared = rows[:-1:2].copy()
     shared[:, high] = rows[1::2][:, high]
-    lower, upper = (row_keys(rows[:, c], n) for c in (low, high))
+    # both faces keyed in one call, so that their keys compare at any width
+    keys = row_keys(np.concatenate([rows[:, low], rows[:, high]]), n)
+    lower, upper = keys[:len(rows)], keys[len(rows):]
     return [np.delete(rows, np.arange(1, len(rows), 3), axis=0),
             np.concatenate([rows, changed]),
             np.concatenate([rows, shared]),
@@ -356,7 +358,7 @@ def test_text_matches_join(monkeypatch, chunk):
         CubeSet((2,), [[i32.min, i32.max], [-1, 0], [7, i32.min]]),
         CubeSet((1, 2, 3), np.empty((0, 8), dtype=np.int32)),
         CubeSet((3, 1), [[5] * 4]),
-        # no rows, keyed by a structured view: 300^8 passes int64
+        # no rows, keyed by the ranks of column chunks: 300^8 passes int64
         CubeSet((1, 2, 3), np.empty((0, 8), dtype=np.int32),
                 base=FiniteZdSystem(300, 3, np.tile(np.arange(300), (3, 1)))),
     ]

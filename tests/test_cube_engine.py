@@ -512,8 +512,8 @@ def test_enumerated_sets_take_the_certified_path(sys_, data):
 ])
 def test_rows_past_int64_keys_are_certified_in_order(rows, certified):
     # values 2^18 apart over four columns pass the int64 keys, so the rows
-    # are keyed by a structured view; sorted, distinct rows skip the sort
-    # there too
+    # are keyed by the ranks of their column chunks; sorted, distinct rows
+    # skip the sort there too
     rows = np.array(rows, dtype=np.int64) * (1 << 18)
     cubes, sorts = _counting_sorts(lambda: CubeSet((1, 2), rows))
     assert cubes.index.keys.dtype == np.int64
@@ -577,3 +577,16 @@ def test_contains_on_a_based_set_short_of_the_last_point(systems):
     for v in (top + 1, sys_.n_points - 1, sys_.n_points, 2**40, -1):
         assert (v,) * K.width not in K
         assert (v,) + tuple(K.rows[0, 1:].tolist()) not in K
+
+
+def test_tuples_of_non_integers_are_not_members(systems):
+    # as a wrong-width tuple is not; so face_group_orbit refuses such a
+    # start as it refuses any non-member
+    Q = enumerate_Q(systems["rot6"], (1, 2))
+    row = tuple(Q.rows[0].tolist())
+    assert row in Q
+    for p in ((0.5,) + row[1:], tuple(map(float, row)), tuple(map(str, row)),
+              row + (0,)):
+        assert p not in Q
+    with pytest.raises(InputError, match="^start point is not in the cube set$"):
+        face_group_orbit(Q, (0.5,) + row[1:])

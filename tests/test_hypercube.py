@@ -149,7 +149,8 @@ def _raw_sets():
         CubeSet((1, 2), [[-3, 5, 0, -1], [2, 2, -7, 4], [0, 0, 0, 0]]),
         CubeSet((2, 1), [[5, 0, -1], [2, -7, 4], [-2, 9, 9]], based=True),
         CubeSet((1, 2), [[3, 5, 0, 1], [2, 2, 7, 4]]),
-        # coordinates up to 999 at d = 3: whole rows have structured keys
+        # coordinates up to 999 at d = 3: 1000^8 passes int64, so whole rows
+        # are keyed by the ranks of their column chunks
         CubeSet((1, 2, 3), rng.integers(0, 1000, (40, 8))),
         CubeSet((1, 2, 3), rng.integers(-999, 1000, (40, 7)), based=True),
         CubeSet((1, 2, 3), np.empty((0, 8), dtype=np.int64)),

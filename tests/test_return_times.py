@@ -45,6 +45,15 @@ def test_pset_rejects_residues_of_the_wrong_arity():
             _pset((4, 4), {residue})
 
 
+def test_pset_membership_refuses_non_integer_entries():
+    # as a wrong arity is refused; 1.5 is not truncated to the residue 1
+    ps = PeriodicSet(2, (3, 5), [(1, 2)])
+    for vector in ((1.5, 2), (1, 2.0), ("1", 2), (1, 2, 3)):
+        with pytest.raises(InputError):
+            vector in ps
+    assert (1, 2) in ps and (4, -3) in ps
+
+
 def test_pset_empty_full():
     assert PeriodicSet.empty(2).is_empty()
     box = PeriodicSet(2, (3, 5), product(range(3), range(5)))

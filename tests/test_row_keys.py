@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zdcubes import battery
+from zdcubes._arrays import _orbit_closure
 from zdcubes.cube_engine import CubeSet, RowIndex, enumerate_Q, row_keys
 from zdcubes.errors import InputError
 from zdcubes.finite_system import FiniteZdSystem
 from zdcubes.hypercube import face
-from zdcubes.return_times import PeriodicSet, _orbit_closure
+from zdcubes.return_times import JOIN_CAP, PeriodicSet, _act
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "zdcubes"
 BIG = (1 << 64) + 13  # object rows of Python ints past 2^63
@@ -165,7 +166,9 @@ def test_orbit_closure_past_int64_equals_a_breadth_first_search(data):
             if image not in seen:
                 seen.add(image)
                 todo.append(image)
-    got = _orbit_closure(np.array([start]), forward, radix)
+    got = _orbit_closure(np.array([start]), forward, _act,
+                         lambda g: [p[p] for p in g],
+                         lambda rows: row_keys(rows, radix), JOIN_CAP)
     assert got.tolist() == sorted(map(list, seen))
 
 
