@@ -8,11 +8,11 @@ d-joining algebra, and tests the matrix conditions and closed orbit formula
 of unipotent affine systems on rational tori.  Everything is computed
 exactly; cube sets are sorted int32 arrays and the hot kernels are numpy
 array operations.
+
+The affine names resolve on first use (module __getattr__), so a program
+that never asks for them does not import the affine layer.
 """
 
-from .affine import (AffineZdSystem, affine_to_text, closed_form, discretize,
-                     formula_equivalence_test, iterate_word, load_affine,
-                     matcond_check, parse_affine, validate_affine)
 from .cube_engine import (CubePoint, CubeSet, enumerate_K, enumerate_Q,
                           face_group_generators, face_group_orbit, section_of,
                           ucpp_check)
@@ -51,3 +51,11 @@ __all__ = [
     "return_set", "section_of", "to_text", "ucpp_check", "validate",
     "validate_affine", "z0h_universality_check",
 ]
+
+
+def __getattr__(name: str):
+    # the names of __all__ not imported above are the affine layer's
+    if name in __all__:
+        from . import affine
+        return getattr(affine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

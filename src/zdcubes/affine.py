@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,8 +217,7 @@ class AffineZdSystem:
         return {}
 
 
-@dataclass(frozen=True)
-class AffineValidation:
+class AffineValidation(NamedTuple):
     ok: bool
     unipotent: tuple[bool, ...]
     nilpotency_index: tuple[int | None, ...]
@@ -260,8 +260,7 @@ def validate_affine(sys: AffineZdSystem) -> AffineValidation:
     )
 
 
-@dataclass(frozen=True)
-class MatCondReport:
+class MatCondReport(NamedTuple):
     """product_zero: the product of all (A_i - I) vanishes.
     translation_zero[j-1]: the product over i != j of (A_i - I) maps alpha_j
     into Z^r.  For d = 2 these are the two classical conditions."""
@@ -466,8 +465,7 @@ def closed_form(sys: AffineZdSystem, n_vec, x: TorusPoint) -> TorusPoint:
     return _torus_point(acc, den)
 
 
-@dataclass(frozen=True)
-class FormulaTestResult:
+class FormulaTestResult(NamedTuple):
     """status: "pass" (conditions hold, identity verified), "witness"
     (conditions fail and a counterexample was found), "inconclusive"
     (conditions fail, no counterexample at this sample size), or "fail"
@@ -553,9 +551,7 @@ def formula_equivalence_test(sys: AffineZdSystem, *, n_range: int = 3,
         status=status, conds=conds, q=q, n_range=n_range,
         n_count=n_count, x_count=x_count,
         witness_n=witness[0] if witness else None,
-        witness_x=witness[1] if witness else None,
-        lhs=lhs, rhs=rhs,
-    )
+        witness_x=witness[1] if witness else None, lhs=lhs, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,18 @@ Every check produces one JSON-ready item
 hypotheses; a battery with skips and no failures is still clean.  All
 counts and witnesses are deterministic, so serialized batteries are
 byte-identical from run to run.
+
+affine_battery imports the affine layer when it is called, so the other
+batteries run without it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .affine import (AffineZdSystem, discretize, formula_equivalence_test,
-                     matcond_check, validate_affine)
 from ._arrays import (_chunked_ranks, _dense_ids, _distinct, _find_keys,
                       _first, _row_keys, _same)
 from .cube_engine import (CubeSet, RowIndex, enumerate_K, enumerate_Q,
@@ -37,6 +39,9 @@ from .return_times import (PeriodicSet, contains_zero_vector,
 from .structure import (SubgroupSpec, decompose, factor_isomorphism_check,
                         iterated_quotient_check, maximal_trivial_H_factor,
                         relative_independence_check, z0h_universality_check)
+
+if TYPE_CHECKING:
+    from .affine import AffineZdSystem
 
 
 def _item(check: str, status: str, witness=None, **detail) -> dict:
@@ -604,6 +609,8 @@ def system_battery(sys: FiniteZdSystem) -> list[dict]:
 
 
 def affine_battery(asys: AffineZdSystem) -> list[dict]:
+    from .affine import (discretize, formula_equivalence_test, matcond_check,
+                         validate_affine)
     v = validate_affine(asys)
     items = [_pass_fail(
         "affine_valid", v.ok,

@@ -8,6 +8,9 @@ error.
 Each command is one function `cmd_<name>(path, **flags)` returning (report,
 exit code); `_command` registers it as the click command `<name>`, and
 `cmd_analyze` calls an analysis command by name.
+
+The functions that read affine input import the affine layer when called,
+so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import numpy as np
 from . import battery
 from ._arrays import _same
 from ._text import _first_content_line
-from .affine import (affine_to_text, discretize, formula_equivalence_test,
-                     matcond_check, parse_affine, validate_affine)
 from .cube_engine import CubeSet, enumerate_K, enumerate_Q, ucpp_check
 from .errors import HypothesisError, InputError
 from .finite_system import (PairRelation, check_factor_map, is_minimal,
@@ -36,13 +37,19 @@ from .return_times import PeriodicSet, d_joining, phi_image, return_set
 from .structure import (SubgroupSpec, decompose, factor_isomorphism_check,
                         maximal_trivial_H_factor, relative_independence_check)
 
+
+def _parse_affine(text: str, path: str | None, strict: bool):
+    from .affine import parse_affine
+    return parse_affine(text, path=path)
+
+
 # the parser of each input kind; each entry looks its parser up by name when
 # called, so the spans perfbench/tracing.py installs on those names see it.
 # Strict parsing rejects a finite system whose generators do not commute.
 _PARSERS = {
     "finite-system": lambda text, path, strict: parse_finite_system(
         text, path=path, strict=strict),
-    "affine-system": lambda text, path, strict: parse_affine(text, path=path),
+    "affine-system": _parse_affine,
     "periodic-set": lambda text, path, strict: PeriodicSet.from_text(
         text, path=path),
     "cube-set": lambda text, path, strict: CubeSet.from_text(text, path=path),
@@ -215,6 +222,7 @@ def cmd_validate(path: str) -> tuple[dict, int]:
             "orders": list(rep.orders) if rep.orders else None,
             "minimal": is_minimal(obj).ok if ok else None}
     elif kind == "affine-system":
+        from .affine import validate_affine
         rep = validate_affine(obj)
         ok = rep.ok
         fields = {**_affine_fields(rep),
@@ -361,6 +369,7 @@ def cmd_structure(path: str, basepoint: int = 0) -> tuple[dict, int]:
 @_command()
 def cmd_affine_check(path: str) -> tuple[dict, int]:
     """Validation and matrix conditions of an affine system."""
+    from .affine import matcond_check, validate_affine
     _, asys = _load(path, "affine-system")
     rep = validate_affine(asys)
     mat = matcond_check(asys)
@@ -381,6 +390,7 @@ def cmd_affine_check(path: str) -> tuple[dict, int]:
 def cmd_formula_test(path: str, range: int = 3,
                      q: int | None = None) -> tuple[dict, int]:
     """Closed form against direct iteration on the full rational lattice."""
+    from .affine import formula_equivalence_test
     _, asys = _load(path, "affine-system")
     res = formula_equivalence_test(asys, n_range=range, q=q)
     report = {"command": "formula-test", "input": path,
@@ -414,6 +424,7 @@ def cmd_formula_test(path: str, range: int = 3,
 def cmd_discretize(path: str, q: int | None = None, out: str | None = None,
                    mode: str = "orbit") -> tuple[dict, int]:
     """Restrict an affine system to a finite rational lattice."""
+    from .affine import discretize
     _, asys = _load(path, "affine-system")
     if q is None:
         q = asys.lattice_denominator()
@@ -478,6 +489,7 @@ def cmd_verify(path: str, threads: int = 1) -> tuple[dict, int]:
         items.append(battery._pass_fail("roundtrip", _same(rt.table, obj.table)))
         items += battery.system_battery(obj)
     elif kind == "affine-system":
+        from .affine import affine_to_text, parse_affine
         rt = parse_affine(affine_to_text(obj))
         items.append(battery._pass_fail(
             "roundtrip", rt.mats == obj.mats and rt.alphas == obj.alphas))

@@ -31,6 +31,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -397,8 +398,7 @@ def enumerate_K(sys: FiniteZdSystem, dirs: tuple[int, ...] | list[int],
     return _stored(sys, ("K", dirs, x0), dirs, build)
 
 
-@dataclass(frozen=True)
-class UcppResult:
+class UcppResult(NamedTuple):
     """Outcome of the unique-completion check: no two tuples may agree on
     all coordinates but one."""
 
@@ -465,8 +465,7 @@ def _distinct_on(cubes: CubeSet, cols: list[int]) -> bool:
 # the face group
 
 
-@dataclass(frozen=True)
-class FaceGroupElement:
+class FaceGroupElement(NamedTuple):
     """A face-group element for a k-cube over a d-system: exponent face[i]
     of T_{dirs[i]} on the coordinates with eps_i = 1, in direction order,
     then the diagonal word diag applied to every coordinate.  Zero

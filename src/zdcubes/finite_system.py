@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -212,8 +212,7 @@ class FiniteZdSystem:
         return out
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     n_points: int
     d: int
@@ -243,18 +242,12 @@ def validate(sys: FiniteZdSystem) -> ValidationReport:
             found = (int(i) + 1, int(j) + 1, x0 + int(x))
             witness = found if witness is None else min(witness, found)
     return ValidationReport(
-        ok=witness is None,
-        n_points=n,
-        d=d,
-        bijective=(True,) * d,
-        commuting=witness is None,
-        commute_witness=witness,
-        orders=sys.orders if witness is None else None,
-    )
+        ok=witness is None, n_points=n, d=d, bijective=(True,) * d,
+        commuting=witness is None, commute_witness=witness,
+        orders=sys.orders if witness is None else None)
 
 
-@dataclass(frozen=True)
-class MinimalityResult:
+class MinimalityResult(NamedTuple):
     ok: bool
     witness: int | None  # a point whose orbit misses some other point
     orbit_sizes: tuple[int, ...]
@@ -603,8 +596,7 @@ class FactorMap:
         return cls(sys, sys, np.arange(sys.n_points))
 
 
-@dataclass(frozen=True)
-class FactorMapReport:
+class FactorMapReport(NamedTuple):
     ok: bool
     surjective: bool
     missed: int | None
@@ -626,12 +618,8 @@ def check_factor_map(pi: FactorMap) -> FactorMapReport:
         i, x = divmod(first, pi.source.n_points)
         witness = (x, i + 1)
     return FactorMapReport(
-        ok=missed is None and witness is None,
-        surjective=missed is None,
-        missed=missed,
-        equivariant=witness is None,
-        witness=witness,
-    )
+        ok=missed is None and witness is None, surjective=missed is None,
+        missed=missed, equivariant=witness is None, witness=witness)
 
 
 class InvarianceError(InputError):

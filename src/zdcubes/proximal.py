@@ -16,7 +16,7 @@ all directions, and the pushforward and the five-way battery compare keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +107,7 @@ def sections(Q: CubeSet) -> dict[int, range]:
             zip(col[starts].tolist(), starts.tolist(), stops.tolist())}
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     ok: bool
     reflexive: bool
     refl_witness: int | None
@@ -139,8 +138,7 @@ def _R_equivalence(sys: FiniteZdSystem) -> EquivalenceReport:
                     lambda: check_equivalence(compute_R(sys)))
 
 
-@dataclass(frozen=True)
-class PushforwardReport:
+class PushforwardReport(NamedTuple):
     equal: bool
     easy_inclusion: bool
     missing: tuple[int, int] | None  # target pair with no source pair above it
@@ -166,13 +164,9 @@ def pushforward_check(pi: FactorMap) -> PushforwardReport:
         missing = _least_pair(np.setdiff1d(R_tgt.keys, image, assume_unique=True), n)
     return PushforwardReport(
         equal=escaped is None and missing is None,
-        easy_inclusion=escaped is None,
-        missing=missing,
-        escaped=escaped,
-        source_minimal=is_minimal(pi.source).ok,
-        source_size=len(R_src),
-        target_size=len(R_tgt),
-    )
+        easy_inclusion=escaped is None, missing=missing, escaped=escaped,
+        source_minimal=is_minimal(pi.source).ok, source_size=len(R_src),
+        target_size=len(R_tgt))
 
 
 def _least_pair(keys: np.ndarray, n: int) -> tuple[int, int] | None:

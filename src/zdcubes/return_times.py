@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,7 +87,11 @@ class PeriodicSet:
             residues = [tuple(r) for r in residues]
             if any(len(r) != k for r in residues):
                 raise InputError("residue arity does not match k")
-            # reduced as Python ints first, so any int fits
+            # bools, floats and strings are refused, as such arrays are, and
+            # integers are reduced as Python ints first, so any int fits
+            if any(isinstance(v, (bool, np.bool_)) or not hasattr(v, "__index__")
+                   for r in residues for v in r):
+                raise InputError("residues must hold integers")
             residues = np.array([[v % m for v, m in zip(r, moduli)]
                                  for r in residues], dtype=np.int64).reshape(-1, k)
         if residues.ndim != 2 or residues.shape[1] != k:
@@ -340,8 +345,7 @@ def phi_image(ps: PeriodicSet) -> PeriodicSet:
 # the joining structure of return sets
 
 
-@dataclass(frozen=True)
-class JoiningContainment:
+class JoiningContainment(NamedTuple):
     status: str  # "pass" | "fail" | "hypotheses-unmet"
     reason: str | None
     side_sets: tuple[PeriodicSet, ...] | None
@@ -400,8 +404,7 @@ def joining_containment_check(sys: FiniteZdSystem, x: int,
     )
 
 
-@dataclass(frozen=True)
-class ProductRealization:
+class ProductRealization(NamedTuple):
     system: FiniteZdSystem
     point: int
     nbhd: frozenset[int]
@@ -493,5 +496,4 @@ def product_system_realization(
          for i, (f, y, Uf) in enumerate(factors, start=1)])
     return ProductRealization(
         system=prod_sys, point=point, nbhd=nbhd, return_set=N,
-        joining=joined, equal=N.equals(joined), ucpp_ok=u.ok,
-    )
+        joining=joined, equal=N.equals(joined), ucpp_ok=u.ok)

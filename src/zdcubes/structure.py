@@ -21,7 +21,7 @@ store as they are checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .hypercube import face
 COMBO_CHUNK = 1 << 18  # relative-independence candidates per chunk
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(NamedTuple):
     """Generators for a subgroup of Z^d acting through the system: plain
     directions and/or arbitrary words (exponent vectors)."""
 
@@ -91,8 +90,7 @@ def maximal_trivial_H_factor(sys: FiniteZdSystem, H: SubgroupSpec
     return sys.memo(("H_quotient", _spec_key(H)), build)
 
 
-@dataclass(frozen=True)
-class IteratedQuotientResult:
+class IteratedQuotientResult(NamedTuple):
     ok: bool
     one_step_classes: tuple[tuple[int, ...], ...]
     two_step_classes: tuple[tuple[int, ...], ...]
@@ -155,8 +153,7 @@ def face_system(K: CubeSet) -> FiniteZdSystem:
                           name=(sys.name + ":faces") if sys.name else "faces")
 
 
-@dataclass(frozen=True)
-class CoordinateProjection:
+class CoordinateProjection(NamedTuple):
     """Restriction of the face system to the coordinates listed in
     positions (vertex masks of the ambient based set, ascending).  A single
     artificial point stands in when no position remains."""
@@ -189,8 +186,7 @@ def _project_positions(K: CubeSet, Y: FiniteZdSystem, positions: list[int],
                                 system=target, from_face=pi)
 
 
-@dataclass(frozen=True)
-class JoiningDecomposition:
+class JoiningDecomposition(NamedTuple):
     sys: FiniteZdSystem | None
     x0: int | None
     K: CubeSet
@@ -253,8 +249,7 @@ def _injectivity(K: CubeSet, sides: tuple[CoordinateProjection, ...]
     return False, tuple(tuple(K.rows[i].tolist()) for i in clash)
 
 
-@dataclass(frozen=True)
-class FactorIsoResult:
+class FactorIsoResult(NamedTuple):
     ok: bool
     j: int
     classes: int
@@ -329,8 +324,7 @@ def factor_isomorphism_check(sys: FiniteZdSystem, x0: int, j: int
                            dropped_trivial=dropped_trivial, witness=witness)
 
 
-@dataclass(frozen=True)
-class RelativeIndependenceResult:
+class RelativeIndependenceResult(NamedTuple):
     status: str  # "pass" | "fail" | "hypotheses-unmet"
     checked: int
     witness: tuple | None
@@ -356,8 +350,7 @@ def relative_independence_check(dec: JoiningDecomposition
     last column.  The witness is the first point with a candidate that
     does not complete exactly once, with that candidate's side values."""
     if not dec.ucpp.ok or not dec.minimal:
-        return RelativeIndependenceResult(status="hypotheses-unmet", checked=0,
-                                          witness=None)
+        return RelativeIndependenceResult("hypotheses-unmet", 0, None)
     K = dec.K
     rows, n, d = K.rows, K.base.n_points, K.k
     # side j's free vertex is its last, all ones but eps_j; the rest but
@@ -376,8 +369,7 @@ def relative_independence_check(dec: JoiningDecomposition
     head[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
     total = np.prod(np.stack(sizes, axis=1), axis=1)
     if _complete_once(K, free, head, total):
-        return RelativeIndependenceResult(status="pass", checked=len(K),
-                                          witness=None)
+        return RelativeIndependenceResult("pass", len(K), None)
     prefixes = RowIndex(rows[head, :-1], n)
     completions = np.diff(np.append(np.flatnonzero(head), len(rows)))
     for point, rank in _chunked_ranks(total, COMBO_CHUNK):

@@ -6,7 +6,6 @@ lost or added, quotients that are too coarse, too fine, by another
 direction or mislabelled, a shifted target set, and side projections that
 merge points."""
 
-import dataclasses
 import hashlib
 import math
 from unittest import mock
@@ -39,7 +38,7 @@ def _as_sets(Q):
 def _assume_hypotheses(dec):
     """The decomposition with its gate forced open, so that relative
     independence runs on whatever K holds."""
-    return dataclasses.replace(dec, ucpp=UcppResult(ok=True), minimal=True)
+    return dec._replace(ucpp=UcppResult(ok=True), minimal=True)
 
 
 def _relative_independence(dec):
@@ -91,7 +90,7 @@ def test_random_systems_match_scalar_loops(sys_):
         return
     dec = decompose(sys_, 0)
     for K in _planted_K(dec.K):
-        _relative_independence(_assume_hypotheses(dataclasses.replace(dec, K=K)))
+        _relative_independence(_assume_hypotheses(dec._replace(K=K)))
     for how in ("coarse", "fine", "other", "relabelled"):
         with pytest.MonkeyPatch.context() as mp:
             _plant_quotient(mp, how)
@@ -114,8 +113,8 @@ def test_small_chunks_do_not_change_witnesses(systems, monkeypatch):
     dec = decompose(systems["rot6"], 0)
     K = dec.K
     for rows in (np.delete(K.rows, len(K) // 2, axis=0), K.rows[::2]):
-        _relative_independence(_assume_hypotheses(dataclasses.replace(
-            dec, K=CubeSet(K.dirs, rows, True, K.base))))
+        _relative_independence(_assume_hypotheses(dec._replace(
+            K=CubeSet(K.dirs, rows, True, K.base))))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ def _planted_K(K):
 def test_relative_independence_witness_on_planted_K(systems, name):
     dec = decompose(systems[name], 0)
     assert _relative_independence(dec).status == "pass"
-    statuses = [_relative_independence(dataclasses.replace(dec, K=K)).status
+    statuses = [_relative_independence(dec._replace(K=K)).status
                 for K in _planted_K(dec.K)]
     # a copy of rows with another last coordinate completes twice; with
     # d = 2 nothing is pinned, every point tries every pair of side values,
@@ -159,7 +158,7 @@ def test_relative_independence_counts_completions(systems):
     extra = rows[:1].copy()
     extra[0, -1] = (extra[0, -1] + 1) % 6
     K = CubeSet(dec.K.dirs, np.concatenate([rows, extra]), True, dec.K.base)
-    got = _relative_independence(dataclasses.replace(dec, K=K))
+    got = _relative_independence(dec._replace(K=K))
     assert got.witness == (tuple(rows[0].tolist()), (0, 0), "2 completions")
 
 
@@ -331,12 +330,12 @@ def test_injectivity_witness_on_merged_sides(systems, name):
         sides = list(dec.side_projections)
         side = sides[j]
         one = FiniteZdSystem(1, side.system.d, ((0,),) * side.system.d)
-        sides[j] = dataclasses.replace(
-            side, from_face=FactorMap(dec.Y, one, (0,) * len(dec.K)))
+        sides[j] = side._replace(
+            from_face=FactorMap(dec.Y, one, (0,) * len(dec.K)))
         got = _injectivity(dec.K, sides)
         assert got == ref.injectivity(dec.K, sides)
-    lonely = [dataclasses.replace(
-        s, from_face=FactorMap(dec.Y, one, (0,) * len(dec.K)))
+    lonely = [s._replace(
+        from_face=FactorMap(dec.Y, one, (0,) * len(dec.K)))
         for s in dec.side_projections]
     got = _injectivity(dec.K, lonely)
     assert got == ref.injectivity(dec.K, lonely)

@@ -4,7 +4,11 @@ package itself.  Underscored names cross between library modules only from
 the array primitives (_arrays) and the text codecs (_text), which import
 nothing from the package but errors.  Only cube_engine builds face-group
 elements.  The names the benchmark harness looks up in the library
-exist.  A run of the commands never imports numpy.ma."""
+exist.  A run of the commands never imports numpy.ma, and only affine input
+or the package's affine names import the affine layer.  Every name in
+zdcubes.__all__ resolves, and @dataclass is kept for the classes that need
+its __init__, __post_init__ or cached_property support; the plain records
+are NamedTuples."""
 
 import ast
 import importlib
@@ -14,6 +18,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from zdcubes import cli, kernels
 
@@ -130,3 +136,74 @@ def test_the_commands_never_import_masked_arrays():
         [sys.executable, "-c", NO_MASKED_ARRAYS, str(SRC.parent.parent / "fixtures")],
         env=env, capture_output=True, text=True, timeout=300, check=True)
     assert out.stdout.split() == ["False"]
+
+
+NO_AFFINE_LAYER = """
+import pathlib, sys
+from zdcubes import cli
+loaded = lambda: [m for m in ("zdcubes.affine", "fractions", "decimal")
+                  if m in sys.modules]
+print(loaded())
+fixtures = pathlib.Path(sys.argv[1])
+for path in sorted(fixtures.iterdir()):
+    if path.suffix != ".affine":
+        cli.cmd_verify(str(path))
+z = str(fixtures / "z2z2z3_d3.fsys")
+cli.cmd_cubes(z, basepoint=0)
+cli.cmd_ucpp(z)
+cli.cmd_rpp(z)
+cli.cmd_structure(z)
+cli.cmd_joining(tuple(str(fixtures / f"parityB{i}.pset") for i in (1, 2, 1)))
+print(loaded())
+report, code = cli.cmd_verify(str(fixtures / "rot6.affine"))
+print(report["status"], code, "zdcubes.affine" in sys.modules)
+from zdcubes import discretize, load_affine
+print(discretize(load_affine(str(fixtures / "rot6.affine")), 6).n_points)
+"""
+
+
+def test_only_affine_input_imports_the_affine_layer():
+    # the affine layer (with fractions and decimal) is imported by the
+    # commands that read affine input and by the package's affine names,
+    # on first use; a fresh interpreter shows what each path loads
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", NO_AFFINE_LAYER, str(SRC.parent.parent / "fixtures")],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.splitlines() == ["[]", "[]", "pass 0 True", "6"]
+
+
+def test_every_public_name_resolves():
+    import zdcubes
+    missing = [name for name in zdcubes.__all__ if not hasattr(zdcubes, name)]
+    assert missing == []
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zdcubes.no_such_name
+
+
+def _decorators(node) -> set[str]:
+    return {(d.func if isinstance(d, ast.Call) else d).id
+            for d in node.decorator_list
+            if isinstance(d.func if isinstance(d, ast.Call) else d, ast.Name)}
+
+
+def _needs_dataclass(node: ast.ClassDef) -> bool:
+    # a record with none of these is a NamedTuple, which builds faster
+    return any(isinstance(item, ast.FunctionDef)
+               and (item.name in ("__init__", "__post_init__")
+                    or "cached_property" in _decorators(item))
+               for item in node.body)
+
+
+def test_dataclasses_only_where_records_need_them():
+    decorated = {f"{path.stem}.{node.name}": _needs_dataclass(node)
+                 for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ClassDef) and "dataclass" in _decorators(node)}
+    assert sorted(decorated) == [
+        "affine.AffineZdSystem", "cube_engine.CubeSet",
+        "finite_system.FactorMap", "finite_system.FiniteZdSystem",
+        "finite_system.PairRelation", "hypercube.Vertex",
+        "return_times.PeriodicSet"]
+    assert all(decorated.values())

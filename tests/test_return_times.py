@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 import scalar_batteries as ref
@@ -52,6 +53,16 @@ def test_pset_membership_refuses_non_integer_entries():
         with pytest.raises(InputError):
             vector in ps
     assert (1, 2) in ps and (4, -3) in ps
+
+
+@pytest.mark.parametrize("entry", [1.5, "1", True, np.bool_(True), 2.0])
+def test_pset_residues_refuse_non_integer_entries(entry):
+    # tuples are refused as arrays of these entries are: 1.5 is not
+    # truncated to the residue 1, and a bool is not read as 1
+    with pytest.raises(InputError, match="^residues must hold integers$"):
+        PeriodicSet(2, (3, 5), [(entry, 2)])
+    ints = PeriodicSet(2, (3, 5), [(np.int64(4), np.uint64(7)), (10**30, -1)])
+    assert ints.residues == {(1, 2), (1, 4)}
 
 
 def test_pset_empty_full():
