@@ -59,3 +59,8 @@ def __getattr__(name: str):
         from . import affine
         return getattr(affine, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    # the affine names are listed without importing the affine layer
+    return sorted(set(globals()) | set(__all__))

@@ -349,8 +349,13 @@ def _section_classes(Q, sec: dict[int, range], n: int
 
     The tails of a section are sorted, so each is a slice of dense tail
     ids and equal sections are equal slices, ranked by their bytes within
-    each length.  Shared tails are a join on tail ids over one section per
-    class."""
+    each length.  Every class but m - 1 has a nonempty section, so it
+    shares a tail with itself: (a, a) for each.  The tails of one section
+    are distinct, so a count of the tails over one section per class is
+    the number of classes holding each; only the tails held two or more
+    times are joined.  In a finite commuting system none is (for d >= 2 a
+    tail fixes its base point, and for d = 1 the sections are whole
+    orbits), so the join runs only on sets that are not cube sets."""
     tails = _dense_ids(Q.column_keys(slice(1, None)), n ** (Q.width - 1))[1]
     xs = np.array(list(sec), dtype=np.int64)
     starts = np.array([r.start for r in sec.values()], dtype=np.int64)
@@ -366,17 +371,21 @@ def _section_classes(Q, sec: dict[int, range], n: int
         m += int(rank.max()) + 1
     ids[ids < 0] = m
     m += 1
-    # the first section of each class; the sections hold classes 0..m-2
+    # the first section of each class, in class order; the sections hold
+    # classes 0..m-2, whose tails are concatenated in that order
     rep = np.full(m - 1, len(xs))
     np.minimum.at(rep, ids[xs], np.arange(len(xs)))
-    rows = np.concatenate([np.arange(starts[i], starts[i] + lengths[i])
-                           for i in rep.tolist()] or [np.empty(0, np.int64)])
-    owner = np.repeat(ids[xs[rep]], lengths[rep])
-    order = np.lexsort((owner, tails[rows]))
-    held, owner = tails[rows][order], owner[order]
+    sizes = lengths[rep]
+    ends = np.cumsum(sizes)
+    held = tails[np.repeat(starts[rep] - (ends - sizes), sizes)
+                 + np.arange(sizes.sum())]
+    multi = np.flatnonzero(np.bincount(held)[held] > 1)
+    held, owner = held[multi], np.searchsorted(ends, multi, side="right")
+    order = np.lexsort((owner, held))
+    held, owner = held[order], owner[order]
     head = np.flatnonzero(np.diff(held, prepend=-1))
     sizes = np.diff(np.append(head, len(held)))
-    shared = [np.empty(0, dtype=np.int64)]
+    shared = [np.arange(m - 1, dtype=np.int64) * (m + 1)]
     for g, r in _chunked_ranks(sizes * sizes, PAIR_CHUNK):
         a = owner[head[g] + r // sizes[g]]
         b = owner[head[g] + r % sizes[g]]

@@ -46,7 +46,7 @@ from .hypercube import MAX_DIM, face
 
 CubePoint = tuple[int, ...]
 
-MAX_ENUM_ROWS = 5_000_000
+MAX_ENUM_ROWS = 8_000_000
 INT32 = np.iinfo(np.int32)
 
 
@@ -527,15 +527,16 @@ def face_group_orbit(cubes: CubeSet, start: CubePoint
     For an injective g and a finite set, g(cubes) within cubes gives
     g(cubes) = cubes, so an inverse generator never leaves the set first
     and the escape decides face-group invariance.  Each forward generator
-    maps the rows once, to the int32 positions of their images.  With no
-    escape these maps permute the rows, and the orbit is the closure of
-    {start} under them (_closure), by doubling.  After an escape, the
-    orbit is the class of start in the partition of the rows by the edges
-    (row, g row) of each forward generator g whose image is a member; the
-    inverse of g gives the same edges read backwards.  One generator's
-    edges are hooked at a time, together with the edges (row, label so
-    far) that carry the classes found before, so the edge arrays stay at
-    twice the size of the set."""
+    maps the rows once, to one int32 array of the positions of their
+    images, -1 where the image is not a member.  With no escape these maps
+    permute the rows, and the orbit is the closure of {start} under them
+    (_closure), by doubling.  After an escape, the orbit is the class of
+    start in the partition of the rows by the edges (row, g row) of each
+    forward generator g whose image is a member; the inverse of g gives
+    the same edges read backwards.  One generator's edges are hooked at a
+    time, together with the edges (row, label so far) that carry the
+    classes found before, so the edge arrays stay at twice the size of the
+    set.  An orbit of every row is cubes itself, not a copy."""
     if cubes.base is None:
         raise InputError("cube set carries no base system")
     if start not in cubes:
@@ -543,21 +544,26 @@ def face_group_orbit(cubes: CubeSet, start: CubePoint
     sys, rows = cubes.base, cubes.rows
     maps, escape = [], None
     for g in face_group_generators(sys, cubes.dirs)[::2]:  # no inverses
-        images = g.apply_rows(sys, cubes.dirs, rows, cubes.based)
-        pos, found = cubes.index.find(images)
+        pos, found = cubes.index.find(
+            g.apply_rows(sys, cubes.dirs, rows, cubes.based))
         if escape is None and not found.all():
             escape = (g, rows[int(np.argmin(found))])
-        maps.append((pos.astype(np.int32), found))
+        pos = pos.astype(np.int32)
+        pos[~found] = -1
+        maps.append(pos)
     here = int(cubes.index.find(np.asarray(start).reshape(1, -1))[0][0])
     if escape is None:
-        inside = _closure([pos for pos, _ in maps], here)
+        inside = _closure(maps, here)
     else:
         every = np.arange(len(rows))
         labels = every
-        for pos, found in maps:
+        for pos in maps:
+            found = pos >= 0
             labels = partition(len(rows), np.concatenate([every[found], every]),
                                np.concatenate([pos[found], labels]))
         inside = labels == labels[here]
+    if inside.all():
+        return cubes, escape
     orbit = CubeSet(dirs=cubes.dirs, points=rows[inside], based=cubes.based,
                     base=sys)
     return orbit, escape

@@ -36,6 +36,11 @@ from .finite_system import FiniteZdSystem, is_minimal
 
 # rows of a derived periodic set or product orbit; read where it is checked
 JOIN_CAP = 1_000_000
+# rows of the product system's cube set, below cube_engine.MAX_ENUM_ROWS:
+# an input the enumeration cap admits does not pay for a larger derived
+# product, and an over-budget product is skipped with the same reason at
+# any input cap
+PRODUCT_ROWS_CAP = 5_000_000
 # moduli stay below 2^62, so that sums of two residues fit in int64
 MODULUS_LIMIT = 1 << 62
 
@@ -128,10 +133,14 @@ class PeriodicSet:
     def __contains__(self, n: tuple[int, ...]) -> bool:
         if len(n) != self.k:
             raise InputError(f"vector arity {len(n)} != k = {self.k}")
+        # bools are refused, as the constructor refuses them
+        bad = any(isinstance(v, (bool, np.bool_)) for v in n)
         try:  # a float would be reduced and then truncated to a residue
             n = [operator.index(v) for v in n]
         except TypeError:
-            raise InputError("vector entries must be integers") from None
+            bad = True
+        if bad:
+            raise InputError("vector entries must be integers")
         q = np.array([[v % m for v, m in zip(n, self.moduli)]], dtype=np.int64)
         return bool(self.index.find(q)[1][0])
 
@@ -481,7 +490,14 @@ def product_system_realization(
     index = RowIndex(points, radix)
     perms = np.stack([index.find(_act(points, m))[0] for m in forward])
     prod_sys = FiniteZdSystem(len(points), d, perms, name="product-orbit")
-    # Q first: an over-budget product system then costs only the orbit search
+    # Q first: an over-budget product system then costs only the orbit
+    # search.  The product is one orbit, so Q has |orbit| * prod(orders)
+    # rows, as the enumeration counts them
+    rows = len(points) * math.prod(prod_sys.orders)
+    if rows > PRODUCT_ROWS_CAP:
+        raise InputError(
+            f"enumeration would produce {rows} rows (limit {PRODUCT_ROWS_CAP}); "
+            "restrict the directions or the system size")
     u = ucpp_check(enumerate_Q(prod_sys, prod_sys.dirs))
     inside = np.ones(len(points), dtype=bool)
     for j, (f, _, Uf) in enumerate(factors):

@@ -7,12 +7,12 @@ surgeries (glue, insert, duplicate, project onto a face, digit permutation,
 reflection) as operations on one cube point.  The array
 code in zdcubes must give exactly the same items, witnesses and counts;
 tests/test_array_batteries.py compares them.  So were the five-way
-agreement of the proximal relations over frozenset sections, relative
-independence, the factor isomorphisms, the injectivity of the joining
-decomposition and the text form of a cube set; tests/test_array_structure.py
-compares those.  The periodic-set sum-image check, which now sums the
-residues, first looped over the whole moduli box;
-tests/test_return_times.py compares the two.  A cube set was read from text
+agreement of the proximal relations over frozenset sections and its
+section classes, relative independence, the factor isomorphisms, the
+injectivity of the joining decomposition and the text form of a cube
+set; tests/test_array_structure.py compares those.  The periodic-set
+sum-image check, which now sums the residues, first looped over the whole
+moduli box; tests/test_return_times.py compares the two.  A cube set was read from text
 one line at a time; tests/test_text_rows.py compares that loop with the
 library's reader.
 """
@@ -456,6 +456,29 @@ def sections(Q):
     for p in Q.points:
         acc.setdefault(p[0], set()).add(p[1:])
     return {x: frozenset(v) for x, v in acc.items()}
+
+
+def section_classes(Q, n):
+    """(ids, shared, m) of battery._section_classes, point by point: the
+    classes of equal sections, numbered by their sizes and then by the
+    little-endian int64 bytes of their tails' ranks among all tails of Q
+    (as the battery orders them), m - 1 for the points without a section;
+    and the sorted a*m + b of the class pairs whose sections meet."""
+    sec = sections(Q)
+    rank = {t: i for i, t in enumerate(sorted(set().union(*sec.values())))}
+
+    def order(tails):
+        ids = sorted(rank[t] for t in tails)
+        return len(ids), b"".join(i.to_bytes(8, "little") for i in ids)
+
+    number = {}
+    for tails in sorted(set(sec.values()), key=order):
+        number[tails] = len(number)
+    m = len(number) + 1
+    ids = [number[sec[x]] if x in sec else m - 1 for x in range(n)]
+    shared = sorted({ids[x] * m + ids[y] for x in sec for y in sec
+                     if sec[x] & sec[y]})
+    return ids, shared, m
 
 
 def five_way_battery(sys):

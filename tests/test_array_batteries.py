@@ -282,6 +282,42 @@ def test_face_group_orbit_with_planted_escapes(parts):
     assert len(_same_orbit_and_escape(planted, across[0])[0]) == 1
 
 
+# per fixture, the orbit of Q's first row and |Q|
+ORBITS = {"rot6": (108, 108), "z4xz3": (144, 144), "rot12": (288, 288),
+          "triv1": (1, 1), "rot8_d3": (512, 512), "z2z2z3_d3": (144, 144),
+          "affine25": (625, 625), "nonmin_z4z2": (64, 68)}
+
+
+@pytest.mark.parametrize("name", ALL_FSYS)
+def test_face_group_orbit_of_every_row_is_the_set_itself(systems, name):
+    # an orbit that holds every row is the cube set, not a copy of it, and
+    # the battery's orbit= count is the orbit's size
+    sys_ = systems[name]
+    Q = enumerate_Q(sys_, sys_.dirs)
+    orbit, escape = face_group_orbit(Q, Q.rows[0])
+    assert escape is None
+    assert (len(orbit), len(Q)) == ORBITS[name]
+    assert (orbit is Q) == (len(orbit) == len(Q))
+    detail = _face_items(sys_)["orbit_covers_when_minimal"]["detail"]
+    assert (detail["orbit"], detail["cubes"]) == ORBITS[name]
+
+
+@pytest.mark.parametrize("name,drop,size,escape", [
+    # the orbit under the maps that stay inside is every row left
+    ("rot6", 54, 107, ((1, 0), (0, 0), [3, 5, 1, 3])),
+    ("nonmin_z4z2", 0, 63, ((1, 0), (0, 0), [0, 3, 0, 3])),
+])
+def test_face_group_orbit_and_escape_with_a_row_dropped(systems, name, drop,
+                                                        size, escape):
+    sys_ = systems[name]
+    Q = enumerate_Q(sys_, sys_.dirs)
+    dropped = CubeSet(Q.dirs, np.delete(Q.rows, drop, axis=0), base=sys_)
+    orbit, got = _same_orbit_and_escape(dropped, dropped.rows[0])
+    assert (got[0].face, got[0].diag, got[1].tolist()) == escape
+    assert len(orbit) == size
+    assert (orbit is dropped) == (size == len(dropped))
+
+
 @pytest.mark.parametrize("name,where", [(n, "middle") for n in ALL_FSYS]
                          + [(n, "half") for n in ALL_FSYS]
                          + [("rot6", "first"), ("z4xz3", "last"),

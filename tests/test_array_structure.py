@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import scalar_batteries as ref
 from conftest import ALL_FSYS
-from test_array_batteries import _join_spy, _surgery, _z2_power
+from test_array_batteries import (_join_spy, _rotation_union, _surgery,
+                                  _z2_power)
 from test_relations import BRUTE_BUDGET, SETTINGS, brute, commuting_systems
 from zdcubes import _text, battery, structure
 from zdcubes.cube_engine import (INT32, CubeSet, UcppResult, enumerate_K,
@@ -215,6 +216,78 @@ def test_five_way_witness_on_corrupted_Q(systems, monkeypatch, name, how,
         # the sections of 0 and n - 1 meet but differ, outside every R_j
         assert got == (False, n, [0, n - 1, [False, False, True, False,
                                             False]])
+
+
+def _tails_across(Q):
+    """Q with tails planted across sections: the first tail of every third
+    point also over the next point, and the first tail of Q over every
+    other point, so that some tails have two holders and one has many."""
+    rows, n = Q.rows, Q.base.n_points
+    heads = np.flatnonzero(np.diff(rows[:, 0], prepend=-1))
+    moved = rows[heads[::3]].copy()
+    moved[:, 0] = (moved[:, 0] + 1) % n
+    spread = np.repeat(rows[:1], len(range(0, n, 2)), axis=0)
+    spread[:, 0] = np.arange(0, n, 2)
+    return np.concatenate([rows, moved, spread])
+
+
+def _same_section_classes(Q, n):
+    ids, shared, m = battery._section_classes(Q, sections(Q), n)
+    want = ref.section_classes(Q, n)
+    assert (ids.tolist(), shared.tolist(), m) == want
+    return want
+
+
+@pytest.mark.parametrize("name", ALL_FSYS)
+def test_section_classes_match_the_scalar_reference_on_fixtures(systems,
+                                                                 name):
+    # in a cube set no tail lies in two sections, so each class shares a
+    # tail only with itself
+    sys_ = systems[name]
+    Q = enumerate_Q(sys_, sys_.dirs)
+    ids, shared, m = _same_section_classes(Q, sys_.n_points)
+    assert shared == [a * m + a for a in range(m - 1)]
+
+
+@pytest.mark.parametrize("parts", [
+    [(6, (1,))],
+    [(6, (1,)), (4, (1,)), (3, (2,))],
+    [(5, (2,)), (1, (0,)), (8, (3,))],
+])
+def test_section_classes_of_d1_rotations_are_orbits(parts):
+    # at d = 1 a point's section is its orbit, so the points of one orbit
+    # share one class and no two classes share a tail
+    n = sum(m for m, _ in parts)
+    sys_ = _rotation_union(parts, list(range(n))[::-1])
+    Q = enumerate_Q(sys_, (1,))
+    ids, shared, m = _same_section_classes(Q, n)
+    assert m - 1 == len(parts)
+    assert shared == [a * m + a for a in range(m - 1)]
+
+
+@pytest.mark.parametrize("chunk", [7, battery.PAIR_CHUNK])
+@pytest.mark.parametrize("how", sorted(CORRUPTIONS) + ["tails-across"])
+@pytest.mark.parametrize("name", ["rot6", "z4xz3", "rot8_d3", "affine25"])
+def test_section_classes_match_the_scalar_reference_on_corrupted_Q(
+        systems, monkeypatch, name, how, chunk):
+    # only a set that is not a cube set has a tail in two sections, and
+    # so reaches the join on shared tails
+    monkeypatch.setattr(battery, "PAIR_CHUNK", chunk)
+    sys_ = systems[name]
+    Q = enumerate_Q(sys_, sys_.dirs)
+    change = CORRUPTIONS.get(how, _tails_across)
+    planted = CubeSet(Q.dirs, change(Q), base=sys_)
+    ids, shared, m = _same_section_classes(planted, sys_.n_points)
+    if how in ("shared-tail", "tails-across"):
+        assert any(s // m != s % m for s in shared)
+
+
+def test_section_classes_of_a_d1_union_with_tails_across():
+    sys_ = _rotation_union([(6, (1,)), (4, (1,)), (3, (2,))])
+    Q = enumerate_Q(sys_, (1,))
+    ids, shared, m = _same_section_classes(
+        CubeSet(Q.dirs, _tails_across(Q), base=sys_), sys_.n_points)
+    assert any(s // m != s % m for s in shared)
 
 
 def _face_variants(Q):

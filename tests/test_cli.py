@@ -856,6 +856,29 @@ def test_verify_skips_an_over_budget_product_realization(fixture_dir,
     assert got["checks"][:-1] == want["checks"][:-1]
 
 
+def test_product_realization_keeps_its_own_row_cap(fixture_dir, monkeypatch):
+    from zdcubes import cube_engine, return_times
+
+    # rot6's product system needs 324 rows: a product cap of 323 skips it
+    # with the reason an enumeration cap of 323 gives, and neither cap
+    # changes the other checks
+    path = _path(fixture_dir, "rot6.fsys")
+    want, _ = cmd_verify(path)
+    assert want["checks"][-1]["status"] == "pass"
+    reasons = []
+    for module, name in ((return_times, "PRODUCT_ROWS_CAP"),
+                         (cube_engine, "MAX_ENUM_ROWS")):
+        with monkeypatch.context() as mp:
+            mp.setattr(module, name, 324)
+            assert cmd_verify(path) == (want, 0)
+            mp.setattr(module, name, 323)
+            got, code = cmd_verify(path)
+        assert code == 0 and got["checks"][:-1] == want["checks"][:-1]
+        reasons.append(got["checks"][-1]["detail"]["reason"])
+    assert reasons == ["budget: enumeration would produce 324 rows (limit 323); "
+                       "restrict the directions or the system size"] * 2
+
+
 def test_verify_thread_count_never_changes_bytes(fixture_dir):
     for name in ("rot6.fsys", "rot8_d3.fsys", "example83.affine"):
         outs = []

@@ -441,6 +441,29 @@ def test_enumeration_cap_counts_rows_by_orbit(monkeypatch):
         tuple(brute.brute_K(perms, 12, [35, 35], 11))
 
 
+class _Admitted(Exception):
+    pass
+
+
+def test_the_cap_admits_the_z200_d2_rung(monkeypatch):
+    # Z/200 with d = 2 has 200^3 = 8,000,000 rows, the largest ladder rung
+    # that verifies within 2 GB and the ladder timeout; one more point is
+    # refused.  The kernel is stubbed, so nothing is enumerated.
+    def rotation(n):
+        return FiniteZdSystem(n, 2, tuple(tuple((x + s) % n for x in range(n))
+                                          for s in (1, 7)))
+
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(kernels, "enumerate_blocks", admitted)
+    with pytest.raises(_Admitted):
+        enumerate_Q(rotation(200), (1, 2))
+    with pytest.raises(InputError,
+                       match=r"would produce 8120601 rows \(limit 8000000\)"):
+        enumerate_Q(rotation(201), (1, 2))
+
+
 def _sorted_product_order(sys_, dirs, bases):
     """The cube tuples over dirs of the bases, each under the orders on its
     own orbit, with the exponents in the kernel's product order

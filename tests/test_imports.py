@@ -6,9 +6,9 @@ nothing from the package but errors.  Only cube_engine builds face-group
 elements.  The names the benchmark harness looks up in the library
 exist.  A run of the commands never imports numpy.ma, and only affine input
 or the package's affine names import the affine layer.  Every name in
-zdcubes.__all__ resolves, and @dataclass is kept for the classes that need
-its __init__, __post_init__ or cached_property support; the plain records
-are NamedTuples."""
+zdcubes.__all__ resolves and dir(zdcubes) lists it, and @dataclass is
+kept for the classes that need its __init__, __post_init__ or
+cached_property support; the plain records are NamedTuples."""
 
 import ast
 import importlib
@@ -180,6 +180,25 @@ def test_every_public_name_resolves():
     assert missing == []
     with pytest.raises(AttributeError, match="no_such_name"):
         zdcubes.no_such_name
+
+
+LISTED_NAMES = """
+import sys
+import zdcubes
+names = dir(zdcubes)
+print(sorted(set(zdcubes.__all__) - set(names)), "discretize" in names,
+      "__version__" in names, "zdcubes.affine" in sys.modules)
+"""
+
+
+def test_dir_lists_every_public_name_without_the_affine_layer():
+    # dir() reads the affine names from __all__, so listing them imports
+    # nothing; a fresh interpreter shows what it loads
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", LISTED_NAMES], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.split() == ["[]", "True", "True", "False"]
 
 
 def _decorators(node) -> set[str]:

@@ -55,6 +55,16 @@ def test_pset_membership_refuses_non_integer_entries():
     assert (1, 2) in ps and (4, -3) in ps
 
 
+@pytest.mark.parametrize("entry", [True, np.True_, False, np.False_])
+def test_pset_membership_refuses_bools(entry):
+    # a bool is not read as 0 or 1, as the constructor does not read it so
+    ps = PeriodicSet(2, (3, 5), [(1, 2), (0, 2)])
+    for vector in ((entry, 2), (1, entry)):
+        with pytest.raises(InputError, match="^vector entries must be integers$"):
+            vector in ps
+    assert (1, 2) in ps and (np.int64(0), 2) in ps
+
+
 @pytest.mark.parametrize("entry", [1.5, "1", True, np.bool_(True), 2.0])
 def test_pset_residues_refuse_non_integer_entries(entry):
     # tuples are refused as arrays of these entries are: 1.5 is not

@@ -52,6 +52,8 @@ RUNGS = {
     "z6_d5": ("verify", "fsys", (6, (1, 5, 7, 11, 13))),
     "z100_d2": ("verify", "fsys", (100, (1, 7))),
     "z160_d2": ("verify", "fsys", (160, (1, 7))),
+    "z200_d2": ("verify", "fsys", (200, (1, 7))),
+    "z48_d3": ("verify", "fsys", (48, (1, 5, 7))),
     "pset900k_k2": ("verify", "pset", ((100, 90), (1000, 1800), 4500)),
     "cubes400k_d3": ("verify", "cubes", (3, 400_000, 13)),
     "join1m_d3": ("joining", "join", ((100, 100, 100), 10)),
