@@ -226,7 +226,7 @@ def _tails_across(Q):
     heads = np.flatnonzero(np.diff(rows[:, 0], prepend=-1))
     moved = rows[heads[::3]].copy()
     moved[:, 0] = (moved[:, 0] + 1) % n
-    spread = np.repeat(rows[:1], len(range(0, n, 2)), axis=0)
+    spread = np.repeat(rows[:1], (n + 1) // 2, axis=0)
     spread[:, 0] = np.arange(0, n, 2)
     return np.concatenate([rows, moved, spread])
 
@@ -256,13 +256,17 @@ def test_section_classes_match_the_scalar_reference_on_fixtures(systems,
 ])
 def test_section_classes_of_d1_rotations_are_orbits(parts):
     # at d = 1 a point's section is its orbit, so the points of one orbit
-    # share one class and no two classes share a tail
+    # share one class and no two classes share a tail, until tails are
+    # planted across the orbits
     n = sum(m for m, _ in parts)
     sys_ = _rotation_union(parts, list(range(n))[::-1])
     Q = enumerate_Q(sys_, (1,))
     ids, shared, m = _same_section_classes(Q, n)
     assert m - 1 == len(parts)
     assert shared == [a * m + a for a in range(m - 1)]
+    ids, shared, m = _same_section_classes(
+        CubeSet(Q.dirs, _tails_across(Q), base=sys_), n)
+    assert any(s // m != s % m for s in shared) == (len(parts) > 1)
 
 
 @pytest.mark.parametrize("chunk", [7, battery.PAIR_CHUNK])
@@ -280,14 +284,6 @@ def test_section_classes_match_the_scalar_reference_on_corrupted_Q(
     ids, shared, m = _same_section_classes(planted, sys_.n_points)
     if how in ("shared-tail", "tails-across"):
         assert any(s // m != s % m for s in shared)
-
-
-def test_section_classes_of_a_d1_union_with_tails_across():
-    sys_ = _rotation_union([(6, (1,)), (4, (1,)), (3, (2,))])
-    Q = enumerate_Q(sys_, (1,))
-    ids, shared, m = _same_section_classes(
-        CubeSet(Q.dirs, _tails_across(Q), base=sys_), sys_.n_points)
-    assert any(s // m != s % m for s in shared)
 
 
 def _face_variants(Q):
